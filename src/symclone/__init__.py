@@ -31,7 +31,6 @@ from .cloner import (
 from .oracle import (
     MEMORY_GUARD,
     FullVector,
-    ResourceLimitError,
     covariance_check,
     ginibre_sym_operator,
     hermitian_sym_operator,
@@ -52,6 +51,7 @@ from .symspace import (
     Composition,
     InvalidParameterError,
     QuditOperator,
+    ResourceLimitError,
     SymBasis,
     SymOperator,
     basis_dyad,

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .cloner import clone_amplitudes, clone_channel
-from .oracle import ResourceLimitError, oracle_clone
+from .oracle import oracle_clone
 from .serialize import (
     FormatError,
     qudit_operator_to_pairs,
@@ -24,7 +24,7 @@ from .serialize import (
     write_sym_operator,
     write_tables_csv,
 )
-from .symspace import InvalidParameterError, reduce_one
+from .symspace import InvalidParameterError, ResourceLimitError, reduce_one
 from .verify import SUITES, run_suite
 
 

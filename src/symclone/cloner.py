@@ -13,18 +13,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .symspace import (
     Composition,
     InvalidParameterError,
+    ResourceLimitError,
     SymOperator,
     basis_projector,
+    composition_rank,
     dim,
     enumerate_basis,
 )
+
+DENSE_GUARD = 1 << 27  # complex entries of a dense channel output (2 GiB)
 
 
 def alpha_qubit_sq(j: int, k: int, m: int, l: int) -> Fraction:
@@ -66,11 +70,16 @@ def alpha_d_sq(j: Composition, k: Composition, m: int, l: int) -> Fraction:
         raise InvalidParameterError(f"input composition has weight {j.weight}, expected {m}")
     if k.weight != l - m:
         raise InvalidParameterError(f"added composition has weight {k.weight}, expected {l - m}")
-    d = j.d
+    return _prefactor(j.d, m, l) * _occupancy(j.counts, k.counts)
+
+
+def _prefactor(d: int, m: int, l: int) -> Fraction:
     f = math.factorial
-    prefactor = Fraction(f(l - m) * f(m + d - 1), f(l + d - 1))
-    occupancy = math.prod(math.comb(a + b, b) for a, b in zip(j.counts, k.counts))
-    return prefactor * occupancy
+    return Fraction(f(l - m) * f(m + d - 1), f(l + d - 1))
+
+
+def _occupancy(j, k) -> int:
+    return math.prod(math.comb(a + b, b) for a, b in zip(j, k))
 
 
 def alpha_d(j: Composition, k: Composition, m: int, l: int) -> float:
@@ -89,28 +98,30 @@ def ancilla_dim(d: int, m: int, l: int) -> int:
 class CloneAmplitudes:
     """Exact squared amplitudes for every (input, added) composition pair.
 
-    Rows are in canonical order: input compositions outer, added inner, both
-    lexicographically decreasing.
+    table[i, t] is alpha^2 for the i-th input and the t-th added composition,
+    both in canonical (lexicographically decreasing) order: a read-only
+    (n_in, K) object array of Fractions.
     """
 
     d: int
     m: int
     l: int
-    rows: tuple[tuple[Composition, Composition, Fraction], ...]
+    table: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_table", {(j.counts, k.counts): sq for j, k, sq in self.rows}
+    @cached_property
+    def rows(self) -> tuple[tuple[Composition, Composition, Fraction], ...]:
+        """(input, added, alpha^2) triples, input compositions outer."""
+        inputs = enumerate_basis(self.d, self.m).order
+        added = enumerate_basis(self.d, self.l - self.m).order
+        return tuple(
+            (j, k, sq) for j, row in zip(inputs, self.table) for k, sq in zip(added, row)
         )
 
     def alpha_sq(self, j: Composition, k: Composition) -> Fraction:
-        try:
-            return self._table[(j.counts, k.counts)]
-        except KeyError:
-            raise InvalidParameterError(
-                f"no amplitude for input {j.counts} with added {k.counts} "
-                f"in (d={self.d}, m={self.m}, l={self.l})"
-            ) from None
+        return self.table[
+            enumerate_basis(self.d, self.m).index_of(j),
+            enumerate_basis(self.d, self.l - self.m).index_of(k),
+        ]
 
     def alpha(self, j: Composition, k: Composition) -> float:
         return math.sqrt(self.alpha_sq(j, k))
@@ -121,27 +132,30 @@ def clone_amplitudes(d: int, m: int, l: int) -> CloneAmplitudes:
     """Amplitude table for fixed (d, m, l)."""
     if l < m:
         raise InvalidParameterError(f"need l >= m, got l={l}, m={m}")
-    inputs = enumerate_basis(d, m).order
-    added = enumerate_basis(d, l - m).order
-    rows = tuple((j, k, alpha_d_sq(j, k, m, l)) for j in inputs for k in added)
-    return CloneAmplitudes(d=d, m=m, l=l, rows=rows)
+    prefactor = _prefactor(d, m, l)
+    added = enumerate_basis(d, l - m).counts.tolist()
+    table = np.array(
+        [
+            [prefactor * _occupancy(j, k) for k in added]
+            for j in enumerate_basis(d, m).counts.tolist()
+        ],
+        dtype=object,
+    )
+    table.setflags(write=False)
+    return CloneAmplitudes(d=d, m=m, l=l, table=table)
 
 
 @lru_cache(maxsize=None)
 def _channel_plan(d: int, m: int, l: int):
-    # per added composition k: amplitudes over the input basis and the
-    # indices of a+k in the output basis
-    basis_in = enumerate_basis(d, m)
-    basis_out = enumerate_basis(d, l)
-    amps = clone_amplitudes(d, m, l)
-    plan = []
-    for k in enumerate_basis(d, l - m).order:
-        v = np.array([amps.alpha(a, k) for a in basis_in.order])
-        idx = np.array([basis_out.index_of(a.add(k)) for a in basis_in.order], dtype=np.intp)
-        v.setflags(write=False)
-        idx.setflags(write=False)
-        plan.append((idx, v))
-    return tuple(plan)
+    # (K, n_in) arrays: row t holds, over the input basis a, the index of
+    # a + k_t in the output basis and the amplitude alpha(a, k_t)
+    inputs = enumerate_basis(d, m).counts
+    added = enumerate_basis(d, l - m).counts
+    idx = composition_rank(added[:, None, :] + inputs[None, :, :], l)
+    v = np.sqrt(clone_amplitudes(d, m, l).table.T.astype(np.float64, order="C"))
+    idx.setflags(write=False)
+    v.setflags(write=False)
+    return idx, v
 
 
 def clone_channel(op: SymOperator, l: int) -> SymOperator:
@@ -154,12 +168,16 @@ def clone_channel(op: SymOperator, l: int) -> SymOperator:
     d, m = op.d, op.m
     if l < m:
         raise InvalidParameterError(f"need l >= m, got l={l}, m={m}")
-    basis_out = enumerate_basis(d, l)
+    n_out = dim(d, l)
+    if n_out * n_out > DENSE_GUARD:
+        raise ResourceLimitError(
+            f"dense {n_out}x{n_out} output exceeds the guard of {DENSE_GUARD} entries"
+        )
     x = op.entries
-    y = np.zeros((basis_out.size, basis_out.size), dtype=np.complex128)
-    for idx, v in _channel_plan(d, m, l):
+    y = np.zeros((n_out, n_out), dtype=np.complex128)
+    for idx, v in zip(*_channel_plan(d, m, l)):
         y[np.ix_(idx, idx)] += (v[:, None] * v[None, :]) * x
-    return SymOperator(basis_out, y)
+    return SymOperator(enumerate_basis(d, l), y)
 
 
 def uqcm_pure_output(d: int, n: int, m: int) -> SymOperator:
@@ -179,22 +197,18 @@ def uqcm_pure_output(d: int, n: int, m: int) -> SymOperator:
 def isometry_gram(d: int, m: int, l: int) -> np.ndarray:
     """Gram matrix of the cloning isometry columns over the input basis.
 
-    Entry (a, b) is sum_k alpha(a, k) alpha(b, k) [a+k == b+k]; the
-    transformation is an isometry iff this is the identity.
+    Entry (a, b) is sum_k alpha(a, k) alpha(b, k) [a+k == b+k], with a+k
+    located by its rank in the output basis, as the channel locates it.  The
+    identity on the diagonal is the amplitude normalization; off it, the
+    rank's injectivity on each {a + k}.  The transformation is an isometry
+    iff this is the identity.
     """
     if l < m:
         raise InvalidParameterError(f"need l >= m, got l={l}, m={m}")
-    basis_in = enumerate_basis(d, m)
-    amps = clone_amplitudes(d, m, l)
-    n = basis_in.size
-    gram = np.zeros((n, n), dtype=np.complex128)
-    for k in enumerate_basis(d, l - m).order:
-        alphas = [amps.alpha(a, k) for a in basis_in.order]
-        targets = [a.add(k).counts for a in basis_in.order]
-        for ia in range(n):
-            for ib in range(n):
-                if targets[ia] == targets[ib]:
-                    gram[ia, ib] += alphas[ia] * alphas[ib]
+    idx, v = _channel_plan(d, m, l)
+    gram = np.zeros((idx.shape[1], idx.shape[1]))
+    for idx_k, v_k in zip(idx, v):
+        gram += np.outer(v_k, v_k) * (idx_k[:, None] == idx_k[None, :])
     return gram
 
 

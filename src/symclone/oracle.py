@@ -18,6 +18,7 @@ from .symspace import (
     Composition,
     InvalidParameterError,
     QuditOperator,
+    ResourceLimitError,
     SymOperator,
     dim,
     enumerate_basis,
@@ -25,10 +26,6 @@ from .symspace import (
 )
 
 MEMORY_GUARD = 1 << 20  # complex amplitudes per vector
-
-
-class ResourceLimitError(RuntimeError):
-    """A full tensor-product object would exceed the memory guard."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,12 +119,13 @@ def clone_isometry_full(d: int, m: int, l: int) -> np.ndarray:
         raise ResourceLimitError(
             f"output vectors need {out_dim} amplitudes, guard is {MEMORY_GUARD}"
         )
-    amps = clone_amplitudes(d, m, l)
+    # looked up by position, not index_of, so the oracle shares no rank code
+    alpha = np.sqrt(clone_amplitudes(d, m, l).table.astype(np.float64))
     v = np.zeros((out_dim, basis_in.size), dtype=np.complex128)
     for ia, a in enumerate(basis_in.order):
         col = np.zeros((d**l, added.size), dtype=np.complex128)
         for ik, k in enumerate(added.order):
-            col[:, ik] = amps.alpha(a, k) * sym_vector(a.add(k)).amplitudes
+            col[:, ik] = alpha[ia, ik] * sym_vector(a.add(k)).amplitudes
         v[:, ia] = col.reshape(-1)
     return v
 

@@ -5,9 +5,11 @@ Symmetric operators travel as JSON documents:
     { "d": int, "m": int, "basis": "lex_decreasing",
       "entries": [[re, im], ...] }          # row-major dense, dim^2 pairs
 
-Readers reject documents whose basis tag or entry count disagree with (d, m);
-unknown keys are ignored, which lets writers attach extras such as a reduced
-operator.  CSV floats carry 17 significant digits, rationals print as "p/q".
+Readers reject documents whose basis tag or entry count disagree with (d, m)
+or whose entries are not finite; unknown keys are ignored, which lets writers
+attach extras such as a reduced operator.  Writers refuse non-finite values,
+which JSON cannot carry.  CSV floats carry 17 significant digits, rationals
+print as "p/q".
 """
 
 from __future__ import annotations
@@ -90,7 +92,13 @@ def sym_operator_from_dict(doc) -> SymOperator:
             or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
         ):
             raise FormatError(f"entry {i} is not a [re, im] number pair")
-        flat[i] = complex(pair[0], pair[1])
+        try:
+            flat[i] = complex(pair[0], pair[1])
+        except OverflowError:  # an integer beyond the float range
+            flat[i] = math.inf
+    bad = np.flatnonzero(~np.isfinite(flat))
+    if bad.size:
+        raise FormatError(f"entry {bad[0]} is not a finite number pair")
     return SymOperator(basis, flat.reshape(n, n))
 
 
@@ -107,9 +115,12 @@ def write_sym_operator(path, op: SymOperator, extra: dict | None = None) -> None
     doc = sym_operator_to_dict(op)
     if extra:
         doc.update(extra)
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as e:
+        raise FormatError(f"cannot write {path}: {e}") from None
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_amplitudes_csv(path, amps: CloneAmplitudes) -> None:

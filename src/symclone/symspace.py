@@ -10,14 +10,18 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 
 class InvalidParameterError(ValueError):
     """Arguments violate a documented precondition."""
+
+
+class ResourceLimitError(RuntimeError):
+    """A dense object would exceed a memory guard."""
 
 
 @dataclass(frozen=True)
@@ -56,44 +60,64 @@ class Composition:
         return iter(self.counts)
 
 
-def _compositions(weight: int, parts: int):
-    # lexicographically decreasing: first coordinate runs from weight down to 0
-    if parts == 1:
-        yield (weight,)
-        return
-    for first in range(weight, -1, -1):
-        for rest in _compositions(weight - first, parts - 1):
-            yield (first,) + rest
+def _compositions(d: int, m: int) -> np.ndarray:
+    """All compositions of m into d parts as rows, lexicographically decreasing."""
+    rows = np.zeros((1, 0), dtype=np.int64)
+    left = np.array([m])
+    for _ in range(d - 1):
+        # each row splits into left + 1 rows whose next count runs left, ..., 0
+        reps = left + 1
+        within = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        rows = np.column_stack((np.repeat(rows, reps, axis=0), np.repeat(left, reps) - within))
+        left = within
+    return np.column_stack((rows, left))
+
+
+def composition_rank(counts: np.ndarray, m: int) -> np.ndarray:
+    """Canonical basis index of each weight-m composition along the last axis.
+
+    Closed form (hockey-stick identity): the compositions before c are those
+    that first exceed it at some position i < d - 1, which number
+    C(rest_i + p_i - 1, p_i) with rest_i = m - (c_0 + ... + c_i) the weight
+    left after position i and p_i = d - i - 1 the positions after it.
+    """
+    d = counts.shape[-1]
+    rest = m - np.cumsum(counts[..., :-1], axis=-1)
+    p = np.arange(d - 1, 0, -1)
+    binom = np.array(
+        [[math.comb(n, k) for k in range(d)] for n in range(m + d - 1)], dtype=np.int64
+    )
+    return binom[rest + p - 1, p].sum(axis=-1)
 
 
 @dataclass(frozen=True)
 class SymBasis:
     """Canonical ordering of all compositions of weight m into d parts.
 
-    The order is lexicographically decreasing, so for d = 2 the basis index
-    equals the number of particles in level 1.
+    counts holds the compositions as the rows of a read-only (N, d) integer
+    array, lexicographically decreasing, so for d = 2 the basis index equals
+    the number of particles in level 1.
     """
 
     d: int
     m: int
-    order: tuple[Composition, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_index", {c.counts: i for i, c in enumerate(self.order)}
-        )
+    counts: np.ndarray = field(compare=False, repr=False)
 
     @property
     def size(self) -> int:
-        return len(self.order)
+        return len(self.counts)
+
+    @cached_property
+    def order(self) -> tuple[Composition, ...]:
+        """The rows of counts as Composition objects, built on first use."""
+        return tuple(Composition(tuple(row)) for row in self.counts.tolist())
 
     def index_of(self, c: Composition) -> int:
-        try:
-            return self._index[c.counts]
-        except KeyError:
+        if c.d != self.d or c.weight != self.m:
             raise InvalidParameterError(
                 f"{c.counts} is not a composition of {self.m} into {self.d} parts"
-            ) from None
+            )
+        return int(composition_rank(np.array(c.counts), self.m))
 
 
 @lru_cache(maxsize=None)
@@ -103,8 +127,9 @@ def enumerate_basis(d: int, m: int) -> SymBasis:
         raise InvalidParameterError(f"d must be >= 2, got {d}")
     if m < 0:
         raise InvalidParameterError(f"particle number must be >= 0, got {m}")
-    order = tuple(Composition(c) for c in _compositions(m, d))
-    return SymBasis(d=d, m=m, order=order)
+    counts = _compositions(d, m)
+    counts.setflags(write=False)
+    return SymBasis(d=d, m=m, counts=counts)
 
 
 def dim(d: int, m: int) -> int:
@@ -168,6 +193,8 @@ class SymOperator:
         inputs, so a negative eigenvalue below -psd_tol warns rather than
         rejects unless strict_psd is set.
         """
+        if not np.isfinite(self.entries).all():
+            raise InvalidParameterError("entries must be finite")
         dev = float(np.max(np.abs(self.entries - self.entries.conj().T)))
         if dev > tol:
             raise InvalidParameterError(
@@ -244,32 +271,25 @@ def _reduction_plan(d: int, m: int):
     lands on sqrt(a_p (a_q + 1))/m |p><q|.  Dyads further than one hop apart
     vanish, so only the neighbours of each a need enumerating.
     """
-    basis = enumerate_basis(d, m)
-    diag = np.array([[c[i] / m for c in basis.order] for i in range(d)])
+    counts = enumerate_basis(d, m).counts
+    diag = np.ascontiguousarray(counts.T) / m
     rows, cols, level_p, level_q, coeffs = [], [], [], [], []
-    for ia, a in enumerate(basis.order):
-        for p in range(d):
-            if a[p] == 0:
+    # grouped by (p, q) with rows increasing inside each group, so every
+    # entry of the reduction accumulates its terms in basis order
+    for p in range(d):
+        (src,) = np.nonzero(counts[:, p])
+        for q in range(d):
+            if q == p:
                 continue
-            for q in range(d):
-                if q == p:
-                    continue
-                shifted = list(a.counts)
-                shifted[p] -= 1
-                shifted[q] += 1
-                ib = basis.index_of(Composition(tuple(shifted)))
-                rows.append(ia)
-                cols.append(ib)
-                level_p.append(p)
-                level_q.append(q)
-                coeffs.append(math.sqrt(a[p] * (a[q] + 1)) / m)
-    hops = (
-        np.array(rows, dtype=np.intp),
-        np.array(cols, dtype=np.intp),
-        np.array(level_p, dtype=np.intp),
-        np.array(level_q, dtype=np.intp),
-        np.array(coeffs),
-    )
+            shifted = counts[src].copy()
+            shifted[:, p] -= 1
+            shifted[:, q] += 1
+            rows.append(src)
+            cols.append(composition_rank(shifted, m))
+            level_p.append(np.full(src.size, p))
+            level_q.append(np.full(src.size, q))
+            coeffs.append(np.sqrt(counts[src, p] * (counts[src, q] + 1)) / m)
+    hops = tuple(np.concatenate(x) for x in (rows, cols, level_p, level_q, coeffs))
     return diag, hops
 
 

@@ -3,10 +3,12 @@ import json
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
+from symclone import verify
 from symclone.cli import main
 from symclone.serialize import sym_operator_to_dict, write_sym_operator
-from symclone.symspace import Composition, basis_projector, sym_operator
+from symclone.symspace import Composition, SymOperator, basis_projector, sym_operator
 
 
 def write_pure_input(path):
@@ -113,6 +115,27 @@ class TestClone:
         assert json.loads(capsys.readouterr().err)["code"] == 2
         assert main(["clone", str(src), "--l", "2", "--out", str(dst), "--no-validate"]) == 0
 
+    def test_non_finite_input_rejected(self, tmp_path, capsys):
+        src = tmp_path / "in.json"
+        dst = tmp_path / "out.json"
+        doc = sym_operator_to_dict(basis_projector(Composition((1, 0))))
+        doc["entries"][1] = [float("nan"), 0.0]
+        src.write_text(json.dumps(doc))  # Python writes the NaN literal
+        for extra in ([], ["--no-validate"]):
+            assert main(["clone", str(src), "--l", "2", "--out", str(dst)] + extra) == 2
+            err = json.loads(capsys.readouterr().err)
+            assert err["code"] == 2 and "finite" in err["error"]
+        assert not dst.exists()
+
+    def test_oversized_request_rejected_before_enumeration(self, tmp_path, capsys):
+        src = tmp_path / "in.json"
+        dst = tmp_path / "out.json"
+        write_sym_operator(src, basis_projector(Composition((1, 0, 0))))
+        assert main(["clone", str(src), "--l", "2000", "--out", str(dst)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["code"] == 2 and "guard" in err["error"]
+        assert not dst.exists()
+
     def test_missing_input_file(self, tmp_path, capsys):
         code = main(
             ["clone", str(tmp_path / "nope.json"), "--l", "2", "--out", str(tmp_path / "o.json")]
@@ -160,6 +183,23 @@ class TestVerify:
         )
         assert code == 1
         assert json.loads(out.read_text())["overall"] == "fail"
+
+    @pytest.mark.parametrize("suite", ["scaling", "oracle"])
+    def test_nan_injecting_channel_fails_every_case(self, suite, tmp_path, capsys, monkeypatch):
+        exact = verify.clone_channel
+
+        def nan_channel(op, l):
+            out = exact(op, l)
+            entries = out.entries.copy()
+            entries[0, 0] = np.nan
+            return SymOperator(out.basis, entries)
+
+        monkeypatch.setattr(verify, "clone_channel", nan_channel)
+        out = tmp_path / "report.json"
+        assert main(["verify", suite, "--quick", "--out", str(out)]) == 1
+        report = json.loads(out.read_text())
+        assert report["overall"] == "fail"
+        assert not any(case["passed"] for case in report["cases"])
 
     def test_deterministic_given_seed(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from symclone import cloner, symspace
 from symclone.cloner import (
     alpha_d,
     alpha_d_sq,
@@ -237,6 +238,7 @@ class TestConcatenate:
 class TestCloneAmplitudesTable:
     def test_rows_cover_product_of_bases(self):
         amps = clone_amplitudes(3, 1, 2)
+        assert amps.table.shape == (dim(3, 1), dim(3, 1))
         assert len(amps.rows) == dim(3, 1) * dim(3, 1)
         assert amps.d == 3 and amps.m == 1 and amps.l == 2
 
@@ -251,3 +253,103 @@ class TestCloneAmplitudesTable:
         amps = clone_amplitudes(2, 1, 2)
         with pytest.raises(InvalidParameterError):
             amps.alpha_sq(Composition((2, 0)), Composition((1, 0)))
+
+
+def reference_index(d, m):
+    # independent of the closed-form rank: positions in the enumerated order,
+    # which test_symspace checks against a brute-force enumeration
+    return {c.counts: i for i, c in enumerate(enumerate_basis(d, m).order)}
+
+
+def reference_channel_plan(d, m, l):
+    """Per-Composition construction of the channel plan, one row per k."""
+    basis_in = enumerate_basis(d, m).order
+    index_out = reference_index(d, l)
+    idx, v = [], []
+    for k in enumerate_basis(d, l - m).order:
+        v.append([alpha_d(a, k, m, l) for a in basis_in])
+        idx.append([index_out[a.add(k).counts] for a in basis_in])
+    return np.array(idx, dtype=np.intp), np.array(v)
+
+
+def reference_reduction_plan(d, m):
+    """Per-Composition construction of the one-hop reduction plan."""
+    basis = enumerate_basis(d, m).order
+    index = reference_index(d, m)
+    diag = np.array([[c[i] / m for c in basis] for i in range(d)])
+    hops = []
+    for p in range(d):
+        for q in range(d):
+            for ia, a in enumerate(basis):
+                if q == p or a[p] == 0:
+                    continue
+                shifted = list(a.counts)
+                shifted[p] -= 1
+                shifted[q] += 1
+                hops.append((ia, index[tuple(shifted)], p, q, math.sqrt(a[p] * (a[q] + 1)) / m))
+    rows, cols, level_p, level_q, coeffs = zip(*hops)
+    ints = [np.array(x, dtype=np.intp) for x in (rows, cols, level_p, level_q)]
+    return diag, (*ints, np.array(coeffs))
+
+
+def assert_bitwise_equal(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+class TestPlansMatchReference:
+    def test_channel_plan(self):
+        for d in (2, 3, 4):
+            for m in range(0, 5):
+                for l in range(m, m + 4):
+                    idx, v = cloner._channel_plan(d, m, l)
+                    want_idx, want_v = reference_channel_plan(d, m, l)
+                    assert_bitwise_equal(idx, want_idx)
+                    assert_bitwise_equal(v, want_v)
+
+    def test_reduction_plan(self):
+        for d in (2, 3, 4):
+            for m in range(1, 8):
+                diag, hops = symspace._reduction_plan(d, m)
+                want_diag, want_hops = reference_reduction_plan(d, m)
+                assert_bitwise_equal(diag, want_diag)
+                for got, want in zip(hops, want_hops, strict=True):
+                    assert_bitwise_equal(got, want)
+
+    def test_gram_detects_a_colliding_rank(self, monkeypatch):
+        # off the diagonal the Gram check tests exactly the rank's
+        # injectivity on each {a + k}; a rank that merges neighbours fails it
+        def colliding(counts, m):
+            return symspace.composition_rank(counts, m) // 2
+
+        monkeypatch.setattr(cloner, "composition_rank", colliding)
+        cloner._channel_plan.cache_clear()
+        try:
+            gram = isometry_gram(2, 2, 3)
+        finally:
+            cloner._channel_plan.cache_clear()
+        assert np.max(np.abs(gram - np.eye(3))) > 0.1
+
+
+@pytest.mark.parametrize("d, m, l", [(3, 1, 30), (2, 20, 60)])
+def test_cold_clone_builds_no_composition_objects(d, m, l, monkeypatch):
+    for cached in (
+        symspace.enumerate_basis,
+        symspace._reduction_plan,
+        cloner.clone_amplitudes,
+        cloner._channel_plan,
+    ):
+        cached.cache_clear()
+    calls = []
+    original = Composition.__post_init__
+
+    def counting(self):
+        calls.append(self)
+        original(self)
+
+    monkeypatch.setattr(Composition, "__post_init__", counting)
+    n = dim(d, m)
+    x = sym_operator(d, m, np.eye(n) / n)
+    red = reduce_one(clone_channel(x, l))
+    assert calls == []
+    np.testing.assert_allclose(red.entries, np.eye(d) / d, atol=1e-12)

@@ -86,6 +86,22 @@ class TestOperatorDocument:
         with pytest.raises(FormatError):
             sym_operator_from_dict(doc)
 
+    def test_rejects_non_finite_pairs(self):
+        doc = sym_operator_to_dict(random_operator())
+        for bad in (float("nan"), float("inf"), -float("inf"), 10**400):
+            doc["entries"][1] = [0.0, bad]
+            with pytest.raises(FormatError, match="entry 1"):
+                sym_operator_from_dict(doc)
+
+    def test_writer_refuses_non_finite_values(self, tmp_path):
+        path = tmp_path / "op.json"
+        op = sym_operator(2, 1, np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        with pytest.raises(FormatError):
+            write_sym_operator(path, op)
+        with pytest.raises(FormatError):
+            write_sym_operator(path, random_operator(), extra={"oracle_residual": float("inf")})
+        assert not path.exists()
+
     def test_rejects_non_object_document(self):
         with pytest.raises(FormatError):
             sym_operator_from_dict([1, 2, 3])

@@ -4,7 +4,7 @@ import math
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 
 from symclone.oracle import reduce_full_to_site, sym_vector
 from symclone.symspace import (
@@ -12,6 +12,7 @@ from symclone.symspace import (
     InvalidParameterError,
     basis_dyad,
     basis_projector,
+    composition_rank,
     dim,
     enumerate_basis,
     multinomial,
@@ -56,10 +57,15 @@ class TestEnumerateBasis:
             for i in range(basis.size - 1)
         )
 
-    @given(d=st.integers(2, 4), m=st.integers(0, 6))
+    @given(d=st.integers(2, 5), m=st.integers(0, 6))
+    @example(d=2, m=0)
+    @example(d=5, m=0)
+    @example(d=5, m=6)
     def test_index_bijection(self, d, m):
         basis = enumerate_basis(d, m)
         assert [basis.index_of(c) for c in basis.order] == list(range(basis.size))
+        ranks = composition_rank(basis.counts, m)
+        assert np.array_equal(ranks, np.arange(basis.size))
 
     def test_qubit_index_counts_level_one(self):
         for m in range(7):
@@ -220,6 +226,13 @@ class TestSymOperator:
     def test_validate_density_rejects_bad_trace(self):
         with pytest.raises(InvalidParameterError):
             sym_operator(2, 1, np.diag([0.25, 0.25])).validate_density()
+
+    def test_validate_density_rejects_non_finite_entries(self):
+        for bad in (np.nan, np.inf):
+            x = np.diag([0.5, 0.5]).astype(complex)
+            x[0, 1] = bad
+            with pytest.raises(InvalidParameterError):
+                sym_operator(2, 1, x).validate_density()
 
     def test_validate_density_rejects_non_hermitian(self):
         x = np.array([[0.5, 1.0], [0.0, 0.5]])
