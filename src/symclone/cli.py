@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -30,6 +31,16 @@ from .verify import SUITES, run_suite
 
 def _emit_error(message: str, code: int) -> None:
     print(json.dumps({"error": message, "code": code}), file=sys.stderr)
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_range(text: str) -> list[int]:
@@ -98,7 +109,7 @@ def _cmd_verify(args) -> int:
     )
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+            json.dump(report.to_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
     for case in report.cases:
         status = "PASS" if case.passed else "FAIL"
@@ -160,12 +171,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=SUITES + ("all",), help="suite to run")
     p.add_argument("--seed", type=int, default=0, help="seed for random inputs")
     p.add_argument(
-        "--tol", type=float, default=None, help="override the suite tolerance"
+        "--tol", type=_finite_float, default=None, help="override the suite tolerance"
     )
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.add_argument(
         "--eta-factor",
-        type=float,
+        type=_finite_float,
         default=1.0,
         help="multiply the closed-form shrinking factor (negative-control hook)",
     )

@@ -6,6 +6,11 @@ particles across the d levels with exactly computable amplitudes, the
 internal (ancilla) degrees of freedom already traced out.  Squared amplitudes
 are exact rationals; conversion to floating point happens once, at the final
 amplitude.
+
+The output is K scattered, rescaled copies of the d_in x d_in input block
+(Werner's T(X) = (d[m]/d[l]) S_l (X (x) 1) S_l, R. F. Werner, PRA 58, 1827
+(1998)), so it is held as that block; the dense d_out x d_out matrix is built
+only when its entries are read.
 """
 
 from __future__ import annotations
@@ -22,13 +27,15 @@ from .symspace import (
     InvalidParameterError,
     ResourceLimitError,
     SymOperator,
+    _reduction_plan,
     basis_projector,
     composition_rank,
     dim,
     enumerate_basis,
 )
 
-DENSE_GUARD = 1 << 27  # complex entries of a dense channel output (2 GiB)
+AMPLITUDE_GUARD = 1 << 20  # exact Fraction entries of an amplitude table (~0.6 KB each)
+DENSE_GUARD = 1 << 22  # complex entries of a dense channel output (64 MiB)
 
 
 def alpha_qubit_sq(j: int, k: int, m: int, l: int) -> Fraction:
@@ -158,26 +165,96 @@ def _channel_plan(d: int, m: int, l: int):
     return idx, v
 
 
-def clone_channel(op: SymOperator, l: int) -> SymOperator:
+@lru_cache(maxsize=None)
+def _hop_plan(d: int, m: int, l: int) -> np.ndarray:
+    # (K, H_in) array: for the input one-hop pair (a, b) of _reduction_plan(d,
+    # m) in column h and the added composition k_t in row t, the position of
+    # the output pair (a + k_t, b + k_t) in _reduction_plan(d, l)'s hop order
+    idx, _ = _channel_plan(d, m, l)
+    _, (rows, _, level_p, level_q, _) = _reduction_plan(d, m)
+    _, (out_rows, _, out_p, out_q, _) = _reduction_plan(d, l)
+    # a hop is fixed by its row and its levels (p, q); -1 marks no hop
+    position = np.full((dim(d, l), d, d), -1, dtype=np.intp)
+    position[out_rows, out_p, out_q] = np.arange(out_rows.size)
+    hops = position[idx[:, rows], level_p, level_q]
+    hops.setflags(write=False)
+    return hops
+
+
+def _scatter_sum(index: np.ndarray, values: np.ndarray, out: np.ndarray) -> None:
+    # np.bincount adds in input order, so each output entry sums its terms in
+    # k order, as the dense loop does; real and imaginary parts add apart
+    # there too, so the sums agree bit for bit
+    flat = index.ravel()
+    out.real = np.bincount(flat, values.real.ravel(), len(out))
+    out.imag = np.bincount(flat, values.imag.ravel(), len(out))
+
+
+class CloneOutput(SymOperator):
+    """clone_channel's output, held as the input block and its (d, m, l).
+
+    Memory is O(dim(d, m)^2).  entries is a dense view, built on first read
+    and refused beyond DENSE_GUARD entries; reduce_one reads the diagonal and
+    the one-hop entries straight from the channel plan instead.
+    """
+
+    def __init__(self, op: SymOperator, l: int):
+        object.__setattr__(self, "basis", enumerate_basis(op.d, l))
+        object.__setattr__(self, "input_basis", op.basis)
+        object.__setattr__(self, "block", op.entries)
+
+    def __repr__(self) -> str:
+        return f"CloneOutput(d={self.d}, m={self.input_basis.m}, l={self.m})"
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        n_out = self.basis.size
+        if n_out * n_out > DENSE_GUARD:
+            raise ResourceLimitError(
+                f"dense {n_out}x{n_out} output exceeds the guard of {DENSE_GUARD} entries"
+            )
+        y = np.zeros((n_out, n_out), dtype=np.complex128)
+        for idx, v in zip(*_channel_plan(self.d, self.input_basis.m, self.m)):
+            y[np.ix_(idx, idx)] += (v[:, None] * v[None, :]) * self.block
+        y.setflags(write=False)
+        return y
+
+    def _diagonal_and_hops(self) -> tuple[np.ndarray, np.ndarray]:
+        d, m, l = self.d, self.input_basis.m, self.m
+        idx, v = _channel_plan(d, m, l)
+        x = self.block
+        # the dense matrix's diagonal is a strided view, and OpenBLAS sums a
+        # unit-stride vector in another order than a strided one; reduce_one
+        # dots this diagonal, so it gets a strided view too, and the same bits
+        diagonal = np.zeros((self.basis.size, 2), dtype=np.complex128)[:, 0]
+        _scatter_sum(idx, (v * v) * np.diagonal(x), diagonal)
+        _, (out_rows, *_) = _reduction_plan(d, l)
+        hops = np.zeros(out_rows.size, dtype=np.complex128)
+        if m:  # a single input state has no one-hop pairs
+            _, (rows, cols, *_) = _reduction_plan(d, m)
+            _scatter_sum(_hop_plan(d, m, l), (v[:, rows] * v[:, cols]) * x[rows, cols], hops)
+        return diagonal, hops
+
+
+def clone_channel(op: SymOperator, l: int) -> CloneOutput:
     """Extend a weight-m symmetric operator to weight l, ancilla traced out.
 
     Y[a+k, b+k] += X[a, b] alpha(a, k) alpha(b, k), summed over all added
     compositions k in canonical order.  Linear in X, trace-preserving, and
-    the identity channel at l = m.
+    the identity channel at l = m.  Refuses, before enumerating anything, an
+    amplitude table of more than AMPLITUDE_GUARD entries.
     """
     d, m = op.d, op.m
     if l < m:
         raise InvalidParameterError(f"need l >= m, got l={l}, m={m}")
-    n_out = dim(d, l)
-    if n_out * n_out > DENSE_GUARD:
+    n_table = dim(d, m) * dim(d, l - m)
+    if n_table > AMPLITUDE_GUARD:
         raise ResourceLimitError(
-            f"dense {n_out}x{n_out} output exceeds the guard of {DENSE_GUARD} entries"
+            f"amplitude table of {n_table} exact entries exceeds the guard of "
+            f"{AMPLITUDE_GUARD}"
         )
-    x = op.entries
-    y = np.zeros((n_out, n_out), dtype=np.complex128)
-    for idx, v in zip(*_channel_plan(d, m, l)):
-        y[np.ix_(idx, idx)] += (v[:, None] * v[None, :]) * x
-    return SymOperator(enumerate_basis(d, l), y)
+    _channel_plan(d, m, l)  # so that the plan's cost lands on this call
+    return CloneOutput(op, l)
 
 
 def uqcm_pure_output(d: int, n: int, m: int) -> SymOperator:

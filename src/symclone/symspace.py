@@ -180,6 +180,12 @@ class SymOperator:
     def dagger(self) -> SymOperator:
         return SymOperator(self.basis, self.entries.conj().T)
 
+    def _diagonal_and_hops(self) -> tuple[np.ndarray, np.ndarray]:
+        """The diagonal and the one-hop entries, in _reduction_plan's hop order."""
+        _, (rows, cols, *_) = _reduction_plan(self.d, self.m)
+        x = self.entries
+        return np.diagonal(x), x[rows, cols]
+
     def validate_density(
         self,
         tol: float = 1e-9,
@@ -303,12 +309,11 @@ def reduce_one(op: SymOperator) -> QuditOperator:
     if op.m < 1:
         raise InvalidParameterError("single-site reduction needs at least one particle")
     d = op.d
-    diag, (rows, cols, level_p, level_q, coeffs) = _reduction_plan(d, op.m)
-    x = op.entries
+    diag, (rows, _, level_p, level_q, coeffs) = _reduction_plan(d, op.m)
+    xdiag, xhops = op._diagonal_and_hops()
     out = np.zeros((d, d), dtype=np.complex128)
-    xdiag = np.diagonal(x)
     for i in range(d):
         out[i, i] = diag[i] @ xdiag
     if rows.size:
-        np.add.at(out, (level_p, level_q), coeffs * x[rows, cols])
+        np.add.at(out, (level_p, level_q), coeffs * xhops)
     return QuditOperator(d, out)

@@ -81,16 +81,18 @@ class RunReport:
         return "pass" if self.passed else "fail"
 
     def to_dict(self) -> dict:
+        """JSON-ready form; a non-finite residual or extra is written as the
+        string "nan", "inf" or "-inf", since JSON has no such numbers."""
         cases = []
         for c in self.cases:
             entry = {
                 "params": c.params,
-                "residual": c.residual,
+                "residual": _json_float(c.residual),
                 "tol": c.tol,
                 "passed": c.passed,
             }
             if c.extra:
-                entry["extra"] = c.extra
+                entry["extra"] = {key: _json_float(value) for key, value in c.extra.items()}
             cases.append(entry)
         return {
             "suite": self.suite,
@@ -99,6 +101,10 @@ class RunReport:
             "overall": self.overall,
             "cases": cases,
         }
+
+
+def _json_float(x: float) -> float | str:
+    return x if math.isfinite(x) else str(x)
 
 
 def _random_input(kind: str, d: int, m: int, rng: np.random.Generator) -> SymOperator:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from symclone import verify
+from symclone import cloner, verify
 from symclone.cli import main
 from symclone.serialize import sym_operator_to_dict, write_sym_operator
 from symclone.symspace import Composition, SymOperator, basis_projector, sym_operator
@@ -136,6 +136,16 @@ class TestClone:
         assert err["code"] == 2 and "guard" in err["error"]
         assert not dst.exists()
 
+    def test_output_beyond_the_dense_guard_rejected_before_writing(self, tmp_path, capsys):
+        # 11476**2 entries: the JSON writer would build one list per entry
+        src = tmp_path / "in.json"
+        dst = tmp_path / "out.json"
+        write_sym_operator(src, basis_projector(Composition((1, 0, 0))))
+        assert main(["clone", str(src), "--l", "150", "--reduced", "--out", str(dst)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["code"] == 2 and "guard" in err["error"]
+        assert not dst.exists()
+
     def test_missing_input_file(self, tmp_path, capsys):
         code = main(
             ["clone", str(tmp_path / "nope.json"), "--l", "2", "--out", str(tmp_path / "o.json")]
@@ -184,9 +194,11 @@ class TestVerify:
         assert code == 1
         assert json.loads(out.read_text())["overall"] == "fail"
 
-    @pytest.mark.parametrize("suite", ["scaling", "oracle"])
+    @pytest.mark.parametrize("suite", ["scaling", "oracle", "concat"])
     def test_nan_injecting_channel_fails_every_case(self, suite, tmp_path, capsys, monkeypatch):
-        exact = verify.clone_channel
+        # concat reaches the channel inside cloner.concatenate and uqcm_pure_output
+        module = cloner if suite == "concat" else verify
+        exact = module.clone_channel
 
         def nan_channel(op, l):
             out = exact(op, l)
@@ -194,12 +206,22 @@ class TestVerify:
             entries[0, 0] = np.nan
             return SymOperator(out.basis, entries)
 
-        monkeypatch.setattr(verify, "clone_channel", nan_channel)
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        monkeypatch.setattr(module, "clone_channel", nan_channel)
         out = tmp_path / "report.json"
         assert main(["verify", suite, "--quick", "--out", str(out)]) == 1
-        report = json.loads(out.read_text())
+        report = json.loads(out.read_text(), parse_constant=reject)
         assert report["overall"] == "fail"
         assert not any(case["passed"] for case in report["cases"])
+        assert all(case["residual"] == "nan" for case in report["cases"])
+
+    @pytest.mark.parametrize("flag", ["--tol", "--eta-factor"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "x"])
+    def test_non_finite_float_options_rejected(self, flag, value, capsys):
+        assert main(["verify", "scaling", "--quick", f"{flag}={value}"]) == 2
+        assert "expected a finite number" in capsys.readouterr().err
 
     def test_deterministic_given_seed(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from symclone import cloner, symspace
+from symclone.closed_forms import scaling_residual
 from symclone.cloner import (
     alpha_d,
     alpha_d_sq,
@@ -19,9 +20,12 @@ from symclone.cloner import (
     isometry_gram,
     uqcm_pure_output,
 )
+from symclone.oracle import ginibre_sym_operator, hermitian_sym_operator
 from symclone.symspace import (
     Composition,
     InvalidParameterError,
+    ResourceLimitError,
+    SymOperator,
     basis_projector,
     dim,
     enumerate_basis,
@@ -153,6 +157,39 @@ class TestCloneChannel:
             clone_channel(op.dagger(), 3).entries,
             clone_channel(op, 3).dagger().entries,
         )
+
+
+class TestStructuredOutput:
+    # the clone_warm benchmark cells, next to a small exhaustive grid
+    CELLS = [
+        (d, m, l) for d in (2, 3, 4) for m in range(0, 5) for l in range(max(m, 1), m + 5)
+    ] + [(2, 20, 400), (3, 6, 30), (4, 4, 16), (5, 2, 10), (3, 20, 24), (2, 1, 200), (3, 2, 20)]
+
+    def test_reduction_matches_the_dense_view_bit_for_bit(self):
+        for i, (d, m, l) in enumerate(self.CELLS):
+            for make in (ginibre_sym_operator, hermitian_sym_operator):
+                x = make(d, m, np.random.default_rng([i, d, m, l]))
+                out = clone_channel(x, l)
+                want = reduce_one(SymOperator(out.basis, out.entries)).entries
+                assert reduce_one(out).entries.tobytes() == want.tobytes(), (d, m, l)
+
+    def test_reduction_beyond_the_dense_guard(self):
+        # the dense output would be 20301 x 20301 complex entries, 6.1 GiB
+        d, m, l = 3, 2, 200
+        x = hermitian_sym_operator(d, m, np.random.default_rng(5))
+        out = clone_channel(x, l)
+        assert scaling_residual(reduce_one(x), reduce_one(out), d, m, l) <= 1e-10
+        with pytest.raises(ResourceLimitError, match="guard"):
+            out.entries
+
+    def test_amplitude_table_guard_precedes_enumeration(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("enumerated before the guard")
+
+        monkeypatch.setattr(cloner, "enumerate_basis", refuse)
+        monkeypatch.setattr(cloner, "_channel_plan", refuse)
+        with pytest.raises(ResourceLimitError, match="amplitude table"):
+            clone_channel(sym_operator(3, 1, np.eye(3) / 3), 2000)
 
 
 class TestPureOutput:
@@ -338,6 +375,7 @@ def test_cold_clone_builds_no_composition_objects(d, m, l, monkeypatch):
         symspace._reduction_plan,
         cloner.clone_amplitudes,
         cloner._channel_plan,
+        cloner._hop_plan,
     ):
         cached.cache_clear()
     calls = []
