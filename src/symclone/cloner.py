@@ -34,7 +34,7 @@ from .symspace import (
     enumerate_basis,
 )
 
-AMPLITUDE_GUARD = 1 << 20  # exact Fraction entries of an amplitude table (~0.6 KB each)
+AMPLITUDE_GUARD = 1 << 20  # exact int entries of an amplitude table (8-50 B each, measured)
 DENSE_GUARD = 1 << 22  # complex entries of a dense channel output (64 MiB)
 
 
@@ -105,15 +105,34 @@ def ancilla_dim(d: int, m: int, l: int) -> int:
 class CloneAmplitudes:
     """Exact squared amplitudes for every (input, added) composition pair.
 
-    table[i, t] is alpha^2 for the i-th input and the t-th added composition,
-    both in canonical (lexicographically decreasing) order: a read-only
-    (n_in, K) object array of Fractions.
+    alpha^2 of the i-th input and the t-th added composition, both in
+    canonical (lexicographically decreasing) order, is prefactor *
+    occupancy[i, t]: occupancy is a read-only (n_in, K) object array of
+    Python ints, prod_p C(j_p + k_p, k_p), and prefactor the one Fraction
+    (l-m)! (m+d-1)! / (l+d-1)! all entries share.
     """
 
     d: int
     m: int
     l: int
-    table: np.ndarray
+    occupancy: np.ndarray
+    prefactor: Fraction
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """alpha^2 as an (n_in, K) object array of Fractions."""
+        table = self.prefactor * self.occupancy
+        table.setflags(write=False)
+        return table
+
+    def squared(self) -> np.ndarray:
+        """alpha^2 as an (n_in, K) float64 array, computed on each call."""
+        # int / int is correctly rounded, and so is float(Fraction), which is
+        # numerator / denominator: both give the double nearest the exact
+        # alpha^2, whether or not the quotient is reduced, so these are the
+        # bits of float(table)
+        p = self.prefactor
+        return ((self.occupancy * p.numerator) / p.denominator).astype(np.float64)
 
     @cached_property
     def rows(self) -> tuple[tuple[Composition, Composition, Fraction], ...]:
@@ -139,17 +158,18 @@ def clone_amplitudes(d: int, m: int, l: int) -> CloneAmplitudes:
     """Amplitude table for fixed (d, m, l)."""
     if l < m:
         raise InvalidParameterError(f"need l >= m, got l={l}, m={m}")
-    prefactor = _prefactor(d, m, l)
-    added = enumerate_basis(d, l - m).counts.tolist()
-    table = np.array(
-        [
-            [prefactor * _occupancy(j, k) for k in added]
-            for j in enumerate_basis(d, m).counts.tolist()
-        ],
-        dtype=object,
-    )
-    table.setflags(write=False)
-    return CloneAmplitudes(d=d, m=m, l=l, table=table)
+    # Pascal table over exact ints: binom[a, b] = C(a + b, b), each row the
+    # running sum of the one above (hockey stick)
+    binom = np.ones((m + 1, l - m + 1), dtype=object)
+    for a in range(1, m + 1):
+        binom[a] = np.cumsum(binom[a - 1])
+    inputs = enumerate_basis(d, m).counts
+    added = enumerate_basis(d, l - m).counts
+    occupancy = binom[inputs[:, None, 0], added[None, :, 0]]
+    for p in range(1, d):
+        occupancy = occupancy * binom[inputs[:, None, p], added[None, :, p]]
+    occupancy.setflags(write=False)
+    return CloneAmplitudes(d=d, m=m, l=l, occupancy=occupancy, prefactor=_prefactor(d, m, l))
 
 
 @lru_cache(maxsize=None)
@@ -159,7 +179,7 @@ def _channel_plan(d: int, m: int, l: int):
     inputs = enumerate_basis(d, m).counts
     added = enumerate_basis(d, l - m).counts
     idx = composition_rank(added[:, None, :] + inputs[None, :, :], l)
-    v = np.sqrt(clone_amplitudes(d, m, l).table.T.astype(np.float64, order="C"))
+    v = np.sqrt(clone_amplitudes(d, m, l).squared().T.copy())
     idx.setflags(write=False)
     v.setflags(write=False)
     return idx, v

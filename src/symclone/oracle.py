@@ -120,7 +120,7 @@ def clone_isometry_full(d: int, m: int, l: int) -> np.ndarray:
             f"output vectors need {out_dim} amplitudes, guard is {MEMORY_GUARD}"
         )
     # looked up by position, not index_of, so the oracle shares no rank code
-    alpha = np.sqrt(clone_amplitudes(d, m, l).table.astype(np.float64))
+    alpha = np.sqrt(clone_amplitudes(d, m, l).squared())
     v = np.zeros((out_dim, basis_in.size), dtype=np.complex128)
     for ia, a in enumerate(basis_in.order):
         col = np.zeros((d**l, added.size), dtype=np.complex128)

@@ -186,7 +186,8 @@ def isometry_suite(
         for m in range(1, max_m + 1):
             for l in range(m, max_l + 1):
                 cell = {"d": d, "m": m, "l": l}
-                totals = clone_amplitudes(d, m, l).table.sum(axis=1)
+                amps = clone_amplitudes(d, m, l)
+                totals = amps.prefactor * amps.occupancy.sum(axis=1)
                 cases.append(
                     _case(
                         {"check": "normalization", **cell},

@@ -335,14 +335,27 @@ def assert_bitwise_equal(got, want):
 
 
 class TestPlansMatchReference:
+    # clone_cold benchmark cells; at (2, 20, 400) the occupancy products pass
+    # 2**63, up to C(400, 20) ~ 2.8e33
+    BIG_CELLS = [(2, 20, 400), (3, 6, 30), (4, 1, 30)]
+
     def test_channel_plan(self):
+        grid = [(d, m, l) for d in (2, 3, 4) for m in range(0, 5) for l in range(m, m + 4)]
+        for d, m, l in grid + self.BIG_CELLS:
+            idx, v = cloner._channel_plan(d, m, l)
+            want_idx, want_v = reference_channel_plan(d, m, l)
+            assert_bitwise_equal(idx, want_idx)
+            assert_bitwise_equal(v, want_v)
+        assert clone_amplitudes(2, 20, 400).occupancy.max() >= 2**63
+
+    def test_table_matches_alpha_d_sq(self):
         for d in (2, 3, 4):
             for m in range(0, 5):
-                for l in range(m, m + 4):
-                    idx, v = cloner._channel_plan(d, m, l)
-                    want_idx, want_v = reference_channel_plan(d, m, l)
-                    assert_bitwise_equal(idx, want_idx)
-                    assert_bitwise_equal(v, want_v)
+                for l in range(m, m + 5):
+                    amps = clone_amplitudes(d, m, l)
+                    for j, k, sq in amps.rows:
+                        want = alpha_d_sq(j, k, m, l)
+                        assert (sq.numerator, sq.denominator) == (want.numerator, want.denominator)
 
     def test_reduction_plan(self):
         for d in (2, 3, 4):
@@ -368,8 +381,10 @@ class TestPlansMatchReference:
         assert np.max(np.abs(gram - np.eye(3))) > 0.1
 
 
-@pytest.mark.parametrize("d, m, l", [(3, 1, 30), (2, 20, 60)])
-def test_cold_clone_builds_no_composition_objects(d, m, l, monkeypatch):
+COLD_CELLS = [(3, 1, 30), (2, 20, 60)]
+
+
+def clear_plan_caches():
     for cached in (
         symspace.enumerate_basis,
         symspace._reduction_plan,
@@ -378,6 +393,11 @@ def test_cold_clone_builds_no_composition_objects(d, m, l, monkeypatch):
         cloner._hop_plan,
     ):
         cached.cache_clear()
+
+
+@pytest.mark.parametrize("d, m, l", COLD_CELLS)
+def test_cold_clone_builds_no_composition_objects(d, m, l, monkeypatch):
+    clear_plan_caches()
     calls = []
     original = Composition.__post_init__
 
@@ -391,3 +411,20 @@ def test_cold_clone_builds_no_composition_objects(d, m, l, monkeypatch):
     red = reduce_one(clone_channel(x, l))
     assert calls == []
     np.testing.assert_allclose(red.entries, np.eye(d) / d, atol=1e-12)
+
+
+@pytest.mark.parametrize("d, m, l", COLD_CELLS)
+def test_cold_clone_builds_one_fraction(d, m, l, monkeypatch):
+    clear_plan_caches()
+    made = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(original(cls, *args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    n = dim(d, m)
+    reduce_one(clone_channel(sym_operator(d, m, np.eye(n) / n), l))
+    assert len(made) == 1
+    assert made[0] is clone_amplitudes(d, m, l).prefactor
