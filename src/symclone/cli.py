@@ -59,7 +59,7 @@ def _parse_range(text: str) -> list[int]:
 def _cmd_coeffs(args) -> int:
     amps = clone_amplitudes(args.d, args.m, args.l)
     write_amplitudes_csv(args.out, amps)
-    print(f"wrote {len(amps.rows)} amplitude rows to {args.out}")
+    print(f"wrote {amps.occupancy.size} amplitude rows to {args.out}")
     return 0
 
 

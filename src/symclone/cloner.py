@@ -9,8 +9,8 @@ amplitude.
 
 The output is K scattered, rescaled copies of the d_in x d_in input block
 (Werner's T(X) = (d[m]/d[l]) S_l (X (x) 1) S_l, R. F. Werner, PRA 58, 1827
-(1998)), so it is held as that block; the dense d_out x d_out matrix is built
-only when its entries are read.
+(1998)), so it is held as the input operator; the dense d_out x d_out matrix
+is built only when its entries are read.
 """
 
 from __future__ import annotations
@@ -118,46 +118,31 @@ class CloneAmplitudes:
     occupancy: np.ndarray
     prefactor: Fraction
 
-    @cached_property
-    def table(self) -> np.ndarray:
-        """alpha^2 as an (n_in, K) object array of Fractions."""
-        table = self.prefactor * self.occupancy
-        table.setflags(write=False)
-        return table
-
     def squared(self) -> np.ndarray:
         """alpha^2 as an (n_in, K) float64 array, computed on each call."""
         # int / int is correctly rounded, and so is float(Fraction), which is
         # numerator / denominator: both give the double nearest the exact
         # alpha^2, whether or not the quotient is reduced, so these are the
-        # bits of float(table)
+        # bits of float(prefactor * occupancy)
         p = self.prefactor
         return ((self.occupancy * p.numerator) / p.denominator).astype(np.float64)
-
-    @cached_property
-    def rows(self) -> tuple[tuple[Composition, Composition, Fraction], ...]:
-        """(input, added, alpha^2) triples, input compositions outer."""
-        inputs = enumerate_basis(self.d, self.m).order
-        added = enumerate_basis(self.d, self.l - self.m).order
-        return tuple(
-            (j, k, sq) for j, row in zip(inputs, self.table) for k, sq in zip(added, row)
-        )
-
-    def alpha_sq(self, j: Composition, k: Composition) -> Fraction:
-        return self.table[
-            enumerate_basis(self.d, self.m).index_of(j),
-            enumerate_basis(self.d, self.l - self.m).index_of(k),
-        ]
-
-    def alpha(self, j: Composition, k: Composition) -> float:
-        return math.sqrt(self.alpha_sq(j, k))
 
 
 @lru_cache(maxsize=None)
 def clone_amplitudes(d: int, m: int, l: int) -> CloneAmplitudes:
-    """Amplitude table for fixed (d, m, l)."""
+    """Amplitude table for fixed (d, m, l).
+
+    Refuses, before enumerating anything, a table of more than
+    AMPLITUDE_GUARD entries.
+    """
     if l < m:
         raise InvalidParameterError(f"need l >= m, got l={l}, m={m}")
+    n_table = dim(d, m) * dim(d, l - m)
+    if n_table > AMPLITUDE_GUARD:
+        raise ResourceLimitError(
+            f"amplitude table of {n_table} exact entries exceeds the guard of "
+            f"{AMPLITUDE_GUARD}"
+        )
     # Pascal table over exact ints: binom[a, b] = C(a + b, b), each row the
     # running sum of the one above (hockey stick)
     binom = np.ones((m + 1, l - m + 1), dtype=object)
@@ -175,11 +160,12 @@ def clone_amplitudes(d: int, m: int, l: int) -> CloneAmplitudes:
 @lru_cache(maxsize=None)
 def _channel_plan(d: int, m: int, l: int):
     # (K, n_in) arrays: row t holds, over the input basis a, the index of
-    # a + k_t in the output basis and the amplitude alpha(a, k_t)
+    # a + k_t in the output basis and the amplitude alpha(a, k_t); the table
+    # comes first, so that its guard precedes any enumeration
+    v = np.sqrt(clone_amplitudes(d, m, l).squared().T.copy())
     inputs = enumerate_basis(d, m).counts
     added = enumerate_basis(d, l - m).counts
     idx = composition_rank(added[:, None, :] + inputs[None, :, :], l)
-    v = np.sqrt(clone_amplitudes(d, m, l).squared().T.copy())
     idx.setflags(write=False)
     v.setflags(write=False)
     return idx, v
@@ -211,20 +197,21 @@ def _scatter_sum(index: np.ndarray, values: np.ndarray, out: np.ndarray) -> None
 
 
 class CloneOutput(SymOperator):
-    """clone_channel's output, held as the input block and its (d, m, l).
+    """clone_channel's output, held as its input operator (source) and l.
 
-    Memory is O(dim(d, m)^2).  entries is a dense view, built on first read
-    and refused beyond DENSE_GUARD entries; reduce_one reads the diagonal and
-    the one-hop entries straight from the channel plan instead.
+    entries is a dense view, built on first read and refused beyond
+    DENSE_GUARD entries; reduce_one reads the diagonal and the one-hop
+    entries straight from the channel plan and the source's own diagonal and
+    one-hop entries instead, so a chain of clones never builds a dense
+    intermediate.
     """
 
-    def __init__(self, op: SymOperator, l: int):
-        object.__setattr__(self, "basis", enumerate_basis(op.d, l))
-        object.__setattr__(self, "input_basis", op.basis)
-        object.__setattr__(self, "block", op.entries)
+    def __init__(self, source: SymOperator, l: int):
+        object.__setattr__(self, "basis", enumerate_basis(source.d, l))
+        object.__setattr__(self, "source", source)
 
     def __repr__(self) -> str:
-        return f"CloneOutput(d={self.d}, m={self.input_basis.m}, l={self.m})"
+        return f"CloneOutput(d={self.d}, m={self.source.m}, l={self.m})"
 
     @cached_property
     def entries(self) -> np.ndarray:
@@ -234,25 +221,28 @@ class CloneOutput(SymOperator):
                 f"dense {n_out}x{n_out} output exceeds the guard of {DENSE_GUARD} entries"
             )
         y = np.zeros((n_out, n_out), dtype=np.complex128)
-        for idx, v in zip(*_channel_plan(self.d, self.input_basis.m, self.m)):
-            y[np.ix_(idx, idx)] += (v[:, None] * v[None, :]) * self.block
+        x = self.source.entries
+        for idx, v in zip(*_channel_plan(self.d, self.source.m, self.m)):
+            y[np.ix_(idx, idx)] += (v[:, None] * v[None, :]) * x
         y.setflags(write=False)
         return y
 
     def _diagonal_and_hops(self) -> tuple[np.ndarray, np.ndarray]:
-        d, m, l = self.d, self.input_basis.m, self.m
+        d, m, l = self.d, self.source.m, self.m
         idx, v = _channel_plan(d, m, l)
-        x = self.block
         # the dense matrix's diagonal is a strided view, and OpenBLAS sums a
         # unit-stride vector in another order than a strided one; reduce_one
         # dots this diagonal, so it gets a strided view too, and the same bits
         diagonal = np.zeros((self.basis.size, 2), dtype=np.complex128)[:, 0]
-        _scatter_sum(idx, (v * v) * np.diagonal(x), diagonal)
         _, (out_rows, *_) = _reduction_plan(d, l)
         hops = np.zeros(out_rows.size, dtype=np.complex128)
-        if m:  # a single input state has no one-hop pairs
-            _, (rows, cols, *_) = _reduction_plan(d, m)
-            _scatter_sum(_hop_plan(d, m, l), (v[:, rows] * v[:, cols]) * x[rows, cols], hops)
+        if not m:  # a single input state: no one-hop pairs, and no reduction plan
+            _scatter_sum(idx, (v * v) * np.diagonal(self.source.entries), diagonal)
+            return diagonal, hops
+        x_diagonal, x_hops = self.source._diagonal_and_hops()
+        _scatter_sum(idx, (v * v) * x_diagonal, diagonal)
+        _, (rows, cols, *_) = _reduction_plan(d, m)
+        _scatter_sum(_hop_plan(d, m, l), (v[:, rows] * v[:, cols]) * x_hops, hops)
         return diagonal, hops
 
 
@@ -261,19 +251,11 @@ def clone_channel(op: SymOperator, l: int) -> CloneOutput:
 
     Y[a+k, b+k] += X[a, b] alpha(a, k) alpha(b, k), summed over all added
     compositions k in canonical order.  Linear in X, trace-preserving, and
-    the identity channel at l = m.  Refuses, before enumerating anything, an
-    amplitude table of more than AMPLITUDE_GUARD entries.
+    the identity channel at l = m.  The amplitude table's guard applies
+    before anything is enumerated.
     """
-    d, m = op.d, op.m
-    if l < m:
-        raise InvalidParameterError(f"need l >= m, got l={l}, m={m}")
-    n_table = dim(d, m) * dim(d, l - m)
-    if n_table > AMPLITUDE_GUARD:
-        raise ResourceLimitError(
-            f"amplitude table of {n_table} exact entries exceeds the guard of "
-            f"{AMPLITUDE_GUARD}"
-        )
-    _channel_plan(d, m, l)  # so that the plan's cost lands on this call
+    clone_amplitudes(op.d, op.m, l)  # the guard, before the plan enumerates
+    _channel_plan(op.d, op.m, l)  # so that the plan's cost lands on this call
     return CloneOutput(op, l)
 
 

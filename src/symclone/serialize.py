@@ -23,7 +23,7 @@ import numpy as np
 
 from .closed_forms import fidelity, shrink
 from .cloner import CloneAmplitudes
-from .symspace import Composition, QuditOperator, SymOperator, enumerate_basis
+from .symspace import QuditOperator, SymOperator, enumerate_basis
 
 BASIS_TAG = "lex_decreasing"
 
@@ -40,8 +40,8 @@ def fmt_fraction(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def fmt_composition(c: Composition) -> str:
-    return " ".join(str(n) for n in c.counts)
+def fmt_composition(counts) -> str:
+    return " ".join(str(n) for n in counts)
 
 
 def _entry_pairs(matrix: np.ndarray) -> list[list[float]]:
@@ -136,16 +136,18 @@ def write_amplitudes_csv(path, amps: CloneAmplitudes) -> None:
                 "alpha_float",
             ]
         )
-        for j, k, sq in amps.rows:
-            writer.writerow(
-                [
-                    fmt_composition(j),
-                    fmt_composition(k),
-                    sq.numerator,
-                    sq.denominator,
-                    fmt_float(math.sqrt(sq)),
-                ]
-            )
+        inputs, added = (
+            [fmt_composition(c) for c in enumerate_basis(amps.d, weight).counts.tolist()]
+            for weight in (amps.m, amps.l - amps.m)
+        )
+        # alpha^2 = n / q, reduced as Fraction reduces it; int / int is
+        # correctly rounded, so the float has the bits of float(Fraction)
+        p, q = amps.prefactor.numerator, amps.prefactor.denominator
+        for j, row in zip(inputs, amps.occupancy):
+            for k, occupancy in zip(added, row):
+                n = occupancy * p
+                g = math.gcd(n, q)
+                writer.writerow([j, k, n // g, q // g, fmt_float(math.sqrt(n / q))])
 
 
 def write_tables_csv(path, triples) -> None:

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from symclone import cloner, symspace
+from symclone.cli import main
 from symclone.closed_forms import scaling_residual
 from symclone.cloner import (
     alpha_d,
@@ -169,9 +171,10 @@ class TestStructuredOutput:
         for i, (d, m, l) in enumerate(self.CELLS):
             for make in (ginibre_sym_operator, hermitian_sym_operator):
                 x = make(d, m, np.random.default_rng([i, d, m, l]))
-                out = clone_channel(x, l)
-                want = reduce_one(SymOperator(out.basis, out.entries)).entries
-                assert reduce_one(out).entries.tobytes() == want.tobytes(), (d, m, l)
+                # one stage, and two, the second reading the first's output
+                for out in (clone_channel(x, l), clone_channel(clone_channel(x, l), l + 1)):
+                    want = reduce_one(SymOperator(out.basis, out.entries)).entries
+                    assert reduce_one(out).entries.tobytes() == want.tobytes(), (d, m, l)
 
     def test_reduction_beyond_the_dense_guard(self):
         # the dense output would be 20301 x 20301 complex entries, 6.1 GiB
@@ -190,6 +193,24 @@ class TestStructuredOutput:
         monkeypatch.setattr(cloner, "_channel_plan", refuse)
         with pytest.raises(ResourceLimitError, match="amplitude table"):
             clone_channel(sym_operator(3, 1, np.eye(3) / 3), 2000)
+
+
+@pytest.mark.parametrize("caller", ["clone_amplitudes", "isometry_gram", "coeffs"])
+def test_every_amplitude_table_reader_shares_the_guard(caller, monkeypatch, tmp_path, capsys):
+    def refuse(*args):
+        raise AssertionError("enumerated before the guard")
+
+    monkeypatch.setattr(cloner, "enumerate_basis", refuse)
+    if caller == "coeffs":
+        out = tmp_path / "amps.csv"
+        argv = ["coeffs", "--d", "3", "--m", "1", "--l", "2000", "--out", str(out)]
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["code"] == 2 and "amplitude table" in err["error"]
+        assert not out.exists()
+    else:
+        with pytest.raises(ResourceLimitError, match="amplitude table"):
+            getattr(cloner, caller)(3, 1, 2000)
 
 
 class TestPureOutput:
@@ -265,6 +286,14 @@ class TestConcatenate:
         via, direct = concatenate(3, 1, 2, 3)
         assert np.max(np.abs(via.entries - direct.entries)) <= 1e-12
 
+    def test_beyond_the_dense_guard(self):
+        # the intermediate (3, 100) output would be 5151 x 5151 dense entries
+        via, direct = concatenate(3, 1, 100, 101)
+        diff = reduce_one(via).entries - reduce_one(direct).entries
+        assert np.max(np.abs(diff)) <= 1e-12
+        with pytest.raises(ResourceLimitError, match="guard"):
+            via.source.entries
+
     def test_ordering_violation(self):
         with pytest.raises(InvalidParameterError):
             concatenate(2, 2, 1, 3)
@@ -275,21 +304,8 @@ class TestConcatenate:
 class TestCloneAmplitudesTable:
     def test_rows_cover_product_of_bases(self):
         amps = clone_amplitudes(3, 1, 2)
-        assert amps.table.shape == (dim(3, 1), dim(3, 1))
-        assert len(amps.rows) == dim(3, 1) * dim(3, 1)
+        assert amps.occupancy.shape == (dim(3, 1), dim(3, 1))
         assert amps.d == 3 and amps.m == 1 and amps.l == 2
-
-    def test_lookup_matches_direct_evaluation(self):
-        amps = clone_amplitudes(2, 2, 4)
-        for j, k, sq in amps.rows:
-            assert sq == alpha_d_sq(j, k, 2, 4)
-            assert amps.alpha_sq(j, k) == sq
-            assert sq >= 0 and amps.alpha(j, k) >= 0.0
-
-    def test_unknown_pair_rejected(self):
-        amps = clone_amplitudes(2, 1, 2)
-        with pytest.raises(InvalidParameterError):
-            amps.alpha_sq(Composition((2, 0)), Composition((1, 0)))
 
 
 def reference_index(d, m):
@@ -353,9 +369,17 @@ class TestPlansMatchReference:
             for m in range(0, 5):
                 for l in range(m, m + 5):
                     amps = clone_amplitudes(d, m, l)
-                    for j, k, sq in amps.rows:
-                        want = alpha_d_sq(j, k, m, l)
-                        assert (sq.numerator, sq.denominator) == (want.numerator, want.denominator)
+                    inputs = enumerate_basis(d, m).order
+                    added = enumerate_basis(d, l - m).order
+                    assert amps.occupancy.shape == (len(inputs), len(added))
+                    for i, j in enumerate(inputs):
+                        for t, k in enumerate(added):
+                            sq = amps.prefactor * amps.occupancy[i, t]
+                            want = alpha_d_sq(j, k, m, l)
+                            assert (sq.numerator, sq.denominator) == (
+                                want.numerator,
+                                want.denominator,
+                            )
 
     def test_reduction_plan(self):
         for d in (2, 3, 4):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from symclone.cloner import clone_amplitudes
+from symclone.cloner import alpha_d_sq, clone_amplitudes
 from symclone.oracle import ginibre_sym_operator
 from symclone.serialize import (
     BASIS_TAG,
@@ -20,7 +20,7 @@ from symclone.serialize import (
     write_sym_operator,
     write_tables_csv,
 )
-from symclone.symspace import sym_operator
+from symclone.symspace import enumerate_basis, sym_operator
 
 
 def random_operator(d=2, m=2, seed=0):
@@ -127,6 +127,31 @@ class TestCsv:
         assert squares == [Fraction(2, 3), Fraction(1, 3), Fraction(1, 3), Fraction(2, 3)]
         for row, sq in zip(rows, squares):
             assert float(row["alpha_float"]) == math.sqrt(sq)
+
+    # at (2, 20, 150) the reduced numerators pass 2**63
+    @pytest.mark.parametrize(
+        "d, m, l", [(2, 1, 2), (3, 1, 2), (2, 20, 60), (2, 20, 150), (4, 3, 9), (5, 2, 6)]
+    )
+    def test_amplitude_csv_matches_alpha_d_sq(self, d, m, l, tmp_path):
+        path = tmp_path / "amps.csv"
+        write_amplitudes_csv(path, clone_amplitudes(d, m, l))
+        lines = [
+            "j_composition,k_composition,alpha_squared_numerator,"
+            "alpha_squared_denominator,alpha_float"
+        ]
+        numerators = []
+        for j in enumerate_basis(d, m).order:
+            for k in enumerate_basis(d, l - m).order:
+                sq = alpha_d_sq(j, k, m, l)
+                numerators.append(sq.numerator)
+                j_text, k_text = (" ".join(map(str, c.counts)) for c in (j, k))
+                lines.append(
+                    f"{j_text},{k_text},{sq.numerator},{sq.denominator},"
+                    f"{format(math.sqrt(sq), '.17g')}"
+                )
+        assert path.read_bytes() == "".join(line + "\r\n" for line in lines).encode()
+        if (d, m, l) == (2, 20, 150):
+            assert max(numerators) >= 2**63
 
     def test_tables_rows(self, tmp_path):
         path = tmp_path / "tables.csv"
