@@ -1,9 +1,10 @@
 """Brute-force reference computations in the full d**n tensor-product space.
 
 Ground truth for the symmetric-basis fast path: symmetrized state vectors,
-the cloning isometry built explicitly with its ancilla, and literal partial
-traces.  Deliberately unoptimized; instances whose dense objects would exceed
-the memory guard are refused rather than swapped.
+Werner's cloner built from the symmetrizer with an explicit ancilla, and
+literal partial traces.  It reads no cloning amplitude.  Deliberately
+unoptimized; instances whose dense objects would exceed the memory guard are
+refused rather than swapped.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloner import clone_amplitudes
 from .symspace import (
     Composition,
     InvalidParameterError,
@@ -25,7 +25,7 @@ from .symspace import (
     multinomial,
 )
 
-MEMORY_GUARD = 1 << 20  # complex amplitudes per vector
+MEMORY_GUARD = 1 << 20  # complex entries per dense array
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,30 +104,28 @@ def reduce_full_to_site(full: np.ndarray, d: int, n_sites: int, site: int = 0) -
 
 
 def clone_isometry_full(d: int, m: int, l: int) -> np.ndarray:
-    """Explicit cloning isometry into (l sites) tensor (ancilla).
+    """Stinespring isometry of Werner's cloner, (l sites) tensor (ancilla).
 
-    Column a is sum_k alpha(a, k) sym_vector(a + k) tensor e_k, with the
-    ancilla realized as abstract standard-basis vectors indexed by added
-    compositions.
+    V = sqrt(d[m]/d[l]) (S_l tensor 1)(E_m tensor |Omega>), where S_l is the
+    symmetrizer on l sites, E_m = sym_embedding(d, m) and |Omega> = sum_j
+    |j>|j> over the l - m extra sites.  Row w * d**(l-m) + j is l-site word w
+    and ancilla word j.  No cloning amplitude is read: the fast path's table
+    is checked against this, not built into it.
     """
     if l < m:
         raise InvalidParameterError(f"need l >= m, got l={l}, m={m}")
-    basis_in = enumerate_basis(d, m)
-    added = enumerate_basis(d, l - m)
-    out_dim = d**l * added.size
-    if out_dim > MEMORY_GUARD:
+    # bounds S_l, V (d**(2l-m) * dim(d, m) <= d**(2l) entries) and the oracle's
+    # full output alike
+    if d ** (2 * l) > MEMORY_GUARD:
         raise ResourceLimitError(
-            f"output vectors need {out_dim} amplitudes, guard is {MEMORY_GUARD}"
+            f"dense {d}**{l} x {d}**{l} operators exceed the guard of {MEMORY_GUARD} entries"
         )
-    # looked up by position, not index_of, so the oracle shares no rank code
-    alpha = np.sqrt(clone_amplitudes(d, m, l).squared())
-    v = np.zeros((out_dim, basis_in.size), dtype=np.complex128)
-    for ia, a in enumerate(basis_in.order):
-        col = np.zeros((d**l, added.size), dtype=np.complex128)
-        for ik, k in enumerate(added.order):
-            col[:, ik] = alpha[ia, ik] * sym_vector(a.add(k)).amplitudes
-        v[:, ia] = col.reshape(-1)
-    return v
+    e_l = sym_embedding(d, l)
+    # the m = 0 input space is spanned by the empty word
+    e_m = sym_embedding(d, m) if m else np.ones((1, 1))
+    s = (e_l @ e_l.conj().T).reshape(d**l, d**m, d ** (l - m))
+    v = np.einsum("wuj,uc->wjc", s, e_m) * math.sqrt(dim(d, m) / dim(d, l))
+    return v.reshape(-1, e_m.shape[1])
 
 
 def oracle_clone(op: SymOperator, l: int, site: int = 0) -> tuple[np.ndarray, QuditOperator]:
@@ -136,19 +134,11 @@ def oracle_clone(op: SymOperator, l: int, site: int = 0) -> tuple[np.ndarray, Qu
     Returns the dense operator on all l sites and its single-site reduction.
     The reduction is independent of which site is kept.
     """
-    d, m = op.d, op.m
-    if l < m:
-        raise InvalidParameterError(f"need l >= m, got l={l}, m={m}")
+    d = op.d
     size = d**l
-    if size * size > MEMORY_GUARD:
-        raise ResourceLimitError(
-            f"dense {size}x{size} output exceeds the guard of {MEMORY_GUARD} entries"
-        )
-    v = clone_isometry_full(d, m, l)
-    with_ancilla = v @ op.entries @ v.conj().T
-    n_anc = dim(d, l - m)
-    w = with_ancilla.reshape(size, n_anc, size, n_anc)
-    full = np.einsum("atbt->ab", w)
+    v = clone_isometry_full(d, op.m, l).reshape(size, -1, op.basis.size)
+    # tr_ancilla(V X V*) by contraction, never forming V X V*
+    full = (v @ op.entries).reshape(size, -1) @ v.reshape(size, -1).conj().T
     return full, reduce_full_to_site(full, d, l, site)
 
 
@@ -176,16 +166,12 @@ def covariance_check(u: QuditOperator, op: SymOperator, l: int) -> float:
         raise InvalidParameterError(
             f"matrix is not unitary within 1e-10 (deviation {unitarity:.3e})"
         )
-    size = d**m
-    if size * size > MEMORY_GUARD:
-        raise ResourceLimitError(
-            f"dense {size}x{size} site-local unitary exceeds the guard"
-        )
+    # first, so that its guard on d**(2l) also bounds the d**m rotation
+    _, reduced = oracle_clone(op, l)
     s = sym_embedding(d, m)
     u_sym = s.conj().T @ _kron_power(u.entries, m) @ s
     rotated = SymOperator(op.basis, u_sym @ op.entries @ u_sym.conj().T)
     _, lhs = oracle_clone(rotated, l)
-    _, reduced = oracle_clone(op, l)
     rhs = u.entries @ reduced.entries @ u.entries.conj().T
     return float(np.max(np.abs(lhs.entries - rhs)))
 

@@ -46,13 +46,6 @@ class Composition:
     def weight(self) -> int:
         return sum(self.counts)
 
-    def add(self, other: Composition) -> Composition:
-        if other.d != self.d:
-            raise InvalidParameterError(
-                f"level-count mismatch: {self.d} vs {other.d}"
-            )
-        return Composition(tuple(a + b for a, b in zip(self.counts, other.counts)))
-
     def __getitem__(self, i: int) -> int:
         return self.counts[i]
 

@@ -26,6 +26,7 @@ from .oracle import (
     hermitian_sym_operator,
     oracle_clone,
     random_unitary,
+    sym_embedding,
 )
 from .symspace import InvalidParameterError, SymOperator, dim, enumerate_basis, reduce_one
 
@@ -242,18 +243,23 @@ def oracle_suite(
     tol: float | None = None,
     inputs_per_kind: int = 10,
 ) -> RunReport:
-    """Symmetric-basis fast path against the full tensor-product construction."""
+    """Symmetric-basis fast path against the full tensor-product construction:
+    the whole l-site output, restricted to the symmetric subspace, and its
+    single-site reduction."""
     tol = TOLERANCES["oracle"] if tol is None else tol
     cases = []
     for d, m, l in ORACLE_GRID:
+        embed = sym_embedding(d, l)
         for kind, code in _KIND_CODES.items():
             rng = _cell_rng(seed, d, m, l, code)
             residuals = []
             for _ in range(inputs_per_kind):
                 x = _random_input(kind, d, m, rng)
-                fast = reduce_one(clone_channel(x, l))
-                _, slow = oracle_clone(x, l)
-                residuals.append(_worst(np.abs(fast.entries - slow.entries)))
+                fast = clone_channel(x, l)
+                full, slow = oracle_clone(x, l)
+                residuals.append(_worst(np.abs(reduce_one(fast).entries - slow.entries)))
+                restricted = embed.conj().T @ full @ embed
+                residuals.append(_worst(np.abs(restricted - fast.entries)))
             cases.append(_case({"d": d, "m": m, "l": l, "kind": kind}, residuals, tol))
     grid = {"cells": [list(c) for c in ORACLE_GRID], "inputs_per_kind": inputs_per_kind}
     return RunReport("oracle", seed, grid, tuple(cases))

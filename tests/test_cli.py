@@ -146,6 +146,16 @@ class TestClone:
         assert err["code"] == 2 and "guard" in err["error"]
         assert not dst.exists()
 
+    def test_oracle_beyond_its_guard_gives_a_short_error(self, tmp_path, capsys):
+        # the error may not spell out d**l, which grows with l
+        src = tmp_path / "in.json"
+        dst = tmp_path / "out.json"
+        write_sym_operator(src, basis_projector(Composition((1, 0))))
+        assert main(["clone", str(src), "--l", "1500", "--oracle", "--out", str(dst)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert json.loads(err)["code"] == 2 and len(err.encode()) < 200
+        assert not dst.exists()
+
     def test_missing_input_file(self, tmp_path, capsys):
         code = main(
             ["clone", str(tmp_path / "nope.json"), "--l", "2", "--out", str(tmp_path / "o.json")]

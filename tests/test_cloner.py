@@ -1,6 +1,10 @@
+import ast
+import dataclasses
 import json
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import hypothesis.strategies as st
 import numpy as np
@@ -34,6 +38,7 @@ from symclone.symspace import (
     reduce_one,
     sym_operator,
 )
+from symclone.verify import oracle_suite
 
 
 class TestAlphaQubit:
@@ -321,7 +326,7 @@ def reference_channel_plan(d, m, l):
     idx, v = [], []
     for k in enumerate_basis(d, l - m).order:
         v.append([alpha_d(a, k, m, l) for a in basis_in])
-        idx.append([index_out[a.add(k).counts] for a in basis_in])
+        idx.append([index_out[tuple(i + j for i, j in zip(a, k))] for a in basis_in])
     return np.array(idx, dtype=np.intp), np.array(v)
 
 
@@ -452,3 +457,44 @@ def test_cold_clone_builds_one_fraction(d, m, l, monkeypatch):
     reduce_one(clone_channel(sym_operator(d, m, np.eye(n) / n), l))
     assert len(made) == 1
     assert made[0] is clone_amplitudes(d, m, l).prefactor
+
+
+def test_oracle_suite_catches_a_permuted_amplitude_table(monkeypatch):
+    # a bug inside clone_amplitudes: two unequal entries of row 0 swapped,
+    # which keeps every row's normalization
+    original = cloner.clone_amplitudes
+
+    def swapped(d, m, l):
+        amps = original.__wrapped__(d, m, l)
+        occupancy = amps.occupancy.copy()
+        row = occupancy[0]
+        other = np.flatnonzero(row != row[0])
+        if other.size:
+            row[0], row[other[0]] = row[other[0]], row[0]
+        return dataclasses.replace(amps, occupancy=occupancy)
+
+    clear_plan_caches()
+    # every module that binds the function, as a real bug would reach them all
+    for name, module in list(sys.modules.items()):
+        if name.startswith("symclone") and getattr(module, "clone_amplitudes", None) is original:
+            monkeypatch.setattr(module, "clone_amplitudes", swapped)
+    try:
+        report = oracle_suite()
+    finally:
+        # no plan built from the mutated table may outlive this test
+        monkeypatch.undo()
+        clear_plan_caches()
+    assert not report.passed
+
+
+def test_oracle_imports_nothing_from_the_cloner():
+    # the oracle checks the fast path's amplitude table, so it may not read it
+    tree = ast.parse(Path(symspace.__file__).with_name("oracle.py").read_text())
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.append(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names += [alias.name for alias in node.names]
+    assert "symclone" in names or "symspace" in names
+    assert not any(name.split(".")[-1] == "cloner" for name in names)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,11 @@ class TestIsometry:
     def test_guard(self):
         with pytest.raises(ResourceLimitError):
             clone_isometry_full(2, 1, 21)
+        with pytest.raises(ResourceLimitError, match=r"2\*\*11 x 2\*\*11"):
+            oracle_clone(basis_projector(Composition((1, 0))), 11)
+        # the oracle's guard on d**(2l) also bounds the d**m rotation
+        with pytest.raises(ResourceLimitError):
+            covariance_check(QuditOperator(2, np.eye(2)), basis_projector(Composition((11, 0))), 11)
 
 
 class TestOracleClone:
@@ -113,6 +120,28 @@ class TestOracleClone:
             s = sym_embedding(d, l)
             embedded = s @ clone_channel(x, l).entries @ s.conj().T
             assert np.max(np.abs(full - embedded)) <= 1e-12
+
+    def test_empty_input(self):
+        # m = 0: the input space is spanned by the empty word
+        x = basis_projector(Composition((0, 0, 0)))
+        full, red = oracle_clone(x, 2)
+        s = sym_embedding(3, 2)
+        np.testing.assert_allclose(full, s @ s.conj().T / dim(3, 2), atol=1e-15)
+        np.testing.assert_allclose(red.entries, reduce_one(clone_channel(x, 2)).entries, atol=1e-15)
+
+    def test_memory_stays_inside_the_guard(self):
+        # (4, 1, 5) sits on the guard, 4**10 == MEMORY_GUARD, where the
+        # ancilla-extended V X V* would be 35840 x 35840 (19.1 GiB)
+        x = hermitian_sym_operator(4, 1, np.random.default_rng(20))
+        fast = reduce_one(clone_channel(x, 5))
+        tracemalloc.start()
+        try:
+            _, slow = oracle_clone(x, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.max(np.abs(fast.entries - slow.entries)) <= 1e-10
+        assert peak <= 6 * 16 * MEMORY_GUARD
 
     def test_rejects_shrinking(self):
         with pytest.raises(InvalidParameterError):

@@ -122,10 +122,6 @@ class TestCompositionValidation:
         with pytest.raises(InvalidParameterError):
             Composition((3,))
 
-    def test_add_requires_same_d(self):
-        with pytest.raises(InvalidParameterError):
-            Composition((1, 0)).add(Composition((1, 0, 0)))
-
 
 def full_space_reduction(a, b):
     """Independent route: symmetrize both states, form the dyad, trace to one site."""
