@@ -29,6 +29,9 @@ from .symspace import InvalidParameterError, ResourceLimitError, reduce_one
 from .verify import SUITES, run_suite
 
 
+TABLE_GUARD = 1 << 20  # (d, n, m) points of a tables grid, counted before filtering
+
+
 def _emit_error(message: str, code: int) -> None:
     print(json.dumps({"error": message, "code": code}), file=sys.stderr)
 
@@ -43,8 +46,8 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _parse_range(text: str) -> list[int]:
-    """"3" -> [3]; "2:5" -> [2, 3, 4, 5] (inclusive)."""
+def _parse_range(text: str) -> range:
+    """"3" -> range(3, 4); "2:5" -> range(2, 6), i.e. 2..5 inclusive."""
     try:
         if ":" in text:
             lo_text, hi_text = text.split(":", 1)
@@ -53,7 +56,7 @@ def _parse_range(text: str) -> list[int]:
             lo = hi = int(text)
     except ValueError:
         raise InvalidParameterError(f"expected N or N:M, got {text!r}") from None
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def _cmd_coeffs(args) -> int:
@@ -83,13 +86,13 @@ def _cmd_clone(args) -> int:
 
 
 def _cmd_tables(args) -> int:
-    triples = [
-        (d, n, m)
-        for d in _parse_range(args.d)
-        for n in _parse_range(args.n)
-        for m in _parse_range(args.m)
-        if d >= 2 and 1 <= n <= m
-    ]
+    ds, ns, ms = _parse_range(args.d), _parse_range(args.n), _parse_range(args.m)
+    points = len(ds) * len(ns) * len(ms)
+    if points > TABLE_GUARD:
+        raise ResourceLimitError(
+            f"table grid of {points} (d, n, m) points exceeds the guard of {TABLE_GUARD}"
+        )
+    triples = [(d, n, m) for d in ds for n in ns for m in ms if d >= 2 and 1 <= n <= m]
     if not triples:
         raise InvalidParameterError(
             "empty table grid: no (d, n, m) with d >= 2 and 1 <= n <= m in the given ranges"

@@ -75,6 +75,14 @@ def generators(d: int) -> tuple[QuditOperator, ...]:
     return tuple(QuditOperator(d, g) for g in out)
 
 
+@lru_cache(maxsize=None)
+def _generator_stack(d: int) -> np.ndarray:
+    """generators(d) as one read-only (d*d - 1, d, d) array."""
+    stack = np.stack([g.entries for g in generators(d)])
+    stack.setflags(write=False)
+    return stack
+
+
 @dataclass(frozen=True, eq=False)
 class BlochVector:
     """Real coefficients of a qudit operator in the fixed generator set."""
@@ -100,9 +108,8 @@ def bloch_vector(rho: QuditOperator, tol: float = 1e-9) -> BlochVector:
         raise InvalidParameterError(
             f"not Hermitian within {tol:g} (max deviation {defect:.3e})"
         )
-    s = np.array(
-        [np.trace(rho.entries @ g.entries).real for g in generators(rho.d)]
-    )
+    # one stacked product; each slice is the same gemm as rho @ t_i alone
+    s = np.trace(rho.entries @ _generator_stack(rho.d), axis1=1, axis2=2).real
     return BlochVector(rho.d, s)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -103,6 +104,7 @@ def reduce_full_to_site(full: np.ndarray, d: int, n_sites: int, site: int = 0) -
     return QuditOperator(d, np.einsum("aibajb->ij", w))
 
 
+@lru_cache(maxsize=1)
 def clone_isometry_full(d: int, m: int, l: int) -> np.ndarray:
     """Stinespring isometry of Werner's cloner, (l sites) tensor (ancilla).
 
@@ -111,6 +113,9 @@ def clone_isometry_full(d: int, m: int, l: int) -> np.ndarray:
     |j>|j> over the l - m extra sites.  Row w * d**(l-m) + j is l-site word w
     and ancilla word j.  No cloning amplitude is read: the fast path's table
     is checked against this, not built into it.
+
+    The isometry of the last cell asked for is kept, read-only, so a walk
+    over a grid builds each cell once; one entry stays within the guard.
     """
     if l < m:
         raise InvalidParameterError(f"need l >= m, got l={l}, m={m}")
@@ -125,7 +130,9 @@ def clone_isometry_full(d: int, m: int, l: int) -> np.ndarray:
     e_m = sym_embedding(d, m) if m else np.ones((1, 1))
     s = (e_l @ e_l.conj().T).reshape(d**l, d**m, d ** (l - m))
     v = np.einsum("wuj,uc->wjc", s, e_m) * math.sqrt(dim(d, m) / dim(d, l))
-    return v.reshape(-1, e_m.shape[1])
+    v = v.reshape(-1, e_m.shape[1])
+    v.setflags(write=False)
+    return v
 
 
 def oracle_clone(op: SymOperator, l: int, site: int = 0) -> tuple[np.ndarray, QuditOperator]:

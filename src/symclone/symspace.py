@@ -73,14 +73,19 @@ def composition_rank(counts: np.ndarray, m: int) -> np.ndarray:
     that first exceed it at some position i < d - 1, which number
     C(rest_i + p_i - 1, p_i) with rest_i = m - (c_0 + ... + c_i) the weight
     left after position i and p_i = d - i - 1 the positions after it.
+
+    table[r, q] = C(r + q - 1, q) for r <= m, built column by column by the
+    same identity (column q is the cumulative sum of column q - 1), so no
+    entry exceeds dim(d, m) and none overflows int64 before the basis does.
     """
     d = counts.shape[-1]
     rest = m - np.cumsum(counts[..., :-1], axis=-1)
     p = np.arange(d - 1, 0, -1)
-    binom = np.array(
-        [[math.comb(n, k) for k in range(d)] for n in range(m + d - 1)], dtype=np.int64
-    )
-    return binom[rest + p - 1, p].sum(axis=-1)
+    table = np.zeros((m + 1, d), dtype=np.int64)
+    table[1:, 0] = 1
+    for q in range(1, d):
+        np.cumsum(table[:, q - 1], out=table[:, q])
+    return table[rest, p].sum(axis=-1)
 
 
 @dataclass(frozen=True)

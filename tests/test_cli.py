@@ -156,6 +156,14 @@ class TestClone:
         assert json.loads(err)["code"] == 2 and len(err.encode()) < 200
         assert not dst.exists()
 
+    def test_wide_qudit(self, tmp_path):
+        # composition_rank once built C(n, k) up to n = d + m - 2 as int64
+        src = tmp_path / "in.json"
+        dst = tmp_path / "out.json"
+        write_sym_operator(src, basis_projector(Composition((1,) + (0,) * 67)))
+        assert main(["clone", str(src), "--l", "1", "--out", str(dst)]) == 0
+        assert json.loads(dst.read_text())["d"] == 68
+
     def test_missing_input_file(self, tmp_path, capsys):
         code = main(
             ["clone", str(tmp_path / "nope.json"), "--l", "2", "--out", str(tmp_path / "o.json")]
@@ -179,6 +187,13 @@ class TestTables:
         code = main(["tables", "--d", "2", "--n", "3:4", "--m", "1:2", "--out", str(out)])
         assert code == 2
         assert "empty" in json.loads(capsys.readouterr().err)["error"]
+
+    def test_oversized_grid_rejected_before_building(self, tmp_path, capsys):
+        out = tmp_path / "tables.csv"
+        assert main(["tables", "--m", "1:100000000", "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["code"] == 2 and "guard" in err["error"]
+        assert not out.exists()
 
     def test_bad_range_syntax(self, tmp_path, capsys):
         code = main(["tables", "--d", "2", "--n", "x", "--m", "2", "--out", str(tmp_path / "t.csv")])

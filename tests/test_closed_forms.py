@@ -129,6 +129,17 @@ class TestBlochRoundTrip:
         back = rho_from_bloch(bloch_vector(rho))
         np.testing.assert_allclose(back.entries, rho.entries, atol=1e-12)
 
+    def test_matches_per_generator_traces_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        for d in range(2, 7):
+            for _ in range(20):
+                g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                rho = QuditOperator(d, (g + g.conj().T) / 2)
+                loop = np.array(
+                    [np.trace(rho.entries @ t.entries).real for t in generators(d)]
+                )
+                assert bloch_vector(rho).s.tobytes() == loop.tobytes()
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(InvalidParameterError):
             bloch_vector(QuditOperator(2, np.array([[0.5, 1.0], [0.0, 0.5]])))

@@ -72,6 +72,22 @@ class TestIsometry:
                 v.conj().T @ v, np.eye(dim(d, m)), atol=1e-12
             )
 
+    def test_read_only(self):
+        v = clone_isometry_full(2, 1, 3)
+        assert not v.flags.writeable
+        with pytest.raises(ValueError):
+            v[0, 0] = 1.0
+
+    def test_cached_cells_match_fresh_builds(self):
+        cells = ((2, 1, 3), (3, 2, 3), (2, 1, 3))
+        assert clone_isometry_full(*cells[0]) is clone_isometry_full(*cells[0])
+        walked = [clone_isometry_full(*cell).tobytes() for cell in cells]
+        fresh = []
+        for cell in cells:
+            clone_isometry_full.cache_clear()
+            fresh.append(clone_isometry_full(*cell).tobytes())
+        assert walked == fresh
+
     def test_guard(self):
         with pytest.raises(ResourceLimitError):
             clone_isometry_full(2, 1, 21)
@@ -134,6 +150,7 @@ class TestOracleClone:
         # ancilla-extended V X V* would be 35840 x 35840 (19.1 GiB)
         x = hermitian_sym_operator(4, 1, np.random.default_rng(20))
         fast = reduce_one(clone_channel(x, 5))
+        clone_isometry_full.cache_clear()  # measure the build, not a kept isometry
         tracemalloc.start()
         try:
             _, slow = oracle_clone(x, 5)

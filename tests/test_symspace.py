@@ -67,6 +67,12 @@ class TestEnumerateBasis:
         ranks = composition_rank(basis.counts, m)
         assert np.array_equal(ranks, np.arange(basis.size))
 
+    @pytest.mark.parametrize("d", [68, 70, 100])
+    def test_rank_of_wide_compositions(self, d):
+        # C(n, k) for all n < m + d - 1 overflows int64 from d = 68 on
+        basis = enumerate_basis(d, 2)
+        assert np.array_equal(composition_rank(basis.counts, 2), np.arange(basis.size))
+
     def test_qubit_index_counts_level_one(self):
         for m in range(7):
             basis = enumerate_basis(2, m)
