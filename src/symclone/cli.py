@@ -46,6 +46,12 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _parse_range(text: str) -> range:
     """"3" -> range(3, 4); "2:5" -> range(2, 6), i.e. 2..5 inclusive."""
     try:
@@ -172,7 +178,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=SUITES + ("all",), help="suite to run")
-    p.add_argument("--seed", type=int, default=0, help="seed for random inputs")
+    p.add_argument("--seed", type=_seed, default=0, help="seed for random inputs")
     p.add_argument(
         "--tol", type=_finite_float, default=None, help="override the suite tolerance"
     )

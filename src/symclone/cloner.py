@@ -161,30 +161,17 @@ def clone_amplitudes(d: int, m: int, l: int) -> CloneAmplitudes:
 def _channel_plan(d: int, m: int, l: int):
     # (K, n_in) arrays: row t holds, over the input basis a, the index of
     # a + k_t in the output basis and the amplitude alpha(a, k_t); the table
-    # comes first, so that its guard precedes any enumeration
+    # comes first, so that its guard precedes any enumeration.  hops is the
+    # same index one weight lower, (K, dim(d, m-1)): the one-hop pair
+    # (u + e_p, u + e_q) goes to hop (p, q) at the rank of u + k_t
     v = np.sqrt(clone_amplitudes(d, m, l).squared().T.copy())
-    inputs = enumerate_basis(d, m).counts
-    added = enumerate_basis(d, l - m).counts
-    idx = composition_rank(added[:, None, :] + inputs[None, :, :], l)
-    idx.setflags(write=False)
-    v.setflags(write=False)
-    return idx, v
-
-
-@lru_cache(maxsize=None)
-def _hop_plan(d: int, m: int, l: int) -> np.ndarray:
-    # (K, H_in) array: for the input one-hop pair (a, b) of _reduction_plan(d,
-    # m) in column h and the added composition k_t in row t, the position of
-    # the output pair (a + k_t, b + k_t) in _reduction_plan(d, l)'s hop order
-    idx, _ = _channel_plan(d, m, l)
-    _, (rows, _, level_p, level_q, _) = _reduction_plan(d, m)
-    _, (out_rows, _, out_p, out_q, _) = _reduction_plan(d, l)
-    # a hop is fixed by its row and its levels (p, q); -1 marks no hop
-    position = np.full((dim(d, l), d, d), -1, dtype=np.intp)
-    position[out_rows, out_p, out_q] = np.arange(out_rows.size)
-    hops = position[idx[:, rows], level_p, level_q]
-    hops.setflags(write=False)
-    return hops
+    added = enumerate_basis(d, l - m).counts[:, None, :]
+    idx = composition_rank(added + enumerate_basis(d, m).counts, l)
+    below = enumerate_basis(d, m - 1).counts if m else np.zeros((0, d), dtype=np.int64)
+    hops = composition_rank(added + below, l - 1)
+    for plan in (idx, v, hops):
+        plan.setflags(write=False)
+    return idx, v, hops
 
 
 def _scatter_sum(index: np.ndarray, values: np.ndarray, out: np.ndarray) -> None:
@@ -203,7 +190,8 @@ class CloneOutput(SymOperator):
     DENSE_GUARD entries; reduce_one reads the diagonal and the one-hop
     entries straight from the channel plan and the source's own diagonal and
     one-hop entries instead, so a chain of clones never builds a dense
-    intermediate.
+    intermediate.  Hop (p, q) at u, of the source, lands on hop (p, q) at
+    the rank of u + k_t, which the plan's hop index holds.
     """
 
     def __init__(self, source: SymOperator, l: int):
@@ -222,27 +210,28 @@ class CloneOutput(SymOperator):
             )
         y = np.zeros((n_out, n_out), dtype=np.complex128)
         x = self.source.entries
-        for idx, v in zip(*_channel_plan(self.d, self.source.m, self.m)):
+        for idx, v in zip(*_channel_plan(self.d, self.source.m, self.m)[:2]):
             y[np.ix_(idx, idx)] += (v[:, None] * v[None, :]) * x
         y.setflags(write=False)
         return y
 
     def _diagonal_and_hops(self) -> tuple[np.ndarray, np.ndarray]:
         d, m, l = self.d, self.source.m, self.m
-        idx, v = _channel_plan(d, m, l)
+        idx, v, hop_index = _channel_plan(d, m, l)
         # the dense matrix's diagonal is a strided view, and OpenBLAS sums a
         # unit-stride vector in another order than a strided one; reduce_one
         # dots this diagonal, so it gets a strided view too, and the same bits
         diagonal = np.zeros((self.basis.size, 2), dtype=np.complex128)[:, 0]
-        _, (out_rows, *_) = _reduction_plan(d, l)
-        hops = np.zeros(out_rows.size, dtype=np.complex128)
+        hops = np.zeros((d * (d - 1), dim(d, l - 1)), dtype=np.complex128)
         if not m:  # a single input state: no one-hop pairs, and no reduction plan
             _scatter_sum(idx, (v * v) * np.diagonal(self.source.entries), diagonal)
             return diagonal, hops
         x_diagonal, x_hops = self.source._diagonal_and_hops()
         _scatter_sum(idx, (v * v) * x_diagonal, diagonal)
-        _, (rows, cols, *_) = _reduction_plan(d, m)
-        _scatter_sum(_hop_plan(d, m, l), (v[:, rows] * v[:, cols]) * x_hops, hops)
+        _, (rows, cols, _), _ = _reduction_plan(d, m)
+        # output hop (move, r) is entry move * dim(d, l - 1) + r of the flat hops
+        at = hop_index[:, None, :] + np.arange(0, hops.size, hops.shape[1])[:, None]
+        _scatter_sum(at, (v[:, rows] * v[:, cols]) * x_hops, hops.reshape(-1))
         return diagonal, hops
 
 
@@ -284,7 +273,7 @@ def isometry_gram(d: int, m: int, l: int) -> np.ndarray:
     """
     if l < m:
         raise InvalidParameterError(f"need l >= m, got l={l}, m={m}")
-    idx, v = _channel_plan(d, m, l)
+    idx, v, _ = _channel_plan(d, m, l)
     gram = np.zeros((idx.shape[1], idx.shape[1]))
     for idx_k, v_k in zip(idx, v):
         gram += np.outer(v_k, v_k) * (idx_k[:, None] == idx_k[None, :])

@@ -23,7 +23,7 @@ import numpy as np
 
 from .closed_forms import fidelity, shrink
 from .cloner import CloneAmplitudes
-from .symspace import QuditOperator, SymOperator, enumerate_basis
+from .symspace import QuditOperator, SymOperator, dim, enumerate_basis
 
 BASIS_TAG = "lex_decreasing"
 
@@ -76,14 +76,17 @@ def sym_operator_from_dict(doc) -> SymOperator:
         raise FormatError(
             f"unsupported basis tag {doc['basis']!r}; expected {BASIS_TAG!r}"
         )
-    basis = enumerate_basis(d, m)
-    n = basis.size
     entries = doc["entries"]
-    if not isinstance(entries, list) or len(entries) != n * n:
-        raise FormatError(
-            f"expected {n * n} entry pairs for (d={d}, m={m}), "
-            f"got {len(entries) if isinstance(entries, list) else type(entries).__name__}"
-        )
+    if not isinstance(entries, list):
+        raise FormatError(f"entries must be a list of pairs, got {type(entries).__name__}")
+    # dim(d, m) >= max(d, m + 1) for m >= 1: a list shorter than that squared
+    # is refused before any binomial is taken or the basis enumerated
+    count, least = len(entries), max(d, m + 1) ** 2 if m else 1
+    if count < least:
+        raise FormatError(f"expected at least {least} entry pairs for (d={d}, m={m}), got {count}")
+    n = dim(d, m)
+    if count != n * n:
+        raise FormatError(f"expected {n * n} entry pairs for (d={d}, m={m}), got {count}")
     flat = np.empty(n * n, dtype=np.complex128)
     for i, pair in enumerate(entries):
         if (
@@ -99,7 +102,7 @@ def sym_operator_from_dict(doc) -> SymOperator:
     bad = np.flatnonzero(~np.isfinite(flat))
     if bad.size:
         raise FormatError(f"entry {bad[0]} is not a finite number pair")
-    return SymOperator(basis, flat.reshape(n, n))
+    return SymOperator(enumerate_basis(d, m), flat.reshape(n, n))
 
 
 def read_sym_operator(path) -> SymOperator:

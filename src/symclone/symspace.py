@@ -179,8 +179,9 @@ class SymOperator:
         return SymOperator(self.basis, self.entries.conj().T)
 
     def _diagonal_and_hops(self) -> tuple[np.ndarray, np.ndarray]:
-        """The diagonal and the one-hop entries, in _reduction_plan's hop order."""
-        _, (rows, cols, *_) = _reduction_plan(self.d, self.m)
+        """The diagonal, and the one-hop entries as a (d(d-1), dim(d, m-1))
+        array in _reduction_plan's layout: one row per move (p, q)."""
+        _, (rows, cols, _), _ = _reduction_plan(self.d, self.m)
         x = self.entries
         return np.diagonal(x), x[rows, cols]
 
@@ -270,31 +271,22 @@ class QuditOperator:
 def _reduction_plan(d: int, m: int):
     """Sparse action of the single-site reduction on basis dyads.
 
-    A diagonal dyad |a><a| lands on sum_i (a_i/m) |i><i|.  A one-hop dyad
-    |a><b| with b = a - e_p + e_q (one particle moved from level p to level q)
-    lands on sqrt(a_p (a_q + 1))/m |p><q|.  Dyads further than one hop apart
-    vanish, so only the neighbours of each a need enumerating.
+    A diagonal dyad |a><a| lands on sum_i (a_i/m) |i><i|.  A one-hop dyad is
+    |u + e_p><u + e_q| for one move (p, q), p != q, and one u of weight
+    m - 1, and lands on sqrt((u_p + 1)(u_q + 1))/m |p><q|; dyads further
+    apart vanish.  rows, cols, coeffs and the move levels (p, q) are
+    (d(d-1), dim(d, m-1)) arrays, one row per move in (p, q) order and u in
+    basis order along it.  Adding e_p keeps the lex order, so each entry of
+    the reduction accumulates its terms in basis order.
     """
-    counts = enumerate_basis(d, m).counts
-    diag = np.ascontiguousarray(counts.T) / m
-    rows, cols, level_p, level_q, coeffs = [], [], [], [], []
-    # grouped by (p, q) with rows increasing inside each group, so every
-    # entry of the reduction accumulates its terms in basis order
-    for p in range(d):
-        (src,) = np.nonzero(counts[:, p])
-        for q in range(d):
-            if q == p:
-                continue
-            shifted = counts[src].copy()
-            shifted[:, p] -= 1
-            shifted[:, q] += 1
-            rows.append(src)
-            cols.append(composition_rank(shifted, m))
-            level_p.append(np.full(src.size, p))
-            level_q.append(np.full(src.size, q))
-            coeffs.append(np.sqrt(counts[src, p] * (counts[src, q] + 1)) / m)
-    hops = tuple(np.concatenate(x) for x in (rows, cols, level_p, level_q, coeffs))
-    return diag, hops
+    diag = np.ascontiguousarray(enumerate_basis(d, m).counts.T) / m
+    u = enumerate_basis(d, m - 1).counts
+    p, q = np.nonzero(~np.eye(d, dtype=bool))
+    ranks = composition_rank(u[:, None, :] + np.eye(d, dtype=np.int64), m).T  # of u + e_i
+    rows, cols = ranks[p], ranks[q]
+    coeffs = np.sqrt((u.T[p] + 1) * (u.T[q] + 1)) / m
+    moves = tuple(np.broadcast_to(level[:, None], rows.shape) for level in (p, q))
+    return diag, (rows, cols, coeffs), moves
 
 
 def reduce_one(op: SymOperator) -> QuditOperator:
@@ -307,11 +299,10 @@ def reduce_one(op: SymOperator) -> QuditOperator:
     if op.m < 1:
         raise InvalidParameterError("single-site reduction needs at least one particle")
     d = op.d
-    diag, (rows, _, level_p, level_q, coeffs) = _reduction_plan(d, op.m)
+    diag, (_, _, coeffs), moves = _reduction_plan(d, op.m)
     xdiag, xhops = op._diagonal_and_hops()
     out = np.zeros((d, d), dtype=np.complex128)
     for i in range(d):
         out[i, i] = diag[i] @ xdiag
-    if rows.size:
-        np.add.at(out, (level_p, level_q), coeffs * xhops)
+    np.add.at(out, moves, coeffs * xhops)
     return QuditOperator(d, out)

@@ -1,5 +1,7 @@
 import csv
 import json
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -164,6 +166,28 @@ class TestClone:
         assert main(["clone", str(src), "--l", "1", "--out", str(dst)]) == 0
         assert json.loads(dst.read_text())["d"] == 68
 
+    @pytest.mark.parametrize(
+        "d, m", [(300000, 1), (2, 30000000), (2, 2 * 10**9), (100000, 100000)]
+    )
+    def test_impossible_size_rejected_before_enumeration(self, d, m, tmp_path, capsys):
+        # dim(d, m) >= max(d, m + 1), so no empty entry list fits; the reader
+        # says so before it enumerates the basis or takes a large binomial
+        # (C(199999, 99999) alone takes seconds)
+        src = tmp_path / "in.json"
+        src.write_text(json.dumps({"d": d, "m": m, "basis": "lex_decreasing", "entries": []}))
+        argv = ["clone", str(src), "--l", str(m + 1), "--out", str(tmp_path / "o.json")]
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            code = main(argv)
+            seconds = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and seconds < 1.0 and peak < 1 << 20
+        err = json.loads(capsys.readouterr().err)
+        assert err["code"] == 2 and "entry pairs" in err["error"]
+
     def test_missing_input_file(self, tmp_path, capsys):
         code = main(
             ["clone", str(tmp_path / "nope.json"), "--l", "2", "--out", str(tmp_path / "o.json")]
@@ -247,6 +271,12 @@ class TestVerify:
     def test_non_finite_float_options_rejected(self, flag, value, capsys):
         assert main(["verify", "scaling", "--quick", f"{flag}={value}"]) == 2
         assert "expected a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-1", "x", "1.5"])
+    def test_bad_seed_rejected(self, value, capsys):
+        # numpy's default_rng refuses a negative seed with a traceback
+        assert main(["verify", "scaling", "--quick", f"--seed={value}"]) == 2
+        assert "expected a nonnegative integer" in capsys.readouterr().err
 
     def test_deterministic_given_seed(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

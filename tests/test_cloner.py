@@ -350,6 +350,24 @@ def reference_reduction_plan(d, m):
     return diag, (*ints, np.array(coeffs))
 
 
+def reference_hop_plan(d, m, l, idx):
+    """Position-table construction of the hop index, over the flat plans.
+
+    Entry (t, h): for the input one-hop pair (a, b) in position h of
+    reference_reduction_plan(d, m) and the added composition k_t, the
+    position of the output pair (a + k_t, b + k_t) in
+    reference_reduction_plan(d, l); idx is the channel plan's index.
+    """
+    if not m:
+        return np.zeros((len(idx), 0), dtype=np.intp)
+    _, (rows, _, level_p, level_q, _) = reference_reduction_plan(d, m)
+    _, (out_rows, _, out_p, out_q, _) = reference_reduction_plan(d, l)
+    # a hop is fixed by its row and its levels (p, q); -1 marks no hop
+    position = np.full((dim(d, l), d, d), -1, dtype=np.intp)
+    position[out_rows, out_p, out_q] = np.arange(out_rows.size)
+    return position[idx[:, rows], level_p, level_q]
+
+
 def assert_bitwise_equal(got, want):
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
@@ -363,10 +381,15 @@ class TestPlansMatchReference:
     def test_channel_plan(self):
         grid = [(d, m, l) for d in (2, 3, 4) for m in range(0, 5) for l in range(m, m + 4)]
         for d, m, l in grid + self.BIG_CELLS:
-            idx, v = cloner._channel_plan(d, m, l)
+            idx, v, hops = cloner._channel_plan(d, m, l)
             want_idx, want_v = reference_channel_plan(d, m, l)
             assert_bitwise_equal(idx, want_idx)
             assert_bitwise_equal(v, want_v)
+            assert hops.shape == (len(idx), dim(d, m - 1) if m else 0)
+            if m:  # output hop (move, r) sits at move * dim(d, l - 1) + r
+                moves = np.arange(d * (d - 1))[:, None] * dim(d, l - 1)
+                hops = (moves + hops[:, None, :]).reshape(len(hops), -1)
+            assert_bitwise_equal(hops, reference_hop_plan(d, m, l, want_idx))
         assert clone_amplitudes(2, 20, 400).occupancy.max() >= 2**63
 
     def test_table_matches_alpha_d_sq(self):
@@ -389,11 +412,13 @@ class TestPlansMatchReference:
     def test_reduction_plan(self):
         for d in (2, 3, 4):
             for m in range(1, 8):
-                diag, hops = symspace._reduction_plan(d, m)
+                diag, (rows, cols, coeffs), moves = symspace._reduction_plan(d, m)
                 want_diag, want_hops = reference_reduction_plan(d, m)
                 assert_bitwise_equal(diag, want_diag)
-                for got, want in zip(hops, want_hops, strict=True):
-                    assert_bitwise_equal(got, want)
+                assert rows.shape == (d * (d - 1), dim(d, m - 1))
+                # flattened in move order, the layout is the per-hop list
+                for got, want in zip((rows, cols, *moves, coeffs), want_hops, strict=True):
+                    assert_bitwise_equal(got.ravel(), want)
 
     def test_gram_detects_a_colliding_rank(self, monkeypatch):
         # off the diagonal the Gram check tests exactly the rank's
@@ -419,7 +444,6 @@ def clear_plan_caches():
         symspace._reduction_plan,
         cloner.clone_amplitudes,
         cloner._channel_plan,
-        cloner._hop_plan,
     ):
         cached.cache_clear()
 
