@@ -27,7 +27,6 @@ from .symspace import (
     InvalidParameterError,
     ResourceLimitError,
     SymOperator,
-    _reduction_plan,
     basis_projector,
     composition_rank,
     dim,
@@ -127,6 +126,25 @@ class CloneAmplitudes:
         p = self.prefactor
         return ((self.occupancy * p.numerator) / p.denominator).astype(np.float64)
 
+    @cached_property
+    def plan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The channel plan: read-only (K, n_in) arrays idx and v, and hops.
+
+        Row t holds, over the input basis a, the index of a + k_t in the
+        output basis and the amplitude alpha(a, k_t).  hops is the same
+        index one weight lower, (K, dim(d, m-1)): the one-hop pair
+        (u + e_p, u + e_q) goes to hop (p, q) at the rank of u + k_t.
+        """
+        d, m, l = self.d, self.m, self.l
+        v = np.sqrt(self.squared().T.copy())
+        added = enumerate_basis(d, l - m).counts[:, None, :]
+        idx = composition_rank(added + enumerate_basis(d, m).counts, l)
+        below = enumerate_basis(d, m - 1).counts if m else np.zeros((0, d), dtype=np.int64)
+        hops = composition_rank(added + below, l - 1)
+        for a in (idx, v, hops):
+            a.setflags(write=False)
+        return idx, v, hops
+
 
 @lru_cache(maxsize=None)
 def clone_amplitudes(d: int, m: int, l: int) -> CloneAmplitudes:
@@ -157,23 +175,6 @@ def clone_amplitudes(d: int, m: int, l: int) -> CloneAmplitudes:
     return CloneAmplitudes(d=d, m=m, l=l, occupancy=occupancy, prefactor=_prefactor(d, m, l))
 
 
-@lru_cache(maxsize=None)
-def _channel_plan(d: int, m: int, l: int):
-    # (K, n_in) arrays: row t holds, over the input basis a, the index of
-    # a + k_t in the output basis and the amplitude alpha(a, k_t); the table
-    # comes first, so that its guard precedes any enumeration.  hops is the
-    # same index one weight lower, (K, dim(d, m-1)): the one-hop pair
-    # (u + e_p, u + e_q) goes to hop (p, q) at the rank of u + k_t
-    v = np.sqrt(clone_amplitudes(d, m, l).squared().T.copy())
-    added = enumerate_basis(d, l - m).counts[:, None, :]
-    idx = composition_rank(added + enumerate_basis(d, m).counts, l)
-    below = enumerate_basis(d, m - 1).counts if m else np.zeros((0, d), dtype=np.int64)
-    hops = composition_rank(added + below, l - 1)
-    for plan in (idx, v, hops):
-        plan.setflags(write=False)
-    return idx, v, hops
-
-
 def _scatter_sum(index: np.ndarray, values: np.ndarray, out: np.ndarray) -> None:
     # np.bincount adds in input order, so each output entry sums its terms in
     # k order, as the dense loop does; real and imaginary parts add apart
@@ -184,19 +185,20 @@ def _scatter_sum(index: np.ndarray, values: np.ndarray, out: np.ndarray) -> None
 
 
 class CloneOutput(SymOperator):
-    """clone_channel's output, held as its input operator (source) and l.
+    """clone_channel's output: its input operator (source) and table (cell).
 
     entries is a dense view, built on first read and refused beyond
     DENSE_GUARD entries; reduce_one reads the diagonal and the one-hop
-    entries straight from the channel plan and the source's own diagonal and
+    entries straight from cell.plan and the source's own diagonal and
     one-hop entries instead, so a chain of clones never builds a dense
     intermediate.  Hop (p, q) at u, of the source, lands on hop (p, q) at
     the rank of u + k_t, which the plan's hop index holds.
     """
 
-    def __init__(self, source: SymOperator, l: int):
-        object.__setattr__(self, "basis", enumerate_basis(source.d, l))
+    def __init__(self, source: SymOperator, cell: CloneAmplitudes):
+        object.__setattr__(self, "basis", enumerate_basis(source.d, cell.l))
         object.__setattr__(self, "source", source)
+        object.__setattr__(self, "cell", cell)
 
     def __repr__(self) -> str:
         return f"CloneOutput(d={self.d}, m={self.source.m}, l={self.m})"
@@ -210,14 +212,14 @@ class CloneOutput(SymOperator):
             )
         y = np.zeros((n_out, n_out), dtype=np.complex128)
         x = self.source.entries
-        for idx, v in zip(*_channel_plan(self.d, self.source.m, self.m)[:2]):
+        for idx, v in zip(*self.cell.plan[:2]):
             y[np.ix_(idx, idx)] += (v[:, None] * v[None, :]) * x
         y.setflags(write=False)
         return y
 
     def _diagonal_and_hops(self) -> tuple[np.ndarray, np.ndarray]:
         d, m, l = self.d, self.source.m, self.m
-        idx, v, hop_index = _channel_plan(d, m, l)
+        idx, v, hop_index = self.cell.plan
         # the dense matrix's diagonal is a strided view, and OpenBLAS sums a
         # unit-stride vector in another order than a strided one; reduce_one
         # dots this diagonal, so it gets a strided view too, and the same bits
@@ -228,10 +230,10 @@ class CloneOutput(SymOperator):
             return diagonal, hops
         x_diagonal, x_hops = self.source._diagonal_and_hops()
         _scatter_sum(idx, (v * v) * x_diagonal, diagonal)
-        _, (rows, cols, _), _ = _reduction_plan(d, m)
+        _, ranks, _, (p, q), _ = self.source.basis.reduction
         # output hop (move, r) is entry move * dim(d, l - 1) + r of the flat hops
         at = hop_index[:, None, :] + np.arange(0, hops.size, hops.shape[1])[:, None]
-        _scatter_sum(at, (v[:, rows] * v[:, cols]) * x_hops, hops.reshape(-1))
+        _scatter_sum(at, (v[:, ranks[p]] * v[:, ranks[q]]) * x_hops, hops.reshape(-1))
         return diagonal, hops
 
 
@@ -243,9 +245,9 @@ def clone_channel(op: SymOperator, l: int) -> CloneOutput:
     the identity channel at l = m.  The amplitude table's guard applies
     before anything is enumerated.
     """
-    clone_amplitudes(op.d, op.m, l)  # the guard, before the plan enumerates
-    _channel_plan(op.d, op.m, l)  # so that the plan's cost lands on this call
-    return CloneOutput(op, l)
+    cell = clone_amplitudes(op.d, op.m, l)
+    cell.plan  # so that the plan's cost lands on this call
+    return CloneOutput(op, cell)
 
 
 def uqcm_pure_output(d: int, n: int, m: int) -> SymOperator:
@@ -271,9 +273,7 @@ def isometry_gram(d: int, m: int, l: int) -> np.ndarray:
     rank's injectivity on each {a + k}.  The transformation is an isometry
     iff this is the identity.
     """
-    if l < m:
-        raise InvalidParameterError(f"need l >= m, got l={l}, m={m}")
-    idx, v, _ = _channel_plan(d, m, l)
+    idx, v, _ = clone_amplitudes(d, m, l).plan
     gram = np.zeros((idx.shape[1], idx.shape[1]))
     for idx_k, v_k in zip(idx, v):
         gram += np.outer(v_k, v_k) * (idx_k[:, None] == idx_k[None, :])

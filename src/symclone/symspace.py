@@ -55,15 +55,25 @@ class Composition:
 
 def _compositions(d: int, m: int) -> np.ndarray:
     """All compositions of m into d parts as rows, lexicographically decreasing."""
-    rows = np.zeros((1, 0), dtype=np.int64)
+    counts, splits = [], []
     left = np.array([m])
     for _ in range(d - 1):
-        # each row splits into left + 1 rows whose next count runs left, ..., 0
+        if not left.any():
+            break  # every later count is 0
+        # each prefix splits into left + 1 prefixes whose next count runs left, ..., 0
         reps = left + 1
         within = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
-        rows = np.column_stack((np.repeat(rows, reps, axis=0), np.repeat(left, reps) - within))
+        counts.append(np.repeat(left, reps) - within)
+        splits.append(reps)
         left = within
-    return np.column_stack((rows, left))
+    rows = np.zeros((len(left), d), dtype=np.int64)
+    rows[:, len(splits)] = left
+    # each column is written once, a prefix's count repeated over the rows under it
+    under = np.ones(len(left), dtype=np.int64)
+    for j in range(len(splits) - 1, -1, -1):
+        rows[:, j] = np.repeat(counts[j], under)
+        under = np.add.reduceat(under, np.cumsum(splits[j]) - splits[j])
+    return rows
 
 
 def composition_rank(counts: np.ndarray, m: int) -> np.ndarray:
@@ -109,6 +119,29 @@ class SymBasis:
     def order(self) -> tuple[Composition, ...]:
         """The rows of counts as Composition objects, built on first use."""
         return tuple(Composition(tuple(row)) for row in self.counts.tolist())
+
+    @cached_property
+    def reduction(self):
+        """Sparse action of the single-site reduction on basis dyads, m >= 1.
+
+        A diagonal dyad |a><a| lands on sum_i (a_i/m) |i><i|.  A one-hop dyad
+        is |u + e_p><u + e_q| for one move (p, q), p != q, and one u of
+        weight m - 1, and lands on sqrt((u_p + 1)(u_q + 1))/m |p><q|; dyads
+        further apart vanish.  ranks[i] is the rank of u + e_i over u in
+        basis order, and coeffs has one row per move, in (p, q) order; the
+        levels p and q come as vectors and as views broadcast to coeffs'
+        shape.  Adding e_p keeps the lex order, so each entry of the
+        reduction accumulates its terms in basis order.
+        """
+        d, m = self.d, self.m
+        diag = np.ascontiguousarray(self.counts.T) / m
+        u = enumerate_basis(d, m - 1).counts
+        levels = np.nonzero(~np.eye(d, dtype=bool))
+        p, q = levels
+        ranks = composition_rank(u[:, None, :] + np.eye(d, dtype=np.int64), m).T
+        coeffs = np.sqrt((u.T[p] + 1) * (u.T[q] + 1)) / m
+        moves = tuple(np.broadcast_to(level[:, None], coeffs.shape) for level in levels)
+        return diag, ranks, coeffs, levels, moves
 
     def index_of(self, c: Composition) -> int:
         if c.d != self.d or c.weight != self.m:
@@ -180,10 +213,10 @@ class SymOperator:
 
     def _diagonal_and_hops(self) -> tuple[np.ndarray, np.ndarray]:
         """The diagonal, and the one-hop entries as a (d(d-1), dim(d, m-1))
-        array in _reduction_plan's layout: one row per move (p, q)."""
-        _, (rows, cols, _), _ = _reduction_plan(self.d, self.m)
+        array in the layout of basis.reduction: one row per move (p, q)."""
+        _, ranks, _, (p, q), _ = self.basis.reduction
         x = self.entries
-        return np.diagonal(x), x[rows, cols]
+        return np.diagonal(x), x[ranks[p], ranks[q]]
 
     def validate_density(
         self,
@@ -267,28 +300,6 @@ class QuditOperator:
         return float(np.max(np.abs(self.entries - self.entries.conj().T)))
 
 
-@lru_cache(maxsize=None)
-def _reduction_plan(d: int, m: int):
-    """Sparse action of the single-site reduction on basis dyads.
-
-    A diagonal dyad |a><a| lands on sum_i (a_i/m) |i><i|.  A one-hop dyad is
-    |u + e_p><u + e_q| for one move (p, q), p != q, and one u of weight
-    m - 1, and lands on sqrt((u_p + 1)(u_q + 1))/m |p><q|; dyads further
-    apart vanish.  rows, cols, coeffs and the move levels (p, q) are
-    (d(d-1), dim(d, m-1)) arrays, one row per move in (p, q) order and u in
-    basis order along it.  Adding e_p keeps the lex order, so each entry of
-    the reduction accumulates its terms in basis order.
-    """
-    diag = np.ascontiguousarray(enumerate_basis(d, m).counts.T) / m
-    u = enumerate_basis(d, m - 1).counts
-    p, q = np.nonzero(~np.eye(d, dtype=bool))
-    ranks = composition_rank(u[:, None, :] + np.eye(d, dtype=np.int64), m).T  # of u + e_i
-    rows, cols = ranks[p], ranks[q]
-    coeffs = np.sqrt((u.T[p] + 1) * (u.T[q] + 1)) / m
-    moves = tuple(np.broadcast_to(level[:, None], rows.shape) for level in (p, q))
-    return diag, (rows, cols, coeffs), moves
-
-
 def reduce_one(op: SymOperator) -> QuditOperator:
     """Single-site reduced operator of a symmetric-subspace operator.
 
@@ -299,7 +310,7 @@ def reduce_one(op: SymOperator) -> QuditOperator:
     if op.m < 1:
         raise InvalidParameterError("single-site reduction needs at least one particle")
     d = op.d
-    diag, (_, _, coeffs), moves = _reduction_plan(d, op.m)
+    diag, _, coeffs, _, moves = op.basis.reduction
     xdiag, xhops = op._diagonal_and_hops()
     out = np.zeros((d, d), dtype=np.complex128)
     for i in range(d):

@@ -195,7 +195,6 @@ class TestStructuredOutput:
             raise AssertionError("enumerated before the guard")
 
         monkeypatch.setattr(cloner, "enumerate_basis", refuse)
-        monkeypatch.setattr(cloner, "_channel_plan", refuse)
         with pytest.raises(ResourceLimitError, match="amplitude table"):
             clone_channel(sym_operator(3, 1, np.eye(3) / 3), 2000)
 
@@ -381,7 +380,7 @@ class TestPlansMatchReference:
     def test_channel_plan(self):
         grid = [(d, m, l) for d in (2, 3, 4) for m in range(0, 5) for l in range(m, m + 4)]
         for d, m, l in grid + self.BIG_CELLS:
-            idx, v, hops = cloner._channel_plan(d, m, l)
+            idx, v, hops = clone_amplitudes(d, m, l).plan
             want_idx, want_v = reference_channel_plan(d, m, l)
             assert_bitwise_equal(idx, want_idx)
             assert_bitwise_equal(v, want_v)
@@ -412,9 +411,11 @@ class TestPlansMatchReference:
     def test_reduction_plan(self):
         for d in (2, 3, 4):
             for m in range(1, 8):
-                diag, (rows, cols, coeffs), moves = symspace._reduction_plan(d, m)
+                diag, ranks, coeffs, (p, q), moves = enumerate_basis(d, m).reduction
                 want_diag, want_hops = reference_reduction_plan(d, m)
                 assert_bitwise_equal(diag, want_diag)
+                assert ranks.shape == (d, dim(d, m - 1))
+                rows, cols = ranks[p], ranks[q]
                 assert rows.shape == (d * (d - 1), dim(d, m - 1))
                 # flattened in move order, the layout is the per-hop list
                 for got, want in zip((rows, cols, *moves, coeffs), want_hops, strict=True):
@@ -427,11 +428,11 @@ class TestPlansMatchReference:
             return symspace.composition_rank(counts, m) // 2
 
         monkeypatch.setattr(cloner, "composition_rank", colliding)
-        cloner._channel_plan.cache_clear()
+        cloner.clone_amplitudes.cache_clear()  # the plan lives on the table
         try:
             gram = isometry_gram(2, 2, 3)
         finally:
-            cloner._channel_plan.cache_clear()
+            cloner.clone_amplitudes.cache_clear()
         assert np.max(np.abs(gram - np.eye(3))) > 0.1
 
 
@@ -439,13 +440,42 @@ COLD_CELLS = [(3, 1, 30), (2, 20, 60)]
 
 
 def clear_plan_caches():
-    for cached in (
-        symspace.enumerate_basis,
-        symspace._reduction_plan,
-        cloner.clone_amplitudes,
-        cloner._channel_plan,
-    ):
-        cached.cache_clear()
+    # the reduction plan lives on its basis and the channel plan on its table
+    symspace.enumerate_basis.cache_clear()
+    cloner.clone_amplitudes.cache_clear()
+
+
+def refuse_ranks(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a plan was built")
+
+    for module in (symspace, cloner):
+        monkeypatch.setattr(module, "composition_rank", refuse)
+
+
+@pytest.mark.parametrize("d, m, l", COLD_CELLS)
+def test_no_third_cache_serves_a_plan(d, m, l, monkeypatch):
+    # once the basis and table caches forget a used cell, both plans are rebuilt
+    n = dim(d, m)
+    reduce_one(clone_channel(sym_operator(d, m, np.eye(n) / n), l))
+    clear_plan_caches()
+    refuse_ranks(monkeypatch)
+    x = sym_operator(d, m, np.eye(n) / n)
+    with pytest.raises(AssertionError, match="plan was built"):
+        clone_channel(x, l)
+    with pytest.raises(AssertionError, match="plan was built"):
+        reduce_one(x)
+
+
+@pytest.mark.parametrize("d, m, l", COLD_CELLS)
+def test_a_live_output_keeps_its_plans(d, m, l, monkeypatch):
+    # an output holds its table and its bases, and so every plan it reads
+    x = hermitian_sym_operator(d, m, np.random.default_rng([d, m, l]))
+    outs = [clone_channel(x, l), clone_channel(clone_channel(x, l), l + 1)]
+    want = [reduce_one(out).entries.tobytes() for out in outs]
+    clear_plan_caches()
+    refuse_ranks(monkeypatch)
+    assert [reduce_one(out).entries.tobytes() for out in outs] == want
 
 
 @pytest.mark.parametrize("d, m, l", COLD_CELLS)

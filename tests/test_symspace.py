@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import hypothesis.strategies as st
 import numpy as np
@@ -72,6 +73,16 @@ class TestEnumerateBasis:
         # C(n, k) for all n < m + d - 1 overflows int64 from d = 68 on
         basis = enumerate_basis(d, 2)
         assert np.array_equal(composition_rank(basis.counts, 2), np.arange(basis.size))
+
+    @pytest.mark.parametrize("d, m", [(100000, 0), (2000, 1)])
+    def test_wide_bases_enumerate_in_linear_time(self, d, m):
+        # each column is written once, so the cost follows the N x d rows;
+        # re-stacking the earlier columns at every split took O(N d^2)
+        start = time.perf_counter()
+        counts = enumerate_basis.__wrapped__(d, m).counts  # kept out of the cache
+        assert time.perf_counter() - start < 2.0
+        want = np.eye(d, dtype=np.int64) if m else np.zeros((1, d), dtype=np.int64)
+        assert np.array_equal(counts, want)
 
     def test_qubit_index_counts_level_one(self):
         for m in range(7):
