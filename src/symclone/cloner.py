@@ -80,8 +80,8 @@ def alpha_d_sq(j: Composition, k: Composition, m: int, l: int) -> Fraction:
 
 
 def _prefactor(d: int, m: int, l: int) -> Fraction:
-    f = math.factorial
-    return Fraction(f(l - m) * f(m + d - 1), f(l + d - 1))
+    # (l-m)! (m+d-1)! / (l+d-1)! is 1 / C(l+d-1, l-m), as (l-m) + (m+d-1) = l+d-1
+    return Fraction(1, math.comb(l + d - 1, l - m))
 
 
 def _occupancy(j, k) -> int:
@@ -230,7 +230,8 @@ class CloneOutput(SymOperator):
             return diagonal, hops
         x_diagonal, x_hops = self.source._diagonal_and_hops()
         _scatter_sum(idx, (v * v) * x_diagonal, diagonal)
-        _, ranks, _, (p, q), _ = self.source.basis.reduction
+        ranks = self.source.basis.hop_ranks
+        _, _, (p, q) = self.source.basis.reduction
         # output hop (move, r) is entry move * dim(d, l - 1) + r of the flat hops
         at = hop_index[:, None, :] + np.arange(0, hops.size, hops.shape[1])[:, None]
         _scatter_sum(at, (v[:, ranks[p]] * v[:, ranks[q]]) * x_hops, hops.reshape(-1))

@@ -127,21 +127,34 @@ class SymBasis:
         A diagonal dyad |a><a| lands on sum_i (a_i/m) |i><i|.  A one-hop dyad
         is |u + e_p><u + e_q| for one move (p, q), p != q, and one u of
         weight m - 1, and lands on sqrt((u_p + 1)(u_q + 1))/m |p><q|; dyads
-        further apart vanish.  ranks[i] is the rank of u + e_i over u in
-        basis order, and coeffs has one row per move, in (p, q) order; the
-        levels p and q come as vectors and as views broadcast to coeffs'
-        shape.  Adding e_p keeps the lex order, so each entry of the
-        reduction accumulates its terms in basis order.
+        further apart vanish.  Returns diag, the (d, N) weights a_i/m;
+        coeffs, one row per move in (p, q) order and one column per u in
+        basis order; and the move levels p and q as vectors.  Where each hop
+        sits in this basis is a separate table, hop_ranks, which a clone
+        output's reduction never reads.
         """
         d, m = self.d, self.m
         diag = np.ascontiguousarray(self.counts.T) / m
         u = enumerate_basis(d, m - 1).counts
         levels = np.nonzero(~np.eye(d, dtype=bool))
         p, q = levels
-        ranks = composition_rank(u[:, None, :] + np.eye(d, dtype=np.int64), m).T
         coeffs = np.sqrt((u.T[p] + 1) * (u.T[q] + 1)) / m
-        moves = tuple(np.broadcast_to(level[:, None], coeffs.shape) for level in levels)
-        return diag, ranks, coeffs, levels, moves
+        return diag, coeffs, levels
+
+    @cached_property
+    def hop_ranks(self) -> np.ndarray:
+        """The (d, dim(d, m - 1)) table of ranks: entry [i, j] is the rank of
+        u + e_i, u the j-th composition of weight m - 1, m >= 1.
+
+        Adding e_i keeps the lex order, so each row rises along u.  It is
+        read only to gather hops from an operator's own entries
+        (SymOperator._diagonal_and_hops, and a clone output for its source);
+        a clone output's own hops come from its plan, so the table at the
+        output weight is never built.
+        """
+        d, m = self.d, self.m
+        u = enumerate_basis(d, m - 1).counts
+        return composition_rank(u[:, None, :] + np.eye(d, dtype=np.int64), m).T
 
     def index_of(self, c: Composition) -> int:
         if c.d != self.d or c.weight != self.m:
@@ -213,8 +226,10 @@ class SymOperator:
 
     def _diagonal_and_hops(self) -> tuple[np.ndarray, np.ndarray]:
         """The diagonal, and the one-hop entries as a (d(d-1), dim(d, m-1))
-        array in the layout of basis.reduction: one row per move (p, q)."""
-        _, ranks, _, (p, q), _ = self.basis.reduction
+        array in the layout of basis.reduction's coeffs: one row per move
+        (p, q), gathered at rows hop_ranks[p] and columns hop_ranks[q]."""
+        ranks = self.basis.hop_ranks
+        _, _, (p, q) = self.basis.reduction
         x = self.entries
         return np.diagonal(x), x[ranks[p], ranks[q]]
 
@@ -306,14 +321,21 @@ def reduce_one(op: SymOperator) -> QuditOperator:
     Linear and trace-preserving for arbitrary (not necessarily Hermitian or
     positive) inputs.  For permutation-invariant operators every site gives
     the same reduction, which is what this computes.
+
+    Each off-diagonal entry (p, q) sums its move's terms strictly in basis
+    order, by a running sum along the move's row, and only the d(d-1) row
+    totals are added to the zeroed output.  That is the order and the +0.0
+    start of np.add.at over every term, so a row of -0.0 terms still gives
+    +0.0.
     """
     if op.m < 1:
         raise InvalidParameterError("single-site reduction needs at least one particle")
     d = op.d
-    diag, _, coeffs, _, moves = op.basis.reduction
+    diag, coeffs, (p, q) = op.basis.reduction
     xdiag, xhops = op._diagonal_and_hops()
     out = np.zeros((d, d), dtype=np.complex128)
     for i in range(d):
         out[i, i] = diag[i] @ xdiag
-    np.add.at(out, moves, coeffs * xhops)
+    terms = coeffs * xhops
+    np.add.at(out, (p, q), np.add.accumulate(terms, axis=1, out=terms)[:, -1])
     return QuditOperator(d, out)

@@ -92,6 +92,16 @@ class TestAlphaD:
         with pytest.raises(InvalidParameterError):
             alpha_d_sq(Composition((1, 0)), Composition((1, 0, 0)), 1, 2)
 
+    def test_prefactor_is_one_over_a_binomial(self):
+        # 1 / C(l+d-1, l-m) is the same reduced Fraction as the factorial form
+        f = math.factorial
+        for d in range(2, 9):
+            for m in range(0, 9):
+                for l in range(m, m + 12):
+                    got = cloner._prefactor(d, m, l)
+                    want = Fraction(f(l - m) * f(m + d - 1), f(l + d - 1))
+                    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
     @given(d=st.integers(2, 4), m=st.integers(0, 3), extra=st.integers(0, 4))
     @settings(max_examples=40)
     def test_normalization_is_exact(self, d, m, extra):
@@ -411,12 +421,15 @@ class TestPlansMatchReference:
     def test_reduction_plan(self):
         for d in (2, 3, 4):
             for m in range(1, 8):
-                diag, ranks, coeffs, (p, q), moves = enumerate_basis(d, m).reduction
+                basis = enumerate_basis(d, m)
+                diag, coeffs, (p, q) = basis.reduction
+                ranks = basis.hop_ranks
                 want_diag, want_hops = reference_reduction_plan(d, m)
                 assert_bitwise_equal(diag, want_diag)
                 assert ranks.shape == (d, dim(d, m - 1))
                 rows, cols = ranks[p], ranks[q]
                 assert rows.shape == (d * (d - 1), dim(d, m - 1))
+                moves = (np.broadcast_to(level[:, None], coeffs.shape) for level in (p, q))
                 # flattened in move order, the layout is the per-hop list
                 for got, want in zip((rows, cols, *moves, coeffs), want_hops, strict=True):
                     assert_bitwise_equal(got.ravel(), want)
@@ -476,6 +489,31 @@ def test_a_live_output_keeps_its_plans(d, m, l, monkeypatch):
     clear_plan_caches()
     refuse_ranks(monkeypatch)
     assert [reduce_one(out).entries.tobytes() for out in outs] == want
+
+
+@pytest.mark.parametrize("d, m, l", COLD_CELLS)
+def test_cold_reduction_ranks_no_output_composition(d, m, l, monkeypatch):
+    # a clone output reduces through its plan, so no rank table is built for
+    # its own basis: symspace ranks only the source's u + e_i (weight m), and
+    # the plan, through cloner's binding, ranks a + k and u + k
+    clear_plan_caches()
+    weights = {symspace: [], cloner: []}
+
+    def counting(module):
+        original = module.composition_rank
+
+        def rank(counts, weight):
+            weights[module].append(weight)
+            return original(counts, weight)
+
+        return rank
+
+    for module in weights:
+        monkeypatch.setattr(module, "composition_rank", counting(module))
+    n = dim(d, m)
+    reduce_one(clone_channel(sym_operator(d, m, np.eye(n) / n), l))
+    assert weights[symspace] == [m]
+    assert weights[cloner] == [l, l - 1]
 
 
 @pytest.mark.parametrize("d, m, l", COLD_CELLS)

@@ -148,6 +148,19 @@ def full_space_reduction(a, b):
     return reduce_full_to_site(full, a.d, a.weight, site=0).entries
 
 
+def add_at_reduce_one(op):
+    """reduce_one with the one-hop terms scattered by np.add.at."""
+    d = op.d
+    diag, coeffs, levels = op.basis.reduction
+    xdiag, xhops = op._diagonal_and_hops()
+    out = np.zeros((d, d), dtype=np.complex128)
+    for i in range(d):
+        out[i, i] = diag[i] @ xdiag
+    moves = tuple(np.broadcast_to(level[:, None], coeffs.shape) for level in levels)
+    np.add.at(out, moves, coeffs * xhops)
+    return out
+
+
 class TestReduceOne:
     def test_all_particles_level_zero(self):
         out = reduce_one(basis_projector(Composition((2, 0))))
@@ -170,6 +183,23 @@ class TestReduceOne:
         expected[1, 2] = 0.5
         np.testing.assert_allclose(out.entries, expected, atol=1e-15)
         np.testing.assert_allclose(out.entries, full_space_reduction(a, b), atol=1e-12)
+
+    def test_ordered_sums_match_add_at_bit_for_bit(self):
+        # off-diagonal entries of -0.0: each move's sum still starts from
+        # +0.0; a NaN real and an infinite imaginary part propagate the same
+        rng = np.random.default_rng(10)
+        for d in (2, 3, 4):
+            for m in (1, 2, 3, 5):
+                n = dim(d, m)
+                x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                negative_zeros = np.where(np.eye(n, dtype=bool), x, complex(-0.0, -0.0))
+                non_finite = x.copy()
+                non_finite[0, 1] = complex(np.nan, np.inf)  # a one-hop pair
+                for entries in (x, negative_zeros, non_finite):
+                    op = sym_operator(d, m, entries)
+                    with np.errstate(invalid="ignore"):
+                        got, want = reduce_one(op).entries, add_at_reduce_one(op)
+                    assert got.tobytes() == want.tobytes()
 
     def test_rejects_empty_operator(self):
         with pytest.raises(InvalidParameterError):
