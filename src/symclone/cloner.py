@@ -31,9 +31,11 @@ from .symspace import (
     composition_rank,
     dim,
     enumerate_basis,
+    pascal,
 )
 
-AMPLITUDE_GUARD = 1 << 20  # exact int entries of an amplitude table (8-50 B each, measured)
+# exact entries of an amplitude table: 8 B each as int64, 8-50 B as Python ints (measured)
+AMPLITUDE_GUARD = 1 << 20
 DENSE_GUARD = 1 << 22  # complex entries of a dense channel output (64 MiB)
 
 
@@ -106,9 +108,14 @@ class CloneAmplitudes:
 
     alpha^2 of the i-th input and the t-th added composition, both in
     canonical (lexicographically decreasing) order, is prefactor *
-    occupancy[i, t]: occupancy is a read-only (n_in, K) object array of
-    Python ints, prod_p C(j_p + k_p, k_p), and prefactor the one Fraction
-    (l-m)! (m+d-1)! / (l+d-1)! all entries share.
+    occupancy[i, t]: occupancy is a read-only (n_in, K) array of the exact
+    integers prod_p C(j_p + k_p, k_p), and prefactor the one Fraction
+    1 / C(l+d-1, l-m) all entries share.
+
+    Each row of occupancy sums to that denominator, the row total, so no
+    entry, factor or partial product exceeds it.  occupancy is int64 when
+    the row total is below 2**53, where every entry is also an exact
+    double, and an object array of Python ints otherwise.
     """
 
     d: int
@@ -119,12 +126,12 @@ class CloneAmplitudes:
 
     def squared(self) -> np.ndarray:
         """alpha^2 as an (n_in, K) float64 array, computed on each call."""
-        # int / int is correctly rounded, and so is float(Fraction), which is
-        # numerator / denominator: both give the double nearest the exact
-        # alpha^2, whether or not the quotient is reduced, so these are the
-        # bits of float(prefactor * occupancy)
-        p = self.prefactor
-        return ((self.occupancy * p.numerator) / p.denominator).astype(np.float64)
+        # the prefactor's numerator is 1.  Python's int / int is correctly
+        # rounded, and so is float(Fraction); below 2**53 an int64 entry and
+        # the denominator are exact doubles, so their IEEE division is too.
+        # Either dtype gives the double nearest the exact alpha^2, the bits
+        # of float(prefactor * occupancy)
+        return (self.occupancy / self.prefactor.denominator).astype(np.float64, copy=False)
 
     @cached_property
     def plan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -161,18 +168,17 @@ def clone_amplitudes(d: int, m: int, l: int) -> CloneAmplitudes:
             f"amplitude table of {n_table} exact entries exceeds the guard of "
             f"{AMPLITUDE_GUARD}"
         )
-    # Pascal table over exact ints: binom[a, b] = C(a + b, b), each row the
-    # running sum of the one above (hockey stick)
-    binom = np.ones((m + 1, l - m + 1), dtype=object)
-    for a in range(1, m + 1):
-        binom[a] = np.cumsum(binom[a - 1])
+    prefactor = _prefactor(d, m, l)
+    # no entry exceeds the row total, so int64 is exact below 2**53
+    dtype = np.int64 if prefactor.denominator < 2**53 else object
+    binom = pascal(m + 1, l - m + 1, dtype)
     inputs = enumerate_basis(d, m).counts
     added = enumerate_basis(d, l - m).counts
     occupancy = binom[inputs[:, None, 0], added[None, :, 0]]
     for p in range(1, d):
         occupancy = occupancy * binom[inputs[:, None, p], added[None, :, p]]
     occupancy.setflags(write=False)
-    return CloneAmplitudes(d=d, m=m, l=l, occupancy=occupancy, prefactor=_prefactor(d, m, l))
+    return CloneAmplitudes(d=d, m=m, l=l, occupancy=occupancy, prefactor=prefactor)
 
 
 def _scatter_sum(index: np.ndarray, values: np.ndarray, out: np.ndarray) -> None:

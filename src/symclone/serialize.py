@@ -144,11 +144,12 @@ def write_amplitudes_csv(path, amps: CloneAmplitudes) -> None:
             for weight in (amps.m, amps.l - amps.m)
         )
         # alpha^2 = n / q, reduced as Fraction reduces it; int / int is
-        # correctly rounded, so the float has the bits of float(Fraction)
+        # correctly rounded, so the float has the bits of float(Fraction).
+        # int() keeps every step on Python ints, whatever the table's dtype
         p, q = amps.prefactor.numerator, amps.prefactor.denominator
         for j, row in zip(inputs, amps.occupancy):
             for k, occupancy in zip(added, row):
-                n = occupancy * p
+                n = int(occupancy) * p
                 g = math.gcd(n, q)
                 writer.writerow([j, k, n // g, q // g, fmt_float(math.sqrt(n / q))])
 

@@ -84,18 +84,30 @@ def composition_rank(counts: np.ndarray, m: int) -> np.ndarray:
     C(rest_i + p_i - 1, p_i) with rest_i = m - (c_0 + ... + c_i) the weight
     left after position i and p_i = d - i - 1 the positions after it.
 
-    table[r, q] = C(r + q - 1, q) for r <= m, built column by column by the
-    same identity (column q is the cumulative sum of column q - 1), so no
-    entry exceeds dim(d, m) and none overflows int64 before the basis does.
+    table[r, q] = C(r + q - 1, q) for r <= m: row 0 is zero and the rows
+    below are pascal(m, d), so no entry exceeds dim(d, m) and none
+    overflows int64 before the basis does.
     """
     d = counts.shape[-1]
     rest = m - np.cumsum(counts[..., :-1], axis=-1)
     p = np.arange(d - 1, 0, -1)
     table = np.zeros((m + 1, d), dtype=np.int64)
-    table[1:, 0] = 1
-    for q in range(1, d):
-        np.cumsum(table[:, q - 1], out=table[:, q])
+    table[1:] = pascal(max(m, 0), d, np.int64)
     return table[rest, p].sum(axis=-1)
+
+
+def pascal(rows: int, cols: int, dtype) -> np.ndarray:
+    """grid[a, b] = C(a + b, b) for a < rows and b < cols, in dtype.
+
+    Row a is the running sum of row a - 1 (hockey stick).  The grid is
+    symmetric, so it is built along its longer axis, one cumsum per step of
+    the shorter one, and transposed if that axis is the rows.
+    """
+    short, long = sorted((rows, cols))
+    grid = np.ones((short, long), dtype=dtype)
+    for a in range(1, short):
+        np.cumsum(grid[a - 1], out=grid[a])
+    return grid if short == rows else grid.T
 
 
 @dataclass(frozen=True)

@@ -384,12 +384,21 @@ def assert_bitwise_equal(got, want):
 
 class TestPlansMatchReference:
     # clone_cold benchmark cells; at (2, 20, 400) the occupancy products pass
-    # 2**63, up to C(400, 20) ~ 2.8e33
-    BIG_CELLS = [(2, 20, 400), (3, 6, 30), (4, 1, 30)]
+    # 2**63, up to C(400, 20) ~ 2.8e33.  The table is int64 only while its
+    # row total C(l+d-1, l-m) is below 2**53: (2, 9, 181) sits just under the
+    # bound (8.5e15), (2, 12, 150) above it (2.0e18) yet inside int64, where
+    # a float64 division rounds some entries off the exact quotient
+    BIG_CELLS = {
+        (2, 20, 400): object,
+        (3, 6, 30): np.int64,
+        (4, 1, 30): np.int64,
+        (2, 9, 181): np.int64,
+        (2, 12, 150): object,
+    }
 
     def test_channel_plan(self):
         grid = [(d, m, l) for d in (2, 3, 4) for m in range(0, 5) for l in range(m, m + 4)]
-        for d, m, l in grid + self.BIG_CELLS:
+        for d, m, l in grid + list(self.BIG_CELLS):
             idx, v, hops = clone_amplitudes(d, m, l).plan
             want_idx, want_v = reference_channel_plan(d, m, l)
             assert_bitwise_equal(idx, want_idx)
@@ -399,6 +408,8 @@ class TestPlansMatchReference:
                 moves = np.arange(d * (d - 1))[:, None] * dim(d, l - 1)
                 hops = (moves + hops[:, None, :]).reshape(len(hops), -1)
             assert_bitwise_equal(hops, reference_hop_plan(d, m, l, want_idx))
+        for cell, dtype in self.BIG_CELLS.items():
+            assert clone_amplitudes(*cell).occupancy.dtype == dtype
         assert clone_amplitudes(2, 20, 400).occupancy.max() >= 2**63
 
     def test_table_matches_alpha_d_sq(self):

@@ -74,7 +74,7 @@ class TestEnumerateBasis:
         basis = enumerate_basis(d, 2)
         assert np.array_equal(composition_rank(basis.counts, 2), np.arange(basis.size))
 
-    @pytest.mark.parametrize("d, m", [(100000, 0), (2000, 1)])
+    @pytest.mark.parametrize("d, m", [(100000, 0), (2000, 1), (300000, 0)])
     def test_wide_bases_enumerate_in_linear_time(self, d, m):
         # each column is written once, so the cost follows the N x d rows;
         # re-stacking the earlier columns at every split took O(N d^2)
@@ -83,6 +83,12 @@ class TestEnumerateBasis:
         assert time.perf_counter() - start < 2.0
         want = np.eye(d, dtype=np.int64) if m else np.zeros((1, d), dtype=np.int64)
         assert np.array_equal(counts, want)
+        # the rank table is built along its length-d axis; one cumsum per
+        # column took over 1 s at d = 300000
+        start = time.perf_counter()
+        ranks = composition_rank(counts, m)
+        assert time.perf_counter() - start < 0.5
+        assert np.array_equal(ranks, np.arange(len(counts)))
 
     def test_qubit_index_counts_level_one(self):
         for m in range(7):
