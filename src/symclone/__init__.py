@@ -30,14 +30,13 @@ from .cloner import (
 )
 from .oracle import (
     MEMORY_GUARD,
-    FullVector,
     covariance_check,
     ginibre_sym_operator,
     hermitian_sym_operator,
     oracle_clone,
     random_unitary,
     reduce_full_to_site,
-    sym_vector,
+    sym_embedding,
 )
 from .serialize import (
     BASIS_TAG,
@@ -48,7 +47,6 @@ from .serialize import (
     write_sym_operator,
 )
 from .symspace import (
-    Composition,
     InvalidParameterError,
     QuditOperator,
     ResourceLimitError,
@@ -58,7 +56,6 @@ from .symspace import (
     basis_projector,
     dim,
     enumerate_basis,
-    multinomial,
     reduce_one,
     sym_operator,
 )

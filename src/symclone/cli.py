@@ -78,10 +78,10 @@ def _cmd_clone(args) -> int:
         op.validate_density(check_psd=args.check_psd)
     out = clone_channel(op, args.l)
     extra = {}
+    fast = reduce_one(out) if args.reduced or args.oracle else None
     if args.reduced:
-        extra["reduced"] = qudit_operator_to_pairs(reduce_one(out))
+        extra["reduced"] = qudit_operator_to_pairs(fast)
     if args.oracle:
-        fast = reduce_one(out)
         _, slow = oracle_clone(op, args.l)
         residual = float(np.max(np.abs(fast.entries - slow.entries)))
         extra["oracle_residual"] = residual

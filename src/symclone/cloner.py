@@ -23,11 +23,11 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .symspace import (
-    Composition,
     InvalidParameterError,
     ResourceLimitError,
     SymOperator,
     basis_projector,
+    composition,
     composition_rank,
     dim,
     enumerate_basis,
@@ -63,22 +63,23 @@ def alpha_qubit(j: int, k: int, m: int, l: int) -> float:
     return math.sqrt(alpha_qubit_sq(j, k, m, l))
 
 
-def alpha_d_sq(j: Composition, k: Composition, m: int, l: int) -> Fraction:
+def alpha_d_sq(j, k, m: int, l: int) -> Fraction:
     """Exact squared amplitude for d-level systems.
 
     alpha^2 = (l-m)! (m+d-1)! / (l+d-1)!  *  prod_i C(j_i + k_i, k_i)
-    with j the input occupation (weight m) and k the added occupation
-    (weight l - m).  Reduces to alpha_qubit_sq at d = 2.
+    with j the input counts (weight m) and k the added counts (weight
+    l - m).  Reduces to alpha_qubit_sq at d = 2.
     """
     if l < m:
         raise InvalidParameterError(f"need l >= m, got l={l}, m={m}")
-    if j.d != k.d:
-        raise InvalidParameterError(f"level-count mismatch: {j.d} vs {k.d}")
-    if j.weight != m:
-        raise InvalidParameterError(f"input composition has weight {j.weight}, expected {m}")
-    if k.weight != l - m:
-        raise InvalidParameterError(f"added composition has weight {k.weight}, expected {l - m}")
-    return _prefactor(j.d, m, l) * _occupancy(j.counts, k.counts)
+    j, k = composition(j), composition(k)
+    if len(j) != len(k):
+        raise InvalidParameterError(f"level-count mismatch: {len(j)} vs {len(k)}")
+    if sum(j) != m:
+        raise InvalidParameterError(f"input composition has weight {sum(j)}, expected {m}")
+    if sum(k) != l - m:
+        raise InvalidParameterError(f"added composition has weight {sum(k)}, expected {l - m}")
+    return _prefactor(len(j), m, l) * _occupancy(j, k)
 
 
 def _prefactor(d: int, m: int, l: int) -> Fraction:
@@ -90,7 +91,7 @@ def _occupancy(j, k) -> int:
     return math.prod(math.comb(a + b, b) for a, b in zip(j, k))
 
 
-def alpha_d(j: Composition, k: Composition, m: int, l: int) -> float:
+def alpha_d(j, k, m: int, l: int) -> float:
     """Cloning amplitude for d-level systems (nonnegative real)."""
     return math.sqrt(alpha_d_sq(j, k, m, l))
 
@@ -158,15 +159,18 @@ def clone_amplitudes(d: int, m: int, l: int) -> CloneAmplitudes:
     """Amplitude table for fixed (d, m, l).
 
     Refuses, before enumerating anything, a table of more than
-    AMPLITUDE_GUARD entries.
+    AMPLITUDE_GUARD entries, or of more than 8 * AMPLITUDE_GUARD entries
+    times levels: the table's product and the plan's ranks run over every
+    level of every entry.
     """
     if l < m:
         raise InvalidParameterError(f"need l >= m, got l={l}, m={m}")
     n_table = dim(d, m) * dim(d, l - m)
-    if n_table > AMPLITUDE_GUARD:
+    if n_table > AMPLITUDE_GUARD or n_table * d > 8 * AMPLITUDE_GUARD:
         raise ResourceLimitError(
-            f"amplitude table of {n_table} exact entries exceeds the guard of "
-            f"{AMPLITUDE_GUARD}"
+            f"amplitude table of {n_table} exact entries over {d} levels exceeds "
+            f"the guard of {AMPLITUDE_GUARD} entries or {8 * AMPLITUDE_GUARD} "
+            f"entries times levels"
         )
     prefactor = _prefactor(d, m, l)
     # no entry exceeds the row total, so int64 is exact below 2**53
@@ -267,8 +271,7 @@ def uqcm_pure_output(d: int, n: int, m: int) -> SymOperator:
         raise InvalidParameterError(f"need at least one input copy, got {n}")
     if m < n:
         raise InvalidParameterError(f"need m >= n, got m={m}, n={n}")
-    seed = Composition((n,) + (0,) * (d - 1))
-    return clone_channel(basis_projector(seed), m)
+    return clone_channel(basis_projector((n,) + (0,) * (d - 1)), m)
 
 
 def isometry_gram(d: int, m: int, l: int) -> np.ndarray:

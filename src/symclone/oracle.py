@@ -10,83 +10,44 @@ refused rather than swapped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .symspace import (
-    Composition,
     InvalidParameterError,
     QuditOperator,
     ResourceLimitError,
     SymOperator,
     dim,
     enumerate_basis,
-    multinomial,
 )
 
 MEMORY_GUARD = 1 << 20  # complex entries per dense array
 
 
-@dataclass(frozen=True, eq=False)
-class FullVector:
-    """State vector on n_sites qudits, site 0 most significant."""
-
-    d: int
-    n_sites: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amplitudes = np.array(self.amplitudes, dtype=np.complex128)
-        expected = self.d**self.n_sites
-        if amplitudes.shape != (expected,):
-            raise InvalidParameterError(
-                f"expected {expected} amplitudes, got shape {amplitudes.shape}"
-            )
-        amplitudes.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amplitudes)
-
-
-def _word_indices(counts, d: int, m: int) -> list[int]:
-    # every distinct arrangement of the letter multiset, as a basis index
-    out: list[int] = []
-    remaining = list(counts)
-
-    def rec(pos: int, prefix: int):
-        if pos == m:
-            out.append(prefix)
-            return
-        for level in range(d):
-            if remaining[level]:
-                remaining[level] -= 1
-                rec(pos + 1, prefix * d + level)
-                remaining[level] += 1
-
-    rec(0, 0)
-    return out
-
-
-def sym_vector(c: Composition) -> FullVector:
-    """Equal-amplitude superposition over all distinct orderings of c, unit norm."""
-    m = c.weight
-    if m < 1:
-        raise InvalidParameterError("symmetrized vector needs at least one particle")
-    d = c.d
-    size = d**m
-    if size > MEMORY_GUARD:
-        raise ResourceLimitError(
-            f"d**m = {size} amplitudes exceeds the guard of {MEMORY_GUARD}"
-        )
-    amplitudes = np.zeros(size, dtype=np.complex128)
-    amplitudes[_word_indices(c.counts, d, m)] = 1.0 / math.sqrt(multinomial(c))
-    return FullVector(d, m, amplitudes)
-
-
 def sym_embedding(d: int, m: int) -> np.ndarray:
-    """Matrix whose columns are the symmetrized basis vectors of (d, m)."""
-    basis = enumerate_basis(d, m)
-    return np.column_stack([sym_vector(c).amplitudes for c in basis.order])
+    """Matrix whose columns are the symmetrized basis vectors of (d, m).
+
+    Row w is the m-site word w, site 0 most significant.  A word's letters
+    in ascending order name its multiset, and read as a base-d number they
+    sort the multisets as the basis orders their counts (lexicographically
+    decreasing), so sorting the distinct keys places every word in its
+    column without the fast path's rank formula.  Its amplitude is 1/sqrt
+    of that column's word count.  At m = 0 the empty word spans the space.
+    """
+    n = dim(d, m)
+    if d**m * n > MEMORY_GUARD:
+        raise ResourceLimitError(
+            f"dense {d}**{m} x {n} embedding exceeds the guard of {MEMORY_GUARD} entries"
+        )
+    words = np.arange(d**m)
+    place = d ** np.arange(m - 1, -1, -1)
+    digits = words[:, None] // place % d
+    _, col = np.unique(np.sort(digits, axis=1) @ place, return_inverse=True)
+    out = np.zeros((d**m, n), dtype=np.complex128)
+    out[words, col] = 1 / np.sqrt(np.bincount(col))[col]
+    return out
 
 
 def reduce_full_to_site(full: np.ndarray, d: int, n_sites: int, site: int = 0) -> QuditOperator:
@@ -126,8 +87,7 @@ def clone_isometry_full(d: int, m: int, l: int) -> np.ndarray:
             f"dense {d}**{l} x {d}**{l} operators exceed the guard of {MEMORY_GUARD} entries"
         )
     e_l = sym_embedding(d, l)
-    # the m = 0 input space is spanned by the empty word
-    e_m = sym_embedding(d, m) if m else np.ones((1, 1))
+    e_m = sym_embedding(d, m)
     s = (e_l @ e_l.conj().T).reshape(d**l, d**m, d ** (l - m))
     v = np.einsum("wuj,uc->wjc", s, e_m) * math.sqrt(dim(d, m) / dim(d, l))
     v = v.reshape(-1, e_m.shape[1])

@@ -24,33 +24,15 @@ class ResourceLimitError(RuntimeError):
     """A dense object would exceed a memory guard."""
 
 
-@dataclass(frozen=True)
-class Composition:
-    """Occupation numbers of d levels; the weight is the total particle count."""
-
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        counts = tuple(int(c) for c in self.counts)
-        object.__setattr__(self, "counts", counts)
-        if len(counts) < 2:
-            raise InvalidParameterError(f"need at least 2 levels, got {len(counts)}")
-        if any(c < 0 for c in counts):
-            raise InvalidParameterError(f"negative occupation in {counts}")
-
-    @property
-    def d(self) -> int:
-        return len(self.counts)
-
-    @property
-    def weight(self) -> int:
-        return sum(self.counts)
-
-    def __getitem__(self, i: int) -> int:
-        return self.counts[i]
-
-    def __iter__(self):
-        return iter(self.counts)
+def composition(counts) -> tuple[int, ...]:
+    """Occupation numbers of d >= 2 levels as a tuple of ints; the weight is
+    their sum.  Rejects fewer than 2 levels and a negative count."""
+    counts = tuple(int(c) for c in counts)
+    if len(counts) < 2:
+        raise InvalidParameterError(f"need at least 2 levels, got {len(counts)}")
+    if any(c < 0 for c in counts):
+        raise InvalidParameterError(f"negative occupation in {counts}")
+    return counts
 
 
 def _compositions(d: int, m: int) -> np.ndarray:
@@ -128,11 +110,6 @@ class SymBasis:
         return len(self.counts)
 
     @cached_property
-    def order(self) -> tuple[Composition, ...]:
-        """The rows of counts as Composition objects, built on first use."""
-        return tuple(Composition(tuple(row)) for row in self.counts.tolist())
-
-    @cached_property
     def reduction(self):
         """Sparse action of the single-site reduction on basis dyads, m >= 1.
 
@@ -168,13 +145,6 @@ class SymBasis:
         u = enumerate_basis(d, m - 1).counts
         return composition_rank(u[:, None, :] + np.eye(d, dtype=np.int64), m).T
 
-    def index_of(self, c: Composition) -> int:
-        if c.d != self.d or c.weight != self.m:
-            raise InvalidParameterError(
-                f"{c.counts} is not a composition of {self.m} into {self.d} parts"
-            )
-        return int(composition_rank(np.array(c.counts), self.m))
-
 
 @lru_cache(maxsize=None)
 def enumerate_basis(d: int, m: int) -> SymBasis:
@@ -195,13 +165,6 @@ def dim(d: int, m: int) -> int:
     if m < 0:
         raise InvalidParameterError(f"particle number must be >= 0, got {m}")
     return math.comb(m + d - 1, d - 1)
-
-
-def multinomial(c: Composition) -> int:
-    """Number of distinct site orderings of the letter multiset c, exact."""
-    return math.factorial(c.weight) // math.prod(
-        math.factorial(n) for n in c.counts
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,17 +247,19 @@ def sym_operator(d: int, m: int, entries) -> SymOperator:
     return SymOperator(enumerate_basis(d, m), entries)
 
 
-def basis_dyad(a: Composition, b: Composition) -> SymOperator:
-    """|a><b| over the canonical basis; a and b must share d and weight."""
-    if a.d != b.d or a.weight != b.weight:
+def basis_dyad(a, b) -> SymOperator:
+    """|a><b| over the canonical basis; a and b are counts of one d and weight."""
+    a, b = composition(a), composition(b)
+    if len(a) != len(b) or sum(a) != sum(b):
         raise InvalidParameterError("dyad endpoints must live in the same basis")
-    basis = enumerate_basis(a.d, a.weight)
+    basis = enumerate_basis(len(a), sum(a))
+    i, j = composition_rank(np.array([a, b]), basis.m)
     entries = np.zeros((basis.size, basis.size), dtype=np.complex128)
-    entries[basis.index_of(a), basis.index_of(b)] = 1.0
+    entries[i, j] = 1.0
     return SymOperator(basis, entries)
 
 
-def basis_projector(c: Composition) -> SymOperator:
+def basis_projector(c) -> SymOperator:
     """|c><c| over the canonical basis."""
     return basis_dyad(c, c)
 

@@ -7,14 +7,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from symclone import cloner, verify
+from symclone import cli, cloner, verify
 from symclone.cli import main
 from symclone.serialize import sym_operator_to_dict, write_sym_operator
-from symclone.symspace import Composition, SymOperator, basis_projector, sym_operator
+from symclone.symspace import SymOperator, basis_projector, reduce_one, sym_operator
 
 
 def write_pure_input(path):
-    write_sym_operator(path, basis_projector(Composition((1, 0))))
+    write_sym_operator(path, basis_projector((1, 0)))
 
 
 class TestCoeffs:
@@ -99,14 +99,14 @@ class TestClone:
 
     def test_basis_tag_mismatch(self, tmp_path, capsys):
         src = tmp_path / "in.json"
-        doc = sym_operator_to_dict(basis_projector(Composition((1, 0))))
+        doc = sym_operator_to_dict(basis_projector((1, 0)))
         doc["basis"] = "other"
         src.write_text(json.dumps(doc))
         assert main(["clone", str(src), "--l", "2", "--out", str(tmp_path / "o.json")]) == 2
 
     def test_shrinking_rejected(self, tmp_path, capsys):
         src = tmp_path / "in.json"
-        write_sym_operator(src, basis_projector(Composition((1, 1))))
+        write_sym_operator(src, basis_projector((1, 1)))
         assert main(["clone", str(src), "--l", "1", "--out", str(tmp_path / "o.json")]) == 2
 
     def test_validation_failure_and_override(self, tmp_path, capsys):
@@ -120,7 +120,7 @@ class TestClone:
     def test_non_finite_input_rejected(self, tmp_path, capsys):
         src = tmp_path / "in.json"
         dst = tmp_path / "out.json"
-        doc = sym_operator_to_dict(basis_projector(Composition((1, 0))))
+        doc = sym_operator_to_dict(basis_projector((1, 0)))
         doc["entries"][1] = [float("nan"), 0.0]
         src.write_text(json.dumps(doc))  # Python writes the NaN literal
         for extra in ([], ["--no-validate"]):
@@ -132,7 +132,7 @@ class TestClone:
     def test_oversized_request_rejected_before_enumeration(self, tmp_path, capsys):
         src = tmp_path / "in.json"
         dst = tmp_path / "out.json"
-        write_sym_operator(src, basis_projector(Composition((1, 0, 0))))
+        write_sym_operator(src, basis_projector((1, 0, 0)))
         assert main(["clone", str(src), "--l", "2000", "--out", str(dst)]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["code"] == 2 and "guard" in err["error"]
@@ -142,7 +142,7 @@ class TestClone:
         # 11476**2 entries: the JSON writer would build one list per entry
         src = tmp_path / "in.json"
         dst = tmp_path / "out.json"
-        write_sym_operator(src, basis_projector(Composition((1, 0, 0))))
+        write_sym_operator(src, basis_projector((1, 0, 0)))
         assert main(["clone", str(src), "--l", "150", "--reduced", "--out", str(dst)]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["code"] == 2 and "guard" in err["error"]
@@ -152,7 +152,7 @@ class TestClone:
         # the error may not spell out d**l, which grows with l
         src = tmp_path / "in.json"
         dst = tmp_path / "out.json"
-        write_sym_operator(src, basis_projector(Composition((1, 0))))
+        write_sym_operator(src, basis_projector((1, 0)))
         assert main(["clone", str(src), "--l", "1500", "--oracle", "--out", str(dst)]) == 2
         err = capsys.readouterr().err.strip()
         assert json.loads(err)["code"] == 2 and len(err.encode()) < 200
@@ -162,7 +162,7 @@ class TestClone:
         # composition_rank once built C(n, k) up to n = d + m - 2 as int64
         src = tmp_path / "in.json"
         dst = tmp_path / "out.json"
-        write_sym_operator(src, basis_projector(Composition((1,) + (0,) * 67)))
+        write_sym_operator(src, basis_projector((1,) + (0,) * 67))
         assert main(["clone", str(src), "--l", "1", "--out", str(dst)]) == 0
         assert json.loads(dst.read_text())["d"] == 68
 
@@ -187,6 +187,42 @@ class TestClone:
         assert code == 2 and seconds < 1.0 and peak < 1 << 20
         err = json.loads(capsys.readouterr().err)
         assert err["code"] == 2 and "entry pairs" in err["error"]
+
+    @pytest.mark.parametrize("d, l", [(300000, 1), (1000, 2)])
+    def test_wide_table_rejected_before_enumeration(self, d, l, tmp_path, capsys):
+        # the table has at most 500500 entries, but its product and the
+        # plan's ranks run over all d levels of each: (300, 0, 2) alone took
+        # 1.2 s and 447 MiB, and (300000, 0, 1) ran past 120 s
+        src = tmp_path / "in.json"
+        doc = {"d": d, "m": 0, "basis": "lex_decreasing", "entries": [[1, 0]]}
+        src.write_text(json.dumps(doc))
+        argv = ["clone", str(src), "--l", str(l), "--out", str(tmp_path / "o.json")]
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            code = main(argv)
+            seconds = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # beyond the input's own (1, d) basis row, which the reader enumerates
+        assert code == 2 and seconds < 1.0 and peak < (1 << 20) + 8 * d
+        err = json.loads(capsys.readouterr().err)
+        assert err["code"] == 2 and "amplitude table" in err["error"]
+
+    def test_reduces_the_output_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(op):
+            calls.append(op)
+            return reduce_one(op)
+
+        monkeypatch.setattr(cli, "reduce_one", counting)
+        src = tmp_path / "in.json"
+        write_pure_input(src)
+        argv = ["clone", str(src), "--l", "3", "--reduced", "--oracle"]
+        assert main(argv + ["--out", str(tmp_path / "o.json")]) == 0
+        assert len(calls) == 1
 
     def test_missing_input_file(self, tmp_path, capsys):
         code = main(

@@ -140,11 +140,11 @@ class TestCsv:
             "alpha_squared_denominator,alpha_float"
         ]
         numerators = []
-        for j in enumerate_basis(d, m).order:
-            for k in enumerate_basis(d, l - m).order:
+        for j in enumerate_basis(d, m).counts.tolist():
+            for k in enumerate_basis(d, l - m).counts.tolist():
                 sq = alpha_d_sq(j, k, m, l)
                 numerators.append(sq.numerator)
-                j_text, k_text = (" ".join(map(str, c.counts)) for c in (j, k))
+                j_text, k_text = (" ".join(map(str, c)) for c in (j, k))
                 lines.append(
                     f"{j_text},{k_text},{sq.numerator},{sq.denominator},"
                     f"{format(math.sqrt(sq), '.17g')}"

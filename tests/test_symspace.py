@@ -7,16 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 
-from symclone.oracle import reduce_full_to_site, sym_vector
+from symclone.cloner import alpha_d_sq
+from symclone.oracle import MEMORY_GUARD, reduce_full_to_site, sym_embedding
 from symclone.symspace import (
-    Composition,
     InvalidParameterError,
     basis_dyad,
     basis_projector,
     composition_rank,
     dim,
     enumerate_basis,
-    multinomial,
     reduce_one,
     sym_operator,
 )
@@ -30,18 +29,18 @@ def brute_force_compositions(d, m):
 class TestEnumerateBasis:
     def test_qubit_pair(self):
         basis = enumerate_basis(2, 2)
-        assert [c.counts for c in basis.order] == [(2, 0), (1, 1), (0, 2)]
+        assert basis.counts.tolist() == [[2, 0], [1, 1], [0, 2]]
         assert basis.size == 3
 
     def test_vacuum(self):
         basis = enumerate_basis(2, 0)
-        assert [c.counts for c in basis.order] == [(0, 0)]
+        assert basis.counts.tolist() == [[0, 0]]
 
     def test_qutrit_pair(self):
         basis = enumerate_basis(3, 2)
         assert basis.size == len(brute_force_compositions(3, 2)) == 6
-        assert basis.order[0].counts == (2, 0, 0)
-        assert basis.order[-1].counts == (0, 0, 2)
+        assert basis.counts[0].tolist() == [2, 0, 0]
+        assert basis.counts[-1].tolist() == [0, 0, 2]
 
     def test_invalid_parameters(self):
         with pytest.raises(InvalidParameterError):
@@ -51,12 +50,9 @@ class TestEnumerateBasis:
 
     @given(d=st.integers(2, 4), m=st.integers(0, 6))
     def test_matches_brute_force_and_is_lex_decreasing(self, d, m):
-        basis = enumerate_basis(d, m)
-        assert {c.counts for c in basis.order} == brute_force_compositions(d, m)
-        assert all(
-            basis.order[i].counts > basis.order[i + 1].counts
-            for i in range(basis.size - 1)
-        )
+        rows = [tuple(c) for c in enumerate_basis(d, m).counts.tolist()]
+        assert set(rows) == brute_force_compositions(d, m)
+        assert all(rows[i] > rows[i + 1] for i in range(len(rows) - 1))
 
     @given(d=st.integers(2, 5), m=st.integers(0, 6))
     @example(d=2, m=0)
@@ -64,7 +60,8 @@ class TestEnumerateBasis:
     @example(d=5, m=6)
     def test_index_bijection(self, d, m):
         basis = enumerate_basis(d, m)
-        assert [basis.index_of(c) for c in basis.order] == list(range(basis.size))
+        ranks = [int(composition_rank(np.array(c), m)) for c in basis.counts.tolist()]
+        assert ranks == list(range(basis.size))
         ranks = composition_rank(basis.counts, m)
         assert np.array_equal(ranks, np.arange(basis.size))
 
@@ -93,13 +90,14 @@ class TestEnumerateBasis:
     def test_qubit_index_counts_level_one(self):
         for m in range(7):
             basis = enumerate_basis(2, m)
-            for i, c in enumerate(basis.order):
-                assert c.counts == (m - i, i)
+            for i, c in enumerate(basis.counts.tolist()):
+                assert c == [m - i, i]
 
-    def test_index_of_rejects_foreign_composition(self):
-        basis = enumerate_basis(2, 2)
+    def test_dyad_rejects_foreign_composition(self):
         with pytest.raises(InvalidParameterError):
-            basis.index_of(Composition((3, 0)))
+            basis_dyad((2, 0), (3, 0))
+        with pytest.raises(InvalidParameterError):
+            basis_dyad((1, 1), (1, 1, 0))
 
 
 class TestDim:
@@ -110,7 +108,7 @@ class TestDim:
 
     @given(d=st.integers(2, 5), m=st.integers(0, 6))
     def test_matches_enumeration(self, d, m):
-        assert dim(d, m) == len(enumerate_basis(d, m).order)
+        assert dim(d, m) == len(enumerate_basis(d, m).counts)
 
     def test_invalid(self):
         with pytest.raises(InvalidParameterError):
@@ -119,39 +117,59 @@ class TestDim:
             dim(3, -1)
 
 
+def sym_column(counts):
+    """The symmetrized vector of counts: its column of sym_embedding."""
+    d, m = len(counts), sum(counts)
+    return sym_embedding(d, m)[:, enumerate_basis(d, m).counts.tolist().index(list(counts))]
+
+
+def multinomial(counts):
+    """The symmetrized vector's word count, and its one nonzero value."""
+    v = sym_column(counts)
+    words = np.flatnonzero(v)
+    assert np.all(v[words] == 1 / np.sqrt(len(words)))
+    return len(words)
+
+
 class TestMultinomial:
     def test_examples(self):
-        assert multinomial(Composition((1, 1))) == 2
-        assert multinomial(Composition((2, 0, 0))) == 1
+        assert multinomial((1, 1)) == 2
+        assert multinomial((2, 0, 0)) == 1
         # distinct orderings of the word 0 0 1 2, counted by brute force
         word = (0, 0, 1, 2)
         assert len(set(itertools.permutations(word))) == 12
-        assert multinomial(Composition((2, 1, 1))) == 12
+        assert multinomial((2, 1, 1)) == 12
 
     @given(counts=st.lists(st.integers(0, 3), min_size=2, max_size=4))
     def test_counts_distinct_permutations(self, counts):
-        c = Composition(tuple(counts))
-        assume(c.weight <= 7)
+        d, m = len(counts), sum(counts)
+        # (4, 7), 16384 words by 120 columns, is beyond the embedding's guard
+        assume(m <= 7 and d**m * dim(d, m) <= MEMORY_GUARD)
         word = tuple(i for i, n in enumerate(counts) for _ in range(n))
-        assert multinomial(c) == len(set(itertools.permutations(word)))
+        assert multinomial(counts) == len(set(itertools.permutations(word)))
 
 
 class TestCompositionValidation:
+    # count tuples are checked where they enter
     def test_negative_count_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            Composition((1, -1))
+        with pytest.raises(InvalidParameterError, match="negative"):
+            basis_projector((1, -1))
+        with pytest.raises(InvalidParameterError, match="negative"):
+            basis_dyad((1, 0), (2, -1))
+        with pytest.raises(InvalidParameterError, match="negative"):
+            alpha_d_sq((2, -1), (1, 0), 1, 2)
 
     def test_single_level_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            Composition((3,))
+        with pytest.raises(InvalidParameterError, match="2 levels"):
+            basis_projector((3,))
+        with pytest.raises(InvalidParameterError, match="2 levels"):
+            alpha_d_sq((1,), (1,), 1, 2)
 
 
 def full_space_reduction(a, b):
     """Independent route: symmetrize both states, form the dyad, trace to one site."""
-    va = sym_vector(a).amplitudes
-    vb = sym_vector(b).amplitudes
-    full = np.outer(va, vb.conj())
-    return reduce_full_to_site(full, a.d, a.weight, site=0).entries
+    full = np.outer(sym_column(a), sym_column(b).conj())
+    return reduce_full_to_site(full, len(a), sum(a), site=0).entries
 
 
 def add_at_reduce_one(op):
@@ -169,21 +187,21 @@ def add_at_reduce_one(op):
 
 class TestReduceOne:
     def test_all_particles_level_zero(self):
-        out = reduce_one(basis_projector(Composition((2, 0))))
+        out = reduce_one(basis_projector((2, 0)))
         np.testing.assert_allclose(out.entries, np.diag([1.0, 0.0]), atol=1e-15)
 
     def test_balanced_pair(self):
-        out = reduce_one(basis_projector(Composition((1, 1))))
+        out = reduce_one(basis_projector((1, 1)))
         np.testing.assert_allclose(out.entries, np.diag([0.5, 0.5]), atol=1e-15)
 
     def test_one_hop_qubit_dyad(self):
-        out = reduce_one(basis_dyad(Composition((2, 0)), Composition((1, 1))))
+        out = reduce_one(basis_dyad((2, 0), (1, 1)))
         expected = np.zeros((2, 2), dtype=complex)
         expected[0, 1] = math.sqrt(2) / 2
         np.testing.assert_allclose(out.entries, expected, atol=1e-15)
 
     def test_one_hop_qutrit_dyad(self):
-        a, b = Composition((1, 1, 0)), Composition((1, 0, 1))
+        a, b = (1, 1, 0), (1, 0, 1)
         out = reduce_one(basis_dyad(a, b))
         expected = np.zeros((3, 3), dtype=complex)
         expected[1, 2] = 0.5
@@ -239,8 +257,8 @@ class TestReduceOne:
         for d in (2, 3):
             for m in (1, 2, 3):
                 basis = enumerate_basis(d, m)
-                for a in basis.order:
-                    for b in basis.order:
+                for a in basis.counts.tolist():
+                    for b in basis.counts.tolist():
                         got = reduce_one(basis_dyad(a, b)).entries
                         want = full_space_reduction(a, b)
                         np.testing.assert_allclose(got, want, atol=1e-10)
@@ -248,13 +266,13 @@ class TestReduceOne:
     def test_qubit_coefficient_families_exact(self):
         for m in range(1, 6):
             for j in range(m + 1):
-                c = Composition((m - j, j))
+                c = (m - j, j)
                 diag = reduce_one(basis_projector(c)).entries
                 assert diag[0, 0].real == (m - j) / m
                 assert diag[1, 1].real == j / m
             for j in range(m):
-                upper = Composition((m - j, j))
-                lower = Composition((m - j - 1, j + 1))
+                upper = (m - j, j)
+                lower = (m - j - 1, j + 1)
                 out = reduce_one(basis_dyad(upper, lower)).entries
                 assert out[0, 1].real == math.sqrt((m - j) * (j + 1)) / m
 
