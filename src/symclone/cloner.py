@@ -37,6 +37,9 @@ from .symspace import (
 # exact entries of an amplitude table: 8 B each as int64, 8-50 B as Python ints (measured)
 AMPLITUDE_GUARD = 1 << 20
 DENSE_GUARD = 1 << 22  # complex entries of a dense channel output (64 MiB)
+# hop terms of a clone output's reduction from which scattering one move at a
+# time beats one scatter over every move (crossover measured, CHANGES.md)
+PER_MOVE_TERMS = 8192
 
 
 def alpha_qubit_sq(j: int, k: int, m: int, l: int) -> Fraction:
@@ -185,15 +188,6 @@ def clone_amplitudes(d: int, m: int, l: int) -> CloneAmplitudes:
     return CloneAmplitudes(d=d, m=m, l=l, occupancy=occupancy, prefactor=prefactor)
 
 
-def _scatter_sum(index: np.ndarray, values: np.ndarray, out: np.ndarray) -> None:
-    # np.bincount adds in input order, so each output entry sums its terms in
-    # k order, as the dense loop does; real and imaginary parts add apart
-    # there too, so the sums agree bit for bit
-    flat = index.ravel()
-    out.real = np.bincount(flat, values.real.ravel(), len(out))
-    out.imag = np.bincount(flat, values.imag.ravel(), len(out))
-
-
 class CloneOutput(SymOperator):
     """clone_channel's output: its input operator (source) and table (cell).
 
@@ -235,16 +229,27 @@ class CloneOutput(SymOperator):
         # dots this diagonal, so it gets a strided view too, and the same bits
         diagonal = np.zeros((self.basis.size, 2), dtype=np.complex128)[:, 0]
         hops = np.zeros((d * (d - 1), dim(d, l - 1)), dtype=np.complex128)
+        # np.add.at adds in index order onto +0.0, as the dense loop adds in
+        # k order, with real and imaginary parts apart, so the sums agree bit
+        # for bit; numpy's fast path takes only 1-D index and value arrays
         if not m:  # a single input state: no one-hop pairs, and no reduction plan
-            _scatter_sum(idx, (v * v) * np.diagonal(self.source.entries), diagonal)
+            np.add.at(diagonal, idx.ravel(), ((v * v) * np.diagonal(self.source.entries)).ravel())
             return diagonal, hops
         x_diagonal, x_hops = self.source._diagonal_and_hops()
-        _scatter_sum(idx, (v * v) * x_diagonal, diagonal)
-        ranks = self.source.basis.hop_ranks
+        np.add.at(diagonal, idx.ravel(), ((v * v) * x_diagonal).ravel())
+        g = v[:, self.source.basis.hop_ranks]
         _, _, (p, q) = self.source.basis.reduction
-        # output hop (move, r) is entry move * dim(d, l - 1) + r of the flat hops
-        at = hop_index[:, None, :] + np.arange(0, hops.size, hops.shape[1])[:, None]
-        _scatter_sum(at, (v[:, ranks[p]] * v[:, ranks[q]]) * x_hops, hops.reshape(-1))
+        if hop_index.size * len(p) < PER_MOVE_TERMS:
+            # output hop (move, r) is entry move * dim(d, l - 1) + r of the flat hops
+            at = hop_index[:, None, :] + np.arange(0, hops.size, hops.shape[1])[:, None]
+            np.add.at(hops.reshape(-1), at.ravel(), ((g[:, p] * g[:, q]) * x_hops).ravel())
+            return diagonal, hops
+        # each move writes only its own row, so one move at a time keeps every
+        # entry's order; its terms fill one buffer that every move reuses
+        terms = np.empty(hop_index.shape, dtype=np.complex128)
+        for j, (p_j, q_j) in enumerate(zip(p, q)):
+            np.multiply(g[:, p_j] * g[:, q_j], x_hops[j], out=terms)
+            np.add.at(hops[j], hop_index.ravel(), terms.ravel())
         return diagonal, hops
 
 

@@ -9,6 +9,7 @@ closed forms, the brute-force oracle, file formats) works in this basis.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -26,8 +27,11 @@ class ResourceLimitError(RuntimeError):
 
 def composition(counts) -> tuple[int, ...]:
     """Occupation numbers of d >= 2 levels as a tuple of ints; the weight is
-    their sum.  Rejects fewer than 2 levels and a negative count."""
-    counts = tuple(int(c) for c in counts)
+    their sum.  Rejects non-integers, fewer than 2 levels and negative counts."""
+    try:
+        counts = tuple(operator.index(c) for c in counts)
+    except TypeError:
+        raise InvalidParameterError(f"occupations must be integers, got {counts!r}") from None
     if len(counts) < 2:
         raise InvalidParameterError(f"need at least 2 levels, got {len(counts)}")
     if any(c < 0 for c in counts):

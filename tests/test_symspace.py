@@ -159,6 +159,14 @@ class TestCompositionValidation:
         with pytest.raises(InvalidParameterError, match="negative"):
             alpha_d_sq((2, -1), (1, 0), 1, 2)
 
+    def test_non_integral_count_rejected(self):
+        with pytest.raises(InvalidParameterError, match="integers"):
+            basis_projector((1.7, 0.2))
+        with pytest.raises(InvalidParameterError, match="integers"):
+            alpha_d_sq((0.9, 1.2), (1, 0), 1, 2)
+        # Python and NumPy integers are counts
+        assert basis_projector((np.int64(1), 0)).m == 1
+
     def test_single_level_rejected(self):
         with pytest.raises(InvalidParameterError, match="2 levels"):
             basis_projector((3,))
