@@ -37,9 +37,6 @@ from .symspace import (
 # exact entries of an amplitude table: 8 B each as int64, 8-50 B as Python ints (measured)
 AMPLITUDE_GUARD = 1 << 20
 DENSE_GUARD = 1 << 22  # complex entries of a dense channel output (64 MiB)
-# hop terms of a clone output's reduction from which scattering one move at a
-# time beats one scatter over every move (crossover measured, CHANGES.md)
-PER_MOVE_TERMS = 8192
 
 
 def alpha_qubit_sq(j: int, k: int, m: int, l: int) -> Fraction:
@@ -239,11 +236,6 @@ class CloneOutput(SymOperator):
         np.add.at(diagonal, idx.ravel(), ((v * v) * x_diagonal).ravel())
         g = v[:, self.source.basis.hop_ranks]
         _, _, (p, q) = self.source.basis.reduction
-        if hop_index.size * len(p) < PER_MOVE_TERMS:
-            # output hop (move, r) is entry move * dim(d, l - 1) + r of the flat hops
-            at = hop_index[:, None, :] + np.arange(0, hops.size, hops.shape[1])[:, None]
-            np.add.at(hops.reshape(-1), at.ravel(), ((g[:, p] * g[:, q]) * x_hops).ravel())
-            return diagonal, hops
         # each move writes only its own row, so one move at a time keeps every
         # entry's order; its terms fill one buffer that every move reuses
         terms = np.empty(hop_index.shape, dtype=np.complex128)
