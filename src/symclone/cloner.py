@@ -28,10 +28,10 @@ from .symspace import (
     SymOperator,
     basis_projector,
     composition,
-    composition_rank,
     dim,
     enumerate_basis,
     pascal,
+    sum_ranks,
 )
 
 # exact entries of an amplitude table: 8 B each as int64, 8-50 B as Python ints (measured)
@@ -142,13 +142,14 @@ class CloneAmplitudes:
         output basis and the amplitude alpha(a, k_t).  hops is the same
         index one weight lower, (K, dim(d, m-1)): the one-hop pair
         (u + e_p, u + e_q) goes to hop (p, q) at the rank of u + k_t.
+        Both are sum_ranks of the added compositions and the a (or u).
         """
         d, m, l = self.d, self.m, self.l
         v = np.sqrt(self.squared().T.copy())
-        added = enumerate_basis(d, l - m).counts[:, None, :]
-        idx = composition_rank(added + enumerate_basis(d, m).counts, l)
+        added = enumerate_basis(d, l - m).counts
+        idx = sum_ranks(added, enumerate_basis(d, m).counts, l)
         below = enumerate_basis(d, m - 1).counts if m else np.zeros((0, d), dtype=np.int64)
-        hops = composition_rank(added + below, l - 1)
+        hops = sum_ranks(added, below, l - 1)
         for a in (idx, v, hops):
             a.setflags(write=False)
         return idx, v, hops
@@ -175,12 +176,13 @@ def clone_amplitudes(d: int, m: int, l: int) -> CloneAmplitudes:
     prefactor = _prefactor(d, m, l)
     # no entry exceeds the row total, so int64 is exact below 2**53
     dtype = np.int64 if prefactor.denominator < 2**53 else object
-    binom = pascal(m + 1, l - m + 1, dtype)
-    inputs = enumerate_basis(d, m).counts
+    binom = pascal(m + 1, l - m + 1, dtype).ravel()
+    # C(j_p + k_p, k_p) sits at j_p (l - m + 1) + k_p of the flat grid
+    inputs = enumerate_basis(d, m).counts * (l - m + 1)
     added = enumerate_basis(d, l - m).counts
-    occupancy = binom[inputs[:, None, 0], added[None, :, 0]]
+    occupancy = binom.take(inputs[:, None, 0] + added[None, :, 0])
     for p in range(1, d):
-        occupancy = occupancy * binom[inputs[:, None, p], added[None, :, p]]
+        occupancy = occupancy * binom.take(inputs[:, None, p] + added[None, :, p])
     occupancy.setflags(write=False)
     return CloneAmplitudes(d=d, m=m, l=l, occupancy=occupancy, prefactor=prefactor)
 

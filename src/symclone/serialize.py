@@ -45,7 +45,8 @@ def fmt_composition(counts) -> str:
 
 
 def _entry_pairs(matrix: np.ndarray) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in matrix.reshape(-1)]
+    # a complex128 entry is its real and imaginary doubles side by side
+    return np.ascontiguousarray(matrix).view(np.float64).reshape(-1, 2).tolist()
 
 
 def sym_operator_to_dict(op: SymOperator) -> dict:

@@ -62,24 +62,37 @@ def _compositions(d: int, m: int) -> np.ndarray:
     return rows
 
 
-def composition_rank(counts: np.ndarray, m: int) -> np.ndarray:
-    """Canonical basis index of each weight-m composition along the last axis.
+def sum_ranks(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    """Canonical basis index [i, j] of each weight-m row sum a[i] + b[j], int64.
 
     Closed form (hockey-stick identity): the compositions before c are those
     that first exceed it at some position i < d - 1, which number
     C(rest_i + p_i - 1, p_i) with rest_i = m - (c_0 + ... + c_i) the weight
     left after position i and p_i = d - i - 1 the positions after it.
+    Prefix sums add, so rest_i = m - A_i - B_i from the prefix sums A of a
+    and B of b, and no sum is built: rest is a (d - 1, len(a), len(b))
+    array, looked up in one flat take and summed over its first axis.
+    composition_rank is the case of one zero row b.
 
-    table[r, q] = C(r + q - 1, q) for r <= m: row 0 is zero and the rows
-    below are pascal(m, d), so no entry exceeds dim(d, m) and none
-    overflows int64 before the basis does.
+    table[q, r] = C(r + q - 1, q) for r <= m: column 0 is zero and the
+    columns after it are pascal(d, m), so no entry exceeds dim(d, m) and
+    none overflows int64 before the basis does.
     """
+    d = a.shape[-1]
+    table = np.zeros((d, m + 1), dtype=np.int64)
+    table[:, 1:] = pascal(d, max(m, 0), np.int64)
+    # row p_i of the flat table starts at p_i (m + 1); take would copy a rest not in C order
+    base = m + (m + 1) * np.arange(d - 1, 0, -1)[:, None, None]
+    rest = base - np.cumsum(a[:, :-1], axis=1).T[:, :, None]
+    rest = np.subtract(rest, np.cumsum(b[:, :-1], axis=1).T[:, None, :], order="C")
+    return table.ravel().take(rest).sum(axis=0)
+
+
+def composition_rank(counts: np.ndarray, m: int) -> np.ndarray:
+    """Canonical basis index of each weight-m composition along the last axis."""
     d = counts.shape[-1]
-    rest = m - np.cumsum(counts[..., :-1], axis=-1)
-    p = np.arange(d - 1, 0, -1)
-    table = np.zeros((m + 1, d), dtype=np.int64)
-    table[1:] = pascal(max(m, 0), d, np.int64)
-    return table[rest, p].sum(axis=-1)
+    zero = np.zeros((1, d), dtype=np.int64)
+    return sum_ranks(counts.reshape(-1, d), zero, m).reshape(counts.shape[:-1])
 
 
 def pascal(rows: int, cols: int, dtype) -> np.ndarray:
@@ -137,7 +150,7 @@ class SymBasis:
     @cached_property
     def hop_ranks(self) -> np.ndarray:
         """The (d, dim(d, m - 1)) table of ranks: entry [i, j] is the rank of
-        u + e_i, u the j-th composition of weight m - 1, m >= 1.
+        u + e_i, u the j-th composition of weight m - 1, m >= 1 (sum_ranks).
 
         Adding e_i keeps the lex order, so each row rises along u.  It is
         read only to gather hops from an operator's own entries
@@ -146,8 +159,7 @@ class SymBasis:
         output weight is never built.
         """
         d, m = self.d, self.m
-        u = enumerate_basis(d, m - 1).counts
-        return composition_rank(u[:, None, :] + np.eye(d, dtype=np.int64), m).T
+        return sum_ranks(np.eye(d, dtype=np.int64), enumerate_basis(d, m - 1).counts, m)
 
 
 @lru_cache(maxsize=None)

@@ -419,14 +419,19 @@ def assert_bitwise_equal(got, want):
 
 
 class TestPlansMatchReference:
-    # clone_cold benchmark cells; at (2, 20, 400) the occupancy products pass
-    # 2**63, up to C(400, 20) ~ 2.8e33.  The table is int64 only while its
-    # row total C(l+d-1, l-m) is below 2**53: (2, 9, 181) sits just under the
-    # bound (8.5e15), (2, 12, 150) above it (2.0e18) yet inside int64, where
-    # a float64 division rounds some entries off the exact quotient
+    # the seven clone_cold benchmark cells, then two more; at (2, 20, 400)
+    # the occupancy products pass 2**63, up to C(400, 20) ~ 2.8e33.  The
+    # table is int64 only while its row total C(l+d-1, l-m) is below 2**53:
+    # (2, 9, 181) sits just under the bound (8.5e15), (2, 12, 150) above it
+    # (2.0e18) yet inside int64, where a float64 division rounds some
+    # entries off the exact quotient
     BIG_CELLS = {
         (2, 20, 400): object,
         (3, 6, 30): np.int64,
+        (4, 4, 16): np.int64,
+        (5, 2, 10): np.int64,
+        (3, 20, 24): np.int64,
+        (3, 1, 100): np.int64,
         (4, 1, 30): np.int64,
         (2, 9, 181): np.int64,
         (2, 12, 150): object,
@@ -484,10 +489,10 @@ class TestPlansMatchReference:
     def test_gram_detects_a_colliding_rank(self, monkeypatch):
         # off the diagonal the Gram check tests exactly the rank's
         # injectivity on each {a + k}; a rank that merges neighbours fails it
-        def colliding(counts, m):
-            return symspace.composition_rank(counts, m) // 2
+        def colliding(a, b, m):
+            return symspace.sum_ranks(a, b, m) // 2
 
-        monkeypatch.setattr(cloner, "composition_rank", colliding)
+        monkeypatch.setattr(cloner, "sum_ranks", colliding)
         cloner.clone_amplitudes.cache_clear()  # the plan lives on the table
         try:
             gram = isometry_gram(2, 2, 3)
@@ -510,7 +515,7 @@ def refuse_ranks(monkeypatch):
         raise AssertionError("a plan was built")
 
     for module in (symspace, cloner):
-        monkeypatch.setattr(module, "composition_rank", refuse)
+        monkeypatch.setattr(module, "sum_ranks", refuse)
 
 
 @pytest.mark.parametrize("d, m, l", COLD_CELLS)
@@ -547,16 +552,16 @@ def test_cold_reduction_ranks_no_output_composition(d, m, l, monkeypatch):
     weights = {symspace: [], cloner: []}
 
     def counting(module):
-        original = module.composition_rank
+        original = module.sum_ranks
 
-        def rank(counts, weight):
+        def rank(a, b, weight):
             weights[module].append(weight)
-            return original(counts, weight)
+            return original(a, b, weight)
 
         return rank
 
     for module in weights:
-        monkeypatch.setattr(module, "composition_rank", counting(module))
+        monkeypatch.setattr(module, "sum_ranks", counting(module))
     n = dim(d, m)
     reduce_one(clone_channel(sym_operator(d, m, np.eye(n) / n), l))
     assert weights[symspace] == [m]
@@ -613,7 +618,7 @@ def test_oracle_imports_nothing_from_the_cloner():
     # it; nor may it rank its columns as the fast path does, or a wrong rank
     # would place both sides' outputs alike
     source = Path(symspace.__file__).with_name("oracle.py").read_text()
-    assert "composition_rank" not in source
+    assert "composition_rank" not in source and "sum_ranks" not in source
     tree = ast.parse(source)
     names = []
     for node in ast.walk(tree):

@@ -17,6 +17,7 @@ from symclone.symspace import (
     dim,
     enumerate_basis,
     reduce_one,
+    sum_ranks,
     sym_operator,
 )
 
@@ -70,6 +71,34 @@ class TestEnumerateBasis:
         # C(n, k) for all n < m + d - 1 overflows int64 from d = 68 on
         basis = enumerate_basis(d, 2)
         assert np.array_equal(composition_rank(basis.counts, 2), np.arange(basis.size))
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_sum_ranks_rank_the_sums(self, d):
+        # ranked from the prefix sums of a and b, the sums a[i] + b[j] that
+        # are never built land where composition_rank and the basis put them
+        for m in range(7):
+            basis = enumerate_basis(d, m).counts
+            for part in range(m + 1):
+                a = enumerate_basis(d, part).counts
+                b = enumerate_basis(d, m - part).counts
+                sums = a[:, None, :] + b
+                got = sum_ranks(a, b, m)
+                want = composition_rank(sums, m)
+                assert got.dtype == want.dtype == np.int64
+                assert got.shape == want.shape == (len(a), len(b))
+                assert got.tobytes() == want.tobytes()
+                assert np.array_equal(basis[got], sums)
+
+    @pytest.mark.parametrize("d, a_weight", [(2, 299999), (3, 0), (3, 4), (300000, 0)])
+    def test_sum_ranks_of_no_rows(self, d, a_weight):
+        # the plan's hops at m = 0: no weight -1 row, so a (K, 0) array,
+        # (300000, 0) for the K = 300000 added compositions of (2, 0, 299999)
+        a = enumerate_basis(d, a_weight).counts
+        none = np.zeros((0, d), dtype=np.int64)
+        hops = sum_ranks(a, none, a_weight - 1)
+        assert hops.dtype == np.int64 and hops.shape == (len(a), 0)
+        ranks = sum_ranks(none, a, a_weight)
+        assert ranks.dtype == np.int64 and ranks.shape == (0, len(a))
 
     @pytest.mark.parametrize("d, m", [(100000, 0), (2000, 1), (300000, 0)])
     def test_wide_bases_enumerate_in_linear_time(self, d, m):
