@@ -10,16 +10,13 @@ from .closed_forms import (
     bloch_vector,
     fidelity,
     generators,
-    rho_from_bloch,
     scaling_residual,
     scaling_residual_bloch,
     shrink,
 )
 from .cloner import (
     CloneAmplitudes,
-    alpha_d,
     alpha_d_sq,
-    alpha_qubit,
     alpha_qubit_sq,
     ancilla_dim,
     clone_amplitudes,

@@ -58,11 +58,6 @@ def alpha_qubit_sq(j: int, k: int, m: int, l: int) -> Fraction:
     )
 
 
-def alpha_qubit(j: int, k: int, m: int, l: int) -> float:
-    """Cloning amplitude for two-level systems (nonnegative real)."""
-    return math.sqrt(alpha_qubit_sq(j, k, m, l))
-
-
 def alpha_d_sq(j, k, m: int, l: int) -> Fraction:
     """Exact squared amplitude for d-level systems.
 
@@ -89,11 +84,6 @@ def _prefactor(d: int, m: int, l: int) -> Fraction:
 
 def _occupancy(j, k) -> int:
     return math.prod(math.comb(a + b, b) for a, b in zip(j, k))
-
-
-def alpha_d(j, k, m: int, l: int) -> float:
-    """Cloning amplitude for d-level systems (nonnegative real)."""
-    return math.sqrt(alpha_d_sq(j, k, m, l))
 
 
 def ancilla_dim(d: int, m: int, l: int) -> int:
@@ -136,20 +126,28 @@ class CloneAmplitudes:
 
     @cached_property
     def plan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The channel plan: read-only (K, n_in) arrays idx and v, and hops.
+        """The channel plan: read-only (n_in, K) arrays idx and v, and hops.
 
-        Row t holds, over the input basis a, the index of a + k_t in the
-        output basis and the amplitude alpha(a, k_t).  hops is the same
-        index one weight lower, (K, dim(d, m-1)): the one-hop pair
-        (u + e_p, u + e_q) goes to hop (p, q) at the rank of u + k_t.
-        Both are sum_ranks of the added compositions and the a (or u).
+        Row i holds one input composition a, in descending canonical rank
+        (a is input n_in - 1 - i), and column t the added composition k_t:
+        the index of a + k_t in the output basis and the amplitude
+        alpha(a, k_t).  hops is the same index one weight lower,
+        (dim(d, m-1), K), its rows the u of weight m - 1 in descending rank:
+        the one-hop pair (u + e_p, u + e_q) goes to hop (p, q) at the rank
+        of u + k_t.  Both are sum_ranks of the a (or u) and the added
+        compositions.
+
+        Every product then runs along K, the longer axis in most cells.
+        The order is the scatter's: as t rises, k_t falls in lex order, so for one output
+        entry c the a = c - k_t rises and its rank falls.  A 1-D np.add.at
+        over the raveled rows therefore adds each entry's terms in t order.
         """
         d, m, l = self.d, self.m, self.l
-        v = np.sqrt(self.squared().T.copy())
+        v = np.sqrt(self.squared()[::-1])
         added = enumerate_basis(d, l - m).counts
-        idx = sum_ranks(added, enumerate_basis(d, m).counts, l)
+        idx = sum_ranks(enumerate_basis(d, m).counts[::-1], added, l)
         below = enumerate_basis(d, m - 1).counts if m else np.zeros((0, d), dtype=np.int64)
-        hops = sum_ranks(added, below, l - 1)
+        hops = sum_ranks(below[::-1], added, l - 1)
         for a in (idx, v, hops):
             a.setflags(write=False)
         return idx, v, hops
@@ -214,9 +212,12 @@ class CloneOutput(SymOperator):
                 f"dense {n_out}x{n_out} output exceeds the guard of {DENSE_GUARD} entries"
             )
         y = np.zeros((n_out, n_out), dtype=np.complex128)
-        x = self.source.entries
-        for idx, v in zip(*self.cell.plan[:2]):
-            y[np.ix_(idx, idx)] += (v[:, None] * v[None, :]) * x
+        # the plan's rows run in descending rank, so each column meets the
+        # source block reversed; contiguous copies keep the loop's reads dense
+        x = np.ascontiguousarray(self.source.entries[::-1, ::-1])
+        idx, v, _ = self.cell.plan
+        for idx_t, v_t in zip(np.ascontiguousarray(idx.T), np.ascontiguousarray(v.T)):
+            y[np.ix_(idx_t, idx_t)] += (v_t[:, None] * v_t[None, :]) * x
         y.setflags(write=False)
         return y
 
@@ -229,21 +230,31 @@ class CloneOutput(SymOperator):
         diagonal = np.zeros((self.basis.size, 2), dtype=np.complex128)[:, 0]
         hops = np.zeros((d * (d - 1), dim(d, l - 1)), dtype=np.complex128)
         # np.add.at adds in index order onto +0.0, as the dense loop adds in
-        # k order, with real and imaginary parts apart, so the sums agree bit
-        # for bit; numpy's fast path takes only 1-D index and value arrays
+        # k order (see CloneAmplitudes.plan), with real and imaginary parts
+        # apart, so the sums agree bit for bit; numpy's fast path takes only
+        # 1-D index and value arrays
         if not m:  # a single input state: no one-hop pairs, and no reduction plan
             np.add.at(diagonal, idx.ravel(), ((v * v) * np.diagonal(self.source.entries)).ravel())
             return diagonal, hops
         x_diagonal, x_hops = self.source._diagonal_and_hops()
-        np.add.at(diagonal, idx.ravel(), ((v * v) * x_diagonal).ravel())
-        g = v[:, self.source.basis.hop_ranks]
-        _, _, (p, q) = self.source.basis.reduction
+        np.add.at(diagonal, idx.ravel(), ((v * v) * x_diagonal[::-1, None]).ravel())
+        # g[i, r, t] = alpha(u + e_i, k_t), u the weight-(m-1) composition of
+        # the plan's hop row r
+        g = v[len(v) - 1 - self.source.basis.hop_ranks[:, ::-1]]
+        p, q = self.source.basis.moves
+        move = {(p_j, q_j): j for j, (p_j, q_j) in enumerate(zip(p.tolist(), q.tolist()))}
         # each move writes only its own row, so one move at a time keeps every
-        # entry's order; its terms fill one buffer that every move reuses
+        # entry's order; moves (p, q) and (q, p) share the real product
+        # alpha(u + e_p, k) alpha(u + e_q, k), and every move's terms fill
+        # one buffer that all of them reuse
+        pair = np.empty(hop_index.shape)
         terms = np.empty(hop_index.shape, dtype=np.complex128)
-        for j, (p_j, q_j) in enumerate(zip(p, q)):
-            np.multiply(g[:, p_j] * g[:, q_j], x_hops[j], out=terms)
-            np.add.at(hops[j], hop_index.ravel(), terms.ravel())
+        for p_j in range(d):
+            for q_j in range(p_j + 1, d):
+                np.multiply(g[p_j], g[q_j], out=pair)
+                for j in (move[p_j, q_j], move[q_j, p_j]):
+                    np.multiply(pair, x_hops[j, ::-1, None], out=terms)
+                    np.add.at(hops[j], hop_index.ravel(), terms.ravel())
         return diagonal, hops
 
 
@@ -283,9 +294,10 @@ def isometry_gram(d: int, m: int, l: int) -> np.ndarray:
     iff this is the identity.
     """
     idx, v, _ = clone_amplitudes(d, m, l).plan
-    gram = np.zeros((idx.shape[1], idx.shape[1]))
-    for idx_k, v_k in zip(idx, v):
-        gram += np.outer(v_k, v_k) * (idx_k[:, None] == idx_k[None, :])
+    # the plan's columns in t order, each over the inputs in ascending rank
+    gram = np.zeros((len(idx), len(idx)))
+    for idx_t, v_t in zip(np.ascontiguousarray(idx[::-1].T), np.ascontiguousarray(v[::-1].T)):
+        gram += np.outer(v_t, v_t) * (idx_t[:, None] == idx_t[None, :])
     return gram
 
 

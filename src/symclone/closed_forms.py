@@ -113,14 +113,6 @@ def bloch_vector(rho: QuditOperator, tol: float = 1e-9) -> BlochVector:
     return BlochVector(rho.d, s)
 
 
-def rho_from_bloch(b: BlochVector) -> QuditOperator:
-    """Reassemble identity/d + (1/2) sum_i s_i t_i."""
-    rho = np.eye(b.d, dtype=np.complex128) / b.d
-    for si, g in zip(b.s, generators(b.d)):
-        rho = rho + 0.5 * si * g.entries
-    return QuditOperator(b.d, rho)
-
-
 def scaling_residual(
     rho_in_red: QuditOperator,
     rho_out_red: QuditOperator,

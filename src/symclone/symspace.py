@@ -135,17 +135,24 @@ class SymBasis:
         weight m - 1, and lands on sqrt((u_p + 1)(u_q + 1))/m |p><q|; dyads
         further apart vanish.  Returns diag, the (d, N) weights a_i/m;
         coeffs, one row per move in (p, q) order and one column per u in
-        basis order; and the move levels p and q as vectors.  Where each hop
+        basis order; and the move levels, moves.  Where each hop
         sits in this basis is a separate table, hop_ranks, which a clone
         output's reduction never reads.
         """
         d, m = self.d, self.m
         diag = np.ascontiguousarray(self.counts.T) / m
         u = enumerate_basis(d, m - 1).counts
-        levels = np.nonzero(~np.eye(d, dtype=bool))
-        p, q = levels
+        p, q = self.moves
         coeffs = np.sqrt((u.T[p] + 1) * (u.T[q] + 1)) / m
-        return diag, coeffs, levels
+        return diag, coeffs, self.moves
+
+    @cached_property
+    def moves(self) -> tuple[np.ndarray, np.ndarray]:
+        """The move levels p and q of every off-diagonal pair (p, q), p != q,
+        as vectors in (p, q) order: the row order of reduction's coeffs and
+        of every operator's one-hop array.  Gathering hops needs these alone,
+        so reading them builds no reduction of this basis."""
+        return np.nonzero(~np.eye(self.d, dtype=bool))
 
     @cached_property
     def hop_ranks(self) -> np.ndarray:
@@ -212,15 +219,12 @@ class SymOperator:
     def trace(self) -> complex:
         return complex(np.trace(self.entries))
 
-    def dagger(self) -> SymOperator:
-        return SymOperator(self.basis, self.entries.conj().T)
-
     def _diagonal_and_hops(self) -> tuple[np.ndarray, np.ndarray]:
         """The diagonal, and the one-hop entries as a (d(d-1), dim(d, m-1))
         array in the layout of basis.reduction's coeffs: one row per move
         (p, q), gathered at rows hop_ranks[p] and columns hop_ranks[q]."""
         ranks = self.basis.hop_ranks
-        _, _, (p, q) = self.basis.reduction
+        p, q = self.basis.moves
         x = self.entries
         return np.diagonal(x), x[ranks[p], ranks[q]]
 
@@ -300,9 +304,6 @@ class QuditOperator:
 
     def trace(self) -> complex:
         return complex(np.trace(self.entries))
-
-    def dagger(self) -> QuditOperator:
-        return QuditOperator(self.d, self.entries.conj().T)
 
     def hermiticity_defect(self) -> float:
         return float(np.max(np.abs(self.entries - self.entries.conj().T)))

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -16,9 +17,8 @@ from symclone import cloner, symspace
 from symclone.cli import main
 from symclone.closed_forms import scaling_residual
 from symclone.cloner import (
-    alpha_d,
+    CloneOutput,
     alpha_d_sq,
-    alpha_qubit,
     alpha_qubit_sq,
     ancilla_dim,
     clone_amplitudes,
@@ -50,7 +50,7 @@ class TestAlphaQubit:
     def test_one_to_two(self):
         assert alpha_qubit_sq(0, 0, 1, 2) == Fraction(2, 3)
         assert alpha_qubit_sq(0, 1, 1, 2) == Fraction(1, 3)
-        assert alpha_qubit(0, 0, 1, 2) == math.sqrt(2 / 3)
+        assert math.sqrt(alpha_qubit_sq(0, 0, 1, 2)) == math.sqrt(2 / 3)
 
     def test_identity_when_no_copies_added(self):
         for m in range(0, 5):
@@ -59,11 +59,11 @@ class TestAlphaQubit:
 
     def test_out_of_range(self):
         with pytest.raises(InvalidParameterError):
-            alpha_qubit(3, 0, 2, 4)
+            alpha_qubit_sq(3, 0, 2, 4)
         with pytest.raises(InvalidParameterError):
-            alpha_qubit(0, 3, 2, 4)
+            alpha_qubit_sq(0, 3, 2, 4)
         with pytest.raises(InvalidParameterError):
-            alpha_qubit(0, 0, 3, 2)
+            alpha_qubit_sq(0, 0, 3, 2)
 
 
 class TestAlphaD:
@@ -82,7 +82,7 @@ class TestAlphaD:
     def test_three_level_example(self):
         got = alpha_d_sq((1, 0, 0), (1, 1, 0), 1, 3)
         assert got == Fraction(1, 5)
-        assert alpha_d((1, 0, 0), (1, 1, 0), 1, 3) == math.sqrt(0.2)
+        assert math.sqrt(alpha_d_sq((1, 0, 0), (1, 1, 0), 1, 3)) == math.sqrt(0.2)
 
     def test_weight_mismatch(self):
         with pytest.raises(InvalidParameterError):
@@ -169,10 +169,9 @@ class TestCloneChannel:
         rng = np.random.default_rng(3)
         n = dim(3, 2)
         x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        op = sym_operator(3, 2, x)
         assert np.array_equal(
-            clone_channel(op.dagger(), 3).entries,
-            clone_channel(op, 3).dagger().entries,
+            clone_channel(sym_operator(3, 2, x.conj().T), 3).entries,
+            clone_channel(sym_operator(3, 2, x), 3).entries.conj().T,
         )
 
 
@@ -191,13 +190,8 @@ class TestStructuredOutput:
         (d, m, l) for d in (2, 3, 4) for m in range(0, 5) for l in range(max(m, 1), m + 5)
     ] + [(2, 20, 400), (3, 6, 30), (4, 4, 16), (5, 2, 10), (3, 20, 24), (2, 1, 200), (3, 2, 20)]
 
-    def test_reduction_matches_the_dense_view_bit_for_bit(self):
-        def check(x, l):
-            # one stage, and two, the second reading the first's output
-            for out in (clone_channel(x, l), clone_channel(clone_channel(x, l), l + 1)):
-                want = reduce_one(SymOperator(out.basis, out.entries)).entries
-                assert reduce_one(out).entries.tobytes() == want.tobytes(), (x.d, x.m, l)
-
+    def each_draw(self, check):
+        """check(x, l) on a Ginibre, a Hermitian and a non-finite draw per cell."""
         for i, (d, m, l) in enumerate(self.CELLS):
             g, h = (make(d, m, np.random.default_rng([i, d, m, l]))
                     for make in (ginibre_sym_operator, hermitian_sym_operator))
@@ -206,6 +200,29 @@ class TestStructuredOutput:
             # NaN and inf make the products warn; only this draw may
             with np.errstate(invalid="ignore"):
                 check(non_finite(g), l)
+
+    def test_reduction_matches_the_dense_view_bit_for_bit(self):
+        def check(x, l):
+            # one stage, and two, the second reading the first's output
+            for out in (clone_channel(x, l), clone_channel(clone_channel(x, l), l + 1)):
+                want = reduce_one(SymOperator(out.basis, out.entries)).entries
+                assert reduce_one(out).entries.tobytes() == want.tobytes(), (x.d, x.m, l)
+
+        self.each_draw(check)
+
+    def test_scatter_matches_a_t_major_reference_bit_for_bit(self):
+        # the reference never reads the plan, so a layout slip that moves the
+        # structured and the dense views together still fails here
+        def check(x, l):
+            for out in (clone_channel(x, l), clone_channel(clone_channel(x, l), l + 1)):
+                want_diagonal, want_hops = reference_diagonal_and_hops(out)
+                diagonal, hops = out._diagonal_and_hops()
+                assert_bitwise_equal(diagonal, want_diagonal)
+                assert_bitwise_equal(hops, want_hops)
+                want = reduce_one(Gathered(out.basis, want_diagonal, want_hops)).entries
+                assert reduce_one(out).entries.tobytes() == want.tobytes(), (x.d, x.m, l)
+
+        self.each_draw(check)
 
     def test_scatter_peak_beyond_the_dense_guard(self):
         d, m, l = 3, 2, 200
@@ -364,19 +381,27 @@ def reference_index(d, m):
     return {c: i for i, c in enumerate(compositions(d, m))}
 
 
+@functools.lru_cache(maxsize=None)
 def reference_channel_plan(d, m, l):
-    """Per-composition construction of the channel plan, one row per k."""
+    """Per-composition construction of the channel plan, one row per k, its
+    columns the inputs in ascending rank (read-only, cached)."""
     basis_in = compositions(d, m)
     index_out = reference_index(d, l)
     idx, v = [], []
     for k in compositions(d, l - m):
-        v.append([alpha_d(a, k, m, l) for a in basis_in])
+        v.append([math.sqrt(alpha_d_sq(a, k, m, l)) for a in basis_in])
         idx.append([index_out[tuple(i + j for i, j in zip(a, k))] for a in basis_in])
-    return np.array(idx, dtype=np.intp), np.array(v)
+    return read_only(np.array(idx, dtype=np.intp)), read_only(np.array(v))
 
 
+def read_only(a):
+    a.setflags(write=False)
+    return a
+
+
+@functools.lru_cache(maxsize=None)
 def reference_reduction_plan(d, m):
-    """Per-composition construction of the one-hop reduction plan."""
+    """Per-composition construction of the one-hop reduction plan (cached)."""
     basis = compositions(d, m)
     index = reference_index(d, m)
     diag = np.array([[c[i] / m for c in basis] for i in range(d)])
@@ -391,18 +416,19 @@ def reference_reduction_plan(d, m):
                 shifted[q] += 1
                 hops.append((ia, index[tuple(shifted)], p, q, math.sqrt(a[p] * (a[q] + 1)) / m))
     rows, cols, level_p, level_q, coeffs = zip(*hops)
-    ints = [np.array(x, dtype=np.intp) for x in (rows, cols, level_p, level_q)]
-    return diag, (*ints, np.array(coeffs))
+    ints = [read_only(np.array(x, dtype=np.intp)) for x in (rows, cols, level_p, level_q)]
+    return read_only(diag), (*ints, read_only(np.array(coeffs)))
 
 
-def reference_hop_plan(d, m, l, idx):
+def reference_hop_plan(d, m, l):
     """Position-table construction of the hop index, over the flat plans.
 
     Entry (t, h): for the input one-hop pair (a, b) in position h of
     reference_reduction_plan(d, m) and the added composition k_t, the
     position of the output pair (a + k_t, b + k_t) in
-    reference_reduction_plan(d, l); idx is the channel plan's index.
+    reference_reduction_plan(d, l).
     """
+    idx, _ = reference_channel_plan(d, m, l)
     if not m:
         return np.zeros((len(idx), 0), dtype=np.intp)
     _, (rows, _, level_p, level_q, _) = reference_reduction_plan(d, m)
@@ -416,6 +442,46 @@ def reference_hop_plan(d, m, l, idx):
 def assert_bitwise_equal(got, want):
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
+
+
+def reference_diagonal_and_hops(op):
+    """The diagonal and one-hop entries of op, a clone output scattered
+    t-major from the reference plans, independent of the library's plan.
+
+    A dense operator's entries are gathered at the reference reduction
+    plan's rows and columns.  A clone output's terms, in the reference's
+    (K, ...) layout raveled, go into one 1-D np.add.at each for the diagonal
+    and for every hop at once: each output entry adds its terms in k order,
+    onto +0.0.  The diagonal is a strided view, as a dense matrix's is.
+    """
+    d = op.d
+    if not isinstance(op, CloneOutput):
+        if not op.m:
+            return np.diagonal(op.entries), None
+        _, (rows, cols, *_) = reference_reduction_plan(d, op.m)
+        return np.diagonal(op.entries), op.entries[rows, cols].reshape(d * (d - 1), -1)
+    m, l = op.source.m, op.m
+    idx, v = reference_channel_plan(d, m, l)
+    x_diagonal, x_hops = reference_diagonal_and_hops(op.source)
+    diagonal = np.zeros((op.basis.size, 2), dtype=np.complex128)[:, 0]
+    np.add.at(diagonal, idx.ravel(), ((v * v) * x_diagonal).ravel())
+    hops = np.zeros(d * (d - 1) * dim(d, l - 1), dtype=np.complex128)
+    if m:
+        _, (rows, cols, *_) = reference_reduction_plan(d, m)
+        terms = (v[:, rows] * v[:, cols]) * x_hops.ravel()
+        np.add.at(hops, reference_hop_plan(d, m, l).ravel(), terms.ravel())
+    return diagonal, hops.reshape(d * (d - 1), -1)
+
+
+class Gathered(SymOperator):
+    """An operator known only by its diagonal and one-hop entries."""
+
+    def __init__(self, basis, diagonal, hops):
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "parts", (diagonal, hops))
+
+    def _diagonal_and_hops(self):
+        return self.parts
 
 
 class TestPlansMatchReference:
@@ -442,13 +508,15 @@ class TestPlansMatchReference:
         for d, m, l in grid + list(self.BIG_CELLS):
             idx, v, hops = clone_amplitudes(d, m, l).plan
             want_idx, want_v = reference_channel_plan(d, m, l)
-            assert_bitwise_equal(idx, want_idx)
-            assert_bitwise_equal(v, want_v)
-            assert hops.shape == (len(idx), dim(d, m - 1) if m else 0)
+            # input-major: the reference's columns reversed are the rows
+            assert_bitwise_equal(idx, want_idx[:, ::-1].T)
+            assert_bitwise_equal(v, want_v[:, ::-1].T)
+            assert hops.shape == (dim(d, m - 1) if m else 0, len(want_idx))
+            hops = hops[::-1].T  # one row per k, u in ascending rank
             if m:  # output hop (move, r) sits at move * dim(d, l - 1) + r
                 moves = np.arange(d * (d - 1))[:, None] * dim(d, l - 1)
                 hops = (moves + hops[:, None, :]).reshape(len(hops), -1)
-            assert_bitwise_equal(hops, reference_hop_plan(d, m, l, want_idx))
+            assert_bitwise_equal(hops, reference_hop_plan(d, m, l))
         for cell, dtype in self.BIG_CELLS.items():
             assert clone_amplitudes(*cell).occupancy.dtype == dtype
         assert clone_amplitudes(2, 20, 400).occupancy.max() >= 2**63
@@ -566,6 +634,17 @@ def test_cold_reduction_ranks_no_output_composition(d, m, l, monkeypatch):
     reduce_one(clone_channel(sym_operator(d, m, np.eye(n) / n), l))
     assert weights[symspace] == [m]
     assert weights[cloner] == [l, l - 1]
+
+
+@pytest.mark.parametrize("d, m, l", COLD_CELLS)
+def test_gathering_hops_reduces_no_input(d, m, l):
+    # a clone output gathers its source's hops by the move levels alone, so
+    # the source's basis builds no reduction that nobody reads
+    clear_plan_caches()
+    x = hermitian_sym_operator(d, m, np.random.default_rng([d, m, l]))
+    clone_channel(x, l)._diagonal_and_hops()
+    assert "moves" in x.basis.__dict__
+    assert "reduction" not in x.basis.__dict__
 
 
 @pytest.mark.parametrize("d, m, l", COLD_CELLS)

@@ -10,7 +10,6 @@ from symclone.closed_forms import (
     bloch_vector,
     fidelity,
     generators,
-    rho_from_bloch,
     scaling_residual,
     scaling_residual_bloch,
     shrink,
@@ -126,8 +125,11 @@ class TestBlochRoundTrip:
         h = (g + g.conj().T) / 2
         h = h + np.eye(d) * (1.0 - np.trace(h).real) / d  # shift onto trace 1
         rho = QuditOperator(d, h)
-        back = rho_from_bloch(bloch_vector(rho))
-        np.testing.assert_allclose(back.entries, rho.entries, atol=1e-12)
+        # identity/d + (1/2) sum_i s_i t_i reassembles rho
+        back = np.eye(d) / d
+        for si, t in zip(bloch_vector(rho).s, generators(d)):
+            back = back + 0.5 * si * t.entries
+        np.testing.assert_allclose(back, rho.entries, atol=1e-12)
 
     def test_matches_per_generator_traces_bit_for_bit(self):
         rng = np.random.default_rng(7)
