@@ -25,6 +25,7 @@ import numpy as np
 from .symspace import (
     InvalidParameterError,
     ResourceLimitError,
+    SymBasis,
     SymOperator,
     basis_projector,
     composition,
@@ -179,7 +180,10 @@ def clone_amplitudes(d: int, m: int, l: int) -> CloneAmplitudes:
     inputs = enumerate_basis(d, m).counts * (l - m + 1)
     added = enumerate_basis(d, l - m).counts
     occupancy = binom.take(inputs[:, None, 0] + added[None, :, 0])
-    for p in range(1, d):
+    # a level multiplies by C(j_p + k_p, k_p) != 1 only where some input and
+    # some added composition both fill it; a positive weight fills every
+    # level (its all-in-one-level composition), and a zero weight none
+    for p in range(1, d if 0 < m < l else 1):
         occupancy = occupancy * binom.take(inputs[:, None, p] + added[None, :, p])
     occupancy.setflags(write=False)
     return CloneAmplitudes(d=d, m=m, l=l, occupancy=occupancy, prefactor=prefactor)
@@ -191,9 +195,8 @@ class CloneOutput(SymOperator):
     entries is a dense view, built on first read and refused beyond
     DENSE_GUARD entries; reduce_one reads the diagonal and the one-hop
     entries straight from cell.plan and the source's own diagonal and
-    one-hop entries instead, so a chain of clones never builds a dense
-    intermediate.  Hop (p, q) at u, of the source, lands on hop (p, q) at
-    the rank of u + k_t, which the plan's hop index holds.
+    one-hop entries instead (scatter_stack over a stack of one), so a chain
+    of clones never builds a dense intermediate.
     """
 
     def __init__(self, source: SymOperator, cell: CloneAmplitudes):
@@ -222,40 +225,74 @@ class CloneOutput(SymOperator):
         return y
 
     def _diagonal_and_hops(self) -> tuple[np.ndarray, np.ndarray]:
-        d, m, l = self.d, self.source.m, self.m
-        idx, v, hop_index = self.cell.plan
-        # the dense matrix's diagonal is a strided view, and OpenBLAS sums a
-        # unit-stride vector in another order than a strided one; reduce_one
-        # dots this diagonal, so it gets a strided view too, and the same bits
-        diagonal = np.zeros((self.basis.size, 2), dtype=np.complex128)[:, 0]
-        hops = np.zeros((d * (d - 1), dim(d, l - 1)), dtype=np.complex128)
-        # np.add.at adds in index order onto +0.0, as the dense loop adds in
-        # k order (see CloneAmplitudes.plan), with real and imaginary parts
-        # apart, so the sums agree bit for bit; numpy's fast path takes only
-        # 1-D index and value arrays
-        if not m:  # a single input state: no one-hop pairs, and no reduction plan
-            np.add.at(diagonal, idx.ravel(), ((v * v) * np.diagonal(self.source.entries)).ravel())
-            return diagonal, hops
-        x_diagonal, x_hops = self.source._diagonal_and_hops()
-        np.add.at(diagonal, idx.ravel(), ((v * v) * x_diagonal[::-1, None]).ravel())
-        # g[i, r, t] = alpha(u + e_i, k_t), u the weight-(m-1) composition of
-        # the plan's hop row r
-        g = v[len(v) - 1 - self.source.basis.hop_ranks[:, ::-1]]
-        p, q = self.source.basis.moves
-        move = {(p_j, q_j): j for j, (p_j, q_j) in enumerate(zip(p.tolist(), q.tolist()))}
-        # each move writes only its own row, so one move at a time keeps every
-        # entry's order; moves (p, q) and (q, p) share the real product
-        # alpha(u + e_p, k) alpha(u + e_q, k), and every move's terms fill
-        # one buffer that all of them reuse
-        pair = np.empty(hop_index.shape)
-        terms = np.empty(hop_index.shape, dtype=np.complex128)
-        for p_j in range(d):
-            for q_j in range(p_j + 1, d):
-                np.multiply(g[p_j], g[q_j], out=pair)
-                for j in (move[p_j, q_j], move[q_j, p_j]):
-                    np.multiply(pair, x_hops[j, ::-1, None], out=terms)
-                    np.add.at(hops[j], hop_index.ravel(), terms.ravel())
-        return diagonal, hops
+        source = self.source
+        if source.m:
+            x_diagonal, x_hops = source._diagonal_and_hops()
+            parts = x_diagonal[None], x_hops[None]
+        else:  # a single input state: no one-hop pairs, and no reduction plan
+            parts = np.diagonal(source.entries)[None], None
+        diagonal, hops = scatter_stack(source.basis, self.cell, *parts)
+        return diagonal[0], hops[0]
+
+
+def scatter_stack(
+    source: SymBasis,
+    cell: CloneAmplitudes,
+    x_diagonal: np.ndarray,
+    x_hops: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonals and one-hop entries of the clone outputs of a stack of
+    B operators over the source basis, of weight cell.m, from theirs:
+    (B, dim(d, m)) and (B, d(d-1), dim(d, m-1)), or None at m = 0.  Returns
+    a (B, dim(d, l)) and a (B, d(d-1), dim(d, l-1)) array, the layout
+    reduce_stack reads.
+
+    Hop (p, q) at u, of the source, lands on hop (p, q) at the rank of
+    u + k_t, which the plan's hop index holds.
+    """
+    d, m, l = cell.d, cell.m, cell.l
+    idx, v, hop_index = cell.plan
+    batch, n_out, n_hop = len(x_diagonal), dim(d, l), dim(d, l - 1)
+    # the dense matrix's diagonal is a strided view, and OpenBLAS sums a
+    # unit-stride vector in another order than a strided one; reduce_stack
+    # dots each diagonal, so it gets a strided view too, and the same bits
+    diagonal = np.zeros((batch * n_out, 2), dtype=np.complex128)[:, 0]
+    hops = np.zeros((d * (d - 1), batch * n_hop), dtype=np.complex128)
+    # np.add.at adds in index order onto +0.0, as the dense loop adds in
+    # k order (see CloneAmplitudes.plan), with real and imaginary parts
+    # apart, so the sums agree bit for bit; numpy's fast path takes only
+    # 1-D index and value arrays, so each operator's targets are offset by
+    # its place in the stack, and a stack of one is not offset at all
+    np.add.at(diagonal, _stacked(idx, n_out, batch), ((v * v) * x_diagonal[:, ::-1, None]).ravel())
+    parts = diagonal.reshape(batch, n_out), hops.reshape(len(hops), batch, n_hop).swapaxes(0, 1)
+    if not m:
+        return parts
+    # g[i, r, t] = alpha(u + e_i, k_t), u the weight-(m-1) composition of
+    # the plan's hop row r
+    g = v[len(v) - 1 - source.hop_ranks[:, ::-1]]
+    p, q = source.moves
+    move = {(p_j, q_j): j for j, (p_j, q_j) in enumerate(zip(p.tolist(), q.tolist()))}
+    targets = _stacked(hop_index, n_hop, batch)
+    # each move writes only its own row, so one move at a time keeps every
+    # entry's order; moves (p, q) and (q, p) share the real product
+    # alpha(u + e_p, k) alpha(u + e_q, k), and every move's terms fill
+    # one buffer that all of them reuse
+    pair = np.empty(hop_index.shape)
+    terms = np.empty((batch, *hop_index.shape), dtype=np.complex128)
+    for p_j in range(d):
+        for q_j in range(p_j + 1, d):
+            np.multiply(g[p_j], g[q_j], out=pair)
+            for j in (move[p_j, q_j], move[q_j, p_j]):
+                np.multiply(pair, x_hops[:, j, ::-1, None], out=terms)
+                np.add.at(hops[j], targets, terms.ravel())
+    return parts
+
+
+def _stacked(index: np.ndarray, size: int, batch: int) -> np.ndarray:
+    """index raveled once per operator of a stack, the b-th offset by b * size."""
+    if batch == 1:
+        return index.ravel()
+    return (index + (np.arange(batch) * size)[:, None, None]).ravel()
 
 
 def clone_channel(op: SymOperator, l: int) -> CloneOutput:

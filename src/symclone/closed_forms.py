@@ -103,14 +103,22 @@ class BlochVector:
 
 def bloch_vector(rho: QuditOperator, tol: float = 1e-9) -> BlochVector:
     """Components s_i = Tr(rho t_i); rho must be Hermitian within tol."""
-    defect = rho.hermiticity_defect()
-    if defect > tol:
+    return BlochVector(rho.d, bloch_stack(rho.entries[None], tol)[0])
+
+
+def bloch_stack(rho: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """The (B, d*d - 1) Bloch components of a (B, d, d) stack of qudit
+    operators; each must be Hermitian within tol, and the first that is not
+    is reported."""
+    defects = np.max(np.abs(rho - rho.conj().swapaxes(1, 2)), axis=(1, 2))
+    bad = defects > tol
+    if bad.any():
         raise InvalidParameterError(
-            f"not Hermitian within {tol:g} (max deviation {defect:.3e})"
+            f"not Hermitian within {tol:g} (max deviation {defects[bad][0]:.3e})"
         )
     # one stacked product; each slice is the same gemm as rho @ t_i alone
-    s = np.trace(rho.entries @ _generator_stack(rho.d), axis1=1, axis2=2).real
-    return BlochVector(rho.d, s)
+    product = rho[:, None] @ _generator_stack(rho.shape[-1])
+    return np.trace(product, axis1=2, axis2=3).real
 
 
 def scaling_residual(
@@ -126,14 +134,8 @@ def scaling_residual(
     eta_factor multiplies the closed-form factor; values other than 1.0 are a
     negative-control hook for the verification suites.
     """
-    if rho_in_red.d != d or rho_out_red.d != d:
-        raise InvalidParameterError(
-            f"dimension mismatch: expected {d}x{d} operators, "
-            f"got {rho_in_red.d} and {rho_out_red.d}"
-        )
-    eta = float(shrink(d, m, l)) * eta_factor
-    target = eta * rho_in_red.entries + (1.0 - eta) / d * np.eye(d)
-    return float(np.max(np.abs(rho_out_red.entries - target)))
+    stacks = rho_in_red.entries[None], rho_out_red.entries[None]
+    return float(scaling_residuals(*stacks, d, m, l, eta_factor)[0])
 
 
 def scaling_residual_bloch(
@@ -145,12 +147,43 @@ def scaling_residual_bloch(
     eta_factor: float = 1.0,
 ) -> float:
     """Same contraction law in Bloch components: max_i |s_out_i - eta s_in_i|."""
-    if rho_in_red.d != d or rho_out_red.d != d:
+    stacks = rho_in_red.entries[None], rho_out_red.entries[None]
+    return float(scaling_residuals_bloch(*stacks, d, m, l, eta_factor)[0])
+
+
+def scaling_residuals(
+    rho_in: np.ndarray,
+    rho_out: np.ndarray,
+    d: int,
+    m: int,
+    l: int,
+    eta_factor: float = 1.0,
+) -> np.ndarray:
+    """scaling_residual of each pair in two (B, d, d) stacks of reductions."""
+    eta = _eta(rho_in, rho_out, d, m, l, eta_factor)
+    target = eta * rho_in + (1.0 - eta) / d * np.eye(d)
+    return np.max(np.abs(rho_out - target), axis=(1, 2))
+
+
+def scaling_residuals_bloch(
+    rho_in: np.ndarray,
+    rho_out: np.ndarray,
+    d: int,
+    m: int,
+    l: int,
+    eta_factor: float = 1.0,
+) -> np.ndarray:
+    """scaling_residual_bloch of each pair in two (B, d, d) stacks of reductions."""
+    eta = _eta(rho_in, rho_out, d, m, l, eta_factor)
+    s_in = bloch_stack(rho_in)
+    s_out = bloch_stack(rho_out)
+    return np.max(np.abs(s_out - eta * s_in), axis=1)
+
+
+def _eta(rho_in: np.ndarray, rho_out: np.ndarray, d: int, m: int, l: int, factor: float) -> float:
+    if rho_in.shape[-1] != d or rho_out.shape[-1] != d:
         raise InvalidParameterError(
             f"dimension mismatch: expected {d}x{d} operators, "
-            f"got {rho_in_red.d} and {rho_out_red.d}"
+            f"got {rho_in.shape[-1]} and {rho_out.shape[-1]}"
         )
-    eta = float(shrink(d, m, l)) * eta_factor
-    s_in = bloch_vector(rho_in_red).s
-    s_out = bloch_vector(rho_out_red).s
-    return float(np.max(np.abs(s_out - eta * s_in)))
+    return float(shrink(d, m, l)) * factor

@@ -70,8 +70,10 @@ def sum_ranks(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     C(rest_i + p_i - 1, p_i) with rest_i = m - (c_0 + ... + c_i) the weight
     left after position i and p_i = d - i - 1 the positions after it.
     Prefix sums add, so rest_i = m - A_i - B_i from the prefix sums A of a
-    and B of b, and no sum is built: rest is a (d - 1, len(a), len(b))
-    array, looked up in one flat take and summed over its first axis.
+    and B of b, and no sum is built.  The positions are looked up and added
+    a block of rows at a time: one row per block once the output has 2**16
+    entries, so the transient is one index block and its lookup, not d - 1
+    of each; a wide basis with a small output takes many rows per block.
     composition_rank is the case of one zero row b.
 
     table[q, r] = C(r + q - 1, q) for r <= m: column 0 is zero and the
@@ -81,11 +83,22 @@ def sum_ranks(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     d = a.shape[-1]
     table = np.zeros((d, m + 1), dtype=np.int64)
     table[:, 1:] = pascal(d, max(m, 0), np.int64)
-    # row p_i of the flat table starts at p_i (m + 1); take would copy a rest not in C order
-    base = m + (m + 1) * np.arange(d - 1, 0, -1)[:, None, None]
-    rest = base - np.cumsum(a[:, :-1], axis=1).T[:, :, None]
-    rest = np.subtract(rest, np.cumsum(b[:, :-1], axis=1).T[:, None, :], order="C")
-    return table.ravel().take(rest).sum(axis=0)
+    # row p_i of the flat table starts at p_i (m + 1)
+    base = m + (m + 1) * np.arange(d - 1, 0, -1)
+    prefix_a = np.cumsum(a[:, :-1], axis=1).T
+    prefix_b = np.cumsum(b[:, :-1], axis=1).T
+    out = np.zeros((len(a), len(b)), dtype=np.int64)
+    rows = max(1, (1 << 16) // max(out.size, 1))
+    rest = np.empty((min(rows, d - 1), len(a), len(b)), dtype=np.int64)
+    for start in range(0, d - 1, rows):
+        block = rest[: min(rows, d - 1 - start)]
+        at = slice(start, start + len(block))
+        np.subtract(
+            (base[at, None] - prefix_a[at])[:, :, None], prefix_b[at, None, :], out=block
+        )
+        # the block's indices are spent once taken, so its first row takes their sum
+        out += np.sum(table.ravel().take(block), axis=0, out=block[0])
+    return out
 
 
 def composition_rank(counts: np.ndarray, m: int) -> np.ndarray:
@@ -161,7 +174,7 @@ class SymBasis:
 
         Adding e_i keeps the lex order, so each row rises along u.  It is
         read only to gather hops from an operator's own entries
-        (SymOperator._diagonal_and_hops, and a clone output for its source);
+        (gather_stack, and scatter_stack for a clone output's source);
         a clone output's own hops come from its plan, so the table at the
         output weight is never built.
         """
@@ -221,12 +234,9 @@ class SymOperator:
 
     def _diagonal_and_hops(self) -> tuple[np.ndarray, np.ndarray]:
         """The diagonal, and the one-hop entries as a (d(d-1), dim(d, m-1))
-        array in the layout of basis.reduction's coeffs: one row per move
-        (p, q), gathered at rows hop_ranks[p] and columns hop_ranks[q]."""
-        ranks = self.basis.hop_ranks
-        p, q = self.basis.moves
-        x = self.entries
-        return np.diagonal(x), x[ranks[p], ranks[q]]
+        array in the layout of basis.reduction's coeffs (gather_stack)."""
+        diagonal, hops = gather_stack(self.basis, self.entries[None])
+        return diagonal[0], hops[0]
 
     def validate_density(
         self,
@@ -309,27 +319,47 @@ class QuditOperator:
         return float(np.max(np.abs(self.entries - self.entries.conj().T)))
 
 
+def gather_stack(basis: SymBasis, entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonals and the one-hop entries of a (B, N, N) stack of operators
+    over basis, m >= 1: a (B, N) view and a (B, d(d-1), dim(d, m-1)) array,
+    one row per move (p, q) gathered at rows hop_ranks[p] and columns
+    hop_ranks[q], in the layout of basis.reduction's coeffs."""
+    ranks = basis.hop_ranks
+    p, q = basis.moves
+    return np.diagonal(entries, axis1=1, axis2=2), entries[:, ranks[p], ranks[q]]
+
+
+def reduce_stack(basis: SymBasis, diagonal: np.ndarray, hops: np.ndarray) -> np.ndarray:
+    """The (B, d, d) single-site reductions of a stack of B operators over
+    basis, m >= 1, from their diagonals and one-hop entries (gather_stack).
+
+    Each diagonal entry is one dot per operator: OpenBLAS sums a matrix
+    product in another order than a dot.  Each off-diagonal entry (p, q)
+    sums its move's terms strictly in basis order, by a running sum along
+    the move's row, and only the row totals are added to the zeroed
+    output.  That is the order and the +0.0 start of np.add.at over every
+    term, so a row of -0.0 terms still gives +0.0.
+    """
+    d = basis.d
+    diag, coeffs, (p, q) = basis.reduction
+    out = np.zeros((len(diagonal), d, d), dtype=np.complex128)
+    for b, x in enumerate(diagonal):
+        for i in range(d):
+            out[b, i, i] = diag[i] @ x
+    terms = coeffs * hops
+    np.add.at(out, (slice(None), p, q), np.add.accumulate(terms, axis=-1, out=terms)[..., -1])
+    return out
+
+
 def reduce_one(op: SymOperator) -> QuditOperator:
     """Single-site reduced operator of a symmetric-subspace operator.
 
     Linear and trace-preserving for arbitrary (not necessarily Hermitian or
     positive) inputs.  For permutation-invariant operators every site gives
-    the same reduction, which is what this computes.
-
-    Each off-diagonal entry (p, q) sums its move's terms strictly in basis
-    order, by a running sum along the move's row, and only the d(d-1) row
-    totals are added to the zeroed output.  That is the order and the +0.0
-    start of np.add.at over every term, so a row of -0.0 terms still gives
-    +0.0.
+    the same reduction, which is what this computes: reduce_stack over a
+    stack of one.
     """
     if op.m < 1:
         raise InvalidParameterError("single-site reduction needs at least one particle")
-    d = op.d
-    diag, coeffs, (p, q) = op.basis.reduction
-    xdiag, xhops = op._diagonal_and_hops()
-    out = np.zeros((d, d), dtype=np.complex128)
-    for i in range(d):
-        out[i, i] = diag[i] @ xdiag
-    terms = coeffs * xhops
-    np.add.at(out, (p, q), np.add.accumulate(terms, axis=1, out=terms)[:, -1])
-    return QuditOperator(d, out)
+    diagonal, hops = op._diagonal_and_hops()
+    return QuditOperator(op.d, reduce_stack(op.basis, diagonal[None], hops[None])[0])

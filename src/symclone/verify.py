@@ -15,11 +15,18 @@ import numpy as np
 
 from .closed_forms import (
     fidelity,
-    scaling_residual,
-    scaling_residual_bloch,
+    scaling_residuals,
+    scaling_residuals_bloch,
     shrink,
 )
-from .cloner import ancilla_dim, clone_amplitudes, clone_channel, concatenate, isometry_gram
+from .cloner import (
+    ancilla_dim,
+    clone_amplitudes,
+    clone_channel,
+    concatenate,
+    isometry_gram,
+    scatter_stack,
+)
 from .oracle import (
     covariance_check,
     ginibre_sym_operator,
@@ -28,7 +35,15 @@ from .oracle import (
     random_unitary,
     sym_embedding,
 )
-from .symspace import InvalidParameterError, SymOperator, dim, enumerate_basis, reduce_one
+from .symspace import (
+    InvalidParameterError,
+    SymOperator,
+    dim,
+    enumerate_basis,
+    gather_stack,
+    reduce_one,
+    reduce_stack,
+)
 
 # keyword arguments that shrink each suite's grids for a smoke run
 QUICK_GRIDS = {
@@ -145,15 +160,19 @@ def scaling_suite(
     for d in dims:
         for m in range(1, max_m + 1):
             for l in range(m, max_l + 1):
+                basis, cell = enumerate_basis(d, m), clone_amplitudes(d, m, l)
                 for kind, code in _KIND_CODES.items():
                     rng = _cell_rng(seed, d, m, l, code)
-                    residuals, bloch = [], []
-                    for _ in range(inputs_per_kind):
-                        x = _random_input(kind, d, m, rng)
-                        rin = reduce_one(x)
-                        rout = reduce_one(clone_channel(x, l))
-                        residuals.append(scaling_residual(rin, rout, d, m, l, eta_factor))
-                        bloch.append(scaling_residual_bloch(rin, rout, d, m, l, eta_factor))
+                    # the draws one at a time, then reduced as one stack
+                    x = np.empty((inputs_per_kind, basis.size, basis.size), dtype=np.complex128)
+                    for b in range(inputs_per_kind):
+                        x[b] = _random_input(kind, d, m, rng).entries
+                    x_parts = gather_stack(basis, x)
+                    out_parts = scatter_stack(basis, cell, *x_parts)
+                    rin = reduce_stack(basis, *x_parts)
+                    rout = reduce_stack(enumerate_basis(d, l), *out_parts)
+                    residuals = scaling_residuals(rin, rout, d, m, l, eta_factor)
+                    bloch = scaling_residuals_bloch(rin, rout, d, m, l, eta_factor)
                     cases.append(
                         _case(
                             {"d": d, "m": m, "l": l, "kind": kind},

@@ -281,9 +281,11 @@ class TestVerify:
 
     @pytest.mark.parametrize("suite", ["scaling", "oracle", "concat"])
     def test_nan_injecting_channel_fails_every_case(self, suite, tmp_path, capsys, monkeypatch):
-        # concat reaches the channel inside cloner.concatenate and uqcm_pure_output
+        # concat reaches the channel inside cloner.concatenate and uqcm_pure_output;
+        # the scaling suite scatters each case's draws as one stack
         module = cloner if suite == "concat" else verify
         exact = module.clone_channel
+        exact_scatter = verify.scatter_stack
 
         def nan_channel(op, l):
             out = exact(op, l)
@@ -291,10 +293,19 @@ class TestVerify:
             entries[0, 0] = np.nan
             return SymOperator(out.basis, entries)
 
+        def nan_scatter(*args):
+            diagonal, hops = exact_scatter(*args)
+            diagonal = diagonal.copy()
+            diagonal[:, 0] = np.nan
+            return diagonal, hops
+
         def reject(constant):
             raise ValueError(f"non-standard JSON constant {constant}")
 
-        monkeypatch.setattr(module, "clone_channel", nan_channel)
+        if suite == "scaling":
+            monkeypatch.setattr(verify, "scatter_stack", nan_scatter)
+        else:
+            monkeypatch.setattr(module, "clone_channel", nan_channel)
         out = tmp_path / "report.json"
         assert main(["verify", suite, "--quick", "--out", str(out)]) == 1
         report = json.loads(out.read_text(), parse_constant=reject)

@@ -15,7 +15,12 @@ from hypothesis import given, settings
 
 from symclone import cloner, symspace
 from symclone.cli import main
-from symclone.closed_forms import scaling_residual
+from symclone.closed_forms import (
+    scaling_residual,
+    scaling_residual_bloch,
+    scaling_residuals,
+    scaling_residuals_bloch,
+)
 from symclone.cloner import (
     CloneOutput,
     alpha_d_sq,
@@ -25,6 +30,7 @@ from symclone.cloner import (
     clone_channel,
     concatenate,
     isometry_gram,
+    scatter_stack,
     uqcm_pure_output,
 )
 from symclone.oracle import ginibre_sym_operator, hermitian_sym_operator
@@ -35,7 +41,9 @@ from symclone.symspace import (
     basis_projector,
     dim,
     enumerate_basis,
+    gather_stack,
     reduce_one,
+    reduce_stack,
     sym_operator,
 )
 from symclone.verify import oracle_suite
@@ -190,16 +198,55 @@ class TestStructuredOutput:
         (d, m, l) for d in (2, 3, 4) for m in range(0, 5) for l in range(max(m, 1), m + 5)
     ] + [(2, 20, 400), (3, 6, 30), (4, 4, 16), (5, 2, 10), (3, 20, 24), (2, 1, 200), (3, 2, 20)]
 
-    def each_draw(self, check):
-        """check(x, l) on a Ginibre, a Hermitian and a non-finite draw per cell."""
+    def cell_draws(self):
+        """Per cell, l and its Ginibre, Hermitian and non-finite draws."""
         for i, (d, m, l) in enumerate(self.CELLS):
             g, h = (make(d, m, np.random.default_rng([i, d, m, l]))
                     for make in (ginibre_sym_operator, hermitian_sym_operator))
+            yield l, (g, h, non_finite(g))
+
+    def each_draw(self, check):
+        """check(x, l) on a Ginibre, a Hermitian and a non-finite draw per cell."""
+        for l, (g, h, bad) in self.cell_draws():
             check(g, l)
             check(h, l)
             # NaN and inf make the products warn; only this draw may
             with np.errstate(invalid="ignore"):
-                check(non_finite(g), l)
+                check(bad, l)
+
+    def test_a_stack_gives_the_bits_of_a_stack_of_one(self):
+        # the scaling suite gathers, scatters, reduces and checks each case's
+        # draws as one stack; each draw must keep the bits it has alone
+        for l, draws in self.cell_draws():
+            d, m = draws[0].d, draws[0].m
+            basis = draws[0].basis
+            x = np.stack([draw.entries for draw in draws])
+            parts = gather_stack(basis, x) if m else (np.diagonal(x, axis1=1, axis2=2), None)
+            with np.errstate(invalid="ignore"):
+                first = scatter_stack(basis, clone_amplitudes(d, m, l), *parts)
+                second = scatter_stack(enumerate_basis(d, l), clone_amplitudes(d, l, l + 1), *first)
+                ones = [clone_channel(draw, l) for draw in draws]
+                twos = [clone_channel(out, l + 1) for out in ones]
+                stages = []
+                for weight, stage, outs in ((l, first, ones), (l + 1, second, twos)):
+                    reduced = reduce_stack(enumerate_basis(d, weight), *stage)
+                    for b, out in enumerate(outs):
+                        diagonal, hops = out._diagonal_and_hops()
+                        assert_bitwise_equal(stage[0][b], diagonal)
+                        assert_bitwise_equal(stage[1][b], hops)
+                        assert_bitwise_equal(reduced[b], reduce_one(out).entries)
+                    stages.append((weight, reduced, outs))
+                if not m:
+                    continue
+                rin = reduce_stack(basis, *parts)
+                for weight, rout, outs in stages:
+                    residuals = scaling_residuals(rin, rout, d, m, weight)
+                    bloch = scaling_residuals_bloch(rin, rout, d, m, weight)
+                    for b, (draw, out) in enumerate(zip(draws, outs)):
+                        single = reduce_one(draw), reduce_one(out), d, m, weight
+                        assert_bitwise_equal(rin[b], single[0].entries)
+                        want = scaling_residual(*single), scaling_residual_bloch(*single)
+                        assert_bitwise_equal(np.array([residuals[b], bloch[b]]), np.array(want))
 
     def test_reduction_matches_the_dense_view_bit_for_bit(self):
         def check(x, l):
@@ -537,6 +584,19 @@ class TestPlansMatchReference:
                                 want.numerator,
                                 want.denominator,
                             )
+
+    @pytest.mark.parametrize("d, m, l", [(300000, 0, 0), (200, 0, 1), (200, 1, 1), (12, 1, 3)])
+    def test_wide_table_matches_alpha_d_sq(self, d, m, l):
+        # at m = 0 or l = m every factor C(j_p + k_p, k_p) is 1, so no level
+        # is multiplied; the table keeps its exact values, shape and dtype
+        amps = clone_amplitudes(d, m, l)
+        inputs = enumerate_basis(d, m).counts.tolist()
+        added = enumerate_basis(d, l - m).counts.tolist()
+        assert amps.occupancy.shape == (len(inputs), len(added))
+        assert amps.occupancy.dtype == np.int64
+        for i, j in enumerate(inputs):
+            for t, k in enumerate(added):
+                assert amps.prefactor * int(amps.occupancy[i, t]) == alpha_d_sq(j, k, m, l)
 
     def test_reduction_plan(self):
         for d in (2, 3, 4):

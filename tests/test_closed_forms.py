@@ -7,11 +7,13 @@ from hypothesis import given, settings
 
 from symclone.closed_forms import (
     BlochVector,
+    bloch_stack,
     bloch_vector,
     fidelity,
     generators,
     scaling_residual,
     scaling_residual_bloch,
+    scaling_residuals_bloch,
     shrink,
 )
 from symclone.cloner import clone_channel, uqcm_pure_output
@@ -145,6 +147,14 @@ class TestBlochRoundTrip:
     def test_rejects_non_hermitian(self):
         with pytest.raises(InvalidParameterError):
             bloch_vector(QuditOperator(2, np.array([[0.5, 1.0], [0.0, 0.5]])))
+
+    def test_a_stack_with_one_non_hermitian_draw_is_rejected(self):
+        # the scaling suite checks each case's reductions as one stack
+        rho = np.stack([np.eye(2) / 2, [[0.5, 1.0], [0.0, 0.5]], np.diag([1.0, 0.0])])
+        with pytest.raises(InvalidParameterError, match="not Hermitian"):
+            scaling_residuals_bloch(rho[[0, 2, 0]], rho, 2, 1, 2)
+        with pytest.raises(InvalidParameterError, match="max deviation 1.000e\\+00"):
+            bloch_stack(rho)
 
     def test_bloch_vector_length_enforced(self):
         with pytest.raises(InvalidParameterError):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+import tracemalloc
 
 import hypothesis.strategies as st
 import numpy as np
@@ -88,6 +89,18 @@ class TestEnumerateBasis:
                 assert got.shape == want.shape == (len(a), len(b))
                 assert got.tobytes() == want.tobytes()
                 assert np.array_equal(basis[got], sums)
+
+    def test_sum_ranks_peak_near_its_output(self):
+        # the plan's idx at (4, 1, 114); holding every position's index array
+        # and its lookup at once peaked at 7x the output here
+        a = enumerate_basis(4, 1).counts[::-1]
+        b = enumerate_basis(4, 113).counts
+        tracemalloc.start()
+        ranks = sum_ranks(a, b, 114)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert ranks.shape == (4, 253460)
+        assert peak < 4 * ranks.nbytes
 
     @pytest.mark.parametrize("d, a_weight", [(2, 299999), (3, 0), (3, 4), (300000, 0)])
     def test_sum_ranks_of_no_rows(self, d, a_weight):
