@@ -209,18 +209,7 @@ class CloneOutput(SymOperator):
 
     @cached_property
     def entries(self) -> np.ndarray:
-        n_out = self.basis.size
-        if n_out * n_out > DENSE_GUARD:
-            raise ResourceLimitError(
-                f"dense {n_out}x{n_out} output exceeds the guard of {DENSE_GUARD} entries"
-            )
-        y = np.zeros((n_out, n_out), dtype=np.complex128)
-        # the plan's rows run in descending rank, so each column meets the
-        # source block reversed; contiguous copies keep the loop's reads dense
-        x = np.ascontiguousarray(self.source.entries[::-1, ::-1])
-        idx, v, _ = self.cell.plan
-        for idx_t, v_t in zip(np.ascontiguousarray(idx.T), np.ascontiguousarray(v.T)):
-            y[np.ix_(idx_t, idx_t)] += (v_t[:, None] * v_t[None, :]) * x
+        y = dense_stack(self.cell, self.source.entries[None])[0]
         y.setflags(write=False)
         return y
 
@@ -233,6 +222,30 @@ class CloneOutput(SymOperator):
             parts = np.diagonal(source.entries)[None], None
         diagonal, hops = scatter_stack(source.basis, self.cell, *parts)
         return diagonal[0], hops[0]
+
+
+def dense_stack(cell: CloneAmplitudes, entries: np.ndarray) -> np.ndarray:
+    """The dense clone outputs, (B, dim(d, l), dim(d, l)), of a (B, N, N)
+    stack of operators over the basis of (d, cell.m).
+
+    Refused, before anything is allocated, beyond DENSE_GUARD entries in
+    all.  The plan's columns are walked once for the whole stack, and every
+    entry adds its terms in k order onto +0.0, so each output keeps the
+    bits it has in a stack of one.
+    """
+    batch, n_out = len(entries), dim(cell.d, cell.l)
+    if batch * n_out * n_out > DENSE_GUARD:
+        raise ResourceLimitError(
+            f"dense {batch} x {n_out}x{n_out} output exceeds the guard of {DENSE_GUARD} entries"
+        )
+    y = np.zeros((batch, n_out, n_out), dtype=np.complex128)
+    # the plan's rows run in descending rank, so each column meets the
+    # source block reversed; contiguous copies keep the loop's reads dense
+    x = np.ascontiguousarray(entries[:, ::-1, ::-1])
+    idx, v, _ = cell.plan
+    for idx_t, v_t in zip(np.ascontiguousarray(idx.T), np.ascontiguousarray(v.T)):
+        y[:, idx_t[:, None], idx_t[None, :]] += (v_t[:, None] * v_t[None, :]) * x
+    return y
 
 
 def scatter_stack(

@@ -18,6 +18,7 @@ from .symspace import (
     InvalidParameterError,
     QuditOperator,
     ResourceLimitError,
+    SymBasis,
     SymOperator,
     dim,
     enumerate_basis,
@@ -57,12 +58,17 @@ def reduce_full_to_site(full: np.ndarray, d: int, n_sites: int, site: int = 0) -
         raise InvalidParameterError(
             f"expected a {size}x{size} operator, got shape {full.shape}"
         )
+    return QuditOperator(d, _site_traces(full[None], d, n_sites, site)[0])
+
+
+def _site_traces(full: np.ndarray, d: int, n_sites: int, site: int) -> np.ndarray:
+    """The (B, d, d) single-site traces of a (B, d**n, d**n) stack."""
     if not 0 <= site < n_sites:
         raise InvalidParameterError(f"site must be in [0, {n_sites}), got {site}")
     before = d**site
     after = d ** (n_sites - 1 - site)
-    w = full.reshape(before, d, after, before, d, after)
-    return QuditOperator(d, np.einsum("aibajb->ij", w))
+    w = full.reshape(len(full), before, d, after, before, d, after)
+    return np.einsum("zaibajb->zij", w)
 
 
 @lru_cache(maxsize=1)
@@ -95,18 +101,37 @@ def clone_isometry_full(d: int, m: int, l: int) -> np.ndarray:
     return v
 
 
-def oracle_clone(op: SymOperator, l: int, site: int = 0) -> tuple[np.ndarray, QuditOperator]:
-    """Clone through the explicit isometry; trace out ancilla, then sites.
+def oracle_stack(
+    basis: SymBasis, entries: np.ndarray, l: int, site: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Clone a (B, N, N) stack of operators over basis through the explicit
+    isometry; trace out ancilla, then sites.
 
-    Returns the dense operator on all l sites and its single-site reduction.
-    The reduction is independent of which site is kept.
+    Returns the (B, d**l, d**l) dense operators on all l sites and their
+    (B, d, d) single-site reductions, which are independent of the site
+    kept.  Refused, before anything is allocated, if the outputs exceed
+    MEMORY_GUARD entries in all.
     """
-    d = op.d
+    d, batch = basis.d, len(entries)
     size = d**l
-    v = clone_isometry_full(d, op.m, l).reshape(size, -1, op.basis.size)
+    if batch * size * size > MEMORY_GUARD:
+        raise ResourceLimitError(
+            f"dense {batch} x {d}**{l} x {d}**{l} output exceeds the guard of "
+            f"{MEMORY_GUARD} entries"
+        )
+    v = clone_isometry_full(d, basis.m, l).reshape(size, -1, basis.size)
     # tr_ancilla(V X V*) by contraction, never forming V X V*
-    full = (v @ op.entries).reshape(size, -1) @ v.reshape(size, -1).conj().T
-    return full, reduce_full_to_site(full, d, l, site)
+    full = (v[None] @ entries[:, None]).reshape(batch, size, v[0].size)
+    full = full @ v.reshape(size, -1).conj().T
+    return full, _site_traces(full, d, l, site)
+
+
+def oracle_clone(op: SymOperator, l: int, site: int = 0) -> tuple[np.ndarray, QuditOperator]:
+    """Clone one operator through the explicit isometry: oracle_stack with a
+    stack of one.  Returns the dense operator on all l sites and its
+    single-site reduction."""
+    full, reduced = oracle_stack(op.basis, op.entries[None], l, site)
+    return full[0], QuditOperator(op.d, reduced[0])
 
 
 def _kron_power(u: np.ndarray, n: int) -> np.ndarray:
@@ -143,30 +168,57 @@ def covariance_check(u: QuditOperator, op: SymOperator, l: int) -> float:
     return float(np.max(np.abs(lhs.entries - rhs)))
 
 
+def ginibre_stack(d: int, m: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """count random PSD trace-1 operators over the basis of (d, m), as a
+    (count, N, N) array: G G* normalized, G complex Gaussian.
+
+    One standard_normal call fills every draw's real block, then its
+    imaginary block, so the stack holds the bits of count draws of one,
+    taken in turn from the same generator.
+    """
+    g = _gaussian_stack(dim(d, m), count, rng)
+    x = g @ g.conj().swapaxes(1, 2)
+    return x / np.trace(x, axis1=1, axis2=2).real[:, None, None]
+
+
 def ginibre_sym_operator(d: int, m: int, rng: np.random.Generator) -> SymOperator:
-    """Random PSD trace-1 operator: G G* normalized, G complex Gaussian."""
-    basis = enumerate_basis(d, m)
-    n = basis.size
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    x = g @ g.conj().T
-    return SymOperator(basis, x / np.trace(x).real)
+    """Random PSD trace-1 operator: ginibre_stack with a stack of one."""
+    return SymOperator(enumerate_basis(d, m), ginibre_stack(d, m, 1, rng)[0])
+
+
+def hermitian_stack(d: int, m: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """count random trace-1 Hermitian operators over the basis of (d, m), as
+    a (count, N, N) array, generically with negative eigenvalues.
+
+    Each is H / tr(H) from a Gaussian Hermitian H; candidates with
+    |tr(H)| < 0.5 are discarded to keep the normalization well-scaled.
+    Each round draws only as many candidates as draws are still missing,
+    so no candidate past the last kept one is drawn, and the stack and the
+    generator's final state are those of count draws of one.
+    """
+    n = dim(d, m)
+    out = np.empty((count, n, n), dtype=np.complex128)
+    done = 0
+    while done < count:
+        g = _gaussian_stack(n, count - done, rng)
+        h = (g + g.conj().swapaxes(1, 2)) / 2.0
+        tr = np.trace(h, axis1=1, axis2=2).real
+        keep = np.abs(tr) >= 0.5
+        h, tr = h[keep], tr[keep]
+        np.divide(h, tr[:, None, None], out=out[done : done + len(tr)])
+        done += len(tr)
+    return out
 
 
 def hermitian_sym_operator(d: int, m: int, rng: np.random.Generator) -> SymOperator:
-    """Random trace-1 Hermitian operator, generically with negative eigenvalues.
+    """Random trace-1 Hermitian operator: hermitian_stack with a stack of one."""
+    return SymOperator(enumerate_basis(d, m), hermitian_stack(d, m, 1, rng)[0])
 
-    Built as H / tr(H) from a Gaussian Hermitian H; draws with |tr(H)| < 0.5
-    are discarded to keep the normalization well-scaled, so the result is
-    still a deterministic function of the generator state.
-    """
-    basis = enumerate_basis(d, m)
-    n = basis.size
-    while True:
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        h = (g + g.conj().T) / 2.0
-        tr = np.trace(h).real
-        if abs(tr) >= 0.5:
-            return SymOperator(basis, h / tr)
+
+def _gaussian_stack(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """count complex Gaussian n x n matrices, each real block then imaginary."""
+    z = rng.standard_normal((count, 2, n, n))
+    return z[:, 0] + 1j * z[:, 1]
 
 
 def random_unitary(d: int, rng: np.random.Generator) -> QuditOperator:

@@ -315,9 +315,6 @@ class QuditOperator:
     def trace(self) -> complex:
         return complex(np.trace(self.entries))
 
-    def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.entries - self.entries.conj().T)))
-
 
 def gather_stack(basis: SymBasis, entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The diagonals and the one-hop entries of a (B, N, N) stack of operators

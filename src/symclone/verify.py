@@ -22,16 +22,18 @@ from .closed_forms import (
 from .cloner import (
     ancilla_dim,
     clone_amplitudes,
-    clone_channel,
     concatenate,
+    dense_stack,
     isometry_gram,
     scatter_stack,
 )
 from .oracle import (
     covariance_check,
+    ginibre_stack,
     ginibre_sym_operator,
+    hermitian_stack,
     hermitian_sym_operator,
-    oracle_clone,
+    oracle_stack,
     random_unitary,
     sym_embedding,
 )
@@ -41,7 +43,6 @@ from .symspace import (
     dim,
     enumerate_basis,
     gather_stack,
-    reduce_one,
     reduce_stack,
 )
 
@@ -123,6 +124,9 @@ def _json_float(x: float) -> float | str:
     return x if math.isfinite(x) else str(x)
 
 
+_STACKS = {"ginibre": ginibre_stack, "hermitian": hermitian_stack}
+
+
 def _random_input(kind: str, d: int, m: int, rng: np.random.Generator) -> SymOperator:
     if kind == "ginibre":
         return ginibre_sym_operator(d, m, rng)
@@ -163,10 +167,7 @@ def scaling_suite(
                 basis, cell = enumerate_basis(d, m), clone_amplitudes(d, m, l)
                 for kind, code in _KIND_CODES.items():
                     rng = _cell_rng(seed, d, m, l, code)
-                    # the draws one at a time, then reduced as one stack
-                    x = np.empty((inputs_per_kind, basis.size, basis.size), dtype=np.complex128)
-                    for b in range(inputs_per_kind):
-                        x[b] = _random_input(kind, d, m, rng).entries
+                    x = _STACKS[kind](d, m, inputs_per_kind, rng)
                     x_parts = gather_stack(basis, x)
                     out_parts = scatter_stack(basis, cell, *x_parts)
                     rin = reduce_stack(basis, *x_parts)
@@ -269,17 +270,17 @@ def oracle_suite(
     cases = []
     for d, m, l in ORACLE_GRID:
         embed = sym_embedding(d, l)
+        basis, cell = enumerate_basis(d, m), clone_amplitudes(d, m, l)
         for kind, code in _KIND_CODES.items():
-            rng = _cell_rng(seed, d, m, l, code)
-            residuals = []
-            for _ in range(inputs_per_kind):
-                x = _random_input(kind, d, m, rng)
-                fast = clone_channel(x, l)
-                full, slow = oracle_clone(x, l)
-                residuals.append(_worst(np.abs(reduce_one(fast).entries - slow.entries)))
-                restricted = embed.conj().T @ full @ embed
-                residuals.append(_worst(np.abs(restricted - fast.entries)))
-            cases.append(_case({"d": d, "m": m, "l": l, "kind": kind}, residuals, tol))
+            x = _STACKS[kind](d, m, inputs_per_kind, _cell_rng(seed, d, m, l, code))
+            x_parts = gather_stack(basis, x)
+            fast = reduce_stack(enumerate_basis(d, l), *scatter_stack(basis, cell, *x_parts))
+            full, slow = oracle_stack(basis, x, l)
+            restricted = embed.conj().T @ full @ embed
+            residuals = np.abs(fast - slow), np.abs(restricted - dense_stack(cell, x))
+            cases.append(
+                _case({"d": d, "m": m, "l": l, "kind": kind}, [_worst(r) for r in residuals], tol)
+            )
     grid = {"cells": [list(c) for c in ORACLE_GRID], "inputs_per_kind": inputs_per_kind}
     return RunReport("oracle", seed, grid, tuple(cases))
 

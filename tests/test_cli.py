@@ -17,6 +17,37 @@ def write_pure_input(path):
     write_sym_operator(path, basis_projector((1, 0)))
 
 
+def poison_stack(monkeypatch, name):
+    """verify's stacked scatter or dense view with each draw's first output
+    entry NaN: the first diagonal entry, or the first dense entry."""
+    exact = getattr(verify, name)
+
+    def nan_stack(*args):
+        out = exact(*args)
+        if name == "scatter_stack":
+            diagonal, hops = out
+            diagonal = diagonal.copy()
+            diagonal[:, 0] = np.nan
+            return diagonal, hops
+        out = out.copy()
+        out[:, 0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(verify, name, nan_stack)
+
+
+def assert_every_case_reads_nan(suite, tmp_path):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    out = tmp_path / "report.json"
+    assert main(["verify", suite, "--quick", "--out", str(out)]) == 1
+    report = json.loads(out.read_text(), parse_constant=reject)
+    assert report["overall"] == "fail"
+    assert not any(case["passed"] for case in report["cases"])
+    assert all(case["residual"] == "nan" for case in report["cases"])
+
+
 class TestCoeffs:
     def test_one_to_two_qubits(self, tmp_path, capsys):
         out = tmp_path / "amps.csv"
@@ -282,10 +313,10 @@ class TestVerify:
     @pytest.mark.parametrize("suite", ["scaling", "oracle", "concat"])
     def test_nan_injecting_channel_fails_every_case(self, suite, tmp_path, capsys, monkeypatch):
         # concat reaches the channel inside cloner.concatenate and uqcm_pure_output;
-        # the scaling suite scatters each case's draws as one stack
-        module = cloner if suite == "concat" else verify
-        exact = module.clone_channel
-        exact_scatter = verify.scatter_stack
+        # the scaling and oracle suites clone each case's draws as one stack,
+        # so their channel is the stacked scatter, and the oracle's also the
+        # stacked dense view
+        exact = cloner.clone_channel
 
         def nan_channel(op, l):
             out = exact(op, l)
@@ -293,25 +324,19 @@ class TestVerify:
             entries[0, 0] = np.nan
             return SymOperator(out.basis, entries)
 
-        def nan_scatter(*args):
-            diagonal, hops = exact_scatter(*args)
-            diagonal = diagonal.copy()
-            diagonal[:, 0] = np.nan
-            return diagonal, hops
-
-        def reject(constant):
-            raise ValueError(f"non-standard JSON constant {constant}")
-
-        if suite == "scaling":
-            monkeypatch.setattr(verify, "scatter_stack", nan_scatter)
+        if suite == "concat":
+            monkeypatch.setattr(cloner, "clone_channel", nan_channel)
         else:
-            monkeypatch.setattr(module, "clone_channel", nan_channel)
-        out = tmp_path / "report.json"
-        assert main(["verify", suite, "--quick", "--out", str(out)]) == 1
-        report = json.loads(out.read_text(), parse_constant=reject)
-        assert report["overall"] == "fail"
-        assert not any(case["passed"] for case in report["cases"])
-        assert all(case["residual"] == "nan" for case in report["cases"])
+            poison_stack(monkeypatch, "scatter_stack")
+        if suite == "oracle":
+            poison_stack(monkeypatch, "dense_stack")
+        assert_every_case_reads_nan(suite, tmp_path)
+
+    @pytest.mark.parametrize("stack", ["scatter_stack", "dense_stack"])
+    def test_nan_in_either_oracle_check_fails_every_case(self, stack, tmp_path, monkeypatch):
+        # each case folds a reduction and a dense check; a NaN in either fails it
+        poison_stack(monkeypatch, stack)
+        assert_every_case_reads_nan("oracle", tmp_path)
 
     @pytest.mark.parametrize("flag", ["--tol", "--eta-factor"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "x"])

@@ -29,6 +29,7 @@ from symclone.cloner import (
     clone_amplitudes,
     clone_channel,
     concatenate,
+    dense_stack,
     isometry_gram,
     scatter_stack,
     uqcm_pure_output,
@@ -247,6 +248,31 @@ class TestStructuredOutput:
                         assert_bitwise_equal(rin[b], single[0].entries)
                         want = scaling_residual(*single), scaling_residual_bloch(*single)
                         assert_bitwise_equal(np.array([residuals[b], bloch[b]]), np.array(want))
+
+    def test_a_dense_stack_gives_the_bits_of_a_stack_of_one(self):
+        # the oracle suite builds each case's dense outputs as one stack
+        for l, draws in self.cell_draws():
+            d, m = draws[0].d, draws[0].m
+            if dim(d, l) ** 2 > 1 << 16:
+                continue
+            with np.errstate(invalid="ignore"):
+                dense = dense_stack(clone_amplitudes(d, m, l), np.stack([x.entries for x in draws]))
+                for b, draw in enumerate(draws):
+                    assert_bitwise_equal(dense[b], clone_channel(draw, l).entries)
+
+    def test_dense_stack_guard_counts_the_whole_stack(self):
+        # one 1001 x 1001 output fits the guard; five do not
+        cell = clone_amplitudes(2, 1, 1000)
+        assert dim(2, 1000) ** 2 <= cloner.DENSE_GUARD < 5 * dim(2, 1000) ** 2
+        x = np.zeros((5, 2, 2), dtype=np.complex128)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="guard"):
+                dense_stack(cell, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_reduction_matches_the_dense_view_bit_for_bit(self):
         def check(x, l):

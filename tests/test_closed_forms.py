@@ -99,7 +99,7 @@ class TestGenerators:
             assert len(gens) == d * d - 1
             for g in gens:
                 assert abs(np.trace(g.entries)) < 1e-13
-                assert g.hermiticity_defect() < 1e-13
+                assert np.max(np.abs(g.entries - g.entries.conj().T)) < 1e-13
 
 
 class TestBlochRoundTrip:

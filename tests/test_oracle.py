@@ -9,9 +9,12 @@ from symclone.oracle import (
     ResourceLimitError,
     clone_isometry_full,
     covariance_check,
+    ginibre_stack,
     ginibre_sym_operator,
+    hermitian_stack,
     hermitian_sym_operator,
     oracle_clone,
+    oracle_stack,
     random_unitary,
     reduce_full_to_site,
     sym_embedding,
@@ -19,11 +22,13 @@ from symclone.oracle import (
 from symclone.symspace import (
     InvalidParameterError,
     QuditOperator,
+    SymOperator,
     basis_projector,
     dim,
     enumerate_basis,
     reduce_one,
 )
+from symclone.verify import ORACLE_GRID, oracle_suite, scaling_suite
 
 
 def sym_column(counts):
@@ -163,6 +168,44 @@ class TestOracleClone:
             oracle_clone(basis_projector((1, 1)), 1)
 
 
+class TestOracleStack:
+    # the oracle suite's cells, and the empty input
+    CELLS = list(ORACLE_GRID) + [(2, 0, 3), (3, 0, 2)]
+
+    def test_a_stack_gives_the_bits_of_a_stack_of_one(self):
+        for i, (d, m, l) in enumerate(self.CELLS):
+            rng = np.random.default_rng([i, d, m, l])
+            x = np.concatenate([ginibre_stack(d, m, 2, rng), hermitian_stack(d, m, 2, rng)])
+            basis = enumerate_basis(d, m)
+            for site in sorted({0, l - 1}):
+                full, reduced = oracle_stack(basis, x, l, site)
+                for b, draw in enumerate(x):
+                    want_full, want = oracle_clone(SymOperator(basis, draw), l, site)
+                    assert full[b].tobytes() == want_full.tobytes(), (d, m, l, site)
+                    assert reduced[b].tobytes() == want.entries.tobytes(), (d, m, l, site)
+
+    def test_guard_counts_the_whole_stack(self):
+        # one 2**10 x 2**10 output sits on the guard; two exceed it
+        basis = enumerate_basis(2, 1)
+        assert 2**20 == MEMORY_GUARD
+        clone_isometry_full.cache_clear()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="guard"):
+                oracle_stack(basis, np.zeros((2, 2, 2), dtype=np.complex128), 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert clone_isometry_full.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("suite", [oracle_suite, scaling_suite])
+def test_a_suite_without_draws_passes_at_zero(suite):
+    report = suite(inputs_per_kind=0)
+    assert report.passed and {case.residual for case in report.cases} == {0.0}
+
+
 class TestReduceFullToSite:
     def test_product_state(self):
         a = np.diag([0.25, 0.75])
@@ -240,3 +283,49 @@ class TestRandomInputs:
         )
         again = random_unitary(3, np.random.default_rng(19))
         assert np.array_equal(u.entries, again.entries)
+
+
+def draws_of_one(d, m, kind, count, rng):
+    """count draws taken one at a time, with the real block of each
+    candidate drawn before its imaginary block; returns the stack and the
+    number of Hermitian candidates rejected."""
+    n = dim(d, m)
+    out, rejected = [], 0
+    while len(out) < count:
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        if kind == "ginibre":
+            x = g @ g.conj().T
+            out.append(x / np.trace(x).real)
+            continue
+        h = (g + g.conj().T) / 2.0
+        tr = np.trace(h).real
+        if abs(tr) >= 0.5:
+            out.append(h / tr)
+        else:
+            rejected += 1
+    return np.array(out, dtype=np.complex128).reshape(count, n, n), rejected
+
+
+@pytest.mark.parametrize("count", [1, 10])
+@pytest.mark.parametrize("kind", ["ginibre", "hermitian"])
+def test_a_stacked_draw_gives_the_bits_of_draws_of_one(kind, count):
+    stack = {"ginibre": ginibre_stack, "hermitian": hermitian_stack}[kind]
+    rejected = 0
+    # m = 1 cells reject about 38% of Hermitian candidates
+    for d, m in ((2, 1), (3, 1), (4, 1), (2, 3), (3, 2), (4, 4), (3, 0)):
+        for seed in range(4):
+            ours, theirs = np.random.default_rng([seed, d, m]), np.random.default_rng([seed, d, m])
+            want, skipped = draws_of_one(d, m, kind, count, theirs)
+            rejected += skipped
+            assert stack(d, m, count, ours).tobytes() == want.tobytes(), (d, m, seed)
+            # the generator ends where count draws of one leave it
+            assert ours.bit_generator.state == theirs.bit_generator.state, (d, m, seed)
+    assert (rejected > 0) == (kind == "hermitian")
+
+
+def test_a_stack_of_none_draws_nothing():
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    for stack in (ginibre_stack, hermitian_stack):
+        assert stack(3, 2, 0, rng).shape == (0, 6, 6)
+    assert rng.bit_generator.state == state
