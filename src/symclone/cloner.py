@@ -25,7 +25,6 @@ import numpy as np
 from .symspace import (
     InvalidParameterError,
     ResourceLimitError,
-    SymBasis,
     SymOperator,
     basis_projector,
     composition,
@@ -192,11 +191,11 @@ def clone_amplitudes(d: int, m: int, l: int) -> CloneAmplitudes:
 class CloneOutput(SymOperator):
     """clone_channel's output: its input operator (source) and table (cell).
 
-    entries is a dense view, built on first read and refused beyond
-    DENSE_GUARD entries; reduce_one reads the diagonal and the one-hop
-    entries straight from cell.plan and the source's own diagonal and
-    one-hop entries instead (scatter_stack over a stack of one), so a chain
-    of clones never builds a dense intermediate.
+    A stack of sources gives a stack of outputs.  entries is a dense view,
+    built on first read and refused beyond DENSE_GUARD entries; reduce_one
+    reads the diagonal and the one-hop entries straight from cell.plan and
+    the source's own diagonal and one-hop entries instead, so a chain of
+    clones never builds a dense intermediate.
     """
 
     def __init__(self, source: SymOperator, cell: CloneAmplitudes):
@@ -209,96 +208,81 @@ class CloneOutput(SymOperator):
 
     @cached_property
     def entries(self) -> np.ndarray:
-        y = dense_stack(self.cell, self.source.entries[None])[0]
+        """The dense output, (dim(d, l), dim(d, l)), or one per operator of
+        the source's stack.
+
+        Refused, before anything is allocated, beyond DENSE_GUARD entries in
+        all.  The plan's columns are walked once for the whole stack, and
+        every entry adds its terms in k order onto +0.0, so each output
+        keeps the bits it has alone.
+        """
+        lead, n_out = self.source.entries.shape[:-2], self.basis.size
+        batch = math.prod(lead)
+        if batch * n_out * n_out > DENSE_GUARD:
+            raise ResourceLimitError(
+                f"dense {batch} x {n_out}x{n_out} output exceeds the guard of {DENSE_GUARD} entries"
+            )
+        y = np.zeros((*lead, n_out, n_out), dtype=np.complex128)
+        # the plan's rows run in descending rank, so each column meets the
+        # source block reversed; contiguous copies keep the loop's reads dense
+        x = np.ascontiguousarray(self.source.entries[..., ::-1, ::-1])
+        idx, v, _ = self.cell.plan
+        for idx_t, v_t in zip(np.ascontiguousarray(idx.T), np.ascontiguousarray(v.T)):
+            y[..., idx_t[:, None], idx_t[None, :]] += (v_t[:, None] * v_t[None, :]) * x
         y.setflags(write=False)
         return y
 
     def _diagonal_and_hops(self) -> tuple[np.ndarray, np.ndarray]:
-        source = self.source
-        if source.m:
-            x_diagonal, x_hops = source._diagonal_and_hops()
-            parts = x_diagonal[None], x_hops[None]
-        else:  # a single input state: no one-hop pairs, and no reduction plan
-            parts = np.diagonal(source.entries)[None], None
-        diagonal, hops = scatter_stack(source.basis, self.cell, *parts)
-        return diagonal[0], hops[0]
+        """The diagonal and the one-hop entries, in the layout reduce_one
+        reads, scattered from the source's own through the plan.
 
-
-def dense_stack(cell: CloneAmplitudes, entries: np.ndarray) -> np.ndarray:
-    """The dense clone outputs, (B, dim(d, l), dim(d, l)), of a (B, N, N)
-    stack of operators over the basis of (d, cell.m).
-
-    Refused, before anything is allocated, beyond DENSE_GUARD entries in
-    all.  The plan's columns are walked once for the whole stack, and every
-    entry adds its terms in k order onto +0.0, so each output keeps the
-    bits it has in a stack of one.
-    """
-    batch, n_out = len(entries), dim(cell.d, cell.l)
-    if batch * n_out * n_out > DENSE_GUARD:
-        raise ResourceLimitError(
-            f"dense {batch} x {n_out}x{n_out} output exceeds the guard of {DENSE_GUARD} entries"
+        Hop (p, q) at u, of the source, lands on hop (p, q) at the rank of
+        u + k_t, which the plan's hop index holds.
+        """
+        source, cell = self.source, self.cell
+        d, m, l = cell.d, cell.m, cell.l
+        x_diagonal, x_hops = source._diagonal_and_hops()
+        lead = x_diagonal.shape[:-1]
+        idx, v, hop_index = cell.plan
+        batch, n_out, n_hop = math.prod(lead), dim(d, l), dim(d, l - 1)
+        # the dense matrix's diagonal is a strided view, and OpenBLAS sums a
+        # unit-stride vector in another order than a strided one; reduce_one
+        # dots each diagonal, so it gets a strided view too, and the same bits
+        diagonal = np.zeros((batch * n_out, 2), dtype=np.complex128)[:, 0]
+        hops = np.zeros((d * (d - 1), batch * n_hop), dtype=np.complex128)
+        # np.add.at adds in index order onto +0.0, as the dense loop adds in
+        # k order (see CloneAmplitudes.plan), with real and imaginary parts
+        # apart, so the sums agree bit for bit; numpy's fast path takes only
+        # 1-D index and value arrays, so each operator's targets are offset by
+        # its place in the stack, and a single operator is not offset at all
+        np.add.at(
+            diagonal, _stacked(idx, n_out, batch), ((v * v) * x_diagonal[..., ::-1, None]).ravel()
         )
-    y = np.zeros((batch, n_out, n_out), dtype=np.complex128)
-    # the plan's rows run in descending rank, so each column meets the
-    # source block reversed; contiguous copies keep the loop's reads dense
-    x = np.ascontiguousarray(entries[:, ::-1, ::-1])
-    idx, v, _ = cell.plan
-    for idx_t, v_t in zip(np.ascontiguousarray(idx.T), np.ascontiguousarray(v.T)):
-        y[:, idx_t[:, None], idx_t[None, :]] += (v_t[:, None] * v_t[None, :]) * x
-    return y
-
-
-def scatter_stack(
-    source: SymBasis,
-    cell: CloneAmplitudes,
-    x_diagonal: np.ndarray,
-    x_hops: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The diagonals and one-hop entries of the clone outputs of a stack of
-    B operators over the source basis, of weight cell.m, from theirs:
-    (B, dim(d, m)) and (B, d(d-1), dim(d, m-1)), or None at m = 0.  Returns
-    a (B, dim(d, l)) and a (B, d(d-1), dim(d, l-1)) array, the layout
-    reduce_stack reads.
-
-    Hop (p, q) at u, of the source, lands on hop (p, q) at the rank of
-    u + k_t, which the plan's hop index holds.
-    """
-    d, m, l = cell.d, cell.m, cell.l
-    idx, v, hop_index = cell.plan
-    batch, n_out, n_hop = len(x_diagonal), dim(d, l), dim(d, l - 1)
-    # the dense matrix's diagonal is a strided view, and OpenBLAS sums a
-    # unit-stride vector in another order than a strided one; reduce_stack
-    # dots each diagonal, so it gets a strided view too, and the same bits
-    diagonal = np.zeros((batch * n_out, 2), dtype=np.complex128)[:, 0]
-    hops = np.zeros((d * (d - 1), batch * n_hop), dtype=np.complex128)
-    # np.add.at adds in index order onto +0.0, as the dense loop adds in
-    # k order (see CloneAmplitudes.plan), with real and imaginary parts
-    # apart, so the sums agree bit for bit; numpy's fast path takes only
-    # 1-D index and value arrays, so each operator's targets are offset by
-    # its place in the stack, and a stack of one is not offset at all
-    np.add.at(diagonal, _stacked(idx, n_out, batch), ((v * v) * x_diagonal[:, ::-1, None]).ravel())
-    parts = diagonal.reshape(batch, n_out), hops.reshape(len(hops), batch, n_hop).swapaxes(0, 1)
-    if not m:
+        parts = (
+            diagonal.reshape(*lead, n_out),
+            hops.reshape(len(hops), batch, n_hop).swapaxes(0, 1).reshape(*lead, len(hops), n_hop),
+        )
+        if not m:  # a single input state: no one-hop pairs, and no reduction plan
+            return parts
+        # g[i, r, t] = alpha(u + e_i, k_t), u the weight-(m-1) composition of
+        # the plan's hop row r
+        g = v[len(v) - 1 - source.basis.hop_ranks[:, ::-1]]
+        p, q = source.basis.moves
+        move = {(p_j, q_j): j for j, (p_j, q_j) in enumerate(zip(p.tolist(), q.tolist()))}
+        targets = _stacked(hop_index, n_hop, batch)
+        # each move writes only its own row, so one move at a time keeps every
+        # entry's order; moves (p, q) and (q, p) share the real product
+        # alpha(u + e_p, k) alpha(u + e_q, k), and every move's terms fill
+        # one buffer that all of them reuse
+        pair = np.empty(hop_index.shape)
+        terms = np.empty((*lead, *hop_index.shape), dtype=np.complex128)
+        for p_j in range(d):
+            for q_j in range(p_j + 1, d):
+                np.multiply(g[p_j], g[q_j], out=pair)
+                for j in (move[p_j, q_j], move[q_j, p_j]):
+                    np.multiply(pair, x_hops[..., j, ::-1, None], out=terms)
+                    np.add.at(hops[j], targets, terms.ravel())
         return parts
-    # g[i, r, t] = alpha(u + e_i, k_t), u the weight-(m-1) composition of
-    # the plan's hop row r
-    g = v[len(v) - 1 - source.hop_ranks[:, ::-1]]
-    p, q = source.moves
-    move = {(p_j, q_j): j for j, (p_j, q_j) in enumerate(zip(p.tolist(), q.tolist()))}
-    targets = _stacked(hop_index, n_hop, batch)
-    # each move writes only its own row, so one move at a time keeps every
-    # entry's order; moves (p, q) and (q, p) share the real product
-    # alpha(u + e_p, k) alpha(u + e_q, k), and every move's terms fill
-    # one buffer that all of them reuse
-    pair = np.empty(hop_index.shape)
-    terms = np.empty((batch, *hop_index.shape), dtype=np.complex128)
-    for p_j in range(d):
-        for q_j in range(p_j + 1, d):
-            np.multiply(g[p_j], g[q_j], out=pair)
-            for j in (move[p_j, q_j], move[q_j, p_j]):
-                np.multiply(pair, x_hops[:, j, ::-1, None], out=terms)
-                np.add.at(hops[j], targets, terms.ravel())
-    return parts
 
 
 def _stacked(index: np.ndarray, size: int, batch: int) -> np.ndarray:
@@ -313,8 +297,9 @@ def clone_channel(op: SymOperator, l: int) -> CloneOutput:
 
     Y[a+k, b+k] += X[a, b] alpha(a, k) alpha(b, k), summed over all added
     compositions k in canonical order.  Linear in X, trace-preserving, and
-    the identity channel at l = m.  The amplitude table's guard applies
-    before anything is enumerated.
+    the identity channel at l = m; a stack of inputs gives a stack of
+    outputs.  The amplitude table's guard applies before anything is
+    enumerated.
     """
     cell = clone_amplitudes(op.d, op.m, l)
     cell.plan  # so that the plan's cost lands on this call

@@ -85,7 +85,8 @@ def _generator_stack(d: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class BlochVector:
-    """Real coefficients of a qudit operator in the fixed generator set."""
+    """Real coefficients of a qudit operator in the fixed generator set:
+    d*d - 1 of them, or a (B, d*d - 1) stack for a stack of operators."""
 
     d: int
     s: np.ndarray
@@ -93,32 +94,33 @@ class BlochVector:
     def __post_init__(self):
         s = np.array(self.s, dtype=np.float64)
         expected = self.d * self.d - 1
-        if s.shape != (expected,):
+        if s.ndim not in (1, 2) or s.shape[-1:] != (expected,):
             raise InvalidParameterError(
-                f"expected {expected} components for d={self.d}, got shape {s.shape}"
+                f"expected {expected} components for d={self.d}, or a stack of them, "
+                f"got shape {s.shape}"
             )
         s.setflags(write=False)
         object.__setattr__(self, "s", s)
 
 
 def bloch_vector(rho: QuditOperator, tol: float = 1e-9) -> BlochVector:
-    """Components s_i = Tr(rho t_i); rho must be Hermitian within tol."""
-    return BlochVector(rho.d, bloch_stack(rho.entries[None], tol)[0])
+    """Components s_i = Tr(rho t_i); rho must be Hermitian within tol.
 
-
-def bloch_stack(rho: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """The (B, d*d - 1) Bloch components of a (B, d, d) stack of qudit
-    operators; each must be Hermitian within tol, and the first that is not
-    is reported."""
-    defects = np.max(np.abs(rho - rho.conj().swapaxes(1, 2)), axis=(1, 2))
+    A stack of operators gives a stack of components, and the first
+    operator that is not Hermitian is reported.
+    """
+    d = rho.d
+    stack = rho.entries.reshape(-1, d, d)
+    defects = np.max(np.abs(stack - stack.conj().swapaxes(1, 2)), axis=(1, 2))
     bad = defects > tol
     if bad.any():
         raise InvalidParameterError(
             f"not Hermitian within {tol:g} (max deviation {defects[bad][0]:.3e})"
         )
     # one stacked product; each slice is the same gemm as rho @ t_i alone
-    product = rho[:, None] @ _generator_stack(rho.shape[-1])
-    return np.trace(product, axis1=2, axis2=3).real
+    product = stack[:, None] @ _generator_stack(d)
+    s = np.trace(product, axis1=2, axis2=3).real
+    return BlochVector(d, s.reshape(*rho.entries.shape[:-2], d * d - 1))
 
 
 def scaling_residual(
@@ -128,14 +130,16 @@ def scaling_residual(
     m: int,
     l: int,
     eta_factor: float = 1.0,
-) -> float:
-    """Max entrywise deviation of rho_out_red from the contraction law.
+) -> float | np.ndarray:
+    """Max entrywise deviation of rho_out_red from the contraction law; two
+    stacks of reductions give one deviation per pair.
 
     eta_factor multiplies the closed-form factor; values other than 1.0 are a
     negative-control hook for the verification suites.
     """
-    stacks = rho_in_red.entries[None], rho_out_red.entries[None]
-    return float(scaling_residuals(*stacks, d, m, l, eta_factor)[0])
+    eta = _eta(rho_in_red, rho_out_red, d, m, l, eta_factor)
+    target = eta * rho_in_red.entries + (1.0 - eta) / d * np.eye(d)
+    return np.max(np.abs(rho_out_red.entries - target), axis=(-2, -1))
 
 
 def scaling_residual_bloch(
@@ -145,45 +149,19 @@ def scaling_residual_bloch(
     m: int,
     l: int,
     eta_factor: float = 1.0,
-) -> float:
+) -> float | np.ndarray:
     """Same contraction law in Bloch components: max_i |s_out_i - eta s_in_i|."""
-    stacks = rho_in_red.entries[None], rho_out_red.entries[None]
-    return float(scaling_residuals_bloch(*stacks, d, m, l, eta_factor)[0])
+    eta = _eta(rho_in_red, rho_out_red, d, m, l, eta_factor)
+    s_in = bloch_vector(rho_in_red).s
+    s_out = bloch_vector(rho_out_red).s
+    return np.max(np.abs(s_out - eta * s_in), axis=-1)
 
 
-def scaling_residuals(
-    rho_in: np.ndarray,
-    rho_out: np.ndarray,
-    d: int,
-    m: int,
-    l: int,
-    eta_factor: float = 1.0,
-) -> np.ndarray:
-    """scaling_residual of each pair in two (B, d, d) stacks of reductions."""
-    eta = _eta(rho_in, rho_out, d, m, l, eta_factor)
-    target = eta * rho_in + (1.0 - eta) / d * np.eye(d)
-    return np.max(np.abs(rho_out - target), axis=(1, 2))
-
-
-def scaling_residuals_bloch(
-    rho_in: np.ndarray,
-    rho_out: np.ndarray,
-    d: int,
-    m: int,
-    l: int,
-    eta_factor: float = 1.0,
-) -> np.ndarray:
-    """scaling_residual_bloch of each pair in two (B, d, d) stacks of reductions."""
-    eta = _eta(rho_in, rho_out, d, m, l, eta_factor)
-    s_in = bloch_stack(rho_in)
-    s_out = bloch_stack(rho_out)
-    return np.max(np.abs(s_out - eta * s_in), axis=1)
-
-
-def _eta(rho_in: np.ndarray, rho_out: np.ndarray, d: int, m: int, l: int, factor: float) -> float:
-    if rho_in.shape[-1] != d or rho_out.shape[-1] != d:
+def _eta(
+    rho_in: QuditOperator, rho_out: QuditOperator, d: int, m: int, l: int, factor: float
+) -> float:
+    if rho_in.d != d or rho_out.d != d:
         raise InvalidParameterError(
-            f"dimension mismatch: expected {d}x{d} operators, "
-            f"got {rho_in.shape[-1]} and {rho_out.shape[-1]}"
+            f"dimension mismatch: expected {d}x{d} operators, got {rho_in.d} and {rho_out.d}"
         )
     return float(shrink(d, m, l)) * factor

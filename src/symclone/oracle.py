@@ -18,7 +18,6 @@ from .symspace import (
     InvalidParameterError,
     QuditOperator,
     ResourceLimitError,
-    SymBasis,
     SymOperator,
     dim,
     enumerate_basis,
@@ -52,23 +51,19 @@ def sym_embedding(d: int, m: int) -> np.ndarray:
 
 
 def reduce_full_to_site(full: np.ndarray, d: int, n_sites: int, site: int = 0) -> QuditOperator:
-    """Trace a dense d**n x d**n operator down to a single site."""
+    """Trace a dense d**n x d**n operator, or a (B, d**n, d**n) stack, down
+    to a single site."""
     size = d**n_sites
-    if full.shape != (size, size):
+    if full.ndim not in (2, 3) or full.shape[-2:] != (size, size):
         raise InvalidParameterError(
-            f"expected a {size}x{size} operator, got shape {full.shape}"
+            f"expected a {size}x{size} operator or a stack of them, got shape {full.shape}"
         )
-    return QuditOperator(d, _site_traces(full[None], d, n_sites, site)[0])
-
-
-def _site_traces(full: np.ndarray, d: int, n_sites: int, site: int) -> np.ndarray:
-    """The (B, d, d) single-site traces of a (B, d**n, d**n) stack."""
     if not 0 <= site < n_sites:
         raise InvalidParameterError(f"site must be in [0, {n_sites}), got {site}")
     before = d**site
     after = d ** (n_sites - 1 - site)
-    w = full.reshape(len(full), before, d, after, before, d, after)
-    return np.einsum("zaibajb->zij", w)
+    w = full.reshape(-1, before, d, after, before, d, after)
+    return QuditOperator(d, np.einsum("zaibajb->zij", w).reshape(*full.shape[:-2], d, d))
 
 
 @lru_cache(maxsize=1)
@@ -101,59 +96,59 @@ def clone_isometry_full(d: int, m: int, l: int) -> np.ndarray:
     return v
 
 
-def oracle_stack(
-    basis: SymBasis, entries: np.ndarray, l: int, site: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Clone a (B, N, N) stack of operators over basis through the explicit
-    isometry; trace out ancilla, then sites.
+def oracle_clone(op: SymOperator, l: int, site: int = 0) -> tuple[np.ndarray, QuditOperator]:
+    """Clone op through the explicit isometry; trace out ancilla, then sites.
 
-    Returns the (B, d**l, d**l) dense operators on all l sites and their
-    (B, d, d) single-site reductions, which are independent of the site
-    kept.  Refused, before anything is allocated, if the outputs exceed
-    MEMORY_GUARD entries in all.
+    Returns the dense operator on all l sites and its single-site
+    reduction, which is independent of the site kept; a stack of B gives
+    (B, d**l, d**l) operators and B reductions, from one batched
+    contraction each.  Refused, before anything is allocated, if the
+    outputs exceed MEMORY_GUARD entries in all.
     """
-    d, batch = basis.d, len(entries)
-    size = d**l
+    d, n = op.d, op.basis.size
+    entries = op.entries.reshape(-1, n, n)
+    batch, size = len(entries), d**l
     if batch * size * size > MEMORY_GUARD:
         raise ResourceLimitError(
             f"dense {batch} x {d}**{l} x {d}**{l} output exceeds the guard of "
             f"{MEMORY_GUARD} entries"
         )
-    v = clone_isometry_full(d, basis.m, l).reshape(size, -1, basis.size)
+    v = clone_isometry_full(d, op.m, l).reshape(size, -1, n)
     # tr_ancilla(V X V*) by contraction, never forming V X V*
     full = (v[None] @ entries[:, None]).reshape(batch, size, v[0].size)
-    full = full @ v.reshape(size, -1).conj().T
-    return full, _site_traces(full, d, l, site)
+    full = (full @ v.reshape(size, -1).conj().T).reshape(*op.entries.shape[:-2], size, size)
+    return full, reduce_full_to_site(full, d, l, site)
 
 
-def oracle_clone(op: SymOperator, l: int, site: int = 0) -> tuple[np.ndarray, QuditOperator]:
-    """Clone one operator through the explicit isometry: oracle_stack with a
-    stack of one.  Returns the dense operator on all l sites and its
-    single-site reduction."""
-    full, reduced = oracle_stack(op.basis, op.entries[None], l, site)
-    return full[0], QuditOperator(op.d, reduced[0])
+def _dagger(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
 
 
 def _kron_power(u: np.ndarray, n: int) -> np.ndarray:
-    out = np.array([[1.0 + 0.0j]])
+    """u tensored with itself n times, each of a stack apart.  An entry is
+    one product, as in np.kron."""
+    lead, d = u.shape[:-2], u.shape[-1]
+    out = np.ones((*lead, 1, 1), dtype=np.complex128)
     for _ in range(n):
-        out = np.kron(out, u)
+        k = out.shape[-1] * d
+        out = (out[..., :, None, :, None] * u[..., None, :, None, :]).reshape(*lead, k, k)
     return out
 
 
-def covariance_check(u: QuditOperator, op: SymOperator, l: int) -> float:
+def covariance_check(u: QuditOperator, op: SymOperator, l: int) -> float | np.ndarray:
     """Deviation from single-site covariance under a local unitary.
 
     Compares reduce(clone(U op U*)) against u reduce(clone(op)) u*, where U
     is u applied to every site, restricted to the symmetric subspace; both
-    sides are computed through the full-space construction.
+    sides are computed through the full-space construction.  A stack of B
+    unitaries and a stack of B operators give B deviations, with the
+    embedding built once and the oracle run once per side.
     """
     d, m = op.d, op.m
     if u.d != d:
         raise InvalidParameterError(f"unitary is {u.d}x{u.d} but the operator has d={d}")
-    unitarity = float(
-        np.max(np.abs(u.entries.conj().T @ u.entries - np.eye(d)))
-    )
+    w = u.entries
+    unitarity = float(np.max(np.abs(_dagger(w) @ w - np.eye(d))))
     if unitarity > 1e-10:
         raise InvalidParameterError(
             f"matrix is not unitary within 1e-10 (deviation {unitarity:.3e})"
@@ -161,58 +156,55 @@ def covariance_check(u: QuditOperator, op: SymOperator, l: int) -> float:
     # first, so that its guard on d**(2l) also bounds the d**m rotation
     _, reduced = oracle_clone(op, l)
     s = sym_embedding(d, m)
-    u_sym = s.conj().T @ _kron_power(u.entries, m) @ s
-    rotated = SymOperator(op.basis, u_sym @ op.entries @ u_sym.conj().T)
+    u_sym = s.conj().T @ _kron_power(w, m) @ s
+    rotated = SymOperator(op.basis, u_sym @ op.entries @ _dagger(u_sym))
     _, lhs = oracle_clone(rotated, l)
-    rhs = u.entries @ reduced.entries @ u.entries.conj().T
-    return float(np.max(np.abs(lhs.entries - rhs)))
+    rhs = w @ reduced.entries @ _dagger(w)
+    return np.max(np.abs(lhs.entries - rhs), axis=(-2, -1))
 
 
-def ginibre_stack(d: int, m: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """count random PSD trace-1 operators over the basis of (d, m), as a
-    (count, N, N) array: G G* normalized, G complex Gaussian.
+def ginibre_sym_operator(
+    d: int, m: int, rng: np.random.Generator, count: int | None = None
+) -> SymOperator:
+    """Random PSD trace-1 operator over the basis of (d, m), G G* normalized,
+    G complex Gaussian; or a stack of count of them.
 
     One standard_normal call fills every draw's real block, then its
-    imaginary block, so the stack holds the bits of count draws of one,
+    imaginary block, so a stack holds the bits of count draws of one,
     taken in turn from the same generator.
     """
-    g = _gaussian_stack(dim(d, m), count, rng)
-    x = g @ g.conj().swapaxes(1, 2)
-    return x / np.trace(x, axis1=1, axis2=2).real[:, None, None]
+    basis = enumerate_basis(d, m)
+    g = _gaussian_stack(basis.size, 1 if count is None else count, rng)
+    x = g @ _dagger(g)
+    x = x / np.trace(x, axis1=1, axis2=2).real[:, None, None]
+    return SymOperator(basis, x[0] if count is None else x)
 
 
-def ginibre_sym_operator(d: int, m: int, rng: np.random.Generator) -> SymOperator:
-    """Random PSD trace-1 operator: ginibre_stack with a stack of one."""
-    return SymOperator(enumerate_basis(d, m), ginibre_stack(d, m, 1, rng)[0])
-
-
-def hermitian_stack(d: int, m: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """count random trace-1 Hermitian operators over the basis of (d, m), as
-    a (count, N, N) array, generically with negative eigenvalues.
+def hermitian_sym_operator(
+    d: int, m: int, rng: np.random.Generator, count: int | None = None
+) -> SymOperator:
+    """Random trace-1 Hermitian operator over the basis of (d, m),
+    generically with negative eigenvalues; or a stack of count of them.
 
     Each is H / tr(H) from a Gaussian Hermitian H; candidates with
     |tr(H)| < 0.5 are discarded to keep the normalization well-scaled.
     Each round draws only as many candidates as draws are still missing,
-    so no candidate past the last kept one is drawn, and the stack and the
+    so no candidate past the last kept one is drawn, and a stack and the
     generator's final state are those of count draws of one.
     """
-    n = dim(d, m)
-    out = np.empty((count, n, n), dtype=np.complex128)
+    basis = enumerate_basis(d, m)
+    n, total = basis.size, 1 if count is None else count
+    out = np.empty((total, n, n), dtype=np.complex128)
     done = 0
-    while done < count:
-        g = _gaussian_stack(n, count - done, rng)
-        h = (g + g.conj().swapaxes(1, 2)) / 2.0
+    while done < total:
+        g = _gaussian_stack(n, total - done, rng)
+        h = (g + _dagger(g)) / 2.0
         tr = np.trace(h, axis1=1, axis2=2).real
         keep = np.abs(tr) >= 0.5
         h, tr = h[keep], tr[keep]
         np.divide(h, tr[:, None, None], out=out[done : done + len(tr)])
         done += len(tr)
-    return out
-
-
-def hermitian_sym_operator(d: int, m: int, rng: np.random.Generator) -> SymOperator:
-    """Random trace-1 Hermitian operator: hermitian_stack with a stack of one."""
-    return SymOperator(enumerate_basis(d, m), hermitian_stack(d, m, 1, rng)[0])
+    return SymOperator(basis, out[0] if count is None else out)
 
 
 def _gaussian_stack(n: int, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -50,6 +50,8 @@ def _entry_pairs(matrix: np.ndarray) -> list[list[float]]:
 
 
 def sym_operator_to_dict(op: SymOperator) -> dict:
+    if op.entries.ndim != 2:
+        raise FormatError(f"a document holds one operator, got a stack of {len(op.entries)}")
     return {
         "d": op.d,
         "m": op.m,

@@ -174,7 +174,7 @@ class SymBasis:
 
         Adding e_i keeps the lex order, so each row rises along u.  It is
         read only to gather hops from an operator's own entries
-        (gather_stack, and scatter_stack for a clone output's source);
+        (SymOperator._diagonal_and_hops, also for a clone output's source);
         a clone output's own hops come from its plan, so the table at the
         output weight is never built.
         """
@@ -205,7 +205,16 @@ def dim(d: int, m: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class SymOperator:
-    """Complex square matrix over the symmetric basis of (d, m)."""
+    """Complex square matrix over the symmetric basis of (d, m), or a stack.
+
+    entries is one N x N matrix, N = basis.size, or a (B, N, N) stack of B
+    of them; any other shape is rejected.  The channel is linear, so every
+    function that takes an operator takes a stack too and returns the stack
+    of what it returns for each: reduce_one, clone_channel and its
+    output's entries, oracle_clone, and the random draws with a count.
+    Each operator of a stack keeps the bits it has alone.  trace and
+    validate_density read one operator, and a document holds one.
+    """
 
     basis: SymBasis
     entries: np.ndarray
@@ -213,9 +222,9 @@ class SymOperator:
     def __post_init__(self):
         entries = np.array(self.entries, dtype=np.complex128)
         n = self.basis.size
-        if entries.shape != (n, n):
+        if entries.ndim not in (2, 3) or entries.shape[-2:] != (n, n):
             raise InvalidParameterError(
-                f"expected a {n}x{n} matrix over the basis of "
+                f"expected a {n}x{n} matrix or a stack of them over the basis of "
                 f"(d={self.basis.d}, m={self.basis.m}), got shape {entries.shape}"
             )
         entries.setflags(write=False)
@@ -232,24 +241,26 @@ class SymOperator:
     def trace(self) -> complex:
         return complex(np.trace(self.entries))
 
-    def _diagonal_and_hops(self) -> tuple[np.ndarray, np.ndarray]:
-        """The diagonal, and the one-hop entries as a (d(d-1), dim(d, m-1))
-        array in the layout of basis.reduction's coeffs (gather_stack)."""
-        diagonal, hops = gather_stack(self.basis, self.entries[None])
-        return diagonal[0], hops[0]
+    def _diagonal_and_hops(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """The diagonal, a view, and the one-hop entries as a (d(d-1),
+        dim(d, m-1)) array in the layout of basis.reduction's coeffs: one
+        row per move (p, q), gathered at rows hop_ranks[p] and columns
+        hop_ranks[q].  At m = 0 there are no hops, and None stands for
+        them.  A stack gives a (B, N) and a (B, d(d-1), dim(d, m-1)) array.
+        """
+        diagonal = np.diagonal(self.entries, axis1=-2, axis2=-1)
+        if not self.m:
+            return diagonal, None
+        ranks = self.basis.hop_ranks
+        p, q = self.basis.moves
+        return diagonal, self.entries[..., ranks[p], ranks[q]]
 
-    def validate_density(
-        self,
-        tol: float = 1e-9,
-        check_psd: bool = False,
-        psd_tol: float = 1e-9,
-        strict_psd: bool = False,
-    ) -> None:
+    def validate_density(self, tol: float = 1e-9, check_psd: bool = False) -> None:
         """Check Hermiticity and unit trace (max entry deviation <= tol).
 
         Positivity is advisory: only the trace condition is required of
-        inputs, so a negative eigenvalue below -psd_tol warns rather than
-        rejects unless strict_psd is set.
+        inputs, so with check_psd a negative eigenvalue below -tol warns
+        rather than rejects.
         """
         if not np.isfinite(self.entries).all():
             raise InvalidParameterError("entries must be finite")
@@ -265,11 +276,8 @@ class SymOperator:
             )
         if check_psd:
             lowest = float(np.linalg.eigvalsh(self.entries).min())
-            if lowest < -psd_tol:
-                msg = f"operator has negative eigenvalue {lowest:.3e}"
-                if strict_psd:
-                    raise InvalidParameterError(msg)
-                warnings.warn(msg)
+            if lowest < -tol:
+                warnings.warn(f"operator has negative eigenvalue {lowest:.3e}")
 
 
 def sym_operator(d: int, m: int, entries) -> SymOperator:
@@ -296,7 +304,7 @@ def basis_projector(c) -> SymOperator:
 
 @dataclass(frozen=True, eq=False)
 class QuditOperator:
-    """Dense operator on a single d-level system."""
+    """Dense operator on a single d-level system, or a (B, d, d) stack."""
 
     d: int
     entries: np.ndarray
@@ -305,9 +313,10 @@ class QuditOperator:
         if self.d < 2:
             raise InvalidParameterError(f"d must be >= 2, got {self.d}")
         entries = np.array(self.entries, dtype=np.complex128)
-        if entries.shape != (self.d, self.d):
+        if entries.ndim not in (2, 3) or entries.shape[-2:] != (self.d, self.d):
             raise InvalidParameterError(
-                f"expected a {self.d}x{self.d} matrix, got shape {entries.shape}"
+                f"expected a {self.d}x{self.d} matrix or a stack of them, "
+                f"got shape {entries.shape}"
             )
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
@@ -316,19 +325,13 @@ class QuditOperator:
         return complex(np.trace(self.entries))
 
 
-def gather_stack(basis: SymBasis, entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The diagonals and the one-hop entries of a (B, N, N) stack of operators
-    over basis, m >= 1: a (B, N) view and a (B, d(d-1), dim(d, m-1)) array,
-    one row per move (p, q) gathered at rows hop_ranks[p] and columns
-    hop_ranks[q], in the layout of basis.reduction's coeffs."""
-    ranks = basis.hop_ranks
-    p, q = basis.moves
-    return np.diagonal(entries, axis1=1, axis2=2), entries[:, ranks[p], ranks[q]]
+def reduce_one(op: SymOperator) -> QuditOperator:
+    """Single-site reduced operator of a symmetric-subspace operator, m >= 1.
 
-
-def reduce_stack(basis: SymBasis, diagonal: np.ndarray, hops: np.ndarray) -> np.ndarray:
-    """The (B, d, d) single-site reductions of a stack of B operators over
-    basis, m >= 1, from their diagonals and one-hop entries (gather_stack).
+    Linear and trace-preserving for arbitrary (not necessarily Hermitian or
+    positive) inputs.  For permutation-invariant operators every site gives
+    the same reduction, which is what this computes from the diagonal and
+    one-hop entries (op._diagonal_and_hops); a stack gives a stack.
 
     Each diagonal entry is one dot per operator: OpenBLAS sums a matrix
     product in another order than a dot.  Each off-diagonal entry (p, q)
@@ -337,26 +340,15 @@ def reduce_stack(basis: SymBasis, diagonal: np.ndarray, hops: np.ndarray) -> np.
     output.  That is the order and the +0.0 start of np.add.at over every
     term, so a row of -0.0 terms still gives +0.0.
     """
-    d = basis.d
-    diag, coeffs, (p, q) = basis.reduction
-    out = np.zeros((len(diagonal), d, d), dtype=np.complex128)
-    for b, x in enumerate(diagonal):
-        for i in range(d):
-            out[b, i, i] = diag[i] @ x
-    terms = coeffs * hops
-    np.add.at(out, (slice(None), p, q), np.add.accumulate(terms, axis=-1, out=terms)[..., -1])
-    return out
-
-
-def reduce_one(op: SymOperator) -> QuditOperator:
-    """Single-site reduced operator of a symmetric-subspace operator.
-
-    Linear and trace-preserving for arbitrary (not necessarily Hermitian or
-    positive) inputs.  For permutation-invariant operators every site gives
-    the same reduction, which is what this computes: reduce_stack over a
-    stack of one.
-    """
     if op.m < 1:
         raise InvalidParameterError("single-site reduction needs at least one particle")
+    d = op.d
+    diag, coeffs, (p, q) = op.basis.reduction
     diagonal, hops = op._diagonal_and_hops()
-    return QuditOperator(op.d, reduce_stack(op.basis, diagonal[None], hops[None])[0])
+    out = np.zeros((*diagonal.shape[:-1], d, d), dtype=np.complex128)
+    for x, y in zip(diagonal.reshape(-1, diagonal.shape[-1]), out.reshape(-1, d, d)):
+        for i in range(d):
+            y[i, i] = diag[i] @ x
+    terms = coeffs * hops
+    np.add.at(out, (..., p, q), np.add.accumulate(terms, axis=-1, out=terms)[..., -1])
+    return QuditOperator(d, out)

@@ -15,35 +15,32 @@ import numpy as np
 
 from .closed_forms import (
     fidelity,
-    scaling_residuals,
-    scaling_residuals_bloch,
+    scaling_residual,
+    scaling_residual_bloch,
     shrink,
 )
 from .cloner import (
     ancilla_dim,
     clone_amplitudes,
+    clone_channel,
     concatenate,
-    dense_stack,
     isometry_gram,
-    scatter_stack,
 )
 from .oracle import (
     covariance_check,
-    ginibre_stack,
     ginibre_sym_operator,
-    hermitian_stack,
     hermitian_sym_operator,
-    oracle_stack,
+    oracle_clone,
     random_unitary,
     sym_embedding,
 )
 from .symspace import (
     InvalidParameterError,
+    QuditOperator,
     SymOperator,
     dim,
     enumerate_basis,
-    gather_stack,
-    reduce_stack,
+    reduce_one,
 )
 
 # keyword arguments that shrink each suite's grids for a smoke run
@@ -70,7 +67,8 @@ ORACLE_GRID = tuple((2, m, l) for m in (1, 2, 3) for l in range(m, 5)) + tuple(
     (3, m, l) for m in (1, 2) for l in range(m, 4)
 )
 
-_KIND_CODES = {"ginibre": 0, "hermitian": 1}
+# each kind of random input, keyed by name; its place is the code in its cells' seeds
+_DRAWS = {"ginibre": ginibre_sym_operator, "hermitian": hermitian_sym_operator}
 
 
 @dataclass(frozen=True)
@@ -124,15 +122,6 @@ def _json_float(x: float) -> float | str:
     return x if math.isfinite(x) else str(x)
 
 
-_STACKS = {"ginibre": ginibre_stack, "hermitian": hermitian_stack}
-
-
-def _random_input(kind: str, d: int, m: int, rng: np.random.Generator) -> SymOperator:
-    if kind == "ginibre":
-        return ginibre_sym_operator(d, m, rng)
-    return hermitian_sym_operator(d, m, rng)
-
-
 def _cell_rng(seed: int, *coords: int) -> np.random.Generator:
     return np.random.default_rng([seed, *coords])
 
@@ -164,16 +153,11 @@ def scaling_suite(
     for d in dims:
         for m in range(1, max_m + 1):
             for l in range(m, max_l + 1):
-                basis, cell = enumerate_basis(d, m), clone_amplitudes(d, m, l)
-                for kind, code in _KIND_CODES.items():
-                    rng = _cell_rng(seed, d, m, l, code)
-                    x = _STACKS[kind](d, m, inputs_per_kind, rng)
-                    x_parts = gather_stack(basis, x)
-                    out_parts = scatter_stack(basis, cell, *x_parts)
-                    rin = reduce_stack(basis, *x_parts)
-                    rout = reduce_stack(enumerate_basis(d, l), *out_parts)
-                    residuals = scaling_residuals(rin, rout, d, m, l, eta_factor)
-                    bloch = scaling_residuals_bloch(rin, rout, d, m, l, eta_factor)
+                for code, (kind, draw) in enumerate(_DRAWS.items()):
+                    x = draw(d, m, _cell_rng(seed, d, m, l, code), count=inputs_per_kind)
+                    rin, rout = reduce_one(x), reduce_one(clone_channel(x, l))
+                    residuals = scaling_residual(rin, rout, d, m, l, eta_factor)
+                    bloch = scaling_residual_bloch(rin, rout, d, m, l, eta_factor)
                     cases.append(
                         _case(
                             {"d": d, "m": m, "l": l, "kind": kind},
@@ -270,14 +254,15 @@ def oracle_suite(
     cases = []
     for d, m, l in ORACLE_GRID:
         embed = sym_embedding(d, l)
-        basis, cell = enumerate_basis(d, m), clone_amplitudes(d, m, l)
-        for kind, code in _KIND_CODES.items():
-            x = _STACKS[kind](d, m, inputs_per_kind, _cell_rng(seed, d, m, l, code))
-            x_parts = gather_stack(basis, x)
-            fast = reduce_stack(enumerate_basis(d, l), *scatter_stack(basis, cell, *x_parts))
-            full, slow = oracle_stack(basis, x, l)
+        for code, (kind, draw) in enumerate(_DRAWS.items()):
+            x = draw(d, m, _cell_rng(seed, d, m, l, code), count=inputs_per_kind)
+            out = clone_channel(x, l)
+            full, slow = oracle_clone(x, l)
             restricted = embed.conj().T @ full @ embed
-            residuals = np.abs(fast - slow), np.abs(restricted - dense_stack(cell, x))
+            residuals = (
+                np.abs(reduce_one(out).entries - slow.entries),
+                np.abs(restricted - out.entries),
+            )
             cases.append(
                 _case({"d": d, "m": m, "l": l, "kind": kind}, [_worst(r) for r in residuals], tol)
             )
@@ -295,13 +280,15 @@ def covariance_suite(
     cases = []
     for d, m, l in ORACLE_GRID:
         rng = _cell_rng(seed, d, m, l, 7)
-        residuals = []
+        # the (x, u) pairs are drawn in turn, kinds alternating, then checked as one stack
+        xs, us = [], []
         for i in range(unitaries_per_cell):
-            kind = "ginibre" if i % 2 == 0 else "hermitian"
-            x = _random_input(kind, d, m, rng)
-            u = random_unitary(d, rng)
-            residuals.append(covariance_check(u, x, l))
-        cases.append(_case({"d": d, "m": m, "l": l}, residuals, tol))
+            xs.append(_DRAWS["ginibre" if i % 2 == 0 else "hermitian"](d, m, rng).entries)
+            us.append(random_unitary(d, rng).entries)
+        n = dim(d, m)
+        x = SymOperator(enumerate_basis(d, m), np.reshape(xs, (len(xs), n, n)))
+        u = QuditOperator(d, np.reshape(us, (len(us), d, d)))
+        cases.append(_case({"d": d, "m": m, "l": l}, covariance_check(u, x, l), tol))
     grid = {
         "cells": [list(c) for c in ORACLE_GRID],
         "unitaries_per_cell": unitaries_per_cell,

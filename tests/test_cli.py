@@ -9,6 +9,7 @@ import pytest
 
 from symclone import cli, cloner, verify
 from symclone.cli import main
+from symclone.cloner import CloneOutput
 from symclone.serialize import sym_operator_to_dict, write_sym_operator
 from symclone.symspace import SymOperator, basis_projector, reduce_one, sym_operator
 
@@ -17,23 +18,24 @@ def write_pure_input(path):
     write_sym_operator(path, basis_projector((1, 0)))
 
 
-def poison_stack(monkeypatch, name):
-    """verify's stacked scatter or dense view with each draw's first output
-    entry NaN: the first diagonal entry, or the first dense entry."""
-    exact = getattr(verify, name)
+def nan_channel_output(monkeypatch, name):
+    """CloneOutput's diagonal and one-hop entries, or its dense view, with
+    the first entry of each draw's diagonal NaN."""
+    exact = getattr(CloneOutput, name)
 
-    def nan_stack(*args):
-        out = exact(*args)
-        if name == "scatter_stack":
-            diagonal, hops = out
-            diagonal = diagonal.copy()
-            diagonal[:, 0] = np.nan
-            return diagonal, hops
-        out = out.copy()
-        out[:, 0, 0] = np.nan
-        return out
+    def nan_parts(self):
+        diagonal, hops = exact(self)
+        diagonal = diagonal.copy()
+        diagonal[..., 0] = np.nan
+        return diagonal, hops
 
-    monkeypatch.setattr(verify, name, nan_stack)
+    def nan_entries(self):
+        entries = exact.func(self).copy()
+        entries[..., 0, 0] = np.nan
+        return entries
+
+    poisoned = nan_parts if name == "_diagonal_and_hops" else property(nan_entries)
+    monkeypatch.setattr(CloneOutput, name, poisoned)
 
 
 def assert_every_case_reads_nan(suite, tmp_path):
@@ -314,28 +316,23 @@ class TestVerify:
     def test_nan_injecting_channel_fails_every_case(self, suite, tmp_path, capsys, monkeypatch):
         # concat reaches the channel inside cloner.concatenate and uqcm_pure_output;
         # the scaling and oracle suites clone each case's draws as one stack,
-        # so their channel is the stacked scatter, and the oracle's also the
-        # stacked dense view
+        # so every draw of the stack is poisoned
         exact = cloner.clone_channel
 
         def nan_channel(op, l):
             out = exact(op, l)
             entries = out.entries.copy()
-            entries[0, 0] = np.nan
+            entries[..., 0, 0] = np.nan
             return SymOperator(out.basis, entries)
 
-        if suite == "concat":
-            monkeypatch.setattr(cloner, "clone_channel", nan_channel)
-        else:
-            poison_stack(monkeypatch, "scatter_stack")
-        if suite == "oracle":
-            poison_stack(monkeypatch, "dense_stack")
+        monkeypatch.setattr(cloner, "clone_channel", nan_channel)
+        monkeypatch.setattr(verify, "clone_channel", nan_channel)
         assert_every_case_reads_nan(suite, tmp_path)
 
-    @pytest.mark.parametrize("stack", ["scatter_stack", "dense_stack"])
-    def test_nan_in_either_oracle_check_fails_every_case(self, stack, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("part", ["_diagonal_and_hops", "entries"])
+    def test_nan_in_either_oracle_check_fails_every_case(self, part, tmp_path, monkeypatch):
         # each case folds a reduction and a dense check; a NaN in either fails it
-        poison_stack(monkeypatch, stack)
+        nan_channel_output(monkeypatch, part)
         assert_every_case_reads_nan("oracle", tmp_path)
 
     @pytest.mark.parametrize("flag", ["--tol", "--eta-factor"])

@@ -18,8 +18,6 @@ from symclone.cli import main
 from symclone.closed_forms import (
     scaling_residual,
     scaling_residual_bloch,
-    scaling_residuals,
-    scaling_residuals_bloch,
 )
 from symclone.cloner import (
     CloneOutput,
@@ -29,9 +27,7 @@ from symclone.cloner import (
     clone_amplitudes,
     clone_channel,
     concatenate,
-    dense_stack,
     isometry_gram,
-    scatter_stack,
     uqcm_pure_output,
 )
 from symclone.oracle import ginibre_sym_operator, hermitian_sym_operator
@@ -42,9 +38,7 @@ from symclone.symspace import (
     basis_projector,
     dim,
     enumerate_basis,
-    gather_stack,
     reduce_one,
-    reduce_stack,
     sym_operator,
 )
 from symclone.verify import oracle_suite
@@ -216,36 +210,35 @@ class TestStructuredOutput:
                 check(bad, l)
 
     def test_a_stack_gives_the_bits_of_a_stack_of_one(self):
-        # the scaling suite gathers, scatters, reduces and checks each case's
-        # draws as one stack; each draw must keep the bits it has alone
+        # the scaling suite clones, reduces and checks each case's draws as
+        # one stack; each draw must keep the bits it has alone
         for l, draws in self.cell_draws():
             d, m = draws[0].d, draws[0].m
-            basis = draws[0].basis
-            x = np.stack([draw.entries for draw in draws])
-            parts = gather_stack(basis, x) if m else (np.diagonal(x, axis1=1, axis2=2), None)
+            x = SymOperator(draws[0].basis, np.stack([draw.entries for draw in draws]))
             with np.errstate(invalid="ignore"):
-                first = scatter_stack(basis, clone_amplitudes(d, m, l), *parts)
-                second = scatter_stack(enumerate_basis(d, l), clone_amplitudes(d, l, l + 1), *first)
+                first = clone_channel(x, l)
+                second = clone_channel(first, l + 1)
                 ones = [clone_channel(draw, l) for draw in draws]
                 twos = [clone_channel(out, l + 1) for out in ones]
                 stages = []
-                for weight, stage, outs in ((l, first, ones), (l + 1, second, twos)):
-                    reduced = reduce_stack(enumerate_basis(d, weight), *stage)
+                for stage, outs in ((first, ones), (second, twos)):
+                    diagonal, hops = stage._diagonal_and_hops()
+                    reduced = reduce_one(stage)
                     for b, out in enumerate(outs):
-                        diagonal, hops = out._diagonal_and_hops()
-                        assert_bitwise_equal(stage[0][b], diagonal)
-                        assert_bitwise_equal(stage[1][b], hops)
-                        assert_bitwise_equal(reduced[b], reduce_one(out).entries)
-                    stages.append((weight, reduced, outs))
+                        want_diagonal, want_hops = out._diagonal_and_hops()
+                        assert_bitwise_equal(diagonal[b], want_diagonal)
+                        assert_bitwise_equal(hops[b], want_hops)
+                        assert_bitwise_equal(reduced.entries[b], reduce_one(out).entries)
+                    stages.append((stage.m, reduced, outs))
                 if not m:
                     continue
-                rin = reduce_stack(basis, *parts)
+                rin = reduce_one(x)
                 for weight, rout, outs in stages:
-                    residuals = scaling_residuals(rin, rout, d, m, weight)
-                    bloch = scaling_residuals_bloch(rin, rout, d, m, weight)
+                    residuals = scaling_residual(rin, rout, d, m, weight)
+                    bloch = scaling_residual_bloch(rin, rout, d, m, weight)
                     for b, (draw, out) in enumerate(zip(draws, outs)):
                         single = reduce_one(draw), reduce_one(out), d, m, weight
-                        assert_bitwise_equal(rin[b], single[0].entries)
+                        assert_bitwise_equal(rin.entries[b], single[0].entries)
                         want = scaling_residual(*single), scaling_residual_bloch(*single)
                         assert_bitwise_equal(np.array([residuals[b], bloch[b]]), np.array(want))
 
@@ -255,20 +248,20 @@ class TestStructuredOutput:
             d, m = draws[0].d, draws[0].m
             if dim(d, l) ** 2 > 1 << 16:
                 continue
+            x = SymOperator(draws[0].basis, np.stack([draw.entries for draw in draws]))
             with np.errstate(invalid="ignore"):
-                dense = dense_stack(clone_amplitudes(d, m, l), np.stack([x.entries for x in draws]))
+                dense = clone_channel(x, l).entries
                 for b, draw in enumerate(draws):
                     assert_bitwise_equal(dense[b], clone_channel(draw, l).entries)
 
     def test_dense_stack_guard_counts_the_whole_stack(self):
         # one 1001 x 1001 output fits the guard; five do not
-        cell = clone_amplitudes(2, 1, 1000)
         assert dim(2, 1000) ** 2 <= cloner.DENSE_GUARD < 5 * dim(2, 1000) ** 2
-        x = np.zeros((5, 2, 2), dtype=np.complex128)
+        out = clone_channel(SymOperator(enumerate_basis(2, 1), np.zeros((5, 2, 2))), 1000)
         tracemalloc.start()
         try:
             with pytest.raises(ResourceLimitError, match="guard"):
-                dense_stack(cell, x)
+                out.entries
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -7,13 +7,11 @@ from hypothesis import given, settings
 
 from symclone.closed_forms import (
     BlochVector,
-    bloch_stack,
     bloch_vector,
     fidelity,
     generators,
     scaling_residual,
     scaling_residual_bloch,
-    scaling_residuals_bloch,
     shrink,
 )
 from symclone.cloner import clone_channel, uqcm_pure_output
@@ -152,13 +150,19 @@ class TestBlochRoundTrip:
         # the scaling suite checks each case's reductions as one stack
         rho = np.stack([np.eye(2) / 2, [[0.5, 1.0], [0.0, 0.5]], np.diag([1.0, 0.0])])
         with pytest.raises(InvalidParameterError, match="not Hermitian"):
-            scaling_residuals_bloch(rho[[0, 2, 0]], rho, 2, 1, 2)
+            scaling_residual_bloch(QuditOperator(2, rho[[0, 2, 0]]), QuditOperator(2, rho), 2, 1, 2)
         with pytest.raises(InvalidParameterError, match="max deviation 1.000e\\+00"):
-            bloch_stack(rho)
+            bloch_vector(QuditOperator(2, rho))
 
     def test_bloch_vector_length_enforced(self):
         with pytest.raises(InvalidParameterError):
             BlochVector(2, np.zeros(4))
+
+    @pytest.mark.parametrize("shape", [(), (1, 1, 3), (2, 4)])
+    def test_only_components_or_a_stack_of_them_are_accepted(self, shape):
+        with pytest.raises(InvalidParameterError, match="got shape"):
+            BlochVector(2, np.zeros(shape))
+        assert BlochVector(2, np.zeros((5, 3))).s.shape == (5, 3)
 
 
 class TestScalingResidual:

@@ -9,12 +9,9 @@ from symclone.oracle import (
     ResourceLimitError,
     clone_isometry_full,
     covariance_check,
-    ginibre_stack,
     ginibre_sym_operator,
-    hermitian_stack,
     hermitian_sym_operator,
     oracle_clone,
-    oracle_stack,
     random_unitary,
     reduce_full_to_site,
     sym_embedding,
@@ -175,14 +172,15 @@ class TestOracleStack:
     def test_a_stack_gives_the_bits_of_a_stack_of_one(self):
         for i, (d, m, l) in enumerate(self.CELLS):
             rng = np.random.default_rng([i, d, m, l])
-            x = np.concatenate([ginibre_stack(d, m, 2, rng), hermitian_stack(d, m, 2, rng)])
             basis = enumerate_basis(d, m)
+            makes = ginibre_sym_operator, hermitian_sym_operator
+            x = np.concatenate([make(d, m, rng, count=2).entries for make in makes])
             for site in sorted({0, l - 1}):
-                full, reduced = oracle_stack(basis, x, l, site)
+                full, reduced = oracle_clone(SymOperator(basis, x), l, site)
                 for b, draw in enumerate(x):
                     want_full, want = oracle_clone(SymOperator(basis, draw), l, site)
                     assert full[b].tobytes() == want_full.tobytes(), (d, m, l, site)
-                    assert reduced[b].tobytes() == want.entries.tobytes(), (d, m, l, site)
+                    assert reduced.entries[b].tobytes() == want.entries.tobytes(), (d, m, l, site)
 
     def test_guard_counts_the_whole_stack(self):
         # one 2**10 x 2**10 output sits on the guard; two exceed it
@@ -192,7 +190,7 @@ class TestOracleStack:
         tracemalloc.start()
         try:
             with pytest.raises(ResourceLimitError, match="guard"):
-                oracle_stack(basis, np.zeros((2, 2, 2), dtype=np.complex128), 10)
+                oracle_clone(SymOperator(basis, np.zeros((2, 2, 2))), 10)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -217,6 +215,13 @@ class TestReduceFullToSite:
         np.testing.assert_allclose(
             reduce_full_to_site(full, 2, 2, site=1).entries, b, atol=1e-15
         )
+
+    def test_a_stack_gives_a_stack(self):
+        full = np.stack([np.kron(np.diag([0.25, 0.75]), np.eye(2) / 2), np.eye(4) / 4])
+        reduced = reduce_full_to_site(full, 2, 2, site=1).entries
+        assert reduced.tobytes() == np.stack([np.eye(2) / 2] * 2).astype(complex).tobytes()
+        with pytest.raises(InvalidParameterError, match="got shape"):
+            reduce_full_to_site(full[None], 2, 2)
 
     def test_bad_site(self):
         with pytest.raises(InvalidParameterError):
@@ -243,6 +248,16 @@ class TestCovariance:
             u = random_unitary(2, rng)
             x = hermitian_sym_operator(2, 2, rng)
             assert covariance_check(u, x, 3) <= 1e-10
+
+    def test_a_stack_gives_the_bits_of_a_stack_of_one(self):
+        # the covariance suite checks each cell's (x, u) pairs as one stack
+        for i, (d, m, l) in enumerate(ORACLE_GRID):
+            rng = np.random.default_rng([i, d, m, l])
+            x = hermitian_sym_operator(d, m, rng, count=3)
+            u = [random_unitary(d, rng) for _ in range(3)]
+            stacked = covariance_check(QuditOperator(d, [w.entries for w in u]), x, l)
+            alone = [covariance_check(w, SymOperator(x.basis, e), l) for w, e in zip(u, x.entries)]
+            assert stacked.tobytes() == np.array(alone).tobytes(), (d, m, l)
 
     def test_rejects_non_unitary(self):
         rng = np.random.default_rng(15)
@@ -309,7 +324,7 @@ def draws_of_one(d, m, kind, count, rng):
 @pytest.mark.parametrize("count", [1, 10])
 @pytest.mark.parametrize("kind", ["ginibre", "hermitian"])
 def test_a_stacked_draw_gives_the_bits_of_draws_of_one(kind, count):
-    stack = {"ginibre": ginibre_stack, "hermitian": hermitian_stack}[kind]
+    make = {"ginibre": ginibre_sym_operator, "hermitian": hermitian_sym_operator}[kind]
     rejected = 0
     # m = 1 cells reject about 38% of Hermitian candidates
     for d, m in ((2, 1), (3, 1), (4, 1), (2, 3), (3, 2), (4, 4), (3, 0)):
@@ -317,15 +332,23 @@ def test_a_stacked_draw_gives_the_bits_of_draws_of_one(kind, count):
             ours, theirs = np.random.default_rng([seed, d, m]), np.random.default_rng([seed, d, m])
             want, skipped = draws_of_one(d, m, kind, count, theirs)
             rejected += skipped
-            assert stack(d, m, count, ours).tobytes() == want.tobytes(), (d, m, seed)
+            assert make(d, m, ours, count=count).entries.tobytes() == want.tobytes(), (d, m, seed)
             # the generator ends where count draws of one leave it
             assert ours.bit_generator.state == theirs.bit_generator.state, (d, m, seed)
     assert (rejected > 0) == (kind == "hermitian")
 
 
+@pytest.mark.parametrize("make", [ginibre_sym_operator, hermitian_sym_operator])
+def test_a_draw_without_count_is_the_only_draw_of_a_stack_of_one(make):
+    for d, m in ((2, 1), (3, 2), (3, 0)):
+        one, stack = (make(d, m, np.random.default_rng([d, m]), count=c) for c in (None, 1))
+        assert one.entries.shape == (dim(d, m), dim(d, m))
+        assert one.entries.tobytes() == stack.entries[0].tobytes()
+
+
 def test_a_stack_of_none_draws_nothing():
     rng = np.random.default_rng(3)
     state = rng.bit_generator.state
-    for stack in (ginibre_stack, hermitian_stack):
-        assert stack(3, 2, 0, rng).shape == (0, 6, 6)
+    for make in (ginibre_sym_operator, hermitian_sym_operator):
+        assert make(3, 2, rng, count=0).entries.shape == (0, 6, 6)
     assert rng.bit_generator.state == state

@@ -102,6 +102,16 @@ class TestOperatorDocument:
             write_sym_operator(path, random_operator(), extra={"oracle_residual": float("inf")})
         assert not path.exists()
 
+    @pytest.mark.parametrize("batch", [0, 1, 2])
+    def test_writers_refuse_a_stack(self, batch, tmp_path):
+        stack = ginibre_sym_operator(2, 2, np.random.default_rng(batch), count=batch)
+        path = tmp_path / "op.json"
+        with pytest.raises(FormatError, match="one operator"):
+            sym_operator_to_dict(stack)
+        with pytest.raises(FormatError, match="one operator"):
+            write_sym_operator(path, stack)
+        assert not path.exists()
+
     def test_rejects_non_object_document(self):
         with pytest.raises(FormatError):
             sym_operator_from_dict([1, 2, 3])

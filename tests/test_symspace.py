@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import time
 import tracemalloc
 
@@ -12,6 +13,7 @@ from symclone.cloner import alpha_d_sq
 from symclone.oracle import MEMORY_GUARD, reduce_full_to_site, sym_embedding
 from symclone.symspace import (
     InvalidParameterError,
+    QuditOperator,
     basis_dyad,
     basis_projector,
     composition_rank,
@@ -332,6 +334,22 @@ class TestSymOperator:
         with pytest.raises(InvalidParameterError):
             sym_operator(2, 2, np.eye(2))
 
+    @pytest.mark.parametrize(
+        "shape", [(3,), (1, 1, 3, 3), (2, 3, 4), (2, 4, 3), (2, 2, 2), (3, 3, 2)]
+    )
+    def test_only_a_matrix_or_a_stack_of_them_is_accepted(self, shape):
+        # the basis of (2, 2) has 3 states
+        message = re.escape(f"got shape {shape}")
+        with pytest.raises(InvalidParameterError, match=message):
+            sym_operator(2, 2, np.zeros(shape))
+        with pytest.raises(InvalidParameterError, match=message):
+            QuditOperator(3, np.zeros(shape))
+
+    @pytest.mark.parametrize("batch", [0, 1, 4])
+    def test_a_stack_is_accepted(self, batch):
+        assert sym_operator(2, 2, np.zeros((batch, 3, 3))).entries.shape == (batch, 3, 3)
+        assert QuditOperator(3, np.zeros((batch, 3, 3))).entries.shape == (batch, 3, 3)
+
     def test_entries_are_read_only(self):
         op = sym_operator(2, 1, np.eye(2))
         with pytest.raises(ValueError):
@@ -362,5 +380,3 @@ class TestSymOperator:
         op.validate_density(check_psd=False)
         with pytest.warns(UserWarning):
             op.validate_density(check_psd=True)
-        with pytest.raises(InvalidParameterError):
-            op.validate_density(check_psd=True, strict_psd=True)
