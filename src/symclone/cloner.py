@@ -37,6 +37,7 @@ from .symspace import (
 # exact entries of an amplitude table: 8 B each as int64, 8-50 B as Python ints (measured)
 AMPLITUDE_GUARD = 1 << 20
 DENSE_GUARD = 1 << 22  # complex entries of a dense channel output (64 MiB)
+BLOCK_TERMS = 1 << 14  # terms per block of the dense view and of the Gram matrix
 
 
 def alpha_qubit_sq(j: int, k: int, m: int, l: int) -> Fraction:
@@ -212,9 +213,13 @@ class CloneOutput(SymOperator):
         the source's stack.
 
         Refused, before anything is allocated, beyond DENSE_GUARD entries in
-        all.  The plan's columns are walked once for the whole stack, and
-        every entry adds its terms in k order onto +0.0, so each output
-        keeps the bits it has alone.
+        all.  Row a of column t's block, (v_t v_t^T * x)[a], goes to the
+        output row idx[a, t] and the columns idx[:, t], which are distinct
+        within a column.  The rows are taken t-major, BLOCK_TERMS terms at a
+        time for the whole stack, and each block is one 1-D np.add.at onto
+        a zeroed output, so every entry adds its terms in t order onto
+        +0.0, as the plan's scatters do (see CloneAmplitudes.plan), and
+        each output keeps the bits it has alone.
         """
         lead, n_out = self.source.entries.shape[:-2], self.basis.size
         batch = math.prod(lead)
@@ -222,13 +227,24 @@ class CloneOutput(SymOperator):
             raise ResourceLimitError(
                 f"dense {batch} x {n_out}x{n_out} output exceeds the guard of {DENSE_GUARD} entries"
             )
-        y = np.zeros((*lead, n_out, n_out), dtype=np.complex128)
-        # the plan's rows run in descending rank, so each column meets the
-        # source block reversed; contiguous copies keep the loop's reads dense
-        x = np.ascontiguousarray(self.source.entries[..., ::-1, ::-1])
         idx, v, _ = self.cell.plan
-        for idx_t, v_t in zip(np.ascontiguousarray(idx.T), np.ascontiguousarray(v.T)):
-            y[..., idx_t[:, None], idx_t[None, :]] += (v_t[:, None] * v_t[None, :]) * x
+        n_in, k = idx.shape
+        y = np.zeros(batch * n_out * n_out, dtype=np.complex128)
+        # the plan's rows run in descending rank, so each column meets the
+        # source block reversed
+        x = self.source.entries.reshape(batch, n_in, n_in)[:, ::-1, ::-1]
+        rows = max(1, BLOCK_TERMS // max(batch * n_in, 1))
+        for start in range(0, k * n_in, rows):
+            t, a = np.divmod(np.arange(start, min(start + rows, k * n_in)), n_in)
+            # (v_t v_t^T * x)[a], one buffer per factor
+            pair = v.T[t]
+            np.multiply(v[a, t, None], pair, out=pair)
+            terms = x[:, a]
+            np.multiply(pair, terms, out=terms)
+            targets = idx.T[t]
+            targets += idx[a, t, None] * n_out
+            np.add.at(y, _stacked(targets, n_out * n_out, batch), terms.ravel())
+        y = y.reshape(*lead, n_out, n_out)
         y.setflags(write=False)
         return y
 
@@ -329,10 +345,18 @@ def isometry_gram(d: int, m: int, l: int) -> np.ndarray:
     iff this is the identity.
     """
     idx, v, _ = clone_amplitudes(d, m, l).plan
-    # the plan's columns in t order, each over the inputs in ascending rank
-    gram = np.zeros((len(idx), len(idx)))
-    for idx_t, v_t in zip(np.ascontiguousarray(idx[::-1].T), np.ascontiguousarray(v[::-1].T)):
-        gram += np.outer(v_t, v_t) * (idx_t[:, None] == idx_t[None, :])
+    n, k = idx.shape
+    # the plan's columns in t order, each over the inputs in ascending rank;
+    # a block of whole columns at a time, whose running sum along t, started
+    # from the Gram so far, adds each entry's terms strictly in t order
+    idx, v = idx[::-1].T, v[::-1].T
+    columns = max(1, BLOCK_TERMS // (n * n))
+    gram = np.zeros((n, n))
+    for start in range(0, k, columns):
+        i, w = idx[start : start + columns], v[start : start + columns]
+        block = (w[:, :, None] * w[:, None, :]) * (i[:, :, None] == i[:, None, :])
+        block[0] += gram
+        gram = np.add.accumulate(block, axis=0, out=block)[-1].copy()
     return gram
 
 

@@ -61,6 +61,8 @@ def sym_operator_to_dict(op: SymOperator) -> dict:
 
 
 def qudit_operator_to_pairs(op: QuditOperator) -> list[list[float]]:
+    if op.entries.ndim != 2:
+        raise FormatError(f"a document holds one operator, got a stack of {len(op.entries)}")
     return _entry_pairs(op.entries)
 
 

@@ -213,7 +213,8 @@ class SymOperator:
     of what it returns for each: reduce_one, clone_channel and its
     output's entries, oracle_clone, and the random draws with a count.
     Each operator of a stack keeps the bits it has alone.  trace and
-    validate_density read one operator, and a document holds one.
+    validate_density read one operator and refuse a stack, and a document
+    holds one.
     """
 
     basis: SymBasis
@@ -239,6 +240,7 @@ class SymOperator:
         return self.basis.m
 
     def trace(self) -> complex:
+        _refuse_a_stack(self.entries, "trace")
         return complex(np.trace(self.entries))
 
     def _diagonal_and_hops(self) -> tuple[np.ndarray, np.ndarray | None]:
@@ -262,6 +264,7 @@ class SymOperator:
         inputs, so with check_psd a negative eigenvalue below -tol warns
         rather than rejects.
         """
+        _refuse_a_stack(self.entries, "validate_density")
         if not np.isfinite(self.entries).all():
             raise InvalidParameterError("entries must be finite")
         dev = float(np.max(np.abs(self.entries - self.entries.conj().T)))
@@ -278,6 +281,11 @@ class SymOperator:
             lowest = float(np.linalg.eigvalsh(self.entries).min())
             if lowest < -tol:
                 warnings.warn(f"operator has negative eigenvalue {lowest:.3e}")
+
+
+def _refuse_a_stack(entries: np.ndarray, name: str) -> None:
+    if entries.ndim != 2:
+        raise InvalidParameterError(f"{name} reads one operator, got a stack of {len(entries)}")
 
 
 def sym_operator(d: int, m: int, entries) -> SymOperator:
@@ -304,7 +312,8 @@ def basis_projector(c) -> SymOperator:
 
 @dataclass(frozen=True, eq=False)
 class QuditOperator:
-    """Dense operator on a single d-level system, or a (B, d, d) stack."""
+    """Dense operator on a single d-level system, or a (B, d, d) stack;
+    trace reads one operator and refuses a stack."""
 
     d: int
     entries: np.ndarray
@@ -322,6 +331,7 @@ class QuditOperator:
         object.__setattr__(self, "entries", entries)
 
     def trace(self) -> complex:
+        _refuse_a_stack(self.entries, "trace")
         return complex(np.trace(self.entries))
 
 
@@ -333,22 +343,25 @@ def reduce_one(op: SymOperator) -> QuditOperator:
     the same reduction, which is what this computes from the diagonal and
     one-hop entries (op._diagonal_and_hops); a stack gives a stack.
 
-    Each diagonal entry is one dot per operator: OpenBLAS sums a matrix
-    product in another order than a dot.  Each off-diagonal entry (p, q)
-    sums its move's terms strictly in basis order, by a running sum along
-    the move's row, and only the row totals are added to the zeroed
-    output.  That is the order and the +0.0 start of np.add.at over every
-    term, so a row of -0.0 terms still gives +0.0.
+    Each diagonal entry is one vector dot per operator, the whole stack in
+    one matmul of (1, N) rows by (N, 1) columns: OpenBLAS sums a (d, N)
+    matrix-vector product in another order than a dot.  Each off-diagonal
+    entry (p, q) sums its move's terms strictly in basis order, by a
+    running sum along the move's row, and only the row totals are added to
+    the zeroed output.  That is the order and the +0.0 start of np.add.at
+    over every term, so a row of -0.0 terms still gives +0.0.
     """
     if op.m < 1:
         raise InvalidParameterError("single-site reduction needs at least one particle")
     d = op.d
     diag, coeffs, (p, q) = op.basis.reduction
     diagonal, hops = op._diagonal_and_hops()
-    out = np.zeros((*diagonal.shape[:-1], d, d), dtype=np.complex128)
-    for x, y in zip(diagonal.reshape(-1, diagonal.shape[-1]), out.reshape(-1, d, d)):
-        for i in range(d):
-            y[i, i] = diag[i] @ x
+    lead = diagonal.shape[:-1]
+    out = np.zeros((*lead, d, d), dtype=np.complex128)
+    # a stack of (1, N) @ (N, 1) products, each the dot diag[i] @ x
+    out.reshape(*lead, d * d)[..., :: d + 1] = np.matmul(
+        diag[:, None, :], diagonal[..., None, :, None]
+    )[..., 0, 0]
     terms = coeffs * hops
     np.add.at(out, (..., p, q), np.add.accumulate(terms, axis=-1, out=terms)[..., -1])
     return QuditOperator(d, out)

@@ -187,6 +187,42 @@ def non_finite(x):
     return SymOperator(x.basis, e)
 
 
+def loop_dense(out):
+    """The dense view one plan column at a time: each entry adds its terms
+    in t order onto +0.0, the whole stack at once."""
+    lead, n_out = out.source.entries.shape[:-2], out.basis.size
+    y = np.zeros((*lead, n_out, n_out), dtype=np.complex128)
+    x = out.source.entries[..., ::-1, ::-1]
+    idx, v, _ = out.cell.plan
+    for idx_t, v_t in zip(idx.T, v.T):
+        y[..., idx_t[:, None], idx_t[None, :]] += (v_t[:, None] * v_t[None, :]) * x
+    return y
+
+
+def loop_gram(d, m, l):
+    """isometry_gram one np.outer per plan column, in t order onto +0.0."""
+    idx, v, _ = clone_amplitudes(d, m, l).plan
+    gram = np.zeros((len(idx), len(idx)))
+    for idx_t, v_t in zip(idx[::-1].T, v[::-1].T):
+        gram += np.outer(v_t, v_t) * (idx_t[:, None] == idx_t[None, :])
+    return gram
+
+
+def loop_reduced_diagonal(op):
+    """The reduction's diagonal, one dot per operator and level."""
+    diag = op.basis.reduction[0]
+    diagonal, _ = op._diagonal_and_hops()
+    out = np.zeros((*diagonal.shape[:-1], op.d), dtype=np.complex128)
+    for x, y in zip(diagonal.reshape(-1, diagonal.shape[-1]), out.reshape(-1, op.d)):
+        for i in range(op.d):
+            y[i] = diag[i] @ x
+    return out
+
+
+def reduced_diagonal(op):
+    return np.diagonal(reduce_one(op).entries, axis1=-2, axis2=-1)
+
+
 class TestStructuredOutput:
     # the clone_warm benchmark cells, next to a small exhaustive grid
     CELLS = [
@@ -253,6 +289,87 @@ class TestStructuredOutput:
                 dense = clone_channel(x, l).entries
                 for b, draw in enumerate(draws):
                     assert_bitwise_equal(dense[b], clone_channel(draw, l).entries)
+
+    def test_dense_view_matches_the_column_loop_bit_for_bit(self):
+        # (3, 20, 24) and (3, 10, 30) split a column's rows over blocks, and
+        # blocks straddle columns
+        def check(x, l):
+            for out in (clone_channel(x, l), clone_channel(clone_channel(x, l), l + 1)):
+                if out.basis.size ** 2 <= 1 << 16:
+                    assert_bitwise_equal(out.entries, loop_dense(out))
+
+        self.each_draw(check)
+        for d, m, l in ((3, 20, 24), (3, 10, 30)):
+            x = ginibre_sym_operator(d, m, np.random.default_rng([d, m, l]))
+            for draw in (x, non_finite(x)):
+                out = clone_channel(draw, l)
+                with np.errstate(invalid="ignore"):
+                    assert_bitwise_equal(out.entries, loop_dense(out))
+
+    def test_dense_stack_matches_the_column_loop_bit_for_bit(self):
+        for l, draws in self.cell_draws():
+            d, m = draws[0].d, draws[0].m
+            if 3 * dim(d, l) ** 2 > 1 << 16:
+                continue
+            x = SymOperator(draws[0].basis, np.stack([draw.entries for draw in draws]))
+            for stack in (x, SymOperator(x.basis, x.entries[:1]), SymOperator(x.basis, x.entries[:0])):
+                out = clone_channel(stack, l)
+                with np.errstate(invalid="ignore"):
+                    assert_bitwise_equal(out.entries, loop_dense(out))
+
+    @pytest.mark.parametrize("d, m, l", [(3, 20, 24), (3, 10, 30)])
+    def test_dense_view_peak_near_its_output(self, d, m, l):
+        out = clone_channel(hermitian_sym_operator(d, m, np.random.default_rng(3)), l)
+        tracemalloc.start()
+        try:
+            y = out.entries
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one block is at most cloner.BLOCK_TERMS terms; a loop over whole
+        # columns peaked about 3 MiB above the output at (3, 20, 24)
+        assert peak <= y.nbytes + (1 << 20)
+
+    def test_reduced_diagonal_matches_a_dot_per_level_bit_for_bit(self):
+        def check(x, l):
+            for op in (x, clone_channel(x, l), clone_channel(clone_channel(x, l), l + 1)):
+                if op.m:
+                    assert_bitwise_equal(reduced_diagonal(op), loop_reduced_diagonal(op))
+
+        self.each_draw(check)
+        for l, draws in self.cell_draws():
+            if not draws[0].m:
+                continue
+            x = SymOperator(draws[0].basis, np.stack([draw.entries for draw in draws]))
+            with np.errstate(invalid="ignore"):
+                for op in (x, clone_channel(x, l), SymOperator(x.basis, x.entries[:1])):
+                    assert_bitwise_equal(reduced_diagonal(op), loop_reduced_diagonal(op))
+
+    @pytest.mark.parametrize("d, weights", [
+        (2, (2, 9, 99, 1000, 5050, 19999)),
+        (3, (1, 3, 13, 44, 100, 199)),
+        (5, (1, 2, 4, 10, 20)),
+    ])
+    def test_long_reduced_diagonals_match_a_dot_per_level(self, d, weights):
+        # the strides of a dense matrix's diagonal (stride 1 + N) and of a
+        # clone output's (stride 2), unit stride, and stacks of 3 and 10
+        rng = np.random.default_rng(d)
+        for m in weights:
+            basis = enumerate_basis(d, m)
+            n, n_hop = basis.size, dim(d, m - 1)
+            for batch, stride in ((1, 2), (1, 1), (3, 7), (10, 2)):
+                values = rng.standard_normal((batch, n, stride, 2)).view(np.complex128)
+                diagonal = values[:, :, 0, 0]
+                hops = np.zeros((batch, d * (d - 1), n_hop), dtype=np.complex128)
+                ops = [Gathered(basis, diagonal, hops)]
+                if batch == 1:
+                    ops.append(Gathered(basis, diagonal[0], hops[0]))
+                if n <= 1001:
+                    dense = np.zeros((n, n), dtype=np.complex128)
+                    np.fill_diagonal(dense, diagonal[0])
+                    ops.append(SymOperator(basis, dense))
+                for op in ops:
+                    assert_bitwise_equal(reduced_diagonal(op), loop_reduced_diagonal(op))
 
     def test_dense_stack_guard_counts_the_whole_stack(self):
         # one 1001 x 1001 output fits the guard; five do not
@@ -400,6 +517,24 @@ class TestIsometryGram:
                 for l in range(m, m + 3):
                     gram = isometry_gram(d, m, l)
                     np.testing.assert_allclose(gram, np.eye(dim(d, m)), atol=1e-12)
+
+    def test_matches_the_column_loop_bit_for_bit(self):
+        # one block at small cells; (3, 2, 40), (4, 2, 10) and (3, 6, 30)
+        # take several blocks of whole columns, (3, 20, 24) one column each
+        grid = [(d, m, l) for d in (2, 3, 4) for m in range(0, 5) for l in range(m, m + 4)]
+        for d, m, l in grid + [(3, 2, 40), (4, 2, 10), (3, 6, 30), (3, 20, 24), (2, 1, 2000)]:
+            assert_bitwise_equal(isometry_gram(d, m, l), loop_gram(d, m, l))
+
+    def test_long_qubit_cell_peak(self):
+        clone_amplitudes(2, 1, 2000).plan
+        tracemalloc.start()
+        try:
+            gram = isometry_gram(2, 1, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_allclose(gram, np.eye(2), atol=1e-12)
+        assert peak < 1 << 20
 
 
 class TestConcatenate:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from symclone.cli import main
 from symclone.cloner import alpha_d_sq, clone_amplitudes
 from symclone.oracle import ginibre_sym_operator
 from symclone.serialize import (
@@ -13,6 +14,7 @@ from symclone.serialize import (
     FormatError,
     fmt_float,
     fmt_fraction,
+    qudit_operator_to_pairs,
     read_sym_operator,
     sym_operator_from_dict,
     sym_operator_to_dict,
@@ -20,7 +22,7 @@ from symclone.serialize import (
     write_sym_operator,
     write_tables_csv,
 )
-from symclone.symspace import enumerate_basis, sym_operator
+from symclone.symspace import enumerate_basis, reduce_one, sym_operator
 
 
 def random_operator(d=2, m=2, seed=0):
@@ -112,6 +114,13 @@ class TestOperatorDocument:
             write_sym_operator(path, stack)
         assert not path.exists()
 
+    @pytest.mark.parametrize("batch", [0, 1, 3])
+    def test_reduction_pairs_refuse_a_stack(self, batch):
+        stack = ginibre_sym_operator(2, 2, np.random.default_rng(batch), count=batch)
+        with pytest.raises(FormatError, match="one operator"):
+            qudit_operator_to_pairs(reduce_one(stack))
+        assert len(qudit_operator_to_pairs(reduce_one(random_operator()))) == 4
+
     def test_rejects_non_object_document(self):
         with pytest.raises(FormatError):
             sym_operator_from_dict([1, 2, 3])
@@ -190,3 +199,27 @@ class TestFormatting:
         write_sym_operator(path, op)
         back = read_sym_operator(path)
         assert np.array_equal(back.entries, op.entries)
+
+
+WRITERS = {
+    "operator": lambda path: write_sym_operator(path, random_operator(), extra={"note": 1.5}),
+    "amplitudes": lambda path: write_amplitudes_csv(path, clone_amplitudes(3, 2, 4)),
+    "tables": lambda path: write_tables_csv(path, [(2, 1, 2), (3, 1, 2)]),
+    "report": lambda path: main(["verify", "concat", "--quick", "--out", str(path)]),
+}
+
+
+class TestRewrite:
+    """Writing over a longer existing file gives the bytes of a fresh write."""
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_rewrite_gives_the_bytes_of_a_fresh_write(self, writer, tmp_path, capsys):
+        fresh, old = tmp_path / "fresh", tmp_path / "old"
+        WRITERS[writer](fresh)
+        old.write_bytes(b"x" * (fresh.stat().st_size + 4096))
+        old.chmod(0o640)
+        for _ in range(2):
+            WRITERS[writer](old)
+            assert old.read_bytes() == fresh.read_bytes()
+        assert old.stat().st_mode & 0o777 == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh", "old"]

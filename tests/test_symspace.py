@@ -355,6 +355,18 @@ class TestSymOperator:
         with pytest.raises(ValueError):
             op.entries[0, 0] = 5.0
 
+    @pytest.mark.parametrize("batch", [0, 1, 3])
+    def test_one_operator_readers_refuse_a_stack(self, batch):
+        # a Hermitian unit-trace stack, which .conj().T over three axes
+        # would have called not Hermitian
+        stack = sym_operator(2, 2, np.broadcast_to(np.eye(3) / 3, (batch, 3, 3)))
+        with pytest.raises(InvalidParameterError, match="validate_density reads one operator"):
+            stack.validate_density()
+        with pytest.raises(InvalidParameterError, match="trace reads one operator"):
+            stack.trace()
+        with pytest.raises(InvalidParameterError, match="trace reads one operator"):
+            QuditOperator(3, stack.entries).trace()
+
     def test_validate_density_accepts_proper_state(self):
         sym_operator(2, 1, np.diag([0.25, 0.75])).validate_density()
 
