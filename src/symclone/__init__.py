@@ -6,7 +6,6 @@ oracle that certifies the fast path.
 """
 
 from .closed_forms import (
-    BlochVector,
     bloch_vector,
     fidelity,
     generators,
@@ -45,7 +44,6 @@ from .serialize import (
 )
 from .symspace import (
     InvalidParameterError,
-    QuditOperator,
     ResourceLimitError,
     SymBasis,
     SymOperator,

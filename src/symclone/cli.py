@@ -19,8 +19,8 @@ from .cloner import clone_amplitudes, clone_channel
 from .oracle import oracle_clone
 from .serialize import (
     FormatError,
-    qudit_operator_to_pairs,
     read_sym_operator,
+    sym_operator_to_dict,
     write_amplitudes_csv,
     write_sym_operator,
     write_tables_csv,
@@ -80,7 +80,7 @@ def _cmd_clone(args) -> int:
     extra = {}
     fast = reduce_one(out) if args.reduced or args.oracle else None
     if args.reduced:
-        extra["reduced"] = qudit_operator_to_pairs(fast)
+        extra["reduced"] = sym_operator_to_dict(fast)["entries"]
     if args.oracle:
         _, slow = oracle_clone(op, args.l)
         residual = float(np.max(np.abs(fast.entries - slow.entries)))

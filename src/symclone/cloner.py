@@ -23,6 +23,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .symspace import (
+    AMPLITUDE_GUARD,
     InvalidParameterError,
     ResourceLimitError,
     SymOperator,
@@ -34,8 +35,6 @@ from .symspace import (
     sum_ranks,
 )
 
-# exact entries of an amplitude table: 8 B each as int64, 8-50 B as Python ints (measured)
-AMPLITUDE_GUARD = 1 << 20
 DENSE_GUARD = 1 << 22  # complex entries of a dense channel output (64 MiB)
 BLOCK_TERMS = 1 << 14  # terms per block of the dense view and of the Gram matrix
 
@@ -116,15 +115,6 @@ class CloneAmplitudes:
     occupancy: np.ndarray
     prefactor: Fraction
 
-    def squared(self) -> np.ndarray:
-        """alpha^2 as an (n_in, K) float64 array, computed on each call."""
-        # the prefactor's numerator is 1.  Python's int / int is correctly
-        # rounded, and so is float(Fraction); below 2**53 an int64 entry and
-        # the denominator are exact doubles, so their IEEE division is too.
-        # Either dtype gives the double nearest the exact alpha^2, the bits
-        # of float(prefactor * occupancy)
-        return (self.occupancy / self.prefactor.denominator).astype(np.float64, copy=False)
-
     @cached_property
     def plan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The channel plan: read-only (n_in, K) arrays idx and v, and hops.
@@ -144,7 +134,13 @@ class CloneAmplitudes:
         over the raveled rows therefore adds each entry's terms in t order.
         """
         d, m, l = self.d, self.m, self.l
-        v = np.sqrt(self.squared()[::-1])
+        # alpha^2, as the prefactor's numerator is 1.  Python's int / int is
+        # correctly rounded, and so is float(Fraction); below 2**53 an int64
+        # entry and the denominator are exact doubles, so their IEEE division
+        # is too.  Either dtype gives the double nearest the exact alpha^2,
+        # the bits of float(prefactor * occupancy)
+        squared = (self.occupancy / self.prefactor.denominator).astype(np.float64, copy=False)
+        v = np.sqrt(squared[::-1])
         added = enumerate_basis(d, l - m).counts
         idx = sum_ranks(enumerate_basis(d, m).counts[::-1], added, l)
         below = enumerate_basis(d, m - 1).counts if m else np.zeros((0, d), dtype=np.int64)

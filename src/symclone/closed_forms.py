@@ -1,5 +1,7 @@
 """Closed-form shrinking factor and fidelity, plus generalized Bloch vectors.
 
+A single-site operator is a SymOperator of weight 1, as reduce_one returns it.
+
 The single-site reduced output of the cloning channel is the reduced input
 contracted toward the maximally mixed state:
 
@@ -12,13 +14,14 @@ point appears only at comparison boundaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .symspace import InvalidParameterError, QuditOperator
+from .symspace import InvalidParameterError, SymOperator
+
+HERMITIAN_TOL = 1e-9  # max entry deviation bloch_vector allows from Hermiticity
 
 
 def shrink(d: int, m: int, l: int) -> Fraction:
@@ -43,8 +46,9 @@ def fidelity(d: int, n: int, m: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def generators(d: int) -> tuple[QuditOperator, ...]:
-    """Traceless Hermitian generator set with Tr(t_i t_j) = 2 delta_ij.
+def generators(d: int) -> np.ndarray:
+    """Traceless Hermitian generator set with Tr(t_i t_j) = 2 delta_ij, as
+    one read-only (d*d - 1, d, d) array.
 
     The order is frozen and shared by all file formats: symmetric pair
     matrices (p < q, row-major), then antisymmetric pairs in the same order,
@@ -53,79 +57,44 @@ def generators(d: int) -> tuple[QuditOperator, ...]:
     """
     if d < 2:
         raise InvalidParameterError(f"d must be >= 2, got {d}")
-    out = []
-    for p in range(d):
-        for q in range(p + 1, d):
-            g = np.zeros((d, d), dtype=np.complex128)
-            g[p, q] = 1.0
-            g[q, p] = 1.0
-            out.append(g)
-    for p in range(d):
-        for q in range(p + 1, d):
-            g = np.zeros((d, d), dtype=np.complex128)
-            g[p, q] = -1.0j
-            g[q, p] = 1.0j
-            out.append(g)
+    p, q = np.triu_indices(d, 1)
+    pairs, half = np.arange(len(p)), len(p)
+    out = np.zeros((d * d - 1, d, d), dtype=np.complex128)
+    out[pairs, p, q] = out[pairs, q, p] = 1.0
+    out[half + pairs, p, q], out[half + pairs, q, p] = -1.0j, 1.0j
     for r in range(1, d):
-        g = np.zeros((d, d), dtype=np.complex128)
-        for i in range(r):
-            g[i, i] = 1.0
-        g[r, r] = -r
-        out.append(np.sqrt(2.0 / (r * (r + 1))) * g)
-    return tuple(QuditOperator(d, g) for g in out)
+        level = np.zeros(d)
+        level[:r], level[r] = 1.0, -r
+        np.fill_diagonal(out[2 * half + r - 1], np.sqrt(2.0 / (r * (r + 1))) * level)
+    out.setflags(write=False)
+    return out
 
 
-@lru_cache(maxsize=None)
-def _generator_stack(d: int) -> np.ndarray:
-    """generators(d) as one read-only (d*d - 1, d, d) array."""
-    stack = np.stack([g.entries for g in generators(d)])
-    stack.setflags(write=False)
-    return stack
+def bloch_vector(rho: SymOperator) -> np.ndarray:
+    """Components s_i = Tr(rho t_i) of a single-site operator in
+    generators(d): a (d*d - 1,) array, or (B, d*d - 1) for a stack.
 
-
-@dataclass(frozen=True, eq=False)
-class BlochVector:
-    """Real coefficients of a qudit operator in the fixed generator set:
-    d*d - 1 of them, or a (B, d*d - 1) stack for a stack of operators."""
-
-    d: int
-    s: np.ndarray
-
-    def __post_init__(self):
-        s = np.array(self.s, dtype=np.float64)
-        expected = self.d * self.d - 1
-        if s.ndim not in (1, 2) or s.shape[-1:] != (expected,):
-            raise InvalidParameterError(
-                f"expected {expected} components for d={self.d}, or a stack of them, "
-                f"got shape {s.shape}"
-            )
-        s.setflags(write=False)
-        object.__setattr__(self, "s", s)
-
-
-def bloch_vector(rho: QuditOperator, tol: float = 1e-9) -> BlochVector:
-    """Components s_i = Tr(rho t_i); rho must be Hermitian within tol.
-
-    A stack of operators gives a stack of components, and the first
-    operator that is not Hermitian is reported.
+    rho must have weight 1 and be Hermitian within HERMITIAN_TOL; the
+    first operator of a stack that is not is reported.
     """
     d = rho.d
+    _require_one_site(rho, d)
     stack = rho.entries.reshape(-1, d, d)
     defects = np.max(np.abs(stack - stack.conj().swapaxes(1, 2)), axis=(1, 2))
-    bad = defects > tol
+    bad = defects > HERMITIAN_TOL
     if bad.any():
         raise InvalidParameterError(
-            f"not Hermitian within {tol:g} (max deviation {defects[bad][0]:.3e})"
+            f"not Hermitian within {HERMITIAN_TOL:g} (max deviation {defects[bad][0]:.3e})"
         )
     # one stacked product; each slice is the same gemm as rho @ t_i alone
-    product = stack[:, None] @ _generator_stack(d)
+    product = stack[:, None] @ generators(d)
     s = np.trace(product, axis1=2, axis2=3).real
-    return BlochVector(d, s.reshape(*rho.entries.shape[:-2], d * d - 1))
+    return s.reshape(*rho.entries.shape[:-2], d * d - 1)
 
 
 def scaling_residual(
-    rho_in_red: QuditOperator,
-    rho_out_red: QuditOperator,
+    rho_in_red: SymOperator,
+    rho_out_red: SymOperator,
     d: int,
     m: int,
     l: int,
@@ -143,8 +112,8 @@ def scaling_residual(
 
 
 def scaling_residual_bloch(
-    rho_in_red: QuditOperator,
-    rho_out_red: QuditOperator,
+    rho_in_red: SymOperator,
+    rho_out_red: SymOperator,
     d: int,
     m: int,
     l: int,
@@ -152,16 +121,20 @@ def scaling_residual_bloch(
 ) -> float | np.ndarray:
     """Same contraction law in Bloch components: max_i |s_out_i - eta s_in_i|."""
     eta = _eta(rho_in_red, rho_out_red, d, m, l, eta_factor)
-    s_in = bloch_vector(rho_in_red).s
-    s_out = bloch_vector(rho_out_red).s
-    return np.max(np.abs(s_out - eta * s_in), axis=-1)
+    s_in = bloch_vector(rho_in_red)
+    return np.max(np.abs(bloch_vector(rho_out_red) - eta * s_in), axis=-1)
 
 
 def _eta(
-    rho_in: QuditOperator, rho_out: QuditOperator, d: int, m: int, l: int, factor: float
+    rho_in: SymOperator, rho_out: SymOperator, d: int, m: int, l: int, factor: float
 ) -> float:
-    if rho_in.d != d or rho_out.d != d:
-        raise InvalidParameterError(
-            f"dimension mismatch: expected {d}x{d} operators, got {rho_in.d} and {rho_out.d}"
-        )
+    _require_one_site(rho_in, d)
+    _require_one_site(rho_out, d)
     return float(shrink(d, m, l)) * factor
+
+
+def _require_one_site(rho: SymOperator, d: int) -> None:
+    if rho.m != 1 or rho.d != d:
+        raise InvalidParameterError(
+            f"expected a single-site {d}x{d} operator (m = 1), got d={rho.d}, m={rho.m}"
+        )

@@ -16,11 +16,11 @@ import numpy as np
 
 from .symspace import (
     InvalidParameterError,
-    QuditOperator,
     ResourceLimitError,
     SymOperator,
     dim,
     enumerate_basis,
+    sym_operator,
 )
 
 MEMORY_GUARD = 1 << 20  # complex entries per dense array
@@ -50,9 +50,9 @@ def sym_embedding(d: int, m: int) -> np.ndarray:
     return out
 
 
-def reduce_full_to_site(full: np.ndarray, d: int, n_sites: int, site: int = 0) -> QuditOperator:
+def reduce_full_to_site(full: np.ndarray, d: int, n_sites: int, site: int = 0) -> SymOperator:
     """Trace a dense d**n x d**n operator, or a (B, d**n, d**n) stack, down
-    to a single site."""
+    to a single site, an operator of weight 1."""
     size = d**n_sites
     if full.ndim not in (2, 3) or full.shape[-2:] != (size, size):
         raise InvalidParameterError(
@@ -63,7 +63,7 @@ def reduce_full_to_site(full: np.ndarray, d: int, n_sites: int, site: int = 0) -
     before = d**site
     after = d ** (n_sites - 1 - site)
     w = full.reshape(-1, before, d, after, before, d, after)
-    return QuditOperator(d, np.einsum("zaibajb->zij", w).reshape(*full.shape[:-2], d, d))
+    return sym_operator(d, 1, np.einsum("zaibajb->zij", w).reshape(*full.shape[:-2], d, d))
 
 
 @lru_cache(maxsize=1)
@@ -96,7 +96,7 @@ def clone_isometry_full(d: int, m: int, l: int) -> np.ndarray:
     return v
 
 
-def oracle_clone(op: SymOperator, l: int, site: int = 0) -> tuple[np.ndarray, QuditOperator]:
+def oracle_clone(op: SymOperator, l: int, site: int = 0) -> tuple[np.ndarray, SymOperator]:
     """Clone op through the explicit isometry; trace out ancilla, then sites.
 
     Returns the dense operator on all l sites and its single-site
@@ -135,8 +135,9 @@ def _kron_power(u: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def covariance_check(u: QuditOperator, op: SymOperator, l: int) -> float | np.ndarray:
-    """Deviation from single-site covariance under a local unitary.
+def covariance_check(u: SymOperator, op: SymOperator, l: int) -> float | np.ndarray:
+    """Deviation from single-site covariance under a local unitary u, an
+    operator of weight 1.
 
     Compares reduce(clone(U op U*)) against u reduce(clone(op)) u*, where U
     is u applied to every site, restricted to the symmetric subspace; both
@@ -145,8 +146,10 @@ def covariance_check(u: QuditOperator, op: SymOperator, l: int) -> float | np.nd
     embedding built once and the oracle run once per side.
     """
     d, m = op.d, op.m
-    if u.d != d:
-        raise InvalidParameterError(f"unitary is {u.d}x{u.d} but the operator has d={d}")
+    if u.m != 1 or u.d != d:
+        raise InvalidParameterError(
+            f"expected a {d}x{d} unitary on one site (m = 1), got d={u.d}, m={u.m}"
+        )
     w = u.entries
     unitarity = float(np.max(np.abs(_dagger(w) @ w - np.eye(d))))
     if unitarity > 1e-10:
@@ -213,9 +216,10 @@ def _gaussian_stack(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     return z[:, 0] + 1j * z[:, 1]
 
 
-def random_unitary(d: int, rng: np.random.Generator) -> QuditOperator:
-    """Haar-ish random unitary: QR of a complex Ginibre matrix, phases fixed."""
+def random_unitary(d: int, rng: np.random.Generator) -> SymOperator:
+    """Haar-ish random unitary on one site (an operator of weight 1): QR of
+    a complex Ginibre matrix, phases fixed."""
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(g)
     phases = np.diagonal(r) / np.abs(np.diagonal(r))
-    return QuditOperator(d, q * phases)
+    return sym_operator(d, 1, q * phases)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .closed_forms import fidelity, shrink
 from .cloner import CloneAmplitudes
-from .symspace import QuditOperator, SymOperator, dim, enumerate_basis
+from .symspace import SymOperator, dim, enumerate_basis
 
 BASIS_TAG = "lex_decreasing"
 
@@ -44,11 +44,6 @@ def fmt_composition(counts) -> str:
     return " ".join(str(n) for n in counts)
 
 
-def _entry_pairs(matrix: np.ndarray) -> list[list[float]]:
-    # a complex128 entry is its real and imaginary doubles side by side
-    return np.ascontiguousarray(matrix).view(np.float64).reshape(-1, 2).tolist()
-
-
 def sym_operator_to_dict(op: SymOperator) -> dict:
     if op.entries.ndim != 2:
         raise FormatError(f"a document holds one operator, got a stack of {len(op.entries)}")
@@ -56,14 +51,9 @@ def sym_operator_to_dict(op: SymOperator) -> dict:
         "d": op.d,
         "m": op.m,
         "basis": BASIS_TAG,
-        "entries": _entry_pairs(op.entries),
+        # a complex128 entry is its real and imaginary doubles side by side
+        "entries": np.ascontiguousarray(op.entries).view(np.float64).reshape(-1, 2).tolist(),
     }
-
-
-def qudit_operator_to_pairs(op: QuditOperator) -> list[list[float]]:
-    if op.entries.ndim != 2:
-        raise FormatError(f"a document holds one operator, got a stack of {len(op.entries)}")
-    return _entry_pairs(op.entries)
 
 
 def sym_operator_from_dict(doc) -> SymOperator:

@@ -16,6 +16,11 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+# exact entries of an amplitude table: 8 B each as int64, 8-50 B as Python ints
+# (measured); 8 times it bounds entries times levels, of a table or a basis
+AMPLITUDE_GUARD = 1 << 20
+DENSITY_TOL = 1e-9  # Hermiticity and unit trace of a density operator, max entry deviation
+
 
 class InvalidParameterError(ValueError):
     """Arguments violate a documented precondition."""
@@ -184,11 +189,14 @@ class SymBasis:
 
 @lru_cache(maxsize=None)
 def enumerate_basis(d: int, m: int) -> SymBasis:
-    """All compositions of m into d parts, in canonical (lex-decreasing) order."""
-    if d < 2:
-        raise InvalidParameterError(f"d must be >= 2, got {d}")
-    if m < 0:
-        raise InvalidParameterError(f"particle number must be >= 0, got {m}")
+    """All compositions of m into d parts, in canonical (lex-decreasing) order;
+    refused, before anything is allocated, beyond clone_amplitudes' bound of
+    8 * AMPLITUDE_GUARD entries times levels."""
+    if dim(d, m) * d > 8 * AMPLITUDE_GUARD:
+        raise ResourceLimitError(
+            f"basis of weight {m} over {d} levels exceeds the guard of "
+            f"{8 * AMPLITUDE_GUARD} entries times levels"
+        )
     counts = _compositions(d, m)
     counts.setflags(write=False)
     return SymBasis(d=d, m=m, counts=counts)
@@ -206,6 +214,7 @@ def dim(d: int, m: int) -> int:
 @dataclass(frozen=True, eq=False)
 class SymOperator:
     """Complex square matrix over the symmetric basis of (d, m), or a stack.
+    An operator on one site is one of weight 1 (see reduce_one).
 
     entries is one N x N matrix, N = basis.size, or a (B, N, N) stack of B
     of them; any other shape is rejected.  The channel is linear, so every
@@ -257,29 +266,29 @@ class SymOperator:
         p, q = self.basis.moves
         return diagonal, self.entries[..., ranks[p], ranks[q]]
 
-    def validate_density(self, tol: float = 1e-9, check_psd: bool = False) -> None:
-        """Check Hermiticity and unit trace (max entry deviation <= tol).
+    def validate_density(self, check_psd: bool = False) -> None:
+        """Check Hermiticity and unit trace (max entry deviation <= DENSITY_TOL).
 
         Positivity is advisory: only the trace condition is required of
-        inputs, so with check_psd a negative eigenvalue below -tol warns
-        rather than rejects.
+        inputs, so with check_psd a negative eigenvalue below -DENSITY_TOL
+        warns rather than rejects.
         """
         _refuse_a_stack(self.entries, "validate_density")
         if not np.isfinite(self.entries).all():
             raise InvalidParameterError("entries must be finite")
         dev = float(np.max(np.abs(self.entries - self.entries.conj().T)))
-        if dev > tol:
+        if dev > DENSITY_TOL:
             raise InvalidParameterError(
-                f"not Hermitian within {tol:g} (max deviation {dev:.3e})"
+                f"not Hermitian within {DENSITY_TOL:g} (max deviation {dev:.3e})"
             )
         tr = self.trace()
-        if abs(tr - 1.0) > tol:
+        if abs(tr - 1.0) > DENSITY_TOL:
             raise InvalidParameterError(
-                f"trace must be 1 within {tol:g}, got {tr:.12g}"
+                f"trace must be 1 within {DENSITY_TOL:g}, got {tr:.12g}"
             )
         if check_psd:
             lowest = float(np.linalg.eigvalsh(self.entries).min())
-            if lowest < -tol:
+            if lowest < -DENSITY_TOL:
                 warnings.warn(f"operator has negative eigenvalue {lowest:.3e}")
 
 
@@ -310,34 +319,13 @@ def basis_projector(c) -> SymOperator:
     return basis_dyad(c, c)
 
 
-@dataclass(frozen=True, eq=False)
-class QuditOperator:
-    """Dense operator on a single d-level system, or a (B, d, d) stack;
-    trace reads one operator and refuses a stack."""
-
-    d: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        if self.d < 2:
-            raise InvalidParameterError(f"d must be >= 2, got {self.d}")
-        entries = np.array(self.entries, dtype=np.complex128)
-        if entries.ndim not in (2, 3) or entries.shape[-2:] != (self.d, self.d):
-            raise InvalidParameterError(
-                f"expected a {self.d}x{self.d} matrix or a stack of them, "
-                f"got shape {entries.shape}"
-            )
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-
-    def trace(self) -> complex:
-        _refuse_a_stack(self.entries, "trace")
-        return complex(np.trace(self.entries))
-
-
-def reduce_one(op: SymOperator) -> QuditOperator:
+def reduce_one(op: SymOperator) -> SymOperator:
     """Single-site reduced operator of a symmetric-subspace operator, m >= 1.
 
+    One site is the weight-1 symmetric subspace, whose basis index is the
+    level (row i of enumerate_basis(d, 1).counts is e_i), so the reduction
+    is a d x d operator of weight 1.  Reducing one gives back its finite
+    entries bit for bit, but for a -0.0 part, which becomes +0.0.
     Linear and trace-preserving for arbitrary (not necessarily Hermitian or
     positive) inputs.  For permutation-invariant operators every site gives
     the same reduction, which is what this computes from the diagonal and
@@ -364,4 +352,4 @@ def reduce_one(op: SymOperator) -> QuditOperator:
     )[..., 0, 0]
     terms = coeffs * hops
     np.add.at(out, (..., p, q), np.add.accumulate(terms, axis=-1, out=terms)[..., -1])
-    return QuditOperator(d, out)
+    return sym_operator(d, 1, out)

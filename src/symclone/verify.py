@@ -36,11 +36,10 @@ from .oracle import (
 )
 from .symspace import (
     InvalidParameterError,
-    QuditOperator,
-    SymOperator,
     dim,
     enumerate_basis,
     reduce_one,
+    sym_operator,
 )
 
 # keyword arguments that shrink each suite's grids for a smoke run
@@ -286,8 +285,8 @@ def covariance_suite(
             xs.append(_DRAWS["ginibre" if i % 2 == 0 else "hermitian"](d, m, rng).entries)
             us.append(random_unitary(d, rng).entries)
         n = dim(d, m)
-        x = SymOperator(enumerate_basis(d, m), np.reshape(xs, (len(xs), n, n)))
-        u = QuditOperator(d, np.reshape(us, (len(us), d, d)))
+        x = sym_operator(d, m, np.reshape(xs, (len(xs), n, n)))
+        u = sym_operator(d, 1, np.reshape(us, (len(us), d, d)))
         cases.append(_case({"d": d, "m": m, "l": l}, covariance_check(u, x, l), tol))
     grid = {
         "cells": [list(c) for c in ORACLE_GRID],

@@ -28,7 +28,7 @@ def test_criterion_1_one_to_two_qubit_point():
     started = time.perf_counter()
     red = reduce_one(uqcm_pure_output(2, 1, 2))
     simulated_f = red.entries[0, 0].real
-    simulated_eta = bloch_vector(red).s[2]  # input Bloch vector is (0, 0, 1)
+    simulated_eta = bloch_vector(red)[2]  # input Bloch vector is (0, 0, 1)
     assert abs(simulated_f - float(Fraction(5, 6))) <= 1e-12
     assert abs(simulated_eta - float(Fraction(2, 3))) <= 1e-12
     assert fidelity(2, 1, 2) == Fraction(5, 6)

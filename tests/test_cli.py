@@ -243,6 +243,26 @@ class TestClone:
         err = json.loads(capsys.readouterr().err)
         assert err["code"] == 2 and "amplitude table" in err["error"]
 
+    def test_absurd_level_count_rejected_before_enumeration(self, tmp_path, capsys):
+        # the reader enumerates the input's basis; a (1, 10**12) basis row
+        # would take 7.28 TiB, so the basis guard refuses it first
+        src = tmp_path / "in.json"
+        doc = {"d": 10**12, "m": 0, "basis": "lex_decreasing", "entries": [[1, 0]]}
+        src.write_text(json.dumps(doc))
+        argv = ["clone", str(src), "--l", "0", "--out", str(tmp_path / "o.json")]
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            code = main(argv)
+            seconds = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and seconds < 1.0 and peak < 1 << 20
+        err = json.loads(capsys.readouterr().err)
+        assert err["code"] == 2 and "entries times levels" in err["error"]
+        assert not (tmp_path / "o.json").exists()
+
     def test_reduces_the_output_once(self, tmp_path, monkeypatch):
         calls = []
 

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 
 from symclone.closed_forms import (
-    BlochVector,
     bloch_vector,
     fidelity,
     generators,
@@ -16,7 +15,7 @@ from symclone.closed_forms import (
 )
 from symclone.cloner import clone_channel, uqcm_pure_output
 from symclone.oracle import hermitian_sym_operator
-from symclone.symspace import InvalidParameterError, QuditOperator, reduce_one
+from symclone.symspace import InvalidParameterError, reduce_one, sym_operator
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -76,19 +75,44 @@ class TestFidelity:
                     assert abs(simulated - float(fidelity(d, n, m))) <= 1e-12
 
 
+def loop_generators(d):
+    """The frozen generator order, one matrix at a time."""
+    out = []
+    for p in range(d):
+        for q in range(p + 1, d):
+            g = np.zeros((d, d), dtype=complex)
+            g[p, q] = g[q, p] = 1.0
+            out.append(g)
+    for p in range(d):
+        for q in range(p + 1, d):
+            g = np.zeros((d, d), dtype=complex)
+            g[p, q], g[q, p] = -1.0j, 1.0j
+            out.append(g)
+    for r in range(1, d):
+        g = np.zeros((d, d), dtype=complex)
+        g[range(r), range(r)] = 1.0
+        g[r, r] = -r
+        out.append(np.sqrt(2.0 / (r * (r + 1))) * g)
+    return np.stack(out)
+
+
 class TestGenerators:
+    def test_match_a_loop_over_the_frozen_order_bit_for_bit(self):
+        for d in range(2, 9):
+            assert generators(d).tobytes() == loop_generators(d).tobytes()
+
     def test_qubit_generators_are_paulis_in_order(self):
         x, y, z = generators(2)
-        np.testing.assert_array_equal(x.entries, PAULI_X)
-        np.testing.assert_array_equal(y.entries, PAULI_Y)
-        np.testing.assert_array_equal(z.entries, PAULI_Z)
+        np.testing.assert_array_equal(x, PAULI_X)
+        np.testing.assert_array_equal(y, PAULI_Y)
+        np.testing.assert_array_equal(z, PAULI_Z)
 
     def test_orthonormality_qutrit(self):
         gens = generators(3)
-        assert len(gens) == 8
+        assert gens.shape == (8, 3, 3) and not gens.flags.writeable
         for i, gi in enumerate(gens):
             for j, gj in enumerate(gens):
-                product = np.trace(gi.entries @ gj.entries)
+                product = np.trace(gi @ gj)
                 assert abs(product - (2.0 if i == j else 0.0)) < 1e-13
 
     def test_traceless_and_hermitian_up_to_six_levels(self):
@@ -96,22 +120,24 @@ class TestGenerators:
             gens = generators(d)
             assert len(gens) == d * d - 1
             for g in gens:
-                assert abs(np.trace(g.entries)) < 1e-13
-                assert np.max(np.abs(g.entries - g.entries.conj().T)) < 1e-13
+                assert abs(np.trace(g)) < 1e-13
+                assert np.max(np.abs(g - g.conj().T)) < 1e-13
 
 
 class TestBlochRoundTrip:
     def test_maximally_mixed_is_origin(self):
         for d in (2, 3, 4):
-            s = bloch_vector(QuditOperator(d, np.eye(d) / d)).s
+            s = bloch_vector(sym_operator(d, 1, np.eye(d) / d))
             np.testing.assert_allclose(s, np.zeros(d * d - 1), atol=1e-15)
 
     def test_qubit_level_zero(self):
-        s = bloch_vector(QuditOperator(2, np.diag([1.0, 0.0]))).s
+        s = bloch_vector(sym_operator(2, 1, np.diag([1.0, 0.0])))
         np.testing.assert_allclose(s, [0.0, 0.0, 1.0], atol=1e-15)
+        stack = bloch_vector(sym_operator(2, 1, [np.diag([1.0, 0.0])] * 5))
+        assert s.shape == (3,) and stack.tobytes() == np.stack([s] * 5).tobytes()
 
     def test_qutrit_level_zero_hits_diagonal_components(self):
-        s = bloch_vector(QuditOperator(3, np.diag([1.0, 0.0, 0.0]))).s
+        s = bloch_vector(sym_operator(3, 1, np.diag([1.0, 0.0, 0.0])))
         # 3 symmetric + 3 antisymmetric generators see nothing; both diagonal ones do
         np.testing.assert_allclose(s[:6], np.zeros(6), atol=1e-15)
         np.testing.assert_allclose(s[6:], [1.0, np.sqrt(1 / 3)], atol=1e-15)
@@ -124,11 +150,11 @@ class TestBlochRoundTrip:
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         h = (g + g.conj().T) / 2
         h = h + np.eye(d) * (1.0 - np.trace(h).real) / d  # shift onto trace 1
-        rho = QuditOperator(d, h)
+        rho = sym_operator(d, 1, h)
         # identity/d + (1/2) sum_i s_i t_i reassembles rho
         back = np.eye(d) / d
-        for si, t in zip(bloch_vector(rho).s, generators(d)):
-            back = back + 0.5 * si * t.entries
+        for si, t in zip(bloch_vector(rho), generators(d)):
+            back = back + 0.5 * si * t
         np.testing.assert_allclose(back, rho.entries, atol=1e-12)
 
     def test_matches_per_generator_traces_bit_for_bit(self):
@@ -136,43 +162,35 @@ class TestBlochRoundTrip:
         for d in range(2, 7):
             for _ in range(20):
                 g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-                rho = QuditOperator(d, (g + g.conj().T) / 2)
+                rho = sym_operator(d, 1, (g + g.conj().T) / 2)
                 loop = np.array(
-                    [np.trace(rho.entries @ t.entries).real for t in generators(d)]
+                    [np.trace(rho.entries @ t).real for t in generators(d)]
                 )
-                assert bloch_vector(rho).s.tobytes() == loop.tobytes()
+                assert bloch_vector(rho).tobytes() == loop.tobytes()
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(InvalidParameterError):
-            bloch_vector(QuditOperator(2, np.array([[0.5, 1.0], [0.0, 0.5]])))
+            bloch_vector(sym_operator(2, 1, np.array([[0.5, 1.0], [0.0, 0.5]])))
 
     def test_a_stack_with_one_non_hermitian_draw_is_rejected(self):
         # the scaling suite checks each case's reductions as one stack
         rho = np.stack([np.eye(2) / 2, [[0.5, 1.0], [0.0, 0.5]], np.diag([1.0, 0.0])])
         with pytest.raises(InvalidParameterError, match="not Hermitian"):
-            scaling_residual_bloch(QuditOperator(2, rho[[0, 2, 0]]), QuditOperator(2, rho), 2, 1, 2)
+            scaling_residual_bloch(
+                sym_operator(2, 1, rho[[0, 2, 0]]), sym_operator(2, 1, rho), 2, 1, 2
+            )
         with pytest.raises(InvalidParameterError, match="max deviation 1.000e\\+00"):
-            bloch_vector(QuditOperator(2, rho))
-
-    def test_bloch_vector_length_enforced(self):
-        with pytest.raises(InvalidParameterError):
-            BlochVector(2, np.zeros(4))
-
-    @pytest.mark.parametrize("shape", [(), (1, 1, 3), (2, 4)])
-    def test_only_components_or_a_stack_of_them_are_accepted(self, shape):
-        with pytest.raises(InvalidParameterError, match="got shape"):
-            BlochVector(2, np.zeros(shape))
-        assert BlochVector(2, np.zeros((5, 3))).s.shape == (5, 3)
+            bloch_vector(sym_operator(2, 1, rho))
 
 
 class TestScalingResidual:
     def test_zero_when_nothing_happens(self):
-        rho = QuditOperator(2, np.diag([0.7, 0.3]))
+        rho = sym_operator(2, 1, np.diag([0.7, 0.3]))
         assert scaling_residual(rho, rho, 2, 2, 2) == 0.0
 
     def test_textbook_one_to_two_point(self):
-        rho_in = QuditOperator(2, np.diag([1.0, 0.0]))
-        rho_out = QuditOperator(2, np.diag([5 / 6, 1 / 6]))
+        rho_in = sym_operator(2, 1, np.diag([1.0, 0.0]))
+        rho_out = sym_operator(2, 1, np.diag([5 / 6, 1 / 6]))
         assert scaling_residual(rho_in, rho_out, 2, 1, 2) < 1e-15
         assert scaling_residual_bloch(rho_in, rho_out, 2, 1, 2) < 1e-15
 
@@ -193,8 +211,19 @@ class TestScalingResidual:
         rout = reduce_one(clone_channel(x, 4))
         assert scaling_residual(rin, rout, 2, 2, 4, eta_factor=1.01) > 1e-6
 
+    def test_an_operator_on_two_sites_is_refused(self):
+        # the reductions are operators of weight 1; nothing else has a Bloch vector
+        one = sym_operator(2, 1, np.eye(2) / 2)
+        two = sym_operator(2, 2, np.eye(3) / 3)
+        for rho_in, rho_out in ((two, one), (one, two)):
+            for residual in (scaling_residual, scaling_residual_bloch):
+                with pytest.raises(InvalidParameterError, match="single-site"):
+                    residual(rho_in, rho_out, 2, 1, 2)
+        with pytest.raises(InvalidParameterError, match="single-site"):
+            bloch_vector(two)
+
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidParameterError):
             scaling_residual(
-                QuditOperator(2, np.eye(2) / 2), QuditOperator(3, np.eye(3) / 3), 2, 1, 2
+                sym_operator(2, 1, np.eye(2) / 2), sym_operator(3, 1, np.eye(3) / 3), 2, 1, 2
             )

@@ -18,12 +18,12 @@ from symclone.oracle import (
 )
 from symclone.symspace import (
     InvalidParameterError,
-    QuditOperator,
     SymOperator,
     basis_projector,
     dim,
     enumerate_basis,
     reduce_one,
+    sym_operator,
 )
 from symclone.verify import ORACLE_GRID, oracle_suite, scaling_suite
 
@@ -95,7 +95,7 @@ class TestIsometry:
             oracle_clone(basis_projector((1, 0)), 11)
         # the oracle's guard on d**(2l) also bounds the d**m rotation
         with pytest.raises(ResourceLimitError):
-            covariance_check(QuditOperator(2, np.eye(2)), basis_projector((11, 0)), 11)
+            covariance_check(sym_operator(2, 1, np.eye(2)), basis_projector((11, 0)), 11)
 
 
 class TestOracleClone:
@@ -232,10 +232,10 @@ class TestCovariance:
     def test_identity_unitary(self):
         rng = np.random.default_rng(13)
         x = ginibre_sym_operator(2, 2, rng)
-        assert covariance_check(QuditOperator(2, np.eye(2)), x, 3) < 1e-12
+        assert covariance_check(sym_operator(2, 1, np.eye(2)), x, 3) < 1e-12
 
     def test_bit_flip_on_pure_input(self):
-        flip = QuditOperator(2, np.array([[0, 1], [1, 0]], dtype=complex))
+        flip = sym_operator(2, 1, np.array([[0, 1], [1, 0]], dtype=complex))
         x = basis_projector((1, 0))
         assert covariance_check(flip, x, 2) <= 1e-12
         # flipped input clones to the mirrored single-site state
@@ -255,7 +255,7 @@ class TestCovariance:
             rng = np.random.default_rng([i, d, m, l])
             x = hermitian_sym_operator(d, m, rng, count=3)
             u = [random_unitary(d, rng) for _ in range(3)]
-            stacked = covariance_check(QuditOperator(d, [w.entries for w in u]), x, l)
+            stacked = covariance_check(sym_operator(d, 1, [w.entries for w in u]), x, l)
             alone = [covariance_check(w, SymOperator(x.basis, e), l) for w, e in zip(u, x.entries)]
             assert stacked.tobytes() == np.array(alone).tobytes(), (d, m, l)
 
@@ -263,13 +263,16 @@ class TestCovariance:
         rng = np.random.default_rng(15)
         x = ginibre_sym_operator(2, 1, rng)
         with pytest.raises(InvalidParameterError):
-            covariance_check(QuditOperator(2, np.diag([1.0, 2.0])), x, 2)
+            covariance_check(sym_operator(2, 1, np.diag([1.0, 2.0])), x, 2)
 
     def test_rejects_dimension_mismatch(self):
         rng = np.random.default_rng(16)
         x = ginibre_sym_operator(2, 1, rng)
         with pytest.raises(InvalidParameterError):
-            covariance_check(QuditOperator(3, np.eye(3)), x, 2)
+            covariance_check(sym_operator(3, 1, np.eye(3)), x, 2)
+        # a local unitary is an operator of weight 1, not one on two sites
+        with pytest.raises(InvalidParameterError, match="one site"):
+            covariance_check(sym_operator(2, 2, np.eye(3)), x, 2)
 
 
 class TestRandomInputs:

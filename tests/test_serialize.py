@@ -14,7 +14,6 @@ from symclone.serialize import (
     FormatError,
     fmt_float,
     fmt_fraction,
-    qudit_operator_to_pairs,
     read_sym_operator,
     sym_operator_from_dict,
     sym_operator_to_dict,
@@ -116,10 +115,11 @@ class TestOperatorDocument:
 
     @pytest.mark.parametrize("batch", [0, 1, 3])
     def test_reduction_pairs_refuse_a_stack(self, batch):
+        # the CLI's --reduced pairs are the reduction's document entries
         stack = ginibre_sym_operator(2, 2, np.random.default_rng(batch), count=batch)
         with pytest.raises(FormatError, match="one operator"):
-            qudit_operator_to_pairs(reduce_one(stack))
-        assert len(qudit_operator_to_pairs(reduce_one(random_operator()))) == 4
+            sym_operator_to_dict(reduce_one(stack))
+        assert len(sym_operator_to_dict(reduce_one(random_operator()))["entries"]) == 4
 
     def test_rejects_non_object_document(self):
         with pytest.raises(FormatError):

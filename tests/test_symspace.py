@@ -12,8 +12,9 @@ from hypothesis import assume, example, given, settings
 from symclone.cloner import alpha_d_sq
 from symclone.oracle import MEMORY_GUARD, reduce_full_to_site, sym_embedding
 from symclone.symspace import (
+    AMPLITUDE_GUARD,
     InvalidParameterError,
-    QuditOperator,
+    ResourceLimitError,
     basis_dyad,
     basis_projector,
     composition_rank,
@@ -130,6 +131,23 @@ class TestEnumerateBasis:
         ranks = composition_rank(counts, m)
         assert time.perf_counter() - start < 0.5
         assert np.array_equal(ranks, np.arange(len(counts)))
+
+    @pytest.mark.parametrize("d, m", [(8 * AMPLITUDE_GUARD + 1, 0), (2, 4 * AMPLITUDE_GUARD), (10**12, 0)])
+    def test_a_basis_beyond_the_guard_is_refused_before_allocation(self, d, m):
+        # the bound clone_amplitudes applies: basis size times levels
+        assert dim(d, m) * d > 8 * AMPLITUDE_GUARD
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="entries times levels"):
+                enumerate_basis.__wrapped__(d, m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+    def test_the_largest_benchmark_basis_is_admitted(self):
+        # (3, 1, 830)'s output: 345696 compositions over 3 levels
+        assert enumerate_basis.__wrapped__(3, 830).size == 345696
 
     def test_qubit_index_counts_level_one(self):
         for m in range(7):
@@ -281,6 +299,17 @@ class TestReduceOne:
         with pytest.raises(InvalidParameterError):
             reduce_one(sym_operator(2, 0, np.eye(1)))
 
+    def test_one_site_reduces_to_itself_bit_for_bit(self):
+        # basis index is level at weight 1, so a single-site operator is
+        # its own reduction
+        rng = np.random.default_rng(11)
+        for d in (2, 3, 5):
+            for shape in ((d, d), (4, d, d)):
+                x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                out = reduce_one(sym_operator(d, 1, x))
+                assert (out.d, out.m) == (d, 1)
+                assert out.entries.tobytes() == x.tobytes()
+
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25)
     def test_linear_trace_preserving_adjoint(self, seed):
@@ -343,12 +372,12 @@ class TestSymOperator:
         with pytest.raises(InvalidParameterError, match=message):
             sym_operator(2, 2, np.zeros(shape))
         with pytest.raises(InvalidParameterError, match=message):
-            QuditOperator(3, np.zeros(shape))
+            sym_operator(3, 1, np.zeros(shape))
 
     @pytest.mark.parametrize("batch", [0, 1, 4])
     def test_a_stack_is_accepted(self, batch):
         assert sym_operator(2, 2, np.zeros((batch, 3, 3))).entries.shape == (batch, 3, 3)
-        assert QuditOperator(3, np.zeros((batch, 3, 3))).entries.shape == (batch, 3, 3)
+        assert sym_operator(3, 1, np.zeros((batch, 3, 3))).entries.shape == (batch, 3, 3)
 
     def test_entries_are_read_only(self):
         op = sym_operator(2, 1, np.eye(2))
@@ -365,7 +394,7 @@ class TestSymOperator:
         with pytest.raises(InvalidParameterError, match="trace reads one operator"):
             stack.trace()
         with pytest.raises(InvalidParameterError, match="trace reads one operator"):
-            QuditOperator(3, stack.entries).trace()
+            sym_operator(3, 1, stack.entries).trace()
 
     def test_validate_density_accepts_proper_state(self):
         sym_operator(2, 1, np.diag([0.25, 0.75])).validate_density()
