@@ -4,9 +4,10 @@
 Each cell (d, m, l) gets a Ginibre draw, a Hermitian draw, and the Ginibre
 draw with a row and a column of -0.0, a NaN and an infinite imaginary part.
 Each draw is cloned to l, and that output once more to l + 1.  The digest
-covers, per output, the reduce_one bytes, the diagonal and one-hop arrays
-that reduce_one reads, and the dense entries where the output has at most
-2**16 of them.  Two trees that print the same digest give the same bits on
+covers, per output, the reduce_one bytes (through the table's reduced map
+and the source's own entries), the output's diagonal and one-hop arrays
+(scattered through the channel plan, which a clone of the output reads),
+and the dense entries where the output has at most 2**16 of them.  Two trees that print the same digest give the same bits on
 this grid.  BLAS kernels sum in machine-dependent orders, so compare digests
 from one machine, with OPENBLAS_NUM_THREADS=1.
 """

@@ -26,6 +26,7 @@ from .symspace import (
     AMPLITUDE_GUARD,
     InvalidParameterError,
     ResourceLimitError,
+    SymBasis,
     SymOperator,
     basis_projector,
     composition,
@@ -36,7 +37,7 @@ from .symspace import (
 )
 
 DENSE_GUARD = 1 << 22  # complex entries of a dense channel output (64 MiB)
-BLOCK_TERMS = 1 << 14  # terms per block of the dense view and of the Gram matrix
+BLOCK_TERMS = 1 << 14  # terms per block of the dense view, the Gram matrix and the reduced map
 
 
 def alpha_qubit_sq(j: int, k: int, m: int, l: int) -> Fraction:
@@ -115,6 +116,18 @@ class CloneAmplitudes:
     occupancy: np.ndarray
     prefactor: Fraction
 
+    def _squared(self, columns: slice = slice(None)) -> np.ndarray:
+        """alpha^2 of the given columns as doubles, the rows in ascending rank.
+
+        The prefactor's numerator is 1.  Python's int / int is correctly
+        rounded, and so is float(Fraction); below 2**53 an int64 entry and
+        the denominator are exact doubles, so their IEEE division is too.
+        Either dtype gives the double nearest the exact alpha^2, the bits of
+        float(prefactor * occupancy), whatever columns are taken at once.
+        """
+        squared = self.occupancy[:, columns] / self.prefactor.denominator
+        return squared.astype(np.float64, copy=False)
+
     @cached_property
     def plan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The channel plan: read-only (n_in, K) arrays idx and v, and hops.
@@ -125,29 +138,78 @@ class CloneAmplitudes:
         alpha(a, k_t).  hops is the same index one weight lower,
         (dim(d, m-1), K), its rows the u of weight m - 1 in descending rank:
         the one-hop pair (u + e_p, u + e_q) goes to hop (p, q) at the rank
-        of u + k_t.  Both are sum_ranks of the a (or u) and the added
-        compositions.
+        of u + k_t.  idx is sum_ranks of the a and the added compositions,
+        and hops a view of its last dim(d, m-1) rows: in lex order every c
+        with c_0 >= 1 comes first and c -> c - e_0 keeps the order, so the
+        inputs u + e_0 are the last rows and rank_l(u + e_0 + k_t) is
+        rank_{l-1}(u + k_t).
 
         Every product then runs along K, the longer axis in most cells.
         The order is the scatter's: as t rises, k_t falls in lex order, so for one output
         entry c the a = c - k_t rises and its rank falls.  A 1-D np.add.at
         over the raveled rows therefore adds each entry's terms in t order.
+        Only the dense view and a clone output's own diagonal and hops (the
+        source side of a chain) read the plan; reduce_one reads reduced_map.
         """
         d, m, l = self.d, self.m, self.l
-        # alpha^2, as the prefactor's numerator is 1.  Python's int / int is
-        # correctly rounded, and so is float(Fraction); below 2**53 an int64
-        # entry and the denominator are exact doubles, so their IEEE division
-        # is too.  Either dtype gives the double nearest the exact alpha^2,
-        # the bits of float(prefactor * occupancy)
-        squared = (self.occupancy / self.prefactor.denominator).astype(np.float64, copy=False)
-        v = np.sqrt(squared[::-1])
+        v = np.sqrt(self._squared()[::-1])
         added = enumerate_basis(d, l - m).counts
         idx = sum_ranks(enumerate_basis(d, m).counts[::-1], added, l)
-        below = enumerate_basis(d, m - 1).counts if m else np.zeros((0, d), dtype=np.int64)
-        hops = sum_ranks(below[::-1], added, l - 1)
-        for a in (idx, v, hops):
+        idx.setflags(write=False)
+        v.setflags(write=False)
+        return idx, v, idx[len(idx) - (dim(d, m - 1) if m else 0) :]
+
+    @cached_property
+    def reduced_map(self) -> tuple[np.ndarray, np.ndarray]:
+        """reduce_one after the channel, as read-only weights on the input's
+        diagonal and one-hop entries, l >= 1: W_diag and W_hop.
+
+        W_diag[i, a] = sum_t alpha(a, k_t)^2 (a_i + k_t,i) / l, (d, dim(d, m)),
+        weighs the input's diagonal entry a into output level i.
+        W_hop[j, r] = sum_t alpha(u + e_p, k_t) alpha(u + e_q, k_t)
+        sqrt((u_p + k_t,p + 1)(u_q + k_t,q + 1)) / l, (d(d-1), dim(d, m-1)),
+        weighs the input's hop (u + e_p, u + e_q), u the r-th composition of
+        weight m - 1, into output entry (p, q) of move j, in moves order.
+        The channel and the reduction are linear, and a dyad two or more
+        hops apart reduces to 0 before and after the channel (R. F. Werner,
+        PRA 58, 1827 (1998); M. Keyl and R. F. Werner, J. Math. Phys. 40,
+        3283 (1999)), so these and the source's own diagonal and hops give
+        the output's reduction, and nothing at weight l is built.
+
+        Built from the float squared amplitudes and the input basis's
+        hop_ranks, BLOCK_TERMS terms at a time along K: each term
+        alpha(a, k_t)^2 (a + k_t)_i serves W_diag, and its square root
+        alpha(a, k_t) sqrt((a + k_t)_i), taken at a = u + e_i, the one
+        product per unordered pair (p, q) that W_hop's moves (p, q) and
+        (q, p) share.  Elementwise products and numpy sums, no BLAS call,
+        so the bits do not depend on its thread count.
+        """
+        d, m, l = self.d, self.m, self.l
+        inputs = enumerate_basis(d, m)
+        added = enumerate_basis(d, l - m).counts
+        n_in, k = self.occupancy.shape
+        p, q = inputs.moves
+        upper = np.triu_indices(d, 1)
+        ranks = inputs.hop_ranks if m else np.zeros((d, 0), dtype=np.int64)
+        w_diag = np.zeros((d, n_in))
+        pairs = np.zeros((len(upper[0]), ranks.shape[1]))
+        columns = max(1, BLOCK_TERMS // n_in)
+        for start in range(0, k, columns):
+            block = slice(start, start + columns)
+            level = inputs.counts.T[:, :, None] + added[block].T[:, None, :]
+            # C order, so that each sum along K runs over a contiguous axis
+            # and numpy sums it pairwise, not one term at a time
+            terms = np.multiply(self._squared(block), level, order="C")
+            w_diag += terms.sum(axis=-1)
+            g = np.sqrt(terms[np.arange(d)[:, None], ranks])
+            pairs += (g[upper[0]] * g[upper[1]]).sum(axis=-1)
+        # both moves of an unordered pair read its one sum
+        pair = np.zeros((d, d), dtype=np.int64)
+        pair[upper] = np.arange(len(upper[0]))
+        w_diag, w_hop = w_diag / l, pairs[(pair + pair.T)[p, q]] / l
+        for a in (w_diag, w_hop):
             a.setflags(write=False)
-        return idx, v, hops
+        return w_diag, w_hop
 
 
 @lru_cache(maxsize=None)
@@ -157,16 +219,20 @@ def clone_amplitudes(d: int, m: int, l: int) -> CloneAmplitudes:
     Refuses, before enumerating anything, a table of more than
     AMPLITUDE_GUARD entries, or of more than 8 * AMPLITUDE_GUARD entries
     times levels: the table's product and the plan's ranks run over every
-    level of every entry.
+    level of every entry.  A vast request is refused on a cheap bound
+    before any exact binomial is taken: dim(d, n) = C(n + d - 1, k) >= 2**k
+    for k = min(n, d - 1).  The message prints no size taken from the
+    request, which may have more digits than Python formats.
     """
     if l < m:
         raise InvalidParameterError(f"need l >= m, got l={l}, m={m}")
-    n_table = dim(d, m) * dim(d, l - m)
-    if n_table > AMPLITUDE_GUARD or n_table * d > 8 * AMPLITUDE_GUARD:
+    bits = min(m, d - 1) + min(l - m, d - 1)
+    vast = bits >= AMPLITUDE_GUARD.bit_length() or d > 8 * AMPLITUDE_GUARD
+    n_table = 0 if vast else dim(d, m) * dim(d, l - m)
+    if vast or n_table > AMPLITUDE_GUARD or n_table * d > 8 * AMPLITUDE_GUARD:
         raise ResourceLimitError(
-            f"amplitude table of {n_table} exact entries over {d} levels exceeds "
-            f"the guard of {AMPLITUDE_GUARD} entries or {8 * AMPLITUDE_GUARD} "
-            f"entries times levels"
+            f"amplitude table exceeds the guard of {AMPLITUDE_GUARD} exact entries "
+            f"or {8 * AMPLITUDE_GUARD} entries times levels"
         )
     prefactor = _prefactor(d, m, l)
     # no entry exceeds the row total, so int64 is exact below 2**53
@@ -188,17 +254,31 @@ def clone_amplitudes(d: int, m: int, l: int) -> CloneAmplitudes:
 class CloneOutput(SymOperator):
     """clone_channel's output: its input operator (source) and table (cell).
 
-    A stack of sources gives a stack of outputs.  entries is a dense view,
-    built on first read and refused beyond DENSE_GUARD entries; reduce_one
-    reads the diagonal and the one-hop entries straight from cell.plan and
-    the source's own diagonal and one-hop entries instead, so a chain of
-    clones never builds a dense intermediate.
+    A stack of sources gives a stack of outputs.  reduce_one weighs the
+    source's own diagonal and one-hop entries by cell.reduced_map, so a
+    reduce-only output builds no plan and nothing at weight l, not even its
+    basis, which is built on first read.  entries is a dense view, built on
+    first read and refused beyond DENSE_GUARD entries, and the output's own
+    diagonal and one-hop entries, which a clone of this output reduces
+    through, are scattered through cell.plan; so a chain of clones never
+    builds a dense intermediate.
     """
 
     def __init__(self, source: SymOperator, cell: CloneAmplitudes):
-        object.__setattr__(self, "basis", enumerate_basis(source.d, cell.l))
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "cell", cell)
+
+    @cached_property
+    def basis(self) -> SymBasis:
+        return enumerate_basis(self.cell.d, self.cell.l)
+
+    @property
+    def d(self) -> int:
+        return self.cell.d
+
+    @property
+    def m(self) -> int:
+        return self.cell.l
 
     def __repr__(self) -> str:
         return f"CloneOutput(d={self.d}, m={self.source.m}, l={self.m})"
@@ -246,20 +326,22 @@ class CloneOutput(SymOperator):
 
     def _diagonal_and_hops(self) -> tuple[np.ndarray, np.ndarray]:
         """The diagonal and the one-hop entries, in the layout reduce_one
-        reads, scattered from the source's own through the plan.
+        reads, scattered from the source's own through the plan, which the
+        first read builds.
 
         Hop (p, q) at u, of the source, lands on hop (p, q) at the rank of
         u + k_t, which the plan's hop index holds.
         """
         source, cell = self.source, self.cell
         d, m, l = cell.d, cell.m, cell.l
+        idx, v, hop_index = cell.plan
         x_diagonal, x_hops = source._diagonal_and_hops()
         lead = x_diagonal.shape[:-1]
-        idx, v, hop_index = cell.plan
         batch, n_out, n_hop = math.prod(lead), dim(d, l), dim(d, l - 1)
         # the dense matrix's diagonal is a strided view, and OpenBLAS sums a
-        # unit-stride vector in another order than a strided one; reduce_one
-        # dots each diagonal, so it gets a strided view too, and the same bits
+        # unit-stride vector in another order than a strided one; a clone of
+        # this output dots its diagonal with the map's weights, so it gets a
+        # strided view too, and the bits it gets from a dense source
         diagonal = np.zeros((batch * n_out, 2), dtype=np.complex128)[:, 0]
         hops = np.zeros((d * (d - 1), batch * n_hop), dtype=np.complex128)
         # np.add.at adds in index order onto +0.0, as the dense loop adds in
@@ -296,6 +378,13 @@ class CloneOutput(SymOperator):
                     np.add.at(hops[j], targets, terms.ravel())
         return parts
 
+    def _weights_and_parts(self):
+        """cell.reduced_map with the move levels, and the source's own
+        diagonal and one-hop entries, which it weighs: reduce_one of the
+        output reads nothing at weight l."""
+        weights = (*self.cell.reduced_map, self.source.basis.moves)
+        return weights, self.source._diagonal_and_hops()
+
 
 def _stacked(index: np.ndarray, size: int, batch: int) -> np.ndarray:
     """index raveled once per operator of a stack, the b-th offset by b * size."""
@@ -311,11 +400,11 @@ def clone_channel(op: SymOperator, l: int) -> CloneOutput:
     compositions k in canonical order.  Linear in X, trace-preserving, and
     the identity channel at l = m; a stack of inputs gives a stack of
     outputs.  The amplitude table's guard applies before anything is
-    enumerated.
+    enumerated.  The output holds the input and the table: the channel
+    plan is built when the dense view or a clone of the output reads it,
+    and reduce_one builds the table's reduced map instead.
     """
-    cell = clone_amplitudes(op.d, op.m, l)
-    cell.plan  # so that the plan's cost lands on this call
-    return CloneOutput(op, cell)
+    return CloneOutput(op, clone_amplitudes(op.d, op.m, l))
 
 
 def uqcm_pure_output(d: int, n: int, m: int) -> SymOperator:

@@ -154,8 +154,10 @@ class SymBasis:
         further apart vanish.  Returns diag, the (d, N) weights a_i/m;
         coeffs, one row per move in (p, q) order and one column per u in
         basis order; and the move levels, moves.  Where each hop
-        sits in this basis is a separate table, hop_ranks, which a clone
-        output's reduction never reads.
+        sits in this basis is a separate table, hop_ranks.  reduce_one
+        reads this for a plain operator only: a clone output reduces
+        through its table's reduced_map, so no reduction is built at an
+        output weight.
         """
         d, m = self.d, self.m
         diag = np.ascontiguousarray(self.counts.T) / m
@@ -178,10 +180,11 @@ class SymBasis:
         u + e_i, u the j-th composition of weight m - 1, m >= 1 (sum_ranks).
 
         Adding e_i keeps the lex order, so each row rises along u.  It is
-        read only to gather hops from an operator's own entries
-        (SymOperator._diagonal_and_hops, also for a clone output's source);
-        a clone output's own hops come from its plan, so the table at the
-        output weight is never built.
+        read to gather hops from an operator's own entries
+        (SymOperator._diagonal_and_hops, also for a clone output's source)
+        and to build a table's reduced map at its input weight; a clone
+        output's own hops come from its plan, so the table at the output
+        weight is never built.
         """
         d, m = self.d, self.m
         return sum_ranks(np.eye(d, dtype=np.int64), enumerate_basis(d, m - 1).counts, m)
@@ -266,6 +269,11 @@ class SymOperator:
         p, q = self.basis.moves
         return diagonal, self.entries[..., ranks[p], ranks[q]]
 
+    def _weights_and_parts(self):
+        """What reduce_one applies: basis.reduction's weights, with the
+        move levels, and the diagonal and one-hop entries they weigh."""
+        return self.basis.reduction, self._diagonal_and_hops()
+
     def validate_density(self, check_psd: bool = False) -> None:
         """Check Hermiticity and unit trace (max entry deviation <= DENSITY_TOL).
 
@@ -328,8 +336,11 @@ def reduce_one(op: SymOperator) -> SymOperator:
     entries bit for bit, but for a -0.0 part, which becomes +0.0.
     Linear and trace-preserving for arbitrary (not necessarily Hermitian or
     positive) inputs.  For permutation-invariant operators every site gives
-    the same reduction, which is what this computes from the diagonal and
-    one-hop entries (op._diagonal_and_hops); a stack gives a stack.
+    the same reduction, which is what this computes from diagonal and
+    one-hop entries; a stack gives a stack.  The operator supplies the
+    weights and the entries they weigh (op._weights_and_parts): a plain
+    operator basis.reduction and its own diagonal and hops, a clone output
+    its table's reduced_map and its source's diagonal and hops.
 
     Each diagonal entry is one vector dot per operator, the whole stack in
     one matmul of (1, N) rows by (N, 1) columns: OpenBLAS sums a (d, N)
@@ -337,19 +348,20 @@ def reduce_one(op: SymOperator) -> SymOperator:
     entry (p, q) sums its move's terms strictly in basis order, by a
     running sum along the move's row, and only the row totals are added to
     the zeroed output.  That is the order and the +0.0 start of np.add.at
-    over every term, so a row of -0.0 terms still gives +0.0.
+    over every term, so a row of -0.0 terms still gives +0.0.  Each
+    operator of a stack keeps the bits it has alone.
     """
     if op.m < 1:
         raise InvalidParameterError("single-site reduction needs at least one particle")
     d = op.d
-    diag, coeffs, (p, q) = op.basis.reduction
-    diagonal, hops = op._diagonal_and_hops()
+    (diag, coeffs, (p, q)), (diagonal, hops) = op._weights_and_parts()
     lead = diagonal.shape[:-1]
     out = np.zeros((*lead, d, d), dtype=np.complex128)
     # a stack of (1, N) @ (N, 1) products, each the dot diag[i] @ x
     out.reshape(*lead, d * d)[..., :: d + 1] = np.matmul(
         diag[:, None, :], diagonal[..., None, :, None]
     )[..., 0, 0]
-    terms = coeffs * hops
-    np.add.at(out, (..., p, q), np.add.accumulate(terms, axis=-1, out=terms)[..., -1])
+    if hops is not None:  # a clone of a single input state has no hops to weigh
+        terms = coeffs * hops
+        np.add.at(out, (..., p, q), np.add.accumulate(terms, axis=-1, out=terms)[..., -1])
     return sym_operator(d, 1, out)

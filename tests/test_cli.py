@@ -19,22 +19,23 @@ def write_pure_input(path):
 
 
 def nan_channel_output(monkeypatch, name):
-    """CloneOutput's diagonal and one-hop entries, or its dense view, with
-    the first entry of each draw's diagonal NaN."""
+    """What CloneOutput's reduction reads, its weights and its source's
+    diagonal and one-hop entries, or its dense view, with the first entry
+    of each draw's diagonal NaN."""
     exact = getattr(CloneOutput, name)
 
     def nan_parts(self):
-        diagonal, hops = exact(self)
+        weights, (diagonal, hops) = exact(self)
         diagonal = diagonal.copy()
         diagonal[..., 0] = np.nan
-        return diagonal, hops
+        return weights, (diagonal, hops)
 
     def nan_entries(self):
         entries = exact.func(self).copy()
         entries[..., 0, 0] = np.nan
         return entries
 
-    poisoned = nan_parts if name == "_diagonal_and_hops" else property(nan_entries)
+    poisoned = nan_parts if name == "_weights_and_parts" else property(nan_entries)
     monkeypatch.setattr(CloneOutput, name, poisoned)
 
 
@@ -93,6 +94,20 @@ class TestCoeffs:
         err = json.loads(capsys.readouterr().err)
         assert err["code"] == 2
         assert "l >= m" in err["error"]
+
+    def test_vast_table_refused_before_exact_arithmetic(self, tmp_path, capsys):
+        # dim(100000, 100000) has about 60,000 digits: taking it exactly costs
+        # 0.29 s, and formatting it overruns Python's int-to-str limit
+        out = tmp_path / "x.csv"
+        argv = ["coeffs", "--d", "100000", "--m", "100000", "--l", "100000", "--out", str(out)]
+        start = time.perf_counter()
+        code = main(argv)
+        seconds = time.perf_counter() - start
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 2 and seconds < 1.0 and len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["code"] == 2 and "amplitude table" in err["error"]
+        assert not out.exists()
 
 
 class TestClone:
@@ -349,7 +364,7 @@ class TestVerify:
         monkeypatch.setattr(verify, "clone_channel", nan_channel)
         assert_every_case_reads_nan(suite, tmp_path)
 
-    @pytest.mark.parametrize("part", ["_diagonal_and_hops", "entries"])
+    @pytest.mark.parametrize("part", ["_weights_and_parts", "entries"])
     def test_nan_in_either_oracle_check_fails_every_case(self, part, tmp_path, monkeypatch):
         # each case folds a reduction and a dense check; a NaN in either fails it
         nan_channel_output(monkeypatch, part)

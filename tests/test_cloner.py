@@ -18,6 +18,7 @@ from symclone.cli import main
 from symclone.closed_forms import (
     scaling_residual,
     scaling_residual_bloch,
+    shrink,
 )
 from symclone.cloner import (
     CloneOutput,
@@ -41,7 +42,7 @@ from symclone.symspace import (
     reduce_one,
     sym_operator,
 )
-from symclone.verify import oracle_suite
+from symclone.verify import oracle_suite, scaling_suite
 
 
 def compositions(d, m):
@@ -209,9 +210,9 @@ def loop_gram(d, m, l):
 
 
 def loop_reduced_diagonal(op):
-    """The reduction's diagonal, one dot per operator and level."""
-    diag = op.basis.reduction[0]
-    diagonal, _ = op._diagonal_and_hops()
+    """The reduction's diagonal, one dot per operator and level, over the
+    weights and the diagonal that the operator supplies to reduce_one."""
+    (diag, *_), (diagonal, _) = op._weights_and_parts()
     out = np.zeros((*diagonal.shape[:-1], op.d), dtype=np.complex128)
     for x, y in zip(diagonal.reshape(-1, diagonal.shape[-1]), out.reshape(-1, op.d)):
         for i in range(op.d):
@@ -221,6 +222,13 @@ def loop_reduced_diagonal(op):
 
 def reduced_diagonal(op):
     return np.diagonal(reduce_one(op).entries, axis1=-2, axis2=-1)
+
+
+def assert_same_reduction(got, want):
+    """Within 1e-13 where want is finite, and non-finite exactly where it is."""
+    finite = np.isfinite(want)
+    assert np.array_equal(np.isfinite(got), finite)
+    assert np.all(np.abs(got[finite] - want[finite]) <= 1e-13)
 
 
 class TestStructuredOutput:
@@ -385,11 +393,19 @@ class TestStructuredOutput:
         assert peak < 1 << 20
 
     def test_reduction_matches_the_dense_view_bit_for_bit(self):
+        # the scatter a chain reads gives the dense view's own diagonal and
+        # hops bit for bit, so a clone of the output reduces to the bits of a
+        # clone of its dense view; the reduction, through the reduced map,
+        # agrees with the dense view's within rounding
         def check(x, l):
             # one stage, and two, the second reading the first's output
             for out in (clone_channel(x, l), clone_channel(clone_channel(x, l), l + 1)):
-                want = reduce_one(SymOperator(out.basis, out.entries)).entries
-                assert reduce_one(out).entries.tobytes() == want.tobytes(), (x.d, x.m, l)
+                dense = SymOperator(out.basis, out.entries)
+                for got, want in zip(out._diagonal_and_hops(), dense._diagonal_and_hops()):
+                    assert_bitwise_equal(got, want)
+                assert_same_reduction(reduce_one(out).entries, reduce_one(dense).entries)
+                chained, via_dense = (reduce_one(clone_channel(y, out.m + 1)) for y in (out, dense))
+                assert_bitwise_equal(chained.entries, via_dense.entries)
 
         self.each_draw(check)
 
@@ -403,7 +419,7 @@ class TestStructuredOutput:
                 assert_bitwise_equal(diagonal, want_diagonal)
                 assert_bitwise_equal(hops, want_hops)
                 want = reduce_one(Gathered(out.basis, want_diagonal, want_hops)).entries
-                assert reduce_one(out).entries.tobytes() == want.tobytes(), (x.d, x.m, l)
+                assert_same_reduction(reduce_one(out).entries, want)
 
         self.each_draw(check)
 
@@ -783,6 +799,63 @@ class TestPlansMatchReference:
         assert np.max(np.abs(gram - np.eye(3))) > 0.1
 
 
+class TestReducedMap:
+    # the isometry suite's grid, the clone benchmark cells and the large cells
+    CELLS = (
+        [(d, m, l) for d in range(2, 5) for m in range(1, 5) for l in range(m, 9)]
+        + [(2, 20, 400), (3, 6, 30), (4, 4, 16), (5, 2, 10), (3, 20, 24), (2, 1, 200),
+           (3, 2, 20), (3, 1, 100), (4, 1, 30)]
+        + [(4, 1, 114), (5, 2, 35), (3, 1, 830), (6, 1, 20)]
+    )
+
+    def test_map_weighs_by_the_contraction_law(self):
+        # rho_out = eta rho_in + (1 - eta)/d 1 on a diagonal dyad |a><a| and
+        # on a one-hop dyad |u + e_p><u + e_q|, whose reductions are
+        # sum_i (a_i/m) |i><i| and sqrt((u_p + 1)(u_q + 1))/m |p><q|.  The
+        # worst deviations were 3.3e-16 and 2.2e-16; summing K one term at a
+        # time, along a strided axis, read 9.8e-15 at (3, 1, 100)
+        for d, m, l in self.CELLS:
+            w_diag, w_hop = clone_amplitudes(d, m, l).reduced_map
+            eta = float(shrink(d, m, l))
+            basis = enumerate_basis(d, m)
+            assert w_diag.shape == (d, basis.size) and not w_diag.flags.writeable
+            want = eta * basis.counts.T / m + (1 - eta) / d
+            assert np.max(np.abs(w_diag - want)) <= 2e-15, (d, m, l)
+            u = enumerate_basis(d, m - 1).counts
+            p, q = basis.moves
+            want = eta * np.sqrt((u.T[p] + 1) * (u.T[q] + 1)) / m
+            assert w_hop.shape == want.shape and not w_hop.flags.writeable
+            assert np.max(np.abs(w_hop - want)) <= 2e-15, (d, m, l)
+        clear_plan_caches()  # the large cells' tables
+
+    def test_a_single_input_state_maps_to_the_maximally_mixed_state(self):
+        for d, l in ((2, 1), (3, 4), (5, 2)):
+            w_diag, w_hop = clone_amplitudes(d, 0, l).reduced_map
+            assert w_hop.shape == (d * (d - 1), 0)
+            assert np.max(np.abs(w_diag - 1 / d)) <= 1e-15
+
+    def test_reduce_only_peak_at_a_large_cell(self):
+        # building the plan and scattering the output's diagonal and hops at
+        # weight 114 peaked at 172.8 MiB; the reduction through the map
+        # peaked at 30.9 MiB, most of it the table and its added basis
+        d, m, l = 4, 1, 114
+        clear_plan_caches()
+        x = hermitian_sym_operator(d, m, np.random.default_rng(5))
+        rin = reduce_one(x)
+        tracemalloc.start()
+        try:
+            out = clone_channel(x, l)
+            rout = reduce_one(out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 << 20
+        assert scaling_residual(rin, rout, d, m, l) <= 1e-10
+        assert "plan" not in out.cell.__dict__ and "basis" not in out.__dict__
+        assert "reduction" not in enumerate_basis(d, l).__dict__
+        clear_plan_caches()
+
+
 COLD_CELLS = [(3, 1, 30), (2, 20, 60)]
 
 
@@ -808,8 +881,11 @@ def test_no_third_cache_serves_a_plan(d, m, l, monkeypatch):
     clear_plan_caches()
     refuse_ranks(monkeypatch)
     x = sym_operator(d, m, np.eye(n) / n)
+    out = clone_channel(x, l)  # the output reads no plan until asked
     with pytest.raises(AssertionError, match="plan was built"):
-        clone_channel(x, l)
+        out._diagonal_and_hops()
+    with pytest.raises(AssertionError, match="plan was built"):
+        reduce_one(out)
     with pytest.raises(AssertionError, match="plan was built"):
         reduce_one(x)
 
@@ -827,9 +903,9 @@ def test_a_live_output_keeps_its_plans(d, m, l, monkeypatch):
 
 @pytest.mark.parametrize("d, m, l", COLD_CELLS)
 def test_cold_reduction_ranks_no_output_composition(d, m, l, monkeypatch):
-    # a clone output reduces through its plan, so no rank table is built for
-    # its own basis: symspace ranks only the source's u + e_i (weight m), and
-    # the plan, through cloner's binding, ranks a + k and u + k
+    # a clone output reduces through its table's reduced map and its
+    # source's own entries: symspace ranks only the source's u + e_i
+    # (weight m), and no plan ranks a + k through cloner's binding
     clear_plan_caches()
     weights = {symspace: [], cloner: []}
 
@@ -845,9 +921,11 @@ def test_cold_reduction_ranks_no_output_composition(d, m, l, monkeypatch):
     for module in weights:
         monkeypatch.setattr(module, "sum_ranks", counting(module))
     n = dim(d, m)
-    reduce_one(clone_channel(sym_operator(d, m, np.eye(n) / n), l))
+    out = clone_channel(sym_operator(d, m, np.eye(n) / n), l)
+    reduce_one(out)
     assert weights[symspace] == [m]
-    assert weights[cloner] == [l, l - 1]
+    assert weights[cloner] == []
+    assert "plan" not in out.cell.__dict__ and "basis" not in out.__dict__
 
 
 @pytest.mark.parametrize("d, m, l", COLD_CELLS)
@@ -878,10 +956,12 @@ def test_cold_clone_builds_one_fraction(d, m, l, monkeypatch):
     assert made[0] is clone_amplitudes(d, m, l).prefactor
 
 
-def test_oracle_suite_catches_a_permuted_amplitude_table(monkeypatch):
-    # a bug inside clone_amplitudes: two unequal entries of row 0 swapped,
-    # which keeps every row's normalization
+def swap_row_zero(monkeypatch):
+    """A bug inside clone_amplitudes: two unequal entries of row 0 swapped,
+    which keeps every row's normalization.  Returns the list of the mutated
+    tables, which grows as they are built."""
     original = cloner.clone_amplitudes
+    tables = []
 
     def swapped(d, m, l):
         amps = original.__wrapped__(d, m, l)
@@ -890,20 +970,39 @@ def test_oracle_suite_catches_a_permuted_amplitude_table(monkeypatch):
         other = np.flatnonzero(row != row[0])
         if other.size:
             row[0], row[other[0]] = row[other[0]], row[0]
-        return dataclasses.replace(amps, occupancy=occupancy)
+        tables.append(dataclasses.replace(amps, occupancy=occupancy))
+        return tables[-1]
 
     clear_plan_caches()
     # every module that binds the function, as a real bug would reach them all
     for name, module in list(sys.modules.items()):
         if name.startswith("symclone") and getattr(module, "clone_amplitudes", None) is original:
             monkeypatch.setattr(module, "clone_amplitudes", swapped)
+    return tables
+
+
+def run_on_swapped_tables(suite, monkeypatch):
+    """suite's report and tables, with row 0 of every table swapped."""
+    tables = swap_row_zero(monkeypatch)
     try:
-        report = oracle_suite()
+        return suite(), tables
     finally:
-        # no plan built from the mutated table may outlive this test
+        # no plan or map built from the mutated table may outlive this test
         monkeypatch.undo()
         clear_plan_caches()
+
+
+def test_oracle_suite_catches_a_permuted_amplitude_table(monkeypatch):
+    report, _ = run_on_swapped_tables(oracle_suite, monkeypatch)
     assert not report.passed
+
+
+def test_scaling_suite_catches_a_permuted_amplitude_table_through_the_map(monkeypatch):
+    report, tables = run_on_swapped_tables(scaling_suite, monkeypatch)
+    assert not report.passed
+    # the suite reads each table's reduced map, and no plan
+    assert tables and all("plan" not in amps.__dict__ for amps in tables)
+    assert all("reduced_map" in amps.__dict__ for amps in tables)
 
 
 def test_oracle_imports_nothing_from_the_cloner():
