@@ -93,11 +93,9 @@ def _cmd_clone(args) -> int:
 
 def _cmd_tables(args) -> int:
     ds, ns, ms = _parse_range(args.d), _parse_range(args.n), _parse_range(args.m)
-    points = len(ds) * len(ns) * len(ms)
-    if points > TABLE_GUARD:
-        raise ResourceLimitError(
-            f"table grid of {points} (d, n, m) points exceeds the guard of {TABLE_GUARD}"
-        )
+    # len() overflows past sys.maxsize, and the count may be too long to print
+    if math.prod(max(0, r.stop - r.start) for r in (ds, ns, ms)) > TABLE_GUARD:
+        raise ResourceLimitError(f"table grid exceeds the guard of {TABLE_GUARD} (d, n, m) points")
     triples = [(d, n, m) for d in ds for n in ns for m in ms if d >= 2 and 1 <= n <= m]
     if not triples:
         raise InvalidParameterError(

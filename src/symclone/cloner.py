@@ -32,6 +32,7 @@ from .symspace import (
     composition,
     dim,
     enumerate_basis,
+    guarded_dims,
     pascal,
     sum_ranks,
 )
@@ -129,27 +130,20 @@ class CloneAmplitudes:
         return squared.astype(np.float64, copy=False)
 
     @cached_property
-    def plan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The channel plan: read-only (n_in, K) arrays idx and v, and hops.
+    def plan(self) -> tuple[np.ndarray, np.ndarray]:
+        """The channel plan: read-only (n_in, K) arrays idx and v.
 
         Row i holds one input composition a, in descending canonical rank
         (a is input n_in - 1 - i), and column t the added composition k_t:
-        the index of a + k_t in the output basis and the amplitude
-        alpha(a, k_t).  hops is the same index one weight lower,
-        (dim(d, m-1), K), its rows the u of weight m - 1 in descending rank:
-        the one-hop pair (u + e_p, u + e_q) goes to hop (p, q) at the rank
-        of u + k_t.  idx is sum_ranks of the a and the added compositions,
-        and hops a view of its last dim(d, m-1) rows: in lex order every c
-        with c_0 >= 1 comes first and c -> c - e_0 keeps the order, so the
-        inputs u + e_0 are the last rows and rank_l(u + e_0 + k_t) is
-        rank_{l-1}(u + k_t).
+        the index of a + k_t in the output basis (sum_ranks of the a and
+        the added compositions) and the amplitude alpha(a, k_t).
 
         Every product then runs along K, the longer axis in most cells.
         The order is the scatter's: as t rises, k_t falls in lex order, so for one output
         entry c the a = c - k_t rises and its rank falls.  A 1-D np.add.at
         over the raveled rows therefore adds each entry's terms in t order.
-        Only the dense view and a clone output's own diagonal and hops (the
-        source side of a chain) read the plan; reduce_one reads reduced_map.
+        Only the dense view and the Gram matrix read the plan; reduce_one
+        reads reduced_map.
         """
         d, m, l = self.d, self.m, self.l
         v = np.sqrt(self._squared()[::-1])
@@ -157,7 +151,7 @@ class CloneAmplitudes:
         idx = sum_ranks(enumerate_basis(d, m).counts[::-1], added, l)
         idx.setflags(write=False)
         v.setflags(write=False)
-        return idx, v, idx[len(idx) - (dim(d, m - 1) if m else 0) :]
+        return idx, v
 
     @cached_property
     def reduced_map(self) -> tuple[np.ndarray, np.ndarray]:
@@ -220,16 +214,12 @@ def clone_amplitudes(d: int, m: int, l: int) -> CloneAmplitudes:
     AMPLITUDE_GUARD entries, or of more than 8 * AMPLITUDE_GUARD entries
     times levels: the table's product and the plan's ranks run over every
     level of every entry.  A vast request is refused on a cheap bound
-    before any exact binomial is taken: dim(d, n) = C(n + d - 1, k) >= 2**k
-    for k = min(n, d - 1).  The message prints no size taken from the
-    request, which may have more digits than Python formats.
+    before any exact binomial is taken (see guarded_dims).
     """
     if l < m:
         raise InvalidParameterError(f"need l >= m, got l={l}, m={m}")
-    bits = min(m, d - 1) + min(l - m, d - 1)
-    vast = bits >= AMPLITUDE_GUARD.bit_length() or d > 8 * AMPLITUDE_GUARD
-    n_table = 0 if vast else dim(d, m) * dim(d, l - m)
-    if vast or n_table > AMPLITUDE_GUARD or n_table * d > 8 * AMPLITUDE_GUARD:
+    n_table = guarded_dims(d, m, l - m)
+    if n_table is None or n_table > AMPLITUDE_GUARD or n_table * d > 8 * AMPLITUDE_GUARD:
         raise ResourceLimitError(
             f"amplitude table exceeds the guard of {AMPLITUDE_GUARD} exact entries "
             f"or {8 * AMPLITUDE_GUARD} entries times levels"
@@ -258,10 +248,9 @@ class CloneOutput(SymOperator):
     source's own diagonal and one-hop entries by cell.reduced_map, so a
     reduce-only output builds no plan and nothing at weight l, not even its
     basis, which is built on first read.  entries is a dense view, built on
-    first read and refused beyond DENSE_GUARD entries, and the output's own
-    diagonal and one-hop entries, which a clone of this output reduces
-    through, are scattered through cell.plan; so a chain of clones never
-    builds a dense intermediate.
+    first read through cell.plan and refused beyond DENSE_GUARD entries.
+    The source is never itself a clone output: clone_channel composes a
+    chain into one table (see there).
     """
 
     def __init__(self, source: SymOperator, cell: CloneAmplitudes):
@@ -294,8 +283,8 @@ class CloneOutput(SymOperator):
         within a column.  The rows are taken t-major, BLOCK_TERMS terms at a
         time for the whole stack, and each block is one 1-D np.add.at onto
         a zeroed output, so every entry adds its terms in t order onto
-        +0.0, as the plan's scatters do (see CloneAmplitudes.plan), and
-        each output keeps the bits it has alone.
+        +0.0 (see CloneAmplitudes.plan), and each output keeps the bits it
+        has alone.
         """
         lead, n_out = self.source.entries.shape[:-2], self.basis.size
         batch = math.prod(lead)
@@ -303,7 +292,7 @@ class CloneOutput(SymOperator):
             raise ResourceLimitError(
                 f"dense {batch} x {n_out}x{n_out} output exceeds the guard of {DENSE_GUARD} entries"
             )
-        idx, v, _ = self.cell.plan
+        idx, v = self.cell.plan
         n_in, k = idx.shape
         y = np.zeros(batch * n_out * n_out, dtype=np.complex128)
         # the plan's rows run in descending rank, so each column meets the
@@ -319,64 +308,12 @@ class CloneOutput(SymOperator):
             np.multiply(pair, terms, out=terms)
             targets = idx.T[t]
             targets += idx[a, t, None] * n_out
-            np.add.at(y, _stacked(targets, n_out * n_out, batch), terms.ravel())
+            if batch != 1:  # one 1-D scatter: each operator offset by its place in the stack
+                targets = targets + np.arange(0, y.size, n_out * n_out)[:, None, None]
+            np.add.at(y, targets.ravel(), terms.ravel())
         y = y.reshape(*lead, n_out, n_out)
         y.setflags(write=False)
         return y
-
-    def _diagonal_and_hops(self) -> tuple[np.ndarray, np.ndarray]:
-        """The diagonal and the one-hop entries, in the layout reduce_one
-        reads, scattered from the source's own through the plan, which the
-        first read builds.
-
-        Hop (p, q) at u, of the source, lands on hop (p, q) at the rank of
-        u + k_t, which the plan's hop index holds.
-        """
-        source, cell = self.source, self.cell
-        d, m, l = cell.d, cell.m, cell.l
-        idx, v, hop_index = cell.plan
-        x_diagonal, x_hops = source._diagonal_and_hops()
-        lead = x_diagonal.shape[:-1]
-        batch, n_out, n_hop = math.prod(lead), dim(d, l), dim(d, l - 1)
-        # the dense matrix's diagonal is a strided view, and OpenBLAS sums a
-        # unit-stride vector in another order than a strided one; a clone of
-        # this output dots its diagonal with the map's weights, so it gets a
-        # strided view too, and the bits it gets from a dense source
-        diagonal = np.zeros((batch * n_out, 2), dtype=np.complex128)[:, 0]
-        hops = np.zeros((d * (d - 1), batch * n_hop), dtype=np.complex128)
-        # np.add.at adds in index order onto +0.0, as the dense loop adds in
-        # k order (see CloneAmplitudes.plan), with real and imaginary parts
-        # apart, so the sums agree bit for bit; numpy's fast path takes only
-        # 1-D index and value arrays, so each operator's targets are offset by
-        # its place in the stack, and a single operator is not offset at all
-        np.add.at(
-            diagonal, _stacked(idx, n_out, batch), ((v * v) * x_diagonal[..., ::-1, None]).ravel()
-        )
-        parts = (
-            diagonal.reshape(*lead, n_out),
-            hops.reshape(len(hops), batch, n_hop).swapaxes(0, 1).reshape(*lead, len(hops), n_hop),
-        )
-        if not m:  # a single input state: no one-hop pairs, and no reduction plan
-            return parts
-        # g[i, r, t] = alpha(u + e_i, k_t), u the weight-(m-1) composition of
-        # the plan's hop row r
-        g = v[len(v) - 1 - source.basis.hop_ranks[:, ::-1]]
-        p, q = source.basis.moves
-        move = {(p_j, q_j): j for j, (p_j, q_j) in enumerate(zip(p.tolist(), q.tolist()))}
-        targets = _stacked(hop_index, n_hop, batch)
-        # each move writes only its own row, so one move at a time keeps every
-        # entry's order; moves (p, q) and (q, p) share the real product
-        # alpha(u + e_p, k) alpha(u + e_q, k), and every move's terms fill
-        # one buffer that all of them reuse
-        pair = np.empty(hop_index.shape)
-        terms = np.empty((*lead, *hop_index.shape), dtype=np.complex128)
-        for p_j in range(d):
-            for q_j in range(p_j + 1, d):
-                np.multiply(g[p_j], g[q_j], out=pair)
-                for j in (move[p_j, q_j], move[q_j, p_j]):
-                    np.multiply(pair, x_hops[..., j, ::-1, None], out=terms)
-                    np.add.at(hops[j], targets, terms.ravel())
-        return parts
 
     def _weights_and_parts(self):
         """cell.reduced_map with the move levels, and the source's own
@@ -384,13 +321,6 @@ class CloneOutput(SymOperator):
         output reads nothing at weight l."""
         weights = (*self.cell.reduced_map, self.source.basis.moves)
         return weights, self.source._diagonal_and_hops()
-
-
-def _stacked(index: np.ndarray, size: int, batch: int) -> np.ndarray:
-    """index raveled once per operator of a stack, the b-th offset by b * size."""
-    if batch == 1:
-        return index.ravel()
-    return (index + (np.arange(batch) * size)[:, None, None]).ravel()
 
 
 def clone_channel(op: SymOperator, l: int) -> CloneOutput:
@@ -401,9 +331,18 @@ def clone_channel(op: SymOperator, l: int) -> CloneOutput:
     the identity channel at l = m; a stack of inputs gives a stack of
     outputs.  The amplitude table's guard applies before anything is
     enumerated.  The output holds the input and the table: the channel
-    plan is built when the dense view or a clone of the output reads it,
-    and reduce_one builds the table's reduced map instead.
+    plan is built when the dense view reads it, and reduce_one builds the
+    table's reduced map instead.
+
+    A clone of a clone output is one clone of its source: S_l (S_m' (x) 1)
+    = S_l, so T_{m'->l} T_{m->m'} = T_{m->l} (R. F. Werner, PRA 58, 1827
+    (1998)).  A chain m -> m' -> l costs one clone and holds the table of
+    (d, m, l), whose guard alone admits or refuses it.
     """
+    if isinstance(op, CloneOutput):
+        if l < op.m:
+            raise InvalidParameterError(f"need l >= m, got l={l}, m={op.m}")
+        op = op.source
     return CloneOutput(op, clone_amplitudes(op.d, op.m, l))
 
 
@@ -429,7 +368,7 @@ def isometry_gram(d: int, m: int, l: int) -> np.ndarray:
     rank's injectivity on each {a + k}.  The transformation is an isometry
     iff this is the identity.
     """
-    idx, v, _ = clone_amplitudes(d, m, l).plan
+    idx, v = clone_amplitudes(d, m, l).plan
     n, k = idx.shape
     # the plan's columns in t order, each over the inputs in ascending rank;
     # a block of whole columns at a time, whose running sum along t, started
@@ -448,10 +387,13 @@ def isometry_gram(d: int, m: int, l: int) -> np.ndarray:
 def concatenate(d: int, n: int, m: int, l: int) -> tuple[SymOperator, SymOperator]:
     """Two-stage n -> m -> l cloning next to direct n -> l cloning.
 
-    Returns (two-stage output, direct output); the two are equal.
+    Returns (two-stage output, direct output); the two are equal.  The
+    second stage clones the first's dense view as a plain operator, so the
+    composition law that clone_channel assumes for a chain is tested here.
     """
     if not 1 <= n <= m <= l:
         raise InvalidParameterError(f"need 1 <= n <= m <= l, got n={n}, m={m}, l={l}")
-    via = clone_channel(uqcm_pure_output(d, n, m), l)
+    mid = uqcm_pure_output(d, n, m)
+    via = clone_channel(SymOperator(mid.basis, mid.entries), l)
     direct = uqcm_pure_output(d, n, l)
     return via, direct

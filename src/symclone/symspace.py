@@ -180,11 +180,10 @@ class SymBasis:
         u + e_i, u the j-th composition of weight m - 1, m >= 1 (sum_ranks).
 
         Adding e_i keeps the lex order, so each row rises along u.  It is
-        read to gather hops from an operator's own entries
-        (SymOperator._diagonal_and_hops, also for a clone output's source)
+        read to gather an operator's own hops (SymOperator._diagonal_and_hops)
         and to build a table's reduced map at its input weight; a clone
-        output's own hops come from its plan, so the table at the output
-        weight is never built.
+        output reduces through that map, so no reduction reads it at an
+        output weight.
         """
         d, m = self.d, self.m
         return sum_ranks(np.eye(d, dtype=np.int64), enumerate_basis(d, m - 1).counts, m)
@@ -194,15 +193,28 @@ class SymBasis:
 def enumerate_basis(d: int, m: int) -> SymBasis:
     """All compositions of m into d parts, in canonical (lex-decreasing) order;
     refused, before anything is allocated, beyond clone_amplitudes' bound of
-    8 * AMPLITUDE_GUARD entries times levels."""
-    if dim(d, m) * d > 8 * AMPLITUDE_GUARD:
+    8 * AMPLITUDE_GUARD entries times levels (see guarded_dims)."""
+    size = guarded_dims(d, m)
+    if size is None or size * d > 8 * AMPLITUDE_GUARD:
         raise ResourceLimitError(
-            f"basis of weight {m} over {d} levels exceeds the guard of "
-            f"{8 * AMPLITUDE_GUARD} entries times levels"
+            f"basis exceeds the guard of {8 * AMPLITUDE_GUARD} entries times levels"
         )
     counts = _compositions(d, m)
     counts.setflags(write=False)
     return SymBasis(d=d, m=m, counts=counts)
+
+
+def guarded_dims(d: int, *weights: int) -> int | None:
+    """The exact product of dim(d, n) over weights, or None where the cheap
+    bound dim(d, n) = C(n + d - 1, k) >= 2**k, k = min(n, d - 1), puts it
+    times d past 8 * AMPLITUDE_GUARD before any exact binomial is taken.
+    Refusals should print no size from the request, which may have more
+    digits than Python formats."""
+    if d >= 2 and min(weights) >= 0:
+        bits = sum(min(n, d - 1) for n in weights)
+        if d > 8 * AMPLITUDE_GUARD or bits >= (8 * AMPLITUDE_GUARD).bit_length():
+            return None
+    return math.prod(dim(d, n) for n in weights)
 
 
 def dim(d: int, m: int) -> int:

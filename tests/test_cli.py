@@ -1,11 +1,11 @@
 import csv
 import json
 import time
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from symclone import cli, cloner, verify
 from symclone.cli import main
@@ -224,14 +224,9 @@ class TestClone:
         src = tmp_path / "in.json"
         src.write_text(json.dumps({"d": d, "m": m, "basis": "lex_decreasing", "entries": []}))
         argv = ["clone", str(src), "--l", str(m + 1), "--out", str(tmp_path / "o.json")]
-        tracemalloc.start()
         start = time.perf_counter()
-        try:
-            code = main(argv)
-            seconds = time.perf_counter() - start
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(lambda: main(argv))
+        seconds = time.perf_counter() - start
         assert code == 2 and seconds < 1.0 and peak < 1 << 20
         err = json.loads(capsys.readouterr().err)
         assert err["code"] == 2 and "entry pairs" in err["error"]
@@ -245,14 +240,9 @@ class TestClone:
         doc = {"d": d, "m": 0, "basis": "lex_decreasing", "entries": [[1, 0]]}
         src.write_text(json.dumps(doc))
         argv = ["clone", str(src), "--l", str(l), "--out", str(tmp_path / "o.json")]
-        tracemalloc.start()
         start = time.perf_counter()
-        try:
-            code = main(argv)
-            seconds = time.perf_counter() - start
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(lambda: main(argv))
+        seconds = time.perf_counter() - start
         # beyond the input's own (1, d) basis row, which the reader enumerates
         assert code == 2 and seconds < 1.0 and peak < (1 << 20) + 8 * d
         err = json.loads(capsys.readouterr().err)
@@ -265,14 +255,9 @@ class TestClone:
         doc = {"d": 10**12, "m": 0, "basis": "lex_decreasing", "entries": [[1, 0]]}
         src.write_text(json.dumps(doc))
         argv = ["clone", str(src), "--l", "0", "--out", str(tmp_path / "o.json")]
-        tracemalloc.start()
         start = time.perf_counter()
-        try:
-            code = main(argv)
-            seconds = time.perf_counter() - start
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(lambda: main(argv))
+        seconds = time.perf_counter() - start
         assert code == 2 and seconds < 1.0 and peak < 1 << 20
         err = json.loads(capsys.readouterr().err)
         assert err["code"] == 2 and "entries times levels" in err["error"]
@@ -321,6 +306,19 @@ class TestTables:
         assert main(["tables", "--m", "1:100000000", "--out", str(out)]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["code"] == 2 and "guard" in err["error"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ranges", [
+        ["--d", "2:100000000000000000000000"],
+        [f"--{name}" if i % 2 == 0 else "1:" + "9" * 4000 for name in "dnm" for i in range(2)],
+    ])
+    def test_vast_range_rejected_before_counting_its_points(self, ranges, tmp_path, capsys):
+        # a range past sys.maxsize has no len(), and the product of three
+        # 4000-digit lengths has more digits than Python formats
+        out = tmp_path / "t.csv"
+        assert main(["tables", *ranges, "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["code"] == 2
         assert not out.exists()
 
     def test_bad_range_syntax(self, tmp_path, capsys):

@@ -4,13 +4,13 @@ import functools
 import json
 import math
 import sys
-import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
+from conftest import traced_peak
 from hypothesis import given, settings
 
 from symclone import cloner, symspace
@@ -21,7 +21,6 @@ from symclone.closed_forms import (
     shrink,
 )
 from symclone.cloner import (
-    CloneOutput,
     alpha_d_sq,
     alpha_qubit_sq,
     ancilla_dim,
@@ -194,7 +193,7 @@ def loop_dense(out):
     lead, n_out = out.source.entries.shape[:-2], out.basis.size
     y = np.zeros((*lead, n_out, n_out), dtype=np.complex128)
     x = out.source.entries[..., ::-1, ::-1]
-    idx, v, _ = out.cell.plan
+    idx, v = out.cell.plan
     for idx_t, v_t in zip(idx.T, v.T):
         y[..., idx_t[:, None], idx_t[None, :]] += (v_t[:, None] * v_t[None, :]) * x
     return y
@@ -202,7 +201,7 @@ def loop_dense(out):
 
 def loop_gram(d, m, l):
     """isometry_gram one np.outer per plan column, in t order onto +0.0."""
-    idx, v, _ = clone_amplitudes(d, m, l).plan
+    idx, v = clone_amplitudes(d, m, l).plan
     gram = np.zeros((len(idx), len(idx)))
     for idx_t, v_t in zip(idx[::-1].T, v[::-1].T):
         gram += np.outer(v_t, v_t) * (idx_t[:, None] == idx_t[None, :])
@@ -266,12 +265,8 @@ class TestStructuredOutput:
                 twos = [clone_channel(out, l + 1) for out in ones]
                 stages = []
                 for stage, outs in ((first, ones), (second, twos)):
-                    diagonal, hops = stage._diagonal_and_hops()
                     reduced = reduce_one(stage)
                     for b, out in enumerate(outs):
-                        want_diagonal, want_hops = out._diagonal_and_hops()
-                        assert_bitwise_equal(diagonal[b], want_diagonal)
-                        assert_bitwise_equal(hops[b], want_hops)
                         assert_bitwise_equal(reduced.entries[b], reduce_one(out).entries)
                     stages.append((stage.m, reduced, outs))
                 if not m:
@@ -328,12 +323,7 @@ class TestStructuredOutput:
     @pytest.mark.parametrize("d, m, l", [(3, 20, 24), (3, 10, 30)])
     def test_dense_view_peak_near_its_output(self, d, m, l):
         out = clone_channel(hermitian_sym_operator(d, m, np.random.default_rng(3)), l)
-        tracemalloc.start()
-        try:
-            y = out.entries
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        y, peak = traced_peak(lambda: out.entries)
         # one block is at most cloner.BLOCK_TERMS terms; a loop over whole
         # columns peaked about 3 MiB above the output at (3, 20, 24)
         assert peak <= y.nbytes + (1 << 20)
@@ -359,8 +349,8 @@ class TestStructuredOutput:
         (5, (1, 2, 4, 10, 20)),
     ])
     def test_long_reduced_diagonals_match_a_dot_per_level(self, d, weights):
-        # the strides of a dense matrix's diagonal (stride 1 + N) and of a
-        # clone output's (stride 2), unit stride, and stacks of 3 and 10
+        # the strides of a dense matrix's diagonal (stride 1 + N) and of the
+        # t-major reference's (stride 2), unit stride, and stacks of 3 and 10
         rng = np.random.default_rng(d)
         for m in weights:
             basis = enumerate_basis(d, m)
@@ -383,55 +373,49 @@ class TestStructuredOutput:
         # one 1001 x 1001 output fits the guard; five do not
         assert dim(2, 1000) ** 2 <= cloner.DENSE_GUARD < 5 * dim(2, 1000) ** 2
         out = clone_channel(SymOperator(enumerate_basis(2, 1), np.zeros((5, 2, 2))), 1000)
-        tracemalloc.start()
-        try:
+
+        def refused():
             with pytest.raises(ResourceLimitError, match="guard"):
                 out.entries
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+
+        _, peak = traced_peak(refused)
         assert peak < 1 << 20
 
     def test_reduction_matches_the_dense_view_bit_for_bit(self):
-        # the scatter a chain reads gives the dense view's own diagonal and
-        # hops bit for bit, so a clone of the output reduces to the bits of a
-        # clone of its dense view; the reduction, through the reduced map,
-        # agrees with the dense view's within rounding
+        # a chain is the direct clone, dense view and reduction, bit for
+        # bit; each reduction, through the reduced map, agrees within
+        # rounding with its dense view's and with the reduction of the
+        # t-major reference's one- or two-stage scatter
         def check(x, l):
-            # one stage, and two, the second reading the first's output
-            for out in (clone_channel(x, l), clone_channel(clone_channel(x, l), l + 1)):
-                dense = SymOperator(out.basis, out.entries)
-                for got, want in zip(out._diagonal_and_hops(), dense._diagonal_and_hops()):
-                    assert_bitwise_equal(got, want)
-                assert_same_reduction(reduce_one(out).entries, reduce_one(dense).entries)
-                chained, via_dense = (reduce_one(clone_channel(y, out.m + 1)) for y in (out, dense))
-                assert_bitwise_equal(chained.entries, via_dense.entries)
+            first = clone_channel(x, l)
+            chain, direct = clone_channel(first, l + 1), clone_channel(x, l + 1)
+            assert_bitwise_equal(reduce_one(chain).entries, reduce_one(direct).entries)
+            for out, weights in ((first, (l,)), (chain, (l, l + 1))):
+                want = reduce_one(Gathered(out.basis, *reference_diagonal_and_hops(x, *weights)))
+                assert_same_reduction(reduce_one(out).entries, want.entries)
+                if out.basis.size ** 2 <= 1 << 16:
+                    dense = SymOperator(out.basis, out.entries)
+                    assert_same_reduction(reduce_one(out).entries, reduce_one(dense).entries)
+            if direct.basis.size ** 2 <= 1 << 16:
+                assert_bitwise_equal(chain.entries, direct.entries)
 
         self.each_draw(check)
 
     def test_scatter_matches_a_t_major_reference_bit_for_bit(self):
-        # the reference never reads the plan, so a layout slip that moves the
-        # structured and the dense views together still fails here
+        # the reference never reads the library's plans, nor composes a
+        # chain, so a layout slip that moves the map and the dense view
+        # together, or a chain composed to the wrong cell, still fails here
         def check(x, l):
-            for out in (clone_channel(x, l), clone_channel(clone_channel(x, l), l + 1)):
-                want_diagonal, want_hops = reference_diagonal_and_hops(out)
-                diagonal, hops = out._diagonal_and_hops()
-                assert_bitwise_equal(diagonal, want_diagonal)
-                assert_bitwise_equal(hops, want_hops)
-                want = reduce_one(Gathered(out.basis, want_diagonal, want_hops)).entries
-                assert_same_reduction(reduce_one(out).entries, want)
+            first = clone_channel(x, l)
+            if first.basis.size ** 2 <= 1 << 16:
+                got = SymOperator(first.basis, first.entries)._diagonal_and_hops()
+                for part, want in zip(got, reference_diagonal_and_hops(x, l)):
+                    assert_bitwise_equal(part, want)
+            for out, weights in ((first, (l,)), (clone_channel(first, l + 1), (l, l + 1))):
+                want = reduce_one(Gathered(out.basis, *reference_diagonal_and_hops(x, *weights)))
+                assert_same_reduction(reduce_one(out).entries, want.entries)
 
         self.each_draw(check)
-
-    def test_scatter_peak_beyond_the_dense_guard(self):
-        d, m, l = 3, 2, 200
-        out = clone_channel(hermitian_sym_operator(d, m, np.random.default_rng(5)), l)
-        tracemalloc.start()
-        out._diagonal_and_hops()
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        # one scatter over every move at once peaked at 14.3 MiB here
-        assert peak < 8 << 20
 
     def test_reduction_beyond_the_dense_guard(self):
         # the dense output would be 20301 x 20301 complex entries, 6.1 GiB
@@ -543,12 +527,7 @@ class TestIsometryGram:
 
     def test_long_qubit_cell_peak(self):
         clone_amplitudes(2, 1, 2000).plan
-        tracemalloc.start()
-        try:
-            gram = isometry_gram(2, 1, 2000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        gram, peak = traced_peak(lambda: isometry_gram(2, 1, 2000))
         np.testing.assert_allclose(gram, np.eye(2), atol=1e-12)
         assert peak < 1 << 20
 
@@ -571,18 +550,70 @@ class TestConcatenate:
         assert np.max(np.abs(via.entries - direct.entries)) <= 1e-12
 
     def test_beyond_the_dense_guard(self):
-        # the intermediate (3, 100) output would be 5151 x 5151 dense entries
-        via, direct = concatenate(3, 1, 100, 101)
-        diff = reduce_one(via).entries - reduce_one(direct).entries
-        assert np.max(np.abs(diff)) <= 1e-12
+        # the intermediate (3, 100) output would be 5151 x 5151 dense
+        # entries, which concatenate reads to test the composition law
         with pytest.raises(ResourceLimitError, match="guard"):
-            via.source.entries
+            concatenate(3, 1, 100, 101)
+        # a chain reads no intermediate: it is one clone, and builds no plan
+        clear_plan_caches()
+        d, m = 3, 1
+        x = hermitian_sym_operator(d, m, np.random.default_rng(7))
+        first = clone_channel(x, 100)
+        chain = clone_channel(first, 101)
+        assert scaling_residual(reduce_one(x), reduce_one(chain), d, m, 101) <= 1e-10
+        assert_bitwise_equal(reduce_one(chain).entries, reduce_one(clone_channel(x, 101)).entries)
+        assert "plan" not in first.cell.__dict__ and "plan" not in chain.cell.__dict__
+
+    def test_the_law_is_tested_not_assumed(self):
+        # a clone of the first output itself would compose to the direct clone
+        via, direct = concatenate(3, 1, 2, 4)
+        assert type(via.source) is SymOperator and via.source.m == 2
+        assert direct.source.m == 1
 
     def test_ordering_violation(self):
         with pytest.raises(InvalidParameterError):
             concatenate(2, 2, 1, 3)
         with pytest.raises(InvalidParameterError):
             concatenate(2, 1, 3, 2)
+
+
+class TestChain:
+    def test_a_chain_is_one_clone_of_its_source(self):
+        for d, m, l in ((2, 1, 3), (3, 2, 5), (4, 0, 2), (3, 1, 20)):
+            x = hermitian_sym_operator(d, m, np.random.default_rng([d, m, l]))
+            stack = SymOperator(x.basis, np.stack([x.entries, 2 * x.entries]))
+            for y in (x, stack):
+                chain = clone_channel(clone_channel(clone_channel(y, l), l + 1), l + 3)
+                direct = clone_channel(y, l + 3)
+                assert chain.source is y and chain.cell is clone_amplitudes(d, m, l + 3)
+                assert_bitwise_equal(reduce_one(chain).entries, reduce_one(direct).entries)
+                assert_bitwise_equal(chain.entries, direct.entries)
+
+    @pytest.mark.parametrize("d, m, mid, l", [(3, 1, 30, 100), (4, 1, 20, 60)])
+    def test_a_chain_past_its_second_stage_guard_reduces(self, d, m, mid, l):
+        # the (d, mid, l) table would be past the guard; the chain reads
+        # the (d, m, l) table alone, and builds no plan
+        assert dim(d, mid) * dim(d, l - mid) > symspace.AMPLITUDE_GUARD
+        clear_plan_caches()
+        x = hermitian_sym_operator(d, m, np.random.default_rng([d, m, l]))
+        chain = clone_channel(clone_channel(x, mid), l)
+        assert scaling_residual(reduce_one(x), reduce_one(chain), d, m, l) <= 1e-10
+        assert "plan" not in chain.cell.__dict__
+
+    def test_a_chain_past_its_composed_guard_is_refused(self, monkeypatch):
+        # (5, 2, 36) has 15 x 73815 = 1107225 entries, just past the guard
+        clear_plan_caches()
+        first = clone_channel(hermitian_sym_operator(5, 2, np.random.default_rng(5)), 35)
+        refuse_ranks(monkeypatch)
+        with pytest.raises(ResourceLimitError, match="amplitude table"):
+            clone_channel(first, 36)
+        assert "plan" not in first.cell.__dict__
+        clear_plan_caches()
+
+    def test_a_chain_may_not_shrink(self):
+        first = clone_channel(basis_projector((1, 0)), 5)
+        with pytest.raises(InvalidParameterError, match="l >= m"):
+            clone_channel(first, 3)
 
 
 class TestCloneAmplitudesTable:
@@ -661,26 +692,27 @@ def assert_bitwise_equal(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-def reference_diagonal_and_hops(op):
-    """The diagonal and one-hop entries of op, a clone output scattered
-    t-major from the reference plans, independent of the library's plan.
+def reference_diagonal_and_hops(x, *weights):
+    """The diagonal and one-hop entries of the plain operator x cloned to
+    each of weights in turn, scattered t-major from the reference plans,
+    independent of the library's plans and of its composition of chains.
 
-    A dense operator's entries are gathered at the reference reduction
-    plan's rows and columns.  A clone output's terms, in the reference's
-    (K, ...) layout raveled, go into one 1-D np.add.at each for the diagonal
-    and for every hop at once: each output entry adds its terms in k order,
-    onto +0.0.  The diagonal is a strided view, as a dense matrix's is.
+    x's own entries are gathered at the reference reduction plan's rows and
+    columns.  Each stage's terms, in the reference's (K, ...) layout
+    raveled, go into one 1-D np.add.at each for the diagonal and for every
+    hop at once: each output entry adds its terms in k order, onto +0.0.
+    The diagonal is a strided view, as a dense matrix's is.
     """
-    d = op.d
-    if not isinstance(op, CloneOutput):
-        if not op.m:
-            return np.diagonal(op.entries), None
-        _, (rows, cols, *_) = reference_reduction_plan(d, op.m)
-        return np.diagonal(op.entries), op.entries[rows, cols].reshape(d * (d - 1), -1)
-    m, l = op.source.m, op.m
+    d = x.d
+    if not weights:
+        if not x.m:
+            return np.diagonal(x.entries), None
+        _, (rows, cols, *_) = reference_reduction_plan(d, x.m)
+        return np.diagonal(x.entries), x.entries[rows, cols].reshape(d * (d - 1), -1)
+    m, l = (x.m, *weights)[-2:]
     idx, v = reference_channel_plan(d, m, l)
-    x_diagonal, x_hops = reference_diagonal_and_hops(op.source)
-    diagonal = np.zeros((op.basis.size, 2), dtype=np.complex128)[:, 0]
+    x_diagonal, x_hops = reference_diagonal_and_hops(x, *weights[:-1])
+    diagonal = np.zeros((dim(d, l), 2), dtype=np.complex128)[:, 0]
     np.add.at(diagonal, idx.ravel(), ((v * v) * x_diagonal).ravel())
     hops = np.zeros(d * (d - 1) * dim(d, l - 1), dtype=np.complex128)
     if m:
@@ -723,17 +755,11 @@ class TestPlansMatchReference:
     def test_channel_plan(self):
         grid = [(d, m, l) for d in (2, 3, 4) for m in range(0, 5) for l in range(m, m + 4)]
         for d, m, l in grid + list(self.BIG_CELLS):
-            idx, v, hops = clone_amplitudes(d, m, l).plan
+            idx, v = clone_amplitudes(d, m, l).plan
             want_idx, want_v = reference_channel_plan(d, m, l)
             # input-major: the reference's columns reversed are the rows
             assert_bitwise_equal(idx, want_idx[:, ::-1].T)
             assert_bitwise_equal(v, want_v[:, ::-1].T)
-            assert hops.shape == (dim(d, m - 1) if m else 0, len(want_idx))
-            hops = hops[::-1].T  # one row per k, u in ascending rank
-            if m:  # output hop (move, r) sits at move * dim(d, l - 1) + r
-                moves = np.arange(d * (d - 1))[:, None] * dim(d, l - 1)
-                hops = (moves + hops[:, None, :]).reshape(len(hops), -1)
-            assert_bitwise_equal(hops, reference_hop_plan(d, m, l))
         for cell, dtype in self.BIG_CELLS.items():
             assert clone_amplitudes(*cell).occupancy.dtype == dtype
         assert clone_amplitudes(2, 20, 400).occupancy.max() >= 2**63
@@ -842,13 +868,12 @@ class TestReducedMap:
         clear_plan_caches()
         x = hermitian_sym_operator(d, m, np.random.default_rng(5))
         rin = reduce_one(x)
-        tracemalloc.start()
-        try:
+
+        def clone_and_reduce():
             out = clone_channel(x, l)
-            rout = reduce_one(out)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+            return out, reduce_one(out)
+
+        (out, rout), peak = traced_peak(clone_and_reduce)
         assert peak < 40 << 20
         assert scaling_residual(rin, rout, d, m, l) <= 1e-10
         assert "plan" not in out.cell.__dict__ and "basis" not in out.__dict__
@@ -934,7 +959,7 @@ def test_gathering_hops_reduces_no_input(d, m, l):
     # the source's basis builds no reduction that nobody reads
     clear_plan_caches()
     x = hermitian_sym_operator(d, m, np.random.default_rng([d, m, l]))
-    clone_channel(x, l)._diagonal_and_hops()
+    reduce_one(clone_channel(x, l))
     assert "moves" in x.basis.__dict__
     assert "reduction" not in x.basis.__dict__
 

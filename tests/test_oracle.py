@@ -1,7 +1,6 @@
-import tracemalloc
-
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from symclone.cloner import clone_channel
 from symclone.oracle import (
@@ -151,12 +150,7 @@ class TestOracleClone:
         x = hermitian_sym_operator(4, 1, np.random.default_rng(20))
         fast = reduce_one(clone_channel(x, 5))
         clone_isometry_full.cache_clear()  # measure the build, not a kept isometry
-        tracemalloc.start()
-        try:
-            _, slow = oracle_clone(x, 5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (_, slow), peak = traced_peak(lambda: oracle_clone(x, 5))
         assert np.max(np.abs(fast.entries - slow.entries)) <= 1e-10
         assert peak <= 6 * 16 * MEMORY_GUARD
 
@@ -187,13 +181,12 @@ class TestOracleStack:
         basis = enumerate_basis(2, 1)
         assert 2**20 == MEMORY_GUARD
         clone_isometry_full.cache_clear()
-        tracemalloc.start()
-        try:
+
+        def refused():
             with pytest.raises(ResourceLimitError, match="guard"):
                 oracle_clone(SymOperator(basis, np.zeros((2, 2, 2))), 10)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+
+        _, peak = traced_peak(refused)
         assert peak < 1 << 20
         assert clone_isometry_full.cache_info().currsize == 0
 

@@ -2,11 +2,11 @@ import itertools
 import math
 import re
 import time
-import tracemalloc
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
+from conftest import traced_peak
 from hypothesis import assume, example, given, settings
 
 from symclone.cloner import alpha_d_sq
@@ -98,10 +98,7 @@ class TestEnumerateBasis:
         # and its lookup at once peaked at 7x the output here
         a = enumerate_basis(4, 1).counts[::-1]
         b = enumerate_basis(4, 113).counts
-        tracemalloc.start()
-        ranks = sum_ranks(a, b, 114)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
+        ranks, peak = traced_peak(lambda: sum_ranks(a, b, 114))
         assert ranks.shape == (4, 253460)
         assert peak < 4 * ranks.nbytes
 
@@ -136,14 +133,23 @@ class TestEnumerateBasis:
     def test_a_basis_beyond_the_guard_is_refused_before_allocation(self, d, m):
         # the bound clone_amplitudes applies: basis size times levels
         assert dim(d, m) * d > 8 * AMPLITUDE_GUARD
-        tracemalloc.start()
-        try:
+
+        def refused():
             with pytest.raises(ResourceLimitError, match="entries times levels"):
                 enumerate_basis.__wrapped__(d, m)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+
+        _, peak = traced_peak(refused)
         assert peak < 1 << 16
+
+    @pytest.mark.parametrize("d, m", [(3 * 10**5, 3 * 10**5), (10**5, 10**5)])
+    def test_a_vast_basis_is_refused_before_its_exact_size(self, d, m):
+        # dim(3e5, 3e5) is one binomial of over 180000 digits, which took
+        # 2.08 s before the guard refused it
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="entries times levels") as refused:
+            enumerate_basis.__wrapped__(d, m)
+        assert time.perf_counter() - start < 0.1
+        assert str(d) not in str(refused.value) and str(m) not in str(refused.value)
 
     def test_the_largest_benchmark_basis_is_admitted(self):
         # (3, 1, 830)'s output: 345696 compositions over 3 levels
