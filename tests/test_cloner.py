@@ -384,20 +384,21 @@ class TestStructuredOutput:
     def test_reduction_matches_the_dense_view_bit_for_bit(self):
         # a chain is the direct clone, dense view and reduction, bit for
         # bit; each reduction, through the reduced map, agrees within
-        # rounding with its dense view's and with the reduction of the
-        # t-major reference's one- or two-stage scatter
+        # rounding with its dense view's, with the reduction of the t-major
+        # reference's one- or two-stage scatter, and (for a chain) with a
+        # clone of the first stage's dense view, the law's other side
         def check(x, l):
             first = clone_channel(x, l)
             chain, direct = clone_channel(first, l + 1), clone_channel(x, l + 1)
             assert_bitwise_equal(reduce_one(chain).entries, reduce_one(direct).entries)
+            assert_bitwise_equal(chain.entries, direct.entries)
             for out, weights in ((first, (l,)), (chain, (l, l + 1))):
                 want = reduce_one(Gathered(out.basis, *reference_diagonal_and_hops(x, *weights)))
                 assert_same_reduction(reduce_one(out).entries, want.entries)
-                if out.basis.size ** 2 <= 1 << 16:
-                    dense = SymOperator(out.basis, out.entries)
-                    assert_same_reduction(reduce_one(out).entries, reduce_one(dense).entries)
-            if direct.basis.size ** 2 <= 1 << 16:
-                assert_bitwise_equal(chain.entries, direct.entries)
+                dense = SymOperator(out.basis, out.entries)
+                assert_same_reduction(reduce_one(out).entries, reduce_one(dense).entries)
+            via_dense = clone_channel(SymOperator(first.basis, first.entries), l + 1)
+            assert_same_reduction(reduce_one(chain).entries, reduce_one(via_dense).entries)
 
         self.each_draw(check)
 
@@ -407,10 +408,9 @@ class TestStructuredOutput:
         # together, or a chain composed to the wrong cell, still fails here
         def check(x, l):
             first = clone_channel(x, l)
-            if first.basis.size ** 2 <= 1 << 16:
-                got = SymOperator(first.basis, first.entries)._diagonal_and_hops()
-                for part, want in zip(got, reference_diagonal_and_hops(x, l)):
-                    assert_bitwise_equal(part, want)
+            got = SymOperator(first.basis, first.entries)._diagonal_and_hops()
+            for part, want in zip(got, reference_diagonal_and_hops(x, l)):
+                assert_bitwise_equal(part, want)
             for out, weights in ((first, (l,)), (clone_channel(first, l + 1), (l, l + 1))):
                 want = reduce_one(Gathered(out.basis, *reference_diagonal_and_hops(x, *weights)))
                 assert_same_reduction(reduce_one(out).entries, want.entries)
