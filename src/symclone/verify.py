@@ -23,8 +23,8 @@ from .cloner import (
     ancilla_dim,
     clone_amplitudes,
     clone_channel,
-    concatenate,
     isometry_gram,
+    uqcm_pure_output,
 )
 from .oracle import (
     covariance_check,
@@ -36,6 +36,7 @@ from .oracle import (
 )
 from .symspace import (
     InvalidParameterError,
+    SymOperator,
     dim,
     enumerate_basis,
     reduce_one,
@@ -136,6 +137,22 @@ def _case(params: dict, residuals, tol: float, extra: dict | None = None) -> Cas
     return CaseResult(params, worst, tol, math.isfinite(worst) and worst <= tol, extra or {})
 
 
+def _cell_draws(seed: int, d: int, m: int, l: int, count: int) -> SymOperator:
+    """The cell's draws of every kind as one stack, in _DRAWS order: each
+    kind drawn from its own generator, as that kind's case would draw it
+    alone."""
+    stacks = [
+        draw(d, m, _cell_rng(seed, d, m, l, code), count=count).entries
+        for code, draw in enumerate(_DRAWS.values())
+    ]
+    return sym_operator(d, m, np.concatenate(stacks))
+
+
+def _by_kind(per_draw: np.ndarray) -> list[np.ndarray]:
+    """Split a result over _cell_draws's stack into one part per kind."""
+    return np.split(per_draw, len(_DRAWS))
+
+
 def scaling_suite(
     seed: int = 0,
     tol: float | None = None,
@@ -146,23 +163,26 @@ def scaling_suite(
     inputs_per_kind: int = 10,
 ) -> RunReport:
     """Reduced outputs must contract by the closed-form factor, for PSD and
-    non-PSD trace-1 Hermitian inputs alike."""
+    non-PSD trace-1 Hermitian inputs alike.
+
+    A cell's draws of both kinds pass through the channel as one stack, and
+    each kind's case reads its part of the residuals."""
     tol = TOLERANCES["scaling"] if tol is None else tol
     cases = []
     for d in dims:
         for m in range(1, max_m + 1):
             for l in range(m, max_l + 1):
-                for code, (kind, draw) in enumerate(_DRAWS.items()):
-                    x = draw(d, m, _cell_rng(seed, d, m, l, code), count=inputs_per_kind)
-                    rin, rout = reduce_one(x), reduce_one(clone_channel(x, l))
-                    residuals = scaling_residual(rin, rout, d, m, l, eta_factor)
-                    bloch = scaling_residual_bloch(rin, rout, d, m, l, eta_factor)
+                x = _cell_draws(seed, d, m, l, inputs_per_kind)
+                rin, rout = reduce_one(x), reduce_one(clone_channel(x, l))
+                residuals = scaling_residual(rin, rout, d, m, l, eta_factor)
+                bloch = scaling_residual_bloch(rin, rout, d, m, l, eta_factor)
+                for kind, r, b in zip(_DRAWS, _by_kind(residuals), _by_kind(bloch)):
                     cases.append(
                         _case(
                             {"d": d, "m": m, "l": l, "kind": kind},
-                            residuals,
+                            r,
                             tol,
-                            {"bloch_residual": _worst(bloch)},
+                            {"bloch_residual": _worst(b)},
                         )
                     )
     grid = {
@@ -183,7 +203,11 @@ def isometry_suite(
     max_l: int = 8,
 ) -> RunReport:
     """Exact algebraic identities: amplitude normalization, isometry Gram,
-    ancilla count, and fidelity-shrink consistency."""
+    ancilla count, and fidelity-shrink consistency.
+
+    Normalization and fidelity-shrink are checked in integers: each
+    residual is one integer numerator over one integer denominator, and
+    Python's int / int is correctly rounded, as float(Fraction) is."""
     tol = TOLERANCES["isometry"] if tol is None else tol
     cases = []
     for d in range(2, max_d + 1):
@@ -191,11 +215,12 @@ def isometry_suite(
             for l in range(m, max_l + 1):
                 cell = {"d": d, "m": m, "l": l}
                 amps = clone_amplitudes(d, m, l)
-                totals = amps.prefactor * amps.occupancy.sum(axis=1)
+                # each row's alpha^2 sum is its occupancy sum over the prefactor's denominator
+                q = amps.prefactor.denominator
                 cases.append(
                     _case(
                         {"check": "normalization", **cell},
-                        [abs(float(total - 1)) for total in totals],
+                        [abs((int(s) - q) / q) for s in amps.occupancy.sum(axis=1)],
                         tol,
                     )
                 )
@@ -206,14 +231,19 @@ def isometry_suite(
                 count_dev = abs(ancilla_dim(d, m, l) - enumerate_basis(d, l - m).size)
                 cases.append(_case({"check": "ancilla_count", **cell}, [count_dev], tol))
     for d in range(2, 7):
-        devs = [
-            abs(float(fidelity(d, n, m) - (1 + (d - 1) * shrink(d, n, m)) / d))
-            for n in range(1, 11)
-            for m in range(n, 11)
-        ]
+        devs = [_fidelity_shrink_dev(d, n, m) for n in range(1, 11) for m in range(n, 11)]
         cases.append(_case({"check": "fidelity_shrink", "d": d}, devs, tol))
     grid = {"max_d": max_d, "max_m": max_m, "max_l": max_l}
     return RunReport("isometry", seed, grid, tuple(cases))
+
+
+def _fidelity_shrink_dev(d: int, n: int, m: int) -> float:
+    """|F - (1 + (d-1) eta) / d| for n -> m cloning, over one integer denominator."""
+    f, eta = fidelity(d, n, m), shrink(d, n, m)
+    num = f.numerator * d * eta.denominator - f.denominator * (
+        eta.denominator + (d - 1) * eta.numerator
+    )
+    return abs(num / (f.denominator * d * eta.denominator))
 
 
 def concat_suite(
@@ -222,18 +252,24 @@ def concat_suite(
     dims: tuple[int, ...] = (2, 3),
     max_l: int = 6,
 ) -> RunReport:
-    """Two-stage n -> m -> l cloning must equal direct n -> l cloning."""
+    """Two-stage n -> m -> l cloning must equal direct n -> l cloning.
+
+    The pure seed's output is cloned once per (d, n, j), for every j up to
+    max_l: a case clones the n -> m output's dense view, as a plain
+    operator, to l and compares it with the n -> l output, the law that
+    cloner.concatenate tests."""
     tol = TOLERANCES["concat"] if tol is None else tol
     cases = []
     for d in dims:
         for n in range(1, max_l + 1):
+            pure = {j: uqcm_pure_output(d, n, j) for j in range(n, max_l + 1)}
             for m in range(n, max_l + 1):
+                mid = SymOperator(pure[m].basis, pure[m].entries)
                 for l in range(m, max_l + 1):
-                    via, direct = concatenate(d, n, m, l)
                     cases.append(
                         _case(
                             {"d": d, "n": n, "m": m, "l": l},
-                            np.abs(via.entries - direct.entries),
+                            np.abs(clone_channel(mid, l).entries - pure[l].entries),
                             tol,
                         )
                     )
@@ -248,22 +284,23 @@ def oracle_suite(
 ) -> RunReport:
     """Symmetric-basis fast path against the full tensor-product construction:
     the whole l-site output, restricted to the symmetric subspace, and its
-    single-site reduction."""
+    single-site reduction.
+
+    A cell's draws of both kinds pass through both sides as one stack, and
+    each kind's case reads its part of the deviations."""
     tol = TOLERANCES["oracle"] if tol is None else tol
     cases = []
     for d, m, l in ORACLE_GRID:
         embed = sym_embedding(d, l)
-        for code, (kind, draw) in enumerate(_DRAWS.items()):
-            x = draw(d, m, _cell_rng(seed, d, m, l, code), count=inputs_per_kind)
-            out = clone_channel(x, l)
-            full, slow = oracle_clone(x, l)
-            restricted = embed.conj().T @ full @ embed
-            residuals = (
-                np.abs(reduce_one(out).entries - slow.entries),
-                np.abs(restricted - out.entries),
-            )
+        x = _cell_draws(seed, d, m, l, inputs_per_kind)
+        out = clone_channel(x, l)
+        full, slow = oracle_clone(x, l)
+        restricted = embed.conj().T @ full @ embed
+        reduced = _by_kind(np.abs(reduce_one(out).entries - slow.entries))
+        dense = _by_kind(np.abs(restricted - out.entries))
+        for kind, r, e in zip(_DRAWS, reduced, dense):
             cases.append(
-                _case({"d": d, "m": m, "l": l, "kind": kind}, [_worst(r) for r in residuals], tol)
+                _case({"d": d, "m": m, "l": l, "kind": kind}, [_worst(r), _worst(e)], tol)
             )
     grid = {"cells": [list(c) for c in ORACLE_GRID], "inputs_per_kind": inputs_per_kind}
     return RunReport("oracle", seed, grid, tuple(cases))

@@ -41,7 +41,7 @@ from symclone.symspace import (
     reduce_one,
     sym_operator,
 )
-from symclone.verify import oracle_suite, scaling_suite
+from symclone.verify import concat_suite, oracle_suite, scaling_suite
 
 
 def compositions(d, m):
@@ -1045,3 +1045,11 @@ def test_oracle_imports_nothing_from_the_cloner():
             names += [alias.name for alias in node.names]
     assert "symclone" in names or "symspace" in names
     assert not any(name.split(".")[-1] == "cloner" for name in names)
+
+
+def test_concat_suite_catches_a_permuted_amplitude_table(monkeypatch):
+    # the pure seed's outputs and the second stage all read swapped tables,
+    # yet a swap breaks the composition law wherever row 0 has two entries
+    report, tables = run_on_swapped_tables(concat_suite, monkeypatch)
+    assert tables and not report.passed
+    assert sum(not case.passed for case in report.cases) == 40
