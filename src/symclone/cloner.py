@@ -168,7 +168,11 @@ class CloneAmplitudes:
         hops apart reduces to 0 before and after the channel (R. F. Werner,
         PRA 58, 1827 (1998); M. Keyl and R. F. Werner, J. Math. Phys. 40,
         3283 (1999)), so these and the source's own diagonal and hops give
-        the output's reduction, and nothing at weight l is built.
+        the output's reduction, and nothing at weight l is built.  At l = m
+        the channel is the identity, K = 1 and every amplitude 1, so the map
+        is the plain reduction, W_diag[i, a] = a_i/m and W_hop =
+        sqrt(u_p + 1) sqrt(u_q + 1)/m: reduce_one weighs a plain operator
+        by it (SymOperator._source_and_table).
 
         Built from the float squared amplitudes and the input basis's
         hop_ranks, BLOCK_TERMS terms at a time along K: each term
@@ -245,10 +249,12 @@ class CloneOutput(SymOperator):
     """clone_channel's output: its input operator (source) and table (cell).
 
     A stack of sources gives a stack of outputs.  reduce_one weighs the
-    source's own diagonal and one-hop entries by cell.reduced_map, so a
-    reduce-only output builds no plan and nothing at weight l, not even its
-    basis, which is built on first read.  entries is a dense view, built on
-    first read through cell.plan and refused beyond DENSE_GUARD entries.
+    source's own diagonal and one-hop entries by cell.reduced_map, as it
+    weighs a plain operator's by its identity table's (_source_and_table),
+    so a reduce-only output builds no plan and nothing at weight l, not
+    even its basis, which is built on first read.  entries is a dense view,
+    built on first read through cell.plan and refused beyond DENSE_GUARD
+    entries.
     The source is never itself a clone output: clone_channel composes a
     chain into one table (see there).
     """
@@ -315,12 +321,8 @@ class CloneOutput(SymOperator):
         y.setflags(write=False)
         return y
 
-    def _weights_and_parts(self):
-        """cell.reduced_map with the move levels, and the source's own
-        diagonal and one-hop entries, which it weighs: reduce_one of the
-        output reads nothing at weight l."""
-        weights = (*self.cell.reduced_map, self.source.basis.moves)
-        return weights, self.source._diagonal_and_hops()
+    def _source_and_table(self):
+        return self.source, self.cell
 
 
 def clone_channel(op: SymOperator, l: int) -> CloneOutput:

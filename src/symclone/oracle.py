@@ -151,7 +151,7 @@ def covariance_check(u: SymOperator, op: SymOperator, l: int) -> float | np.ndar
             f"expected a {d}x{d} unitary on one site (m = 1), got d={u.d}, m={u.m}"
         )
     w = u.entries
-    unitarity = float(np.max(np.abs(_dagger(w) @ w - np.eye(d))))
+    unitarity = float(np.max(np.abs(_dagger(w) @ w - np.eye(d)), initial=0.0))
     if unitarity > 1e-10:
         raise InvalidParameterError(
             f"matrix is not unitary within 1e-10 (deviation {unitarity:.3e})"

@@ -145,33 +145,11 @@ class SymBasis:
         return len(self.counts)
 
     @cached_property
-    def reduction(self):
-        """Sparse action of the single-site reduction on basis dyads, m >= 1.
-
-        A diagonal dyad |a><a| lands on sum_i (a_i/m) |i><i|.  A one-hop dyad
-        is |u + e_p><u + e_q| for one move (p, q), p != q, and one u of
-        weight m - 1, and lands on sqrt((u_p + 1)(u_q + 1))/m |p><q|; dyads
-        further apart vanish.  Returns diag, the (d, N) weights a_i/m;
-        coeffs, one row per move in (p, q) order and one column per u in
-        basis order; and the move levels, moves.  Where each hop
-        sits in this basis is a separate table, hop_ranks.  reduce_one
-        reads this for a plain operator only: a clone output reduces
-        through its table's reduced_map, so no reduction is built at an
-        output weight.
-        """
-        d, m = self.d, self.m
-        diag = np.ascontiguousarray(self.counts.T) / m
-        u = enumerate_basis(d, m - 1).counts
-        p, q = self.moves
-        coeffs = np.sqrt((u.T[p] + 1) * (u.T[q] + 1)) / m
-        return diag, coeffs, self.moves
-
-    @cached_property
     def moves(self) -> tuple[np.ndarray, np.ndarray]:
         """The move levels p and q of every off-diagonal pair (p, q), p != q,
-        as vectors in (p, q) order: the row order of reduction's coeffs and
-        of every operator's one-hop array.  Gathering hops needs these alone,
-        so reading them builds no reduction of this basis."""
+        as vectors in (p, q) order: the row order of every operator's one-hop
+        array and of a reduced map's W_hop, and where reduce_one adds each
+        row's total."""
         return np.nonzero(~np.eye(self.d, dtype=bool))
 
     @cached_property
@@ -181,9 +159,9 @@ class SymBasis:
 
         Adding e_i keeps the lex order, so each row rises along u.  It is
         read to gather an operator's own hops (SymOperator._diagonal_and_hops)
-        and to build a table's reduced map at its input weight; a clone
-        output reduces through that map, so no reduction reads it at an
-        output weight.
+        and to build a table's reduced map at its input weight; every
+        reduction weighs a source's hops by that map, so nothing reads it at
+        a clone's output weight.
         """
         d, m = self.d, self.m
         return sum_ranks(np.eye(d, dtype=np.int64), enumerate_basis(d, m - 1).counts, m)
@@ -269,7 +247,7 @@ class SymOperator:
 
     def _diagonal_and_hops(self) -> tuple[np.ndarray, np.ndarray | None]:
         """The diagonal, a view, and the one-hop entries as a (d(d-1),
-        dim(d, m-1)) array in the layout of basis.reduction's coeffs: one
+        dim(d, m-1)) array in the layout of a reduced map's W_hop: one
         row per move (p, q), gathered at rows hop_ranks[p] and columns
         hop_ranks[q].  At m = 0 there are no hops, and None stands for
         them.  A stack gives a (B, N) and a (B, d(d-1), dim(d, m-1)) array.
@@ -281,10 +259,13 @@ class SymOperator:
         p, q = self.basis.moves
         return diagonal, self.entries[..., ranks[p], ranks[q]]
 
-    def _weights_and_parts(self):
-        """What reduce_one applies: basis.reduction's weights, with the
-        move levels, and the diagonal and one-hop entries they weigh."""
-        return self.basis.reduction, self._diagonal_and_hops()
+    def _source_and_table(self):
+        """What reduce_one weighs: a plain operator is the identity clone's
+        output, T_{m->m} = id, so its own entries and the table of (d, m, m)."""
+        # cloner imports this module, so the table is reached at call time
+        from .cloner import clone_amplitudes
+
+        return self, clone_amplitudes(self.d, self.m, self.m)
 
     def validate_density(self, check_psd: bool = False) -> None:
         """Check Hermiticity and unit trace (max entry deviation <= DENSITY_TOL).
@@ -349,10 +330,11 @@ def reduce_one(op: SymOperator) -> SymOperator:
     Linear and trace-preserving for arbitrary (not necessarily Hermitian or
     positive) inputs.  For permutation-invariant operators every site gives
     the same reduction, which is what this computes from diagonal and
-    one-hop entries; a stack gives a stack.  The operator supplies the
-    weights and the entries they weigh (op._weights_and_parts): a plain
-    operator basis.reduction and its own diagonal and hops, a clone output
-    its table's reduced_map and its source's diagonal and hops.
+    one-hop entries; a stack gives a stack.  Every operator reduces as a
+    clone output (op._source_and_table): its source's diagonal and hops,
+    weighed by its table's reduced_map.  A plain operator of weight m is
+    the identity clone's output, its own source with the table of
+    (d, m, m); a clone output gives its source and cell.
 
     Each diagonal entry is one vector dot per operator, the whole stack in
     one matmul of (1, N) rows by (N, 1) columns: OpenBLAS sums a (d, N)
@@ -366,14 +348,17 @@ def reduce_one(op: SymOperator) -> SymOperator:
     if op.m < 1:
         raise InvalidParameterError("single-site reduction needs at least one particle")
     d = op.d
-    (diag, coeffs, (p, q)), (diagonal, hops) = op._weights_and_parts()
+    source, table = op._source_and_table()
+    w_diag, w_hop = table.reduced_map
+    diagonal, hops = source._diagonal_and_hops()
+    p, q = source.basis.moves
     lead = diagonal.shape[:-1]
     out = np.zeros((*lead, d, d), dtype=np.complex128)
-    # a stack of (1, N) @ (N, 1) products, each the dot diag[i] @ x
+    # a stack of (1, N) @ (N, 1) products, each the dot w_diag[i] @ x
     out.reshape(*lead, d * d)[..., :: d + 1] = np.matmul(
-        diag[:, None, :], diagonal[..., None, :, None]
+        w_diag[:, None, :], diagonal[..., None, :, None]
     )[..., 0, 0]
     if hops is not None:  # a clone of a single input state has no hops to weigh
-        terms = coeffs * hops
+        terms = w_hop * hops
         np.add.at(out, (..., p, q), np.add.accumulate(terms, axis=-1, out=terms)[..., -1])
     return sym_operator(d, 1, out)

@@ -137,6 +137,13 @@ def _case(params: dict, residuals, tol: float, extra: dict | None = None) -> Cas
     return CaseResult(params, worst, tol, math.isfinite(worst) and worst <= tol, extra or {})
 
 
+def _check_draws(count: int) -> None:
+    """Refuse a negative count of draws per cell; zero draws give cases
+    that pass at zero."""
+    if count < 0:
+        raise InvalidParameterError(f"draws per cell must be >= 0, got {count}")
+
+
 def _cell_draws(seed: int, d: int, m: int, l: int, count: int) -> SymOperator:
     """The cell's draws of every kind as one stack, in _DRAWS order: each
     kind drawn from its own generator, as that kind's case would draw it
@@ -168,6 +175,7 @@ def scaling_suite(
     A cell's draws of both kinds pass through the channel as one stack, and
     each kind's case reads its part of the residuals."""
     tol = TOLERANCES["scaling"] if tol is None else tol
+    _check_draws(inputs_per_kind)
     cases = []
     for d in dims:
         for m in range(1, max_m + 1):
@@ -289,6 +297,7 @@ def oracle_suite(
     A cell's draws of both kinds pass through both sides as one stack, and
     each kind's case reads its part of the deviations."""
     tol = TOLERANCES["oracle"] if tol is None else tol
+    _check_draws(inputs_per_kind)
     cases = []
     for d, m, l in ORACLE_GRID:
         embed = sym_embedding(d, l)
@@ -313,6 +322,7 @@ def covariance_suite(
 ) -> RunReport:
     """Single-site covariance under random local unitaries, full space both sides."""
     tol = TOLERANCES["covariance"] if tol is None else tol
+    _check_draws(unitaries_per_cell)
     cases = []
     for d, m, l in ORACLE_GRID:
         rng = _cell_rng(seed, d, m, l, 7)

@@ -2,6 +2,8 @@ import tracemalloc
 
 import hypothesis
 
+from symclone import cloner, symspace
+
 # first calls populate lru caches, which can trip the per-example deadline
 hypothesis.settings.register_profile("default", deadline=None)
 hypothesis.settings.load_profile("default")
@@ -19,3 +21,10 @@ def traced_peak(fn):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def clear_plan_caches():
+    """Forget every basis and table: the hop ranks live on their basis, the
+    channel plan and the reduced map on their table."""
+    symspace.enumerate_basis.cache_clear()
+    cloner.clone_amplitudes.cache_clear()

@@ -19,23 +19,22 @@ def write_pure_input(path):
 
 
 def nan_channel_output(monkeypatch, name):
-    """What CloneOutput's reduction reads, its weights and its source's
-    diagonal and one-hop entries, or its dense view, with the first entry
-    of each draw's diagonal NaN."""
+    """What CloneOutput's reduction reads, its source and its table, or its
+    dense view, with the first entry of each draw's diagonal NaN."""
     exact = getattr(CloneOutput, name)
 
-    def nan_parts(self):
-        weights, (diagonal, hops) = exact(self)
-        diagonal = diagonal.copy()
-        diagonal[..., 0] = np.nan
-        return weights, (diagonal, hops)
+    def nan_source(self):
+        source, table = exact(self)
+        entries = source.entries.copy()
+        entries[..., 0, 0] = np.nan
+        return SymOperator(source.basis, entries), table
 
     def nan_entries(self):
         entries = exact.func(self).copy()
         entries[..., 0, 0] = np.nan
         return entries
 
-    poisoned = nan_parts if name == "_weights_and_parts" else property(nan_entries)
+    poisoned = nan_source if name == "_source_and_table" else property(nan_entries)
     monkeypatch.setattr(CloneOutput, name, poisoned)
 
 
@@ -362,7 +361,7 @@ class TestVerify:
         monkeypatch.setattr(verify, "clone_channel", nan_channel)
         assert_every_case_reads_nan(suite, tmp_path)
 
-    @pytest.mark.parametrize("part", ["_weights_and_parts", "entries"])
+    @pytest.mark.parametrize("part", ["_source_and_table", "entries"])
     def test_nan_in_either_oracle_check_fails_every_case(self, part, tmp_path, monkeypatch):
         # each case folds a reduction and a dense check; a NaN in either fails it
         nan_channel_output(monkeypatch, part)

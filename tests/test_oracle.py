@@ -24,7 +24,7 @@ from symclone.symspace import (
     reduce_one,
     sym_operator,
 )
-from symclone.verify import ORACLE_GRID, oracle_suite, scaling_suite
+from symclone.verify import ORACLE_GRID, covariance_suite, oracle_suite, scaling_suite
 
 
 def sym_column(counts):
@@ -191,10 +191,23 @@ class TestOracleStack:
         assert clone_isometry_full.cache_info().currsize == 0
 
 
-@pytest.mark.parametrize("suite", [oracle_suite, scaling_suite])
+DRAW_COUNTS = {
+    oracle_suite: "inputs_per_kind",
+    scaling_suite: "inputs_per_kind",
+    covariance_suite: "unitaries_per_cell",
+}
+
+
+@pytest.mark.parametrize("suite", DRAW_COUNTS)
 def test_a_suite_without_draws_passes_at_zero(suite):
-    report = suite(inputs_per_kind=0)
+    report = suite(**{DRAW_COUNTS[suite]: 0})
     assert report.passed and {case.residual for case in report.cases} == {0.0}
+
+
+@pytest.mark.parametrize("suite", DRAW_COUNTS)
+def test_a_negative_draw_count_is_refused(suite):
+    with pytest.raises(InvalidParameterError, match="draws per cell must be >= 0, got -1"):
+        suite(**{DRAW_COUNTS[suite]: -1})
 
 
 class TestReduceFullToSite:

@@ -9,7 +9,7 @@ import pytest
 from conftest import traced_peak
 from hypothesis import assume, example, given, settings
 
-from symclone.cloner import alpha_d_sq
+from symclone.cloner import alpha_d_sq, clone_amplitudes
 from symclone.oracle import MEMORY_GUARD, reduce_full_to_site, sym_embedding
 from symclone.symspace import (
     AMPLITUDE_GUARD,
@@ -249,15 +249,16 @@ def full_space_reduction(a, b):
 
 
 def add_at_reduce_one(op):
-    """reduce_one with the one-hop terms scattered by np.add.at."""
+    """reduce_one with the one-hop terms scattered by np.add.at, weighed by
+    the identity clone's reduced map."""
     d = op.d
-    diag, coeffs, levels = op.basis.reduction
+    w_diag, w_hop = clone_amplitudes(d, op.m, op.m).reduced_map
     xdiag, xhops = op._diagonal_and_hops()
     out = np.zeros((d, d), dtype=np.complex128)
     for i in range(d):
-        out[i, i] = diag[i] @ xdiag
-    moves = tuple(np.broadcast_to(level[:, None], coeffs.shape) for level in levels)
-    np.add.at(out, moves, coeffs * xhops)
+        out[i, i] = w_diag[i] @ xdiag
+    moves = tuple(np.broadcast_to(level[:, None], w_hop.shape) for level in op.basis.moves)
+    np.add.at(out, moves, w_hop * xhops)
     return out
 
 
@@ -361,7 +362,7 @@ class TestReduceOne:
                 upper = (m - j, j)
                 lower = (m - j - 1, j + 1)
                 out = reduce_one(basis_dyad(upper, lower)).entries
-                assert out[0, 1].real == math.sqrt((m - j) * (j + 1)) / m
+                assert out[0, 1].real == math.sqrt(m - j) * math.sqrt(j + 1) / m
 
 
 class TestSymOperator:
