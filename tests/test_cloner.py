@@ -8,7 +8,7 @@ from pathlib import Path
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from conftest import clear_plan_caches, traced_peak
+from conftest import clear_plan_caches, mutate_tables, swap_in_row, traced_peak
 from hypothesis import given, settings
 
 from symclone import cloner, symspace
@@ -39,7 +39,7 @@ from symclone.symspace import (
     reduce_one,
     sym_operator,
 )
-from symclone.verify import scaling_suite
+from symclone.verify import concat_suite, oracle_suite, scaling_suite
 
 
 def compositions(d, m):
@@ -1021,6 +1021,31 @@ def test_cold_clone_builds_one_fraction(d, m, l, monkeypatch):
     assert made[0] is clone_amplitudes(d, m, l).prefactor
 
 
+def run_on_swapped_tables(suite, monkeypatch):
+    """suite's report and tables, with row 0 of every table swapped."""
+    clear_plan_caches()
+    tables = mutate_tables(swap_in_row(0))(monkeypatch)
+    try:
+        return suite(), tables
+    finally:
+        # no plan or map built from the mutated table may outlive this test
+        monkeypatch.undo()
+        clear_plan_caches()
+
+
+def test_oracle_suite_catches_a_permuted_amplitude_table(monkeypatch):
+    report, _ = run_on_swapped_tables(oracle_suite, monkeypatch)
+    assert not report.passed
+
+
+def test_scaling_suite_catches_a_permuted_amplitude_table_through_the_map(monkeypatch):
+    report, tables = run_on_swapped_tables(scaling_suite, monkeypatch)
+    assert not report.passed
+    # the suite reads each table's reduced map, and no plan
+    assert tables and all("plan" not in amps.__dict__ for amps in tables)
+    assert all("reduced_map" in amps.__dict__ for amps in tables)
+
+
 def test_oracle_imports_nothing_from_the_cloner():
     # the oracle checks the fast path's amplitude table, so it may not read
     # it; nor may it rank its columns as the fast path does, or a wrong rank
@@ -1036,3 +1061,11 @@ def test_oracle_imports_nothing_from_the_cloner():
             names += [alias.name for alias in node.names]
     assert "symclone" in names or "symspace" in names
     assert not any(name.split(".")[-1] == "cloner" for name in names)
+
+
+def test_concat_suite_catches_a_permuted_amplitude_table(monkeypatch):
+    # the pure seed's outputs and the second stage all read swapped tables,
+    # yet a swap breaks the composition law wherever row 0 has two entries
+    report, tables = run_on_swapped_tables(concat_suite, monkeypatch)
+    assert tables and not report.passed
+    assert sum(not case.passed for case in report.cases) == 40

@@ -7,11 +7,7 @@ The table pins each suite's count of failing cases per mutant, so a change
 that blinds a suite to a fault, or lets it see one it did not, shows here.
 """
 
-import dataclasses
-import sys
-
-import numpy as np
-from conftest import clear_plan_caches
+from conftest import clear_plan_caches, mutate_tables, swap_in_row
 
 from symclone import cloner
 from symclone.verify import SUITES, run_suite
@@ -30,46 +26,9 @@ FAILING_CASES = {
 }
 
 
-def swap_in_row(i):
-    """Entry 0 of row i swapped with the row's first unequal entry."""
-
-    def swap(occupancy):
-        row = occupancy[i]
-        other = np.flatnonzero(row != row[0])
-        if other.size:
-            row[0], row[other[0]] = row[other[0]], row[0]
-
-    return swap
-
-
 def swap_columns(occupancy):
     if occupancy.shape[1] > 1:
         occupancy[:, [0, 1]] = occupancy[:, [1, 0]]
-
-
-def mutate_tables(swap):
-    """A mutant that applies swap to a copy of every table's occupancy and
-    returns the list of the mutated tables, which grows as they are built."""
-
-    def install(monkeypatch):
-        original = cloner.clone_amplitudes
-        tables = []
-
-        def mutated(d, m, l):
-            amps = original.__wrapped__(d, m, l)
-            occupancy = amps.occupancy.copy()
-            swap(occupancy)
-            tables.append(dataclasses.replace(amps, occupancy=occupancy))
-            return tables[-1]
-
-        # every module that binds the function, as a real bug would reach them all
-        for name, module in list(sys.modules.items()):
-            binds = getattr(module, "clone_amplitudes", None) is original
-            if name.startswith("symclone") and binds:
-                monkeypatch.setattr(module, "clone_amplitudes", mutated)
-        return tables
-
-    return install
 
 
 def scale_hops(monkeypatch):
