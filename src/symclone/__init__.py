@@ -15,9 +15,6 @@ from .closed_forms import (
 )
 from .cloner import (
     CloneAmplitudes,
-    alpha_d_sq,
-    alpha_qubit_sq,
-    ancilla_dim,
     clone_amplitudes,
     clone_channel,
     concatenate,

@@ -29,8 +29,6 @@ from .symspace import (
     SymBasis,
     SymOperator,
     basis_projector,
-    composition,
-    dim,
     enumerate_basis,
     guarded_dims,
     pascal,
@@ -41,58 +39,9 @@ DENSE_GUARD = 1 << 22  # complex entries of a dense channel output (64 MiB)
 BLOCK_TERMS = 1 << 14  # terms per block of the dense view, the Gram matrix and the reduced map
 
 
-def alpha_qubit_sq(j: int, k: int, m: int, l: int) -> Fraction:
-    """Exact squared amplitude for two-level systems.
-
-    alpha^2 = (l-m)! (m+1)! (l-j-k)! (j+k)! / [(l+1)! (l-m-k)! (m-j)! j! k!]
-    where j counts input particles in level 1 and k counts added ones.
-    """
-    if l < m:
-        raise InvalidParameterError(f"need l >= m, got l={l}, m={m}")
-    if not 0 <= j <= m:
-        raise InvalidParameterError(f"j must be in [0, {m}], got {j}")
-    if not 0 <= k <= l - m:
-        raise InvalidParameterError(f"k must be in [0, {l - m}], got {k}")
-    f = math.factorial
-    return Fraction(
-        f(l - m) * f(m + 1) * f(l - j - k) * f(j + k),
-        f(l + 1) * f(l - m - k) * f(m - j) * f(j) * f(k),
-    )
-
-
-def alpha_d_sq(j, k, m: int, l: int) -> Fraction:
-    """Exact squared amplitude for d-level systems.
-
-    alpha^2 = (l-m)! (m+d-1)! / (l+d-1)!  *  prod_i C(j_i + k_i, k_i)
-    with j the input counts (weight m) and k the added counts (weight
-    l - m).  Reduces to alpha_qubit_sq at d = 2.
-    """
-    if l < m:
-        raise InvalidParameterError(f"need l >= m, got l={l}, m={m}")
-    j, k = composition(j), composition(k)
-    if len(j) != len(k):
-        raise InvalidParameterError(f"level-count mismatch: {len(j)} vs {len(k)}")
-    if sum(j) != m:
-        raise InvalidParameterError(f"input composition has weight {sum(j)}, expected {m}")
-    if sum(k) != l - m:
-        raise InvalidParameterError(f"added composition has weight {sum(k)}, expected {l - m}")
-    return _prefactor(len(j), m, l) * _occupancy(j, k)
-
-
 def _prefactor(d: int, m: int, l: int) -> Fraction:
     # (l-m)! (m+d-1)! / (l+d-1)! is 1 / C(l+d-1, l-m), as (l-m) + (m+d-1) = l+d-1
     return Fraction(1, math.comb(l + d - 1, l - m))
-
-
-def _occupancy(j, k) -> int:
-    return math.prod(math.comb(a + b, b) for a, b in zip(j, k))
-
-
-def ancilla_dim(d: int, m: int, l: int) -> int:
-    """Number of orthonormal internal cloner states: C(l-m+d-1, d-1), exact."""
-    if l < m:
-        raise InvalidParameterError(f"need l >= m, got l={l}, m={m}")
-    return dim(d, l - m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,22 +82,20 @@ class CloneAmplitudes:
     def plan(self) -> tuple[np.ndarray, np.ndarray]:
         """The channel plan: read-only (n_in, K) arrays idx and v.
 
-        Row i holds one input composition a, in descending canonical rank
-        (a is input n_in - 1 - i), and column t the added composition k_t:
-        the index of a + k_t in the output basis (sum_ranks of the a and
-        the added compositions) and the amplitude alpha(a, k_t).
+        Row i holds the i-th input composition a and column t the t-th
+        added composition k_t, as the table does: the index of a + k_t in
+        the output basis (sum_ranks of the input and the added
+        compositions) and the amplitude alpha(a, k_t).
 
-        Every product then runs along K, the longer axis in most cells.
-        The order is the scatter's: as t rises, k_t falls in lex order, so for one output
-        entry c the a = c - k_t rises and its rank falls.  A 1-D np.add.at
-        over the raveled rows therefore adds each entry's terms in t order.
-        Only the dense view and the Gram matrix read the plan; reduce_one
-        reads reduced_map.
+        The targets within one column are distinct, so a reader that takes
+        the columns in t order adds each output entry's terms in t order,
+        whatever the order of the rows.  Only the dense view and the Gram
+        matrix read the plan; reduce_one reads reduced_map.
         """
         d, m, l = self.d, self.m, self.l
-        v = np.sqrt(self._squared()[::-1])
+        v = np.sqrt(self._squared())
         added = enumerate_basis(d, l - m).counts
-        idx = sum_ranks(enumerate_basis(d, m).counts[::-1], added, l)
+        idx = sum_ranks(enumerate_basis(d, m).counts, added, l)
         idx.setflags(write=False)
         v.setflags(write=False)
         return idx, v
@@ -289,8 +236,7 @@ class CloneOutput(SymOperator):
         within a column.  The rows are taken t-major, BLOCK_TERMS terms at a
         time for the whole stack, and each block is one 1-D np.add.at onto
         a zeroed output, so every entry adds its terms in t order onto
-        +0.0 (see CloneAmplitudes.plan), and each output keeps the bits it
-        has alone.
+        +0.0, and each output keeps the bits it has alone.
         """
         lead, n_out = self.source.entries.shape[:-2], self.basis.size
         batch = math.prod(lead)
@@ -301,9 +247,7 @@ class CloneOutput(SymOperator):
         idx, v = self.cell.plan
         n_in, k = idx.shape
         y = np.zeros(batch * n_out * n_out, dtype=np.complex128)
-        # the plan's rows run in descending rank, so each column meets the
-        # source block reversed
-        x = self.source.entries.reshape(batch, n_in, n_in)[:, ::-1, ::-1]
+        x = self.source.entries.reshape(batch, n_in, n_in)
         rows = max(1, BLOCK_TERMS // max(batch * n_in, 1))
         for start in range(0, k * n_in, rows):
             t, a = np.divmod(np.arange(start, min(start + rows, k * n_in)), n_in)
@@ -372,10 +316,10 @@ def isometry_gram(d: int, m: int, l: int) -> np.ndarray:
     """
     idx, v = clone_amplitudes(d, m, l).plan
     n, k = idx.shape
-    # the plan's columns in t order, each over the inputs in ascending rank;
-    # a block of whole columns at a time, whose running sum along t, started
-    # from the Gram so far, adds each entry's terms strictly in t order
-    idx, v = idx[::-1].T, v[::-1].T
+    # the plan's columns in t order, a block of whole columns at a time,
+    # whose running sum along t, started from the Gram so far, adds each
+    # entry's terms strictly in t order
+    idx, v = idx.T, v.T
     columns = max(1, BLOCK_TERMS // (n * n))
     gram = np.zeros((n, n))
     for start in range(0, k, columns):

@@ -96,14 +96,14 @@ def clone_isometry_full(d: int, m: int, l: int) -> np.ndarray:
     return v
 
 
-def oracle_clone(op: SymOperator, l: int, site: int = 0) -> tuple[np.ndarray, SymOperator]:
+def oracle_clone(op: SymOperator, l: int) -> tuple[np.ndarray, SymOperator]:
     """Clone op through the explicit isometry; trace out ancilla, then sites.
 
     Returns the dense operator on all l sites and its single-site
-    reduction, which is independent of the site kept; a stack of B gives
-    (B, d**l, d**l) operators and B reductions, from one batched
-    contraction each.  Refused, before anything is allocated, if the
-    outputs exceed MEMORY_GUARD entries in all.
+    reduction, taken at site 0, which every other site's equals; a stack
+    of B gives (B, d**l, d**l) operators and B reductions, from one
+    batched contraction each.  Refused, before anything is allocated, if
+    the outputs exceed MEMORY_GUARD entries in all.
     """
     d, n = op.d, op.basis.size
     entries = op.entries.reshape(-1, n, n)
@@ -117,7 +117,7 @@ def oracle_clone(op: SymOperator, l: int, site: int = 0) -> tuple[np.ndarray, Sy
     # tr_ancilla(V X V*) by contraction, never forming V X V*
     full = (v[None] @ entries[:, None]).reshape(batch, size, v[0].size)
     full = (full @ v.reshape(size, -1).conj().T).reshape(*op.entries.shape[:-2], size, size)
-    return full, reduce_full_to_site(full, d, l, site)
+    return full, reduce_full_to_site(full, d, l)
 
 
 def _dagger(a: np.ndarray) -> np.ndarray:
@@ -152,7 +152,7 @@ def covariance_check(u: SymOperator, op: SymOperator, l: int) -> float | np.ndar
         )
     w = u.entries
     unitarity = float(np.max(np.abs(_dagger(w) @ w - np.eye(d)), initial=0.0))
-    if unitarity > 1e-10:
+    if not unitarity <= 1e-10:  # NaN compares False, so it is refused too
         raise InvalidParameterError(
             f"matrix is not unitary within 1e-10 (deviation {unitarity:.3e})"
         )

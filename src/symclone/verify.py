@@ -20,7 +20,6 @@ from .closed_forms import (
     shrink,
 )
 from .cloner import (
-    ancilla_dim,
     clone_amplitudes,
     clone_channel,
     isometry_gram,
@@ -38,7 +37,6 @@ from .symspace import (
     InvalidParameterError,
     SymOperator,
     dim,
-    enumerate_basis,
     reduce_one,
     sym_operator,
 )
@@ -236,7 +234,8 @@ def isometry_suite(
                 cases.append(
                     _case({"check": "gram", **cell}, np.abs(gram - np.eye(dim(d, m))), tol)
                 )
-                count_dev = abs(ancilla_dim(d, m, l) - enumerate_basis(d, l - m).size)
+                # one ancilla state per added composition, a column of the table
+                count_dev = abs(dim(d, l - m) - amps.occupancy.shape[1])
                 cases.append(_case({"check": "ancilla_count", **cell}, [count_dev], tol))
     for d in range(2, 7):
         devs = [_fidelity_shrink_dev(d, n, m) for n in range(1, 11) for m in range(n, 11)]

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from conftest import clear_plan_caches, mutate_tables, swap_in_row, traced_peak
 from hypothesis import given, settings
+from paper_formulas import alpha_d_sq, alpha_qubit_sq
 
 from symclone import cloner, symspace
 from symclone.cli import main
@@ -19,9 +20,6 @@ from symclone.closed_forms import (
     shrink,
 )
 from symclone.cloner import (
-    alpha_d_sq,
-    alpha_qubit_sq,
-    ancilla_dim,
     clone_amplitudes,
     clone_channel,
     concatenate,
@@ -113,6 +111,12 @@ class TestAlphaD:
             assert total == 1
 
 
+def ancilla_dim(d, m, l):
+    # one orthonormal internal cloner state per added composition, a column
+    # of the amplitude table
+    return clone_amplitudes(d, m, l).occupancy.shape[1]
+
+
 class TestAncillaDim:
     def test_examples(self):
         assert ancilla_dim(2, 1, 2) == 2
@@ -124,6 +128,7 @@ class TestAncillaDim:
         for d in (2, 3):
             for m in range(1, 4):
                 for l in range(m, 7):
+                    assert ancilla_dim(d, m, l) == dim(d, l - m)
                     assert ancilla_dim(d, m, l) == len(enumerate_basis(d, l - m).counts)
 
     def test_rejects_shrinking(self):
@@ -190,7 +195,7 @@ def loop_dense(out):
     in t order onto +0.0, the whole stack at once."""
     lead, n_out = out.source.entries.shape[:-2], out.basis.size
     y = np.zeros((*lead, n_out, n_out), dtype=np.complex128)
-    x = out.source.entries[..., ::-1, ::-1]
+    x = out.source.entries
     idx, v = out.cell.plan
     for idx_t, v_t in zip(idx.T, v.T):
         y[..., idx_t[:, None], idx_t[None, :]] += (v_t[:, None] * v_t[None, :]) * x
@@ -201,7 +206,7 @@ def loop_gram(d, m, l):
     """isometry_gram one np.outer per plan column, in t order onto +0.0."""
     idx, v = clone_amplitudes(d, m, l).plan
     gram = np.zeros((len(idx), len(idx)))
-    for idx_t, v_t in zip(idx[::-1].T, v[::-1].T):
+    for idx_t, v_t in zip(idx.T, v.T):
         gram += np.outer(v_t, v_t) * (idx_t[:, None] == idx_t[None, :])
     return gram
 
@@ -327,6 +332,9 @@ class TestStructuredOutput:
     @pytest.mark.parametrize("d, m, l", [(3, 20, 24), (3, 10, 30)])
     def test_dense_view_peak_near_its_output(self, d, m, l):
         out = clone_channel(hermitian_sym_operator(d, m, np.random.default_rng(3)), l)
+        # the plan and the output basis are built first, so the bound reads
+        # the scatter alone, whichever test built them before
+        out.cell.plan, out.basis
         y, peak = traced_peak(lambda: out.entries)
         # one block is at most cloner.BLOCK_TERMS terms; a loop over whole
         # columns peaked about 3 MiB above the output at (3, 20, 24)
@@ -761,9 +769,9 @@ class TestPlansMatchReference:
         for d, m, l in grid + list(self.BIG_CELLS):
             idx, v = clone_amplitudes(d, m, l).plan
             want_idx, want_v = reference_channel_plan(d, m, l)
-            # input-major: the reference's columns reversed are the rows
-            assert_bitwise_equal(idx, want_idx[:, ::-1].T)
-            assert_bitwise_equal(v, want_v[:, ::-1].T)
+            # the reference's rows are the plan's columns
+            assert_bitwise_equal(idx, want_idx.T)
+            assert_bitwise_equal(v, want_v.T)
         for cell, dtype in self.BIG_CELLS.items():
             assert clone_amplitudes(*cell).occupancy.dtype == dtype
         assert clone_amplitudes(2, 20, 400).occupancy.max() >= 2**63

@@ -114,7 +114,9 @@ class TestOracleClone:
     def test_site_independence(self):
         rng = np.random.default_rng(9)
         x = hermitian_sym_operator(2, 2, rng)
-        reductions = [oracle_clone(x, 3, site=s)[1].entries for s in range(3)]
+        full, reduced = oracle_clone(x, 3)
+        reductions = [reduce_full_to_site(full, 2, 3, site=s).entries for s in range(3)]
+        assert reduced.entries.tobytes() == reductions[0].tobytes()
         for other in reductions[1:]:
             np.testing.assert_allclose(reductions[0], other, atol=1e-12)
 
@@ -169,12 +171,16 @@ class TestOracleStack:
             basis = enumerate_basis(d, m)
             makes = ginibre_sym_operator, hermitian_sym_operator
             x = np.concatenate([make(d, m, rng, count=2).entries for make in makes])
-            for site in sorted({0, l - 1}):
-                full, reduced = oracle_clone(SymOperator(basis, x), l, site)
-                for b, draw in enumerate(x):
-                    want_full, want = oracle_clone(SymOperator(basis, draw), l, site)
-                    assert full[b].tobytes() == want_full.tobytes(), (d, m, l, site)
-                    assert reduced.entries[b].tobytes() == want.entries.tobytes(), (d, m, l, site)
+            full, reduced = oracle_clone(SymOperator(basis, x), l)
+            for b, draw in enumerate(x):
+                want_full, want = oracle_clone(SymOperator(basis, draw), l)
+                assert full[b].tobytes() == want_full.tobytes(), (d, m, l)
+                assert reduced.entries[b].tobytes() == want.entries.tobytes(), (d, m, l)
+            # reduced to the last site, too, each of a stack keeps its bits
+            last = reduce_full_to_site(full, d, l, site=l - 1).entries
+            for b, one in enumerate(full):
+                want = reduce_full_to_site(one, d, l, site=l - 1).entries
+                assert last[b].tobytes() == want.tobytes(), (d, m, l)
 
     def test_guard_counts_the_whole_stack(self):
         # one 2**10 x 2**10 output sits on the guard; two exceed it
@@ -270,6 +276,9 @@ class TestCovariance:
         x = ginibre_sym_operator(2, 1, rng)
         with pytest.raises(InvalidParameterError):
             covariance_check(sym_operator(2, 1, np.diag([1.0, 2.0])), x, 2)
+        # a NaN deviation compares False with any bound; it must not pass
+        with pytest.raises(InvalidParameterError, match="not unitary"):
+            covariance_check(sym_operator(2, 1, [[np.nan, 0], [0, 1]]), x, 2)
 
     def test_rejects_dimension_mismatch(self):
         rng = np.random.default_rng(16)

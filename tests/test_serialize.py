@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from paper_formulas import alpha_d_sq
 
 from symclone.cli import main
-from symclone.cloner import alpha_d_sq, clone_amplitudes
+from symclone.cloner import clone_amplitudes
 from symclone.oracle import ginibre_sym_operator
 from symclone.serialize import (
     BASIS_TAG,

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from conftest import traced_peak
 from hypothesis import assume, example, given, settings
+from paper_formulas import alpha_d_sq
 
-from symclone.cloner import alpha_d_sq, clone_amplitudes
+from symclone.cloner import clone_amplitudes
 from symclone.oracle import MEMORY_GUARD, reduce_full_to_site, sym_embedding
 from symclone.symspace import (
     AMPLITUDE_GUARD,

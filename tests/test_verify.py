@@ -16,7 +16,7 @@ import pytest
 
 from symclone import verify
 from symclone.closed_forms import fidelity, scaling_residual, scaling_residual_bloch, shrink
-from symclone.cloner import ancilla_dim, clone_amplitudes, clone_channel, concatenate, isometry_gram
+from symclone.cloner import clone_amplitudes, clone_channel, concatenate, isometry_gram
 from symclone.oracle import (
     ginibre_sym_operator,
     hermitian_sym_operator,
@@ -107,7 +107,7 @@ def isometry_in_fractions():
                 cases.append(case({"check": "normalization", **cell}, devs, tol))
                 gram = isometry_gram(d, m, l)
                 cases.append(case({"check": "gram", **cell}, np.abs(gram - np.eye(dim(d, m))), tol))
-                count_dev = abs(ancilla_dim(d, m, l) - enumerate_basis(d, l - m).size)
+                count_dev = abs(dim(d, l - m) - enumerate_basis(d, l - m).size)
                 cases.append(case({"check": "ancilla_count", **cell}, [count_dev], tol))
     for d in range(2, 7):
         devs = [
