@@ -36,7 +36,9 @@ from .symspace import (
 )
 
 DENSE_GUARD = 1 << 22  # complex entries of a dense channel output (64 MiB)
-BLOCK_TERMS = 1 << 14  # terms per block of the dense view, the Gram matrix and the reduced map
+# terms per block of the dense view and the Gram matrix; the reduced map's
+# blocks take BLOCK_TERMS // n_in columns into buffers reused by every block
+BLOCK_TERMS = 1 << 14
 
 
 def _prefactor(d: int, m: int, l: int) -> Fraction:
@@ -128,30 +130,60 @@ class CloneAmplitudes:
         product per unordered pair (p, q) that W_hop's moves (p, q) and
         (q, p) share.  Elementwise products and numpy sums, no BLAS call,
         so the bits do not depend on its thread count.
+
+        Three float buffers, of width = min(BLOCK_TERMS // n_in, K) columns,
+        are allocated once per call and reused by every block: the terms
+        (d, n_in, width), their roots at the hop rows (d, dim(d, m-1),
+        width) and one level's pair products (d-1, dim(d, m-1), width).  A
+        block writes into them in place: its levels a + k_t, times its
+        squared amplitudes (read once), summed into W_diag; the hop rows
+        gathered (np.take) and rooted; then for each level a the products
+        of its pairs (a, a+1), ..., (a, d-1), one slice, summed into that
+        slice of the block's pair sums.  So the block's transient is a fixed
+        few times BLOCK_TERMS doubles, with no level-, gather- or pair-sized
+        temporary.  Each block, the last and narrower one too, works on
+        C-contiguous prefixes of the buffers, the shapes a block of fresh
+        arrays has: every product is the same one, and every sum along K
+        runs over a contiguous axis of the block's width, which numpy sums
+        pairwise, not one term at a time, so the map keeps its bits.
         """
         d, m, l = self.d, self.m, self.l
         inputs = enumerate_basis(d, m)
         added = enumerate_basis(d, l - m).counts
         n_in, k = self.occupancy.shape
-        p, q = inputs.moves
-        upper = np.triu_indices(d, 1)
         ranks = inputs.hop_ranks if m else np.zeros((d, 0), dtype=np.int64)
+        n_u = ranks.shape[1]
+        # row i n_in + ranks[i, u] of the terms, flattened over (level, input)
+        hop_rows = ranks + n_in * np.arange(d)[:, None]
+        # the unordered pairs (a, b), a < b, run by a, then b: pair (a, b)
+        # is firsts[a] + b - a - 1, and level a's pairs are one slice
+        firsts = [a * (2 * d - a - 1) // 2 for a in range(d)]
         w_diag = np.zeros((d, n_in))
-        pairs = np.zeros((len(upper[0]), ranks.shape[1]))
-        columns = max(1, BLOCK_TERMS // n_in)
-        for start in range(0, k, columns):
-            block = slice(start, start + columns)
-            level = inputs.counts.T[:, :, None] + added[block].T[:, None, :]
-            # C order, so that each sum along K runs over a contiguous axis
-            # and numpy sums it pairwise, not one term at a time
-            terms = np.multiply(self._squared(block), level, order="C")
+        pairs = np.zeros((firsts[-1], n_u))
+        sums = np.empty_like(pairs)
+        width = min(max(1, BLOCK_TERMS // n_in), k)
+        terms_buffer, g_buffer, products_buffer = (
+            np.empty(rows * width) for rows in (d * n_in, d * n_u, (d - 1) * n_u)
+        )
+        for start in range(0, k, width):
+            block = slice(start, start + width)
+            w = min(width, k - start)
+            terms = terms_buffer[: d * n_in * w].reshape(d, n_in, w)
+            g = g_buffer[: d * n_u * w].reshape(d, n_u, w)
+            products = products_buffer[: (d - 1) * n_u * w].reshape(d - 1, n_u, w)
+            np.add(inputs.counts.T[:, :, None], added[block].T[:, None, :], out=terms)
+            np.multiply(terms, self._squared(block), out=terms)
             w_diag += terms.sum(axis=-1)
-            g = np.sqrt(terms[np.arange(d)[:, None], ranks])
-            pairs += (g[upper[0]] * g[upper[1]]).sum(axis=-1)
+            # mode "raise" would copy out; every row is in range
+            np.take(terms.reshape(d * n_in, w), hop_rows, axis=0, out=g, mode="clip")
+            np.sqrt(g, out=g)
+            for a in range(d - 1):
+                product = np.multiply(g[a], g[a + 1 :], out=products[: d - 1 - a])
+                product.sum(axis=-1, out=sums[firsts[a] : firsts[a + 1]])
+            pairs += sums
         # both moves of an unordered pair read its one sum
-        pair = np.zeros((d, d), dtype=np.int64)
-        pair[upper] = np.arange(len(upper[0]))
-        w_diag, w_hop = w_diag / l, pairs[(pair + pair.T)[p, q]] / l
+        lo, hi = np.sort(inputs.moves, axis=0)
+        w_diag, w_hop = w_diag / l, pairs[np.array(firsts)[lo] + hi - lo - 1] / l
         for a in (w_diag, w_hop):
             a.setflags(write=False)
         return w_diag, w_hop

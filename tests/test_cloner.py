@@ -848,6 +848,33 @@ class TestPlansMatchReference:
         assert np.max(np.abs(gram - np.eye(3))) > 0.1
 
 
+def reference_reduced_map(table):
+    """The reduced map's block loop with fresh arrays in every block: an
+    int64 level array, the terms, a fancy-index gather and its roots, and
+    the products of every unordered pair at once, summed along K over the
+    same block partition."""
+    d, m, l = table.d, table.m, table.l
+    inputs = enumerate_basis(d, m)
+    added = enumerate_basis(d, l - m).counts
+    n_in, k = table.occupancy.shape
+    p, q = inputs.moves
+    upper = np.triu_indices(d, 1)
+    ranks = inputs.hop_ranks if m else np.zeros((d, 0), dtype=np.int64)
+    w_diag = np.zeros((d, n_in))
+    pairs = np.zeros((len(upper[0]), ranks.shape[1]))
+    columns = max(1, cloner.BLOCK_TERMS // n_in)
+    for start in range(0, k, columns):
+        block = slice(start, start + columns)
+        level = inputs.counts.T[:, :, None] + added[block].T[:, None, :]
+        terms = np.multiply(table._squared(block), level, order="C")
+        w_diag += terms.sum(axis=-1)
+        g = np.sqrt(terms[np.arange(d)[:, None], ranks])
+        pairs += (g[upper[0]] * g[upper[1]]).sum(axis=-1)
+    pair = np.zeros((d, d), dtype=np.int64)
+    pair[upper] = np.arange(len(upper[0]))
+    return w_diag / l, pairs[(pair + pair.T)[p, q]] / l
+
+
 class TestReducedMap:
     # the isometry suite's grid, the clone benchmark cells and the large cells
     CELLS = (
@@ -856,6 +883,14 @@ class TestReducedMap:
            (3, 2, 20), (3, 1, 100), (4, 1, 30)]
         + [(4, 1, 114), (5, 2, 35), (3, 1, 830), (6, 1, 20)]
     )
+    # a single input state, K = dim(d, l)
+    EMPTY_INPUT_CELLS = [(d, 0, l) for d in (2, 3, 5, 6) for l in (1, 2, 4, 9)]
+
+    @pytest.fixture(autouse=True)
+    def forget_tables(self):
+        # the large cells' tables go even when an assertion fails
+        yield
+        clear_plan_caches()
 
     def test_map_weighs_by_the_contraction_law(self):
         # rho_out = eta rho_in + (1 - eta)/d 1 on a diagonal dyad |a><a| and
@@ -875,7 +910,25 @@ class TestReducedMap:
             want = eta * np.sqrt((u.T[p] + 1) * (u.T[q] + 1)) / m
             assert w_hop.shape == want.shape and not w_hop.flags.writeable
             assert np.max(np.abs(w_hop - want)) <= 2e-15, (d, m, l)
-        clear_plan_caches()  # the large cells' tables
+
+    def test_map_has_the_bits_of_fresh_block_arrays(self):
+        # the four large cells run 16 to 64 blocks of 1092 to 5461 columns
+        # and (4, 1, 30) two of 4096, each last block narrower than the rest
+        for d, m, l in self.CELLS + self.EMPTY_INPUT_CELLS:
+            table = clone_amplitudes(d, m, l)
+            for got, want in zip(table.reduced_map, reference_reduced_map(table), strict=True):
+                assert_bitwise_equal(got, want)
+
+    @pytest.mark.parametrize("d, m, l", [(4, 1, 114), (5, 2, 35), (6, 1, 20)])
+    def test_map_transient_is_a_few_blocks(self, d, m, l):
+        # the map alone, on a fresh table whose bases and hop ranks exist:
+        # 0.91, 1.19 and 1.17 MiB; fresh arrays in every block peaked at
+        # 1.82, 2.30 and 2.56 MiB
+        table = cloner.clone_amplitudes.__wrapped__(d, m, l)
+        enumerate_basis(d, m).hop_ranks
+        enumerate_basis(d, l - m)
+        _, peak = traced_peak(lambda: table.reduced_map)
+        assert peak < 1.75 * 2**20
 
     def test_a_single_input_state_maps_to_the_maximally_mixed_state(self):
         for d, l in ((2, 1), (3, 4), (5, 2)):
@@ -930,7 +983,6 @@ class TestReducedMap:
         assert "plan" not in out.cell.__dict__ and "basis" not in out.__dict__
         # two tables: the input's identity clone, which reduces it, and the clone's
         assert cloner.clone_amplitudes.cache_info().misses == 2
-        clear_plan_caches()
 
 
 COLD_CELLS = [(3, 1, 30), (2, 20, 60)]
