@@ -105,7 +105,11 @@ class CloneAmplitudes:
     @cached_property
     def reduced_map(self) -> tuple[np.ndarray, np.ndarray]:
         """reduce_one after the channel, as read-only weights on the input's
-        diagonal and one-hop entries, l >= 1: W_diag and W_hop.
+        diagonal and one-hop entries, l >= 1: W_diag and W_hop, complex128
+        with every imaginary part +0.0.  reduce_one weighs complex entries
+        by them, and numpy has no float-by-complex loop: float weights would
+        be cast to complex on every call.  Cast once here, they give every
+        product and matmul the same operands, and so the same bits.
 
         W_diag[i, a] = sum_t alpha(a, k_t)^2 (a_i + k_t,i) / l, (d, dim(d, m)),
         weighs the input's diagonal entry a into output level i.
@@ -145,7 +149,8 @@ class CloneAmplitudes:
         C-contiguous prefixes of the buffers, the shapes a block of fresh
         arrays has: every product is the same one, and every sum along K
         runs over a contiguous axis of the block's width, which numpy sums
-        pairwise, not one term at a time, so the map keeps its bits.
+        pairwise, not one term at a time, so the map keeps its bits.  The
+        sums are divided by l as doubles and only then cast to complex.
         """
         d, m, l = self.d, self.m, self.l
         inputs = enumerate_basis(d, m)
@@ -183,7 +188,8 @@ class CloneAmplitudes:
             pairs += sums
         # both moves of an unordered pair read its one sum
         lo, hi = np.sort(inputs.moves, axis=0)
-        w_diag, w_hop = w_diag / l, pairs[np.array(firsts)[lo] + hi - lo - 1] / l
+        w_hop = pairs[np.array(firsts)[lo] + hi - lo - 1]
+        w_diag, w_hop = ((a / l).astype(np.complex128) for a in (w_diag, w_hop))
         for a in (w_diag, w_hop):
             a.setflags(write=False)
         return w_diag, w_hop

@@ -114,11 +114,51 @@ def write_sym_operator(path, op: SymOperator, extra: dict | None = None) -> None
     if extra:
         doc.update(extra)
     try:
-        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+        text = _document_text(doc)
     except ValueError as e:
         raise FormatError(f"cannot write {path}: {e}") from None
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
+
+
+def _document_text(doc: dict) -> str:
+    """json.dumps(doc, indent=2, sort_keys=True, allow_nan=False), byte for
+    byte, for a document with string keys.
+
+    An indent turns json's C encoder off, and the pure-Python one takes
+    most of a clone's write in its pair lists.  So a value that is a list
+    of [re, im] float pairs is written by the C encoder with no spaces and
+    laid out by two string replaces: no float's text holds a comma or a
+    bracket, and both encoders write a float as float.__repr__.
+    """
+    items = []
+    for key in sorted(doc):
+        value = doc[key]
+        if type(value) is list and value and all(
+            type(pair) is list and len(pair) == 2 and type(pair[0]) is type(pair[1]) is float
+            for pair in value
+        ):
+            text = _pairs_text(value)
+        else:
+            text = json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+            # its lines sit one level in; a JSON string holds no raw newline
+            text = text.replace("\n", "\n  ")
+        items.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(items) + "\n}"
+
+
+def _pairs_text(pairs: list) -> str:
+    """A non-empty list of [re, im] float pairs as json.dumps(indent=2)
+    writes it one level into a document."""
+    try:
+        flat = json.dumps(pairs, separators=(",", ":"), allow_nan=False)
+    except ValueError:
+        # the C encoder's message leaves out the value; the indenting one names it
+        json.dumps(pairs, indent=2, allow_nan=False)
+        raise
+    # "[[a,b],[c,d]]": every comma starts a line, then the pair boundaries
+    body = flat[2:-2].replace(",", ",\n      ").replace("],\n      [", "\n    ],\n    [\n      ")
+    return "[\n    [\n      " + body + "\n    ]\n  ]"
 
 
 def write_amplitudes_csv(path, amps: CloneAmplitudes) -> None:

@@ -158,13 +158,24 @@ class SymBasis:
         u + e_i, u the j-th composition of weight m - 1, m >= 1 (sum_ranks).
 
         Adding e_i keeps the lex order, so each row rises along u.  It is
-        read to gather an operator's own hops (SymOperator._diagonal_and_hops)
-        and to build a table's reduced map at its input weight; every
-        reduction weighs a source's hops by that map, so nothing reads it at
-        a clone's output weight.
+        read to build a table's reduced map at its input weight and, as
+        hop_entries, to gather an operator's own hops
+        (SymOperator._diagonal_and_hops); every reduction weighs a source's
+        hops by that map, so nothing reads it at a clone's output weight.
         """
         d, m = self.d, self.m
         return sum_ranks(np.eye(d, dtype=np.int64), enumerate_basis(d, m - 1).counts, m)
+
+    @cached_property
+    def hop_entries(self) -> np.ndarray:
+        """The read-only (d(d-1), dim(d, m - 1)) flat indices of every hop
+        in an N x N matrix raveled: row j, of move (p, q) in moves order,
+        holds hop_ranks[p] N + hop_ranks[q], m >= 1.  One take along the
+        raveled entries gathers every hop of an operator or a stack."""
+        p, q = self.moves
+        entries = self.hop_ranks[p] * self.size + self.hop_ranks[q]
+        entries.setflags(write=False)
+        return entries
 
 
 @lru_cache(maxsize=None)
@@ -248,16 +259,19 @@ class SymOperator:
     def _diagonal_and_hops(self) -> tuple[np.ndarray, np.ndarray | None]:
         """The diagonal, a view, and the one-hop entries as a (d(d-1),
         dim(d, m-1)) array in the layout of a reduced map's W_hop: one
-        row per move (p, q), gathered at rows hop_ranks[p] and columns
-        hop_ranks[q].  At m = 0 there are no hops, and None stands for
-        them.  A stack gives a (B, N) and a (B, d(d-1), dim(d, m-1)) array.
+        row per move (p, q), the entries at rows hop_ranks[p] and columns
+        hop_ranks[q].  They are gathered by one take of basis.hop_entries
+        along the (..., N N) view of the entries, which builds no index
+        array per call; a gather copies, so each hop has its entry's bits.
+        At m = 0 there are no hops, and None stands for them.  A stack
+        gives a (B, N) and a (B, d(d-1), dim(d, m-1)) array.
         """
         diagonal = np.diagonal(self.entries, axis1=-2, axis2=-1)
         if not self.m:
             return diagonal, None
-        ranks = self.basis.hop_ranks
-        p, q = self.basis.moves
-        return diagonal, self.entries[..., ranks[p], ranks[q]]
+        lead, n = self.entries.shape[:-2], self.basis.size
+        flat = self.entries.reshape(*lead, n * n)
+        return diagonal, flat.take(self.basis.hop_entries, axis=-1)
 
     def _source_and_table(self):
         """What reduce_one weighs: a plain operator is the identity clone's
@@ -336,14 +350,18 @@ def reduce_one(op: SymOperator) -> SymOperator:
     the identity clone's output, its own source with the table of
     (d, m, m); a clone output gives its source and cell.
 
-    Each diagonal entry is one vector dot per operator, the whole stack in
-    one matmul of (1, N) rows by (N, 1) columns: OpenBLAS sums a (d, N)
+    The map's weights are complex128 with +0.0 imaginary parts, the dtype
+    they are applied in: numpy has no float-by-complex loop, so float
+    weights would be cast on every call, to the same operands.  Each
+    diagonal entry is one vector dot per operator, the whole stack in one
+    matmul of (1, N) rows by (N, 1) columns: OpenBLAS sums a (d, N)
     matrix-vector product in another order than a dot.  Each off-diagonal
     entry (p, q) sums its move's terms strictly in basis order, by a
     running sum along the move's row, and only the row totals are added to
     the zeroed output.  That is the order and the +0.0 start of np.add.at
-    over every term, so a row of -0.0 terms still gives +0.0.  Each
-    operator of a stack keeps the bits it has alone.
+    over every term, so a row of -0.0 terms still gives +0.0.  The terms
+    are a new array: a source may hand out hops it holds.  Each operator
+    of a stack keeps the bits it has alone.
     """
     if op.m < 1:
         raise InvalidParameterError("single-site reduction needs at least one particle")

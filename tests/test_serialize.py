@@ -104,6 +104,44 @@ class TestOperatorDocument:
             write_sym_operator(path, random_operator(), extra={"oracle_residual": float("inf")})
         assert not path.exists()
 
+    # (2, 69) is a 70 x 70 operator
+    @pytest.mark.parametrize("d, m", [(2, 0), (2, 1), (3, 2), (2, 69)])
+    @pytest.mark.parametrize("extras", [(), ("reduced",), ("reduced", "oracle_residual")])
+    def test_writer_has_the_bytes_of_the_indenting_encoder(self, d, m, extras, tmp_path):
+        e = np.array(random_operator(d, m, seed=d + m).entries)
+        e[0, -1] = complex(-0.0, 1e-300)
+        op = sym_operator(d, m, e)
+        extra = {
+            "reduced": sym_operator_to_dict(reduce_one(op))["entries"] if m else [[-0.0, 0.5]],
+            "oracle_residual": 2.5e-17,
+        }
+        extra = {key: extra[key] for key in extras}
+        path = tmp_path / "op.json"
+        write_sym_operator(path, op, extra=extra or None)
+        doc = {**sym_operator_to_dict(op), **extra}
+        want = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        assert path.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("where, value", [
+        ("entries", float("nan")), ("entries", float("-inf")),
+        ("reduced", float("inf")), ("oracle_residual", float("nan")),
+    ])
+    def test_writer_names_the_non_finite_value(self, where, value, tmp_path):
+        path = tmp_path / "op.json"
+        e = np.array(random_operator().entries)
+        if where == "entries":
+            e[1, 2] = complex(0.5, value)
+        op, extra = sym_operator(2, 2, e), {"reduced": [[1.0, 0.0]] * 4, "oracle_residual": 0.0}
+        if where == "reduced":
+            extra["reduced"] = [[1.0, 0.0], [value, 0.0]]
+        elif where == "oracle_residual":
+            extra["oracle_residual"] = value
+        message = f"cannot write {path}: Out of range float values are not JSON compliant: {value!r}"
+        with pytest.raises(FormatError) as refused:
+            write_sym_operator(path, op, extra=extra)
+        assert str(refused.value) == message
+        assert not path.exists()
+
     @pytest.mark.parametrize("batch", [0, 1, 2])
     def test_writers_refuse_a_stack(self, batch, tmp_path):
         stack = ginibre_sym_operator(2, 2, np.random.default_rng(batch), count=batch)

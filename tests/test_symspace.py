@@ -302,6 +302,37 @@ class TestReduceOne:
                     with np.errstate(invalid="ignore"):
                         got, want = reduce_one(op).entries, add_at_reduce_one(op)
                     assert got.tobytes() == want.tobytes()
+                # the three as one stack: each keeps the bits it has alone
+                stack = np.stack([x, negative_zeros, non_finite])
+                with np.errstate(invalid="ignore"):
+                    got = reduce_one(sym_operator(d, m, stack)).entries
+                    want = np.stack([add_at_reduce_one(sym_operator(d, m, e)) for e in stack])
+                assert got.tobytes() == want.tobytes()
+
+    def test_hop_entries_are_read_only_and_cached(self):
+        basis = enumerate_basis(3, 4)
+        entries = basis.hop_entries
+        assert basis.hop_entries is entries and not entries.flags.writeable
+        with pytest.raises(ValueError):
+            entries[0, 0] = 0
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_one_flat_gather_has_the_bits_of_a_fancy_gather(self, d):
+        # every hop is a copy of one entry, so the layout alone can differ
+        rng = np.random.default_rng(d)
+        for m in range(1, 6):
+            basis = enumerate_basis(d, m)
+            n, ranks = basis.size, basis.hop_ranks
+            p, q = basis.moves
+            for shape in ((n, n), (3, n, n)):
+                x = rng.standard_normal((*shape, 2)).view(np.complex128)[..., 0]
+                x[..., 0, :] = complex(-0.0, -0.0)
+                op = sym_operator(d, m, x)
+                diagonal, hops = op._diagonal_and_hops()
+                want = op.entries[..., ranks[p], ranks[q]]
+                assert hops.shape == want.shape and hops.dtype == want.dtype
+                assert hops.tobytes() == want.tobytes()
+                assert diagonal.tobytes() == np.diagonal(op.entries, axis1=-2, axis2=-1).tobytes()
 
     def test_rejects_empty_operator(self):
         with pytest.raises(InvalidParameterError):
