@@ -37,7 +37,8 @@ from .symspace import (
 
 DENSE_GUARD = 1 << 22  # complex entries of a dense channel output (64 MiB)
 # terms per block of the dense view and the Gram matrix; the reduced map's
-# blocks take BLOCK_TERMS // n_in columns into buffers reused by every block
+# blocks take BLOCK_TERMS // n_in columns, one level's terms at a time, into
+# buffers reused by every block
 BLOCK_TERMS = 1 << 14
 
 
@@ -135,20 +136,24 @@ class CloneAmplitudes:
         (q, p) share.  Elementwise products and numpy sums, no BLAS call,
         so the bits do not depend on its thread count.
 
-        Three float buffers, of width = min(BLOCK_TERMS // n_in, K) columns,
-        are allocated once per call and reused by every block: the terms
-        (d, n_in, width), their roots at the hop rows (d, dim(d, m-1),
-        width) and one level's pair products (d-1, dim(d, m-1), width).  A
-        block writes into them in place: its levels a + k_t, times its
-        squared amplitudes (read once), summed into W_diag; the hop rows
-        gathered (np.take) and rooted; then for each level a the products
-        of its pairs (a, a+1), ..., (a, d-1), one slice, summed into that
-        slice of the block's pair sums.  So the block's transient is a fixed
-        few times BLOCK_TERMS doubles, with no level-, gather- or pair-sized
-        temporary.  Each block, the last and narrower one too, works on
-        C-contiguous prefixes of the buffers, the shapes a block of fresh
-        arrays has: every product is the same one, and every sum along K
-        runs over a contiguous axis of the block's width, which numpy sums
+        Three float buffers, of w = min(BLOCK_TERMS // n_in, K) columns,
+        are allocated once per call and reused by every block: one level's
+        terms (n_in, w), every level's roots at its hop rows (d, n_u, w),
+        n_u = dim(d, m-1), and one level's pair products (d-1, n_u, w).  A
+        block writes into them in place.  It reads its squared amplitudes
+        once; then, one level i at a time, it writes (a_i + k_t,i) alpha^2
+        into the terms, sums their rows into row i of the block's diagonal
+        sums and gathers their hop rows (np.take) into the roots' row i.
+        It adds the diagonal sums to W_diag and roots the gathers, then for
+        each level a takes the products of its pairs (a, a+1), ..., (a, d-1),
+        one slice, summed into that slice of the block's pair sums.  So the
+        block's transient is a fixed few times BLOCK_TERMS doubles, with no
+        all-levels-, gather- or pair-sized temporary.  Every element, and
+        every contiguous sum over w, is the one a (d, n_in, w) block of all
+        levels' terms holds.  Each block, the last and narrower one too,
+        works on C-contiguous prefixes of the buffers, the shapes a block of
+        fresh arrays has: every product is the same one, and every sum along
+        K runs over a contiguous axis of the block's width, which numpy sums
         pairwise, not one term at a time, so the map keeps its bits.  The
         sums are divided by l as doubles and only then cast to complex.
         """
@@ -156,31 +161,33 @@ class CloneAmplitudes:
         inputs = enumerate_basis(d, m)
         added = enumerate_basis(d, l - m).counts
         n_in, k = self.occupancy.shape
-        ranks = inputs.hop_ranks if m else np.zeros((d, 0), dtype=np.int64)
+        ranks = inputs.hop_ranks
         n_u = ranks.shape[1]
-        # row i n_in + ranks[i, u] of the terms, flattened over (level, input)
-        hop_rows = ranks + n_in * np.arange(d)[:, None]
         # the unordered pairs (a, b), a < b, run by a, then b: pair (a, b)
         # is firsts[a] + b - a - 1, and level a's pairs are one slice
         firsts = [a * (2 * d - a - 1) // 2 for a in range(d)]
         w_diag = np.zeros((d, n_in))
+        diagonal_sums = np.empty_like(w_diag)
         pairs = np.zeros((firsts[-1], n_u))
         sums = np.empty_like(pairs)
         width = min(max(1, BLOCK_TERMS // n_in), k)
         terms_buffer, g_buffer, products_buffer = (
-            np.empty(rows * width) for rows in (d * n_in, d * n_u, (d - 1) * n_u)
+            np.empty(rows * width) for rows in (n_in, d * n_u, (d - 1) * n_u)
         )
         for start in range(0, k, width):
             block = slice(start, start + width)
             w = min(width, k - start)
-            terms = terms_buffer[: d * n_in * w].reshape(d, n_in, w)
+            terms = terms_buffer[: n_in * w].reshape(n_in, w)
             g = g_buffer[: d * n_u * w].reshape(d, n_u, w)
             products = products_buffer[: (d - 1) * n_u * w].reshape(d - 1, n_u, w)
-            np.add(inputs.counts.T[:, :, None], added[block].T[:, None, :], out=terms)
-            np.multiply(terms, self._squared(block), out=terms)
-            w_diag += terms.sum(axis=-1)
-            # mode "raise" would copy out; every row is in range
-            np.take(terms.reshape(d * n_in, w), hop_rows, axis=0, out=g, mode="clip")
+            squared = self._squared(block)
+            for i in range(d):
+                np.add(inputs.counts[:, i, None], added[block, i], out=terms)
+                np.multiply(terms, squared, out=terms)
+                terms.sum(axis=-1, out=diagonal_sums[i])
+                # mode "raise" would copy out; every row is in range
+                np.take(terms, ranks[i], axis=0, out=g[i], mode="clip")
+            w_diag += diagonal_sums
             np.sqrt(g, out=g)
             for a in range(d - 1):
                 product = np.multiply(g[a], g[a + 1 :], out=products[: d - 1 - a])
@@ -204,6 +211,12 @@ def clone_amplitudes(d: int, m: int, l: int) -> CloneAmplitudes:
     times levels: the table's product and the plan's ranks run over every
     level of every entry.  A vast request is refused on a cheap bound
     before any exact binomial is taken (see guarded_dims).
+
+    The table is built one level at a time, in place: each input's row of
+    the Pascal grid, then the added compositions' columns of it, taken into
+    one reused (n_in, K) factor and multiplied into the table.  So the
+    build holds the table, one factor and the small row gathers, about 2.2
+    times the table.
     """
     if l < m:
         raise InvalidParameterError(f"need l >= m, got l={l}, m={m}")
@@ -216,16 +229,19 @@ def clone_amplitudes(d: int, m: int, l: int) -> CloneAmplitudes:
     prefactor = _prefactor(d, m, l)
     # no entry exceeds the row total, so int64 is exact below 2**53
     dtype = np.int64 if prefactor.denominator < 2**53 else object
-    binom = pascal(m + 1, l - m + 1, dtype).ravel()
-    # C(j_p + k_p, k_p) sits at j_p (l - m + 1) + k_p of the flat grid
-    inputs = enumerate_basis(d, m).counts * (l - m + 1)
+    # C(j_p + k_p, k_p) sits at [j_p, k_p]: an input's row, then the added columns
+    binom = pascal(m + 1, l - m + 1, dtype)
+    inputs = enumerate_basis(d, m).counts
     added = enumerate_basis(d, l - m).counts
-    occupancy = binom.take(inputs[:, None, 0] + added[None, :, 0])
+    occupancy = binom[inputs[:, 0]].take(added[:, 0], axis=1)
+    factor = np.empty_like(occupancy)
     # a level multiplies by C(j_p + k_p, k_p) != 1 only where some input and
     # some added composition both fill it; a positive weight fills every
     # level (its all-in-one-level composition), and a zero weight none
     for p in range(1, d if 0 < m < l else 1):
-        occupancy = occupancy * binom.take(inputs[:, None, p] + added[None, :, p])
+        # mode "raise" would copy out; every column is in range
+        binom[inputs[:, p]].take(added[:, p], axis=1, out=factor, mode="clip")
+        occupancy *= factor
     occupancy.setflags(write=False)
     return CloneAmplitudes(d=d, m=m, l=l, occupancy=occupancy, prefactor=prefactor)
 

@@ -147,24 +147,32 @@ class SymBasis:
     @cached_property
     def moves(self) -> tuple[np.ndarray, np.ndarray]:
         """The move levels p and q of every off-diagonal pair (p, q), p != q,
-        as vectors in (p, q) order: the row order of every operator's one-hop
-        array and of a reduced map's W_hop, and where reduce_one adds each
-        row's total."""
-        return np.nonzero(~np.eye(self.d, dtype=bool))
+        as read-only vectors in (p, q) order: the row order of every
+        operator's one-hop array and of a reduced map's W_hop, and where
+        reduce_one adds each row's total."""
+        moves = np.nonzero(~np.eye(self.d, dtype=bool))
+        for levels in moves:
+            levels.setflags(write=False)
+        return moves
 
     @cached_property
     def hop_ranks(self) -> np.ndarray:
-        """The (d, dim(d, m - 1)) table of ranks: entry [i, j] is the rank of
-        u + e_i, u the j-th composition of weight m - 1, m >= 1 (sum_ranks).
+        """The read-only (d, dim(d, m - 1)) table of ranks: entry [i, j] is
+        the rank of u + e_i, u the j-th composition of weight m - 1; (d, 0)
+        at m = 0.
 
-        Adding e_i keeps the lex order, so each row rises along u.  It is
+        The compositions of weight m with c_i >= 1 are exactly the u + e_i,
+        and adding e_i keeps the lex order, so row i lists the ranks of the
+        compositions with c_i >= 1, ascending: the nonzero entries of
+        counts' column i, and no basis of weight m - 1 is built.  It is
         read to build a table's reduced map at its input weight and, as
         hop_entries, to gather an operator's own hops
         (SymOperator._diagonal_and_hops); every reduction weighs a source's
         hops by that map, so nothing reads it at a clone's output weight.
         """
-        d, m = self.d, self.m
-        return sum_ranks(np.eye(d, dtype=np.int64), enumerate_basis(d, m - 1).counts, m)
+        ranks = np.nonzero(self.counts.T)[1].reshape(self.d, -1)
+        ranks.setflags(write=False)
+        return ranks
 
     @cached_property
     def hop_entries(self) -> np.ndarray:

@@ -34,6 +34,7 @@ from symclone.symspace import (
     basis_projector,
     dim,
     enumerate_basis,
+    pascal,
     reduce_one,
     sym_operator,
 )
@@ -883,6 +884,24 @@ def reference_reduced_map(table):
     return w_diag / l, pairs[(pair + pair.T)[p, q]] / l
 
 
+def flat_index_occupancy(d, m, l):
+    """The table's former build: each level's binomials gathered by one flat
+    index into the raveled Pascal grid and multiplied into a fresh array."""
+    prefactor = cloner._prefactor(d, m, l)
+    dtype = np.int64 if prefactor.denominator < 2**53 else object
+    binom = pascal(m + 1, l - m + 1, dtype).ravel()
+    # C(j_p + k_p, k_p) sits at j_p (l - m + 1) + k_p of the flat grid
+    inputs = enumerate_basis(d, m).counts * (l - m + 1)
+    added = enumerate_basis(d, l - m).counts
+    occupancy = binom.take(inputs[:, None, 0] + added[None, :, 0])
+    # a level multiplies by C(j_p + k_p, k_p) != 1 only where some input and
+    # some added composition both fill it; a positive weight fills every
+    # level (its all-in-one-level composition), and a zero weight none
+    for p in range(1, d if 0 < m < l else 1):
+        occupancy = occupancy * binom.take(inputs[:, None, p] + added[None, :, p])
+    return occupancy
+
+
 class TestReducedMap:
     # the isometry suite's grid, the clone benchmark cells and the large cells
     CELLS = (
@@ -927,16 +946,38 @@ class TestReducedMap:
             for got, want in zip(table.reduced_map, reference_reduced_map(table), strict=True):
                 assert_real_bits(got, want)
 
+    def test_table_has_the_bits_of_the_flat_index_build(self):
+        # every map cell, the identity tables of other widths and the object
+        # tables, whose products pass 2**63
+        identities = [(5, 2, 2), (6, 1, 1), (2, 20, 20), (3, 0, 0)]
+        for d, m, l in self.CELLS + self.EMPTY_INPUT_CELLS + identities + [(2, 12, 150)]:
+            got = clone_amplitudes(d, m, l).occupancy
+            want = flat_index_occupancy(d, m, l)
+            assert got.dtype == want.dtype and got.shape == want.shape, (d, m, l)
+            assert np.array_equal(got, want), (d, m, l)
+        assert clone_amplitudes(2, 20, 400).occupancy.dtype == object
+
+    @pytest.mark.parametrize("d, m, l", [(4, 1, 114), (5, 2, 35), (3, 1, 830)])
+    def test_table_build_peak_is_about_twice_the_table(self, d, m, l):
+        # the table and one level's factor, built in place: 2.25, 2.07 and
+        # 2.34 times the table; a fresh index, gather and product per level
+        # peaked at 3.0 times
+        enumerate_basis(d, m)
+        enumerate_basis(d, l - m)
+        table, peak = traced_peak(lambda: cloner.clone_amplitudes.__wrapped__(d, m, l))
+        assert peak < 2.5 * table.occupancy.nbytes
+
     @pytest.mark.parametrize("d, m, l", [(4, 1, 114), (5, 2, 35), (6, 1, 20)])
     def test_map_transient_is_a_few_blocks(self, d, m, l):
         # the map alone, on a fresh table whose bases and hop ranks exist:
-        # 0.91, 1.19 and 1.17 MiB; fresh arrays in every block peaked at
-        # 1.82, 2.30 and 2.56 MiB
+        # 0.66, 0.81 and 0.67 MiB with one level's terms at a time; all
+        # levels' terms at once peaked at 0.91, 1.19 and 1.17 MiB, and fresh
+        # arrays in every block at 1.82, 2.30 and 2.56 MiB
         table = cloner.clone_amplitudes.__wrapped__(d, m, l)
         enumerate_basis(d, m).hop_ranks
         enumerate_basis(d, l - m)
         _, peak = traced_peak(lambda: table.reduced_map)
-        assert peak < 1.75 * 2**20
+        assert peak < 1.0 * 2**20
 
     def test_a_single_input_state_maps_to_the_maximally_mixed_state(self):
         for d, l in ((2, 1), (3, 4), (5, 2)):
@@ -975,7 +1016,7 @@ class TestReducedMap:
     def test_reduce_only_peak_at_a_large_cell(self):
         # building the plan and scattering the output's diagonal and hops at
         # weight 114 peaked at 172.8 MiB; the reduction through the map
-        # peaked at 30.9 MiB, most of it the table and its added basis
+        # peaked at 25.1 MiB, most of it the table and its added basis
         d, m, l = 4, 1, 114
         clear_plan_caches()
         x = hermitian_sym_operator(d, m, np.random.default_rng(5))
@@ -1005,20 +1046,25 @@ def refuse_ranks(monkeypatch):
 
 
 @pytest.mark.parametrize("d, m, l", COLD_CELLS)
-def test_no_third_cache_serves_a_plan(d, m, l, monkeypatch):
-    # once the basis and table caches forget a used cell, both plans are rebuilt
+def test_no_third_cache_serves_a_plan(d, m, l):
+    # once the basis and table caches forget a used cell, its hop ranks and
+    # both tables are rebuilt: no other cache serves them
     n = dim(d, m)
-    reduce_one(clone_channel(sym_operator(d, m, np.eye(n) / n), l))
+    used = sym_operator(d, m, np.eye(n) / n)
+    reduce_one(clone_channel(used, l))
+    reduce_one(used)
     clear_plan_caches()
-    refuse_ranks(monkeypatch)
     x = sym_operator(d, m, np.eye(n) / n)
+    assert x.basis is not used.basis and "hop_ranks" not in x.basis.__dict__
     out = clone_channel(x, l)  # the output reads no plan until asked
-    with pytest.raises(AssertionError, match="plan was built"):
-        out._diagonal_and_hops()
-    with pytest.raises(AssertionError, match="plan was built"):
-        reduce_one(out)
-    with pytest.raises(AssertionError, match="plan was built"):
-        reduce_one(x)
+    assert "hop_ranks" not in x.basis.__dict__
+    assert cloner.clone_amplitudes.cache_info().misses == 1
+    reduce_one(out)
+    assert "hop_ranks" in x.basis.__dict__  # rebuilt on the reduce
+    assert x.basis.hop_ranks is not used.basis.hop_ranks
+    assert np.array_equal(x.basis.hop_ranks, used.basis.hop_ranks)
+    reduce_one(x)  # through the identity table of (d, m, m), built anew
+    assert cloner.clone_amplitudes.cache_info().misses == 2
 
 
 @pytest.mark.parametrize("d, m, l", COLD_CELLS)
@@ -1030,13 +1076,17 @@ def test_a_live_output_keeps_its_plans(d, m, l, monkeypatch):
     clear_plan_caches()
     refuse_ranks(monkeypatch)
     assert [reduce_one(out).entries.tobytes() for out in outs] == want
+    # no table is rebuilt, and no basis but the reductions' own of weight 1
+    assert cloner.clone_amplitudes.cache_info().misses == 0
+    assert symspace.enumerate_basis.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("d, m, l", COLD_CELLS)
 def test_cold_reduction_ranks_no_output_composition(d, m, l, monkeypatch):
     # a clone output reduces through its table's reduced map and its
-    # source's own entries: symspace ranks only the source's u + e_i
-    # (weight m), and no plan ranks a + k through cloner's binding
+    # source's own entries, whose hop ranks are read off the source's
+    # basis: symspace ranks nothing, and no plan ranks a + k through
+    # cloner's binding
     clear_plan_caches()
     weights = {symspace: [], cloner: []}
 
@@ -1054,7 +1104,7 @@ def test_cold_reduction_ranks_no_output_composition(d, m, l, monkeypatch):
     n = dim(d, m)
     out = clone_channel(sym_operator(d, m, np.eye(n) / n), l)
     reduce_one(out)
-    assert weights[symspace] == [m]
+    assert weights[symspace] == []
     assert weights[cloner] == []
     assert "plan" not in out.cell.__dict__ and "basis" not in out.__dict__
 

@@ -310,11 +310,30 @@ class TestReduceOne:
                 assert got.tobytes() == want.tobytes()
 
     def test_hop_entries_are_read_only_and_cached(self):
+        # all three live on the shared, cached basis: a write to one would
+        # move every later reduction at its weight
         basis = enumerate_basis(3, 4)
-        entries = basis.hop_entries
-        assert basis.hop_entries is entries and not entries.flags.writeable
-        with pytest.raises(ValueError):
-            entries[0, 0] = 0
+        for name in ("hop_entries", "hop_ranks"):
+            array = getattr(basis, name)
+            assert getattr(basis, name) is array and not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0, [0, 1]] = array[0, [1, 0]]
+        moves = basis.moves
+        assert basis.moves is moves
+        for levels in moves:
+            assert not levels.flags.writeable
+            with pytest.raises(ValueError):
+                levels[[0, 1]] = levels[[1, 0]]
+
+    @pytest.mark.parametrize(
+        "d, m", [(d, m) for d in range(2, 7) for m in range(1, 11)] + [(3, 830), (2, 60)]
+    )
+    def test_hop_ranks_have_the_bits_of_ranked_sums(self, d, m):
+        # the former build: every u + e_i ranked from the weight-(m-1) basis
+        want = sum_ranks(np.eye(d, dtype=np.int64), enumerate_basis(d, m - 1).counts, m)
+        got = enumerate_basis(d, m).hop_ranks
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("d", range(2, 7))
     def test_one_flat_gather_has_the_bits_of_a_fancy_gather(self, d):
