@@ -234,11 +234,12 @@ def clone_amplitudes(d: int, m: int, l: int) -> CloneAmplitudes:
     inputs = enumerate_basis(d, m).counts
     added = enumerate_basis(d, l - m).counts
     occupancy = binom[inputs[:, 0]].take(added[:, 0], axis=1)
-    factor = np.empty_like(occupancy)
     # a level multiplies by C(j_p + k_p, k_p) != 1 only where some input and
     # some added composition both fill it; a positive weight fills every
     # level (its all-in-one-level composition), and a zero weight none
-    for p in range(1, d if 0 < m < l else 1):
+    levels = range(1, d if 0 < m < l else 1)
+    factor = np.empty_like(occupancy) if levels else None
+    for p in levels:
         # mode "raise" would copy out; every column is in range
         binom[inputs[:, p]].take(added[:, p], axis=1, out=factor, mode="clip")
         occupancy *= factor

@@ -170,7 +170,8 @@ class SymBasis:
         (SymOperator._diagonal_and_hops); every reduction weighs a source's
         hops by that map, so nothing reads it at a clone's output weight.
         """
-        ranks = np.nonzero(self.counts.T)[1].reshape(self.d, -1)
+        # nonzero's column indices are a strided view of its (nnz, 2) result
+        ranks = np.nonzero(self.counts.T)[1].reshape(self.d, -1).copy()
         ranks.setflags(write=False)
         return ranks
 

@@ -1046,9 +1046,10 @@ def refuse_ranks(monkeypatch):
 
 
 @pytest.mark.parametrize("d, m, l", COLD_CELLS)
-def test_no_third_cache_serves_a_plan(d, m, l):
-    # once the basis and table caches forget a used cell, its hop ranks and
-    # both tables are rebuilt: no other cache serves them
+def test_no_third_cache_serves_a_plan(d, m, l, monkeypatch):
+    # once the basis and table caches forget a used cell, its hop ranks,
+    # both tables and the output's channel plan are rebuilt: no other cache
+    # serves them
     n = dim(d, m)
     used = sym_operator(d, m, np.eye(n) / n)
     reduce_one(clone_channel(used, l))
@@ -1065,6 +1066,9 @@ def test_no_third_cache_serves_a_plan(d, m, l):
     assert np.array_equal(x.basis.hop_ranks, used.basis.hop_ranks)
     reduce_one(x)  # through the identity table of (d, m, m), built anew
     assert cloner.clone_amplitudes.cache_info().misses == 2
+    refuse_ranks(monkeypatch)
+    with pytest.raises(AssertionError, match="plan was built"):
+        out._diagonal_and_hops()
 
 
 @pytest.mark.parametrize("d, m, l", COLD_CELLS)

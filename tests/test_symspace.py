@@ -316,6 +316,7 @@ class TestReduceOne:
         for name in ("hop_entries", "hop_ranks"):
             array = getattr(basis, name)
             assert getattr(basis, name) is array and not array.flags.writeable
+            assert array.flags.c_contiguous and array.base is None
             with pytest.raises(ValueError):
                 array[0, [0, 1]] = array[0, [1, 0]]
         moves = basis.moves
