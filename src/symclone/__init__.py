@@ -1,9 +1,5 @@
-"""Universal quantum cloning of arbitrary symmetric-subspace states.
-
-Symmetric-basis combinatorics, exact cloning amplitudes, the cloning channel
-with closed-form contraction and fidelity, and a brute-force tensor-product
-oracle that certifies the fast path.
-"""
+"""Universal quantum cloning of arbitrary symmetric-subspace operators, with
+exact amplitudes, closed forms and a brute-force oracle."""
 
 from .closed_forms import (
     bloch_vector,

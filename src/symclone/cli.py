@@ -1,9 +1,6 @@
-"""Command-line front end.
-
-Subcommands: coeffs (amplitude CSV), clone (run the channel on an operator
-file), tables (fidelity/shrink CSV), verify (run a verification suite).
-Exit codes: 0 success, 1 verification failure, 2 usage or IO error; errors
-print a JSON object {"error": ..., "code": ...} on stderr.
+"""The symclone command: coeffs, clone, tables and verify.  Exit codes: 0
+success, 1 verification failure, 2 usage, input or IO error; all but
+argparse's usage errors print one JSON line {"error": ..., "code": 2} on stderr.
 """
 
 from __future__ import annotations

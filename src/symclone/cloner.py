@@ -1,17 +1,5 @@
-"""Cloning amplitudes and the symmetric-subspace cloning channel.
-
-The channel takes an arbitrary operator over the weight-m symmetric basis to
-one over the weight-l basis (l >= m) by distributing l - m additional
-particles across the d levels with exactly computable amplitudes, the
-internal (ancilla) degrees of freedom already traced out.  Squared amplitudes
-are exact rationals; conversion to floating point happens once, at the final
-amplitude.
-
-The output is K scattered, rescaled copies of the d_in x d_in input block
-(Werner's T(X) = (d[m]/d[l]) S_l (X (x) 1) S_l, R. F. Werner, PRA 58, 1827
-(1998)), so it is held as the input operator; the dense d_out x d_out matrix
-is built only when its entries are read.
-"""
+"""Exact cloning amplitudes and the channel T(X) = (d[m]/d[l]) S_l (X (x) 1) S_l
+from weight m to l >= m (R. F. Werner, PRA 58, 1827 (1998))."""
 
 from __future__ import annotations
 
@@ -36,10 +24,7 @@ from .symspace import (
 )
 
 DENSE_GUARD = 1 << 22  # complex entries of a dense channel output (64 MiB)
-# terms per block of the dense view and the Gram matrix; the reduced map's
-# blocks take BLOCK_TERMS // n_in columns, one level's terms at a time, into
-# buffers reused by every block
-BLOCK_TERMS = 1 << 14
+BLOCK_TERMS = 1 << 14  # terms per block of the dense view, the Gram matrix and the reduced map
 
 
 def _prefactor(d: int, m: int, l: int) -> Fraction:
@@ -49,19 +34,11 @@ def _prefactor(d: int, m: int, l: int) -> Fraction:
 
 @dataclass(frozen=True, eq=False)
 class CloneAmplitudes:
-    """Exact squared amplitudes for every (input, added) composition pair.
-
-    alpha^2 of the i-th input and the t-th added composition, both in
-    canonical (lexicographically decreasing) order, is prefactor *
-    occupancy[i, t]: occupancy is a read-only (n_in, K) array of the exact
-    integers prod_p C(j_p + k_p, k_p), and prefactor the one Fraction
-    1 / C(l+d-1, l-m) all entries share.
-
-    Each row of occupancy sums to that denominator, the row total, so no
-    entry, factor or partial product exceeds it.  occupancy is int64 when
-    the row total is below 2**53, where every entry is also an exact
-    double, and an object array of Python ints otherwise.
-    """
+    """Exact amplitudes of (d, m, l): alpha^2 of the i-th input and t-th
+    added composition is prefactor * occupancy[i, t], prefactor =
+    1 / C(l+d-1, l-m).  occupancy, read-only (n_in, K), holds the integers
+    prod_p C(j_p + k_p, k_p); its rows sum to prefactor's denominator, and
+    it is int64 while that is below 2**53, else Python ints."""
 
     d: int
     m: int
@@ -70,31 +47,16 @@ class CloneAmplitudes:
     prefactor: Fraction
 
     def _squared(self, columns: slice = slice(None)) -> np.ndarray:
-        """alpha^2 of the given columns as doubles, the rows in ascending rank.
-
-        The prefactor's numerator is 1.  Python's int / int is correctly
-        rounded, and so is float(Fraction); below 2**53 an int64 entry and
-        the denominator are exact doubles, so their IEEE division is too.
-        Either dtype gives the double nearest the exact alpha^2, the bits of
-        float(prefactor * occupancy), whatever columns are taken at once.
-        """
+        """float64 alpha^2 of the given columns, with float(prefactor *
+        occupancy)'s bits."""
+        # int / int and a division of exact doubles are both correctly rounded
         squared = self.occupancy[:, columns] / self.prefactor.denominator
         return squared.astype(np.float64, copy=False)
 
     @cached_property
     def plan(self) -> tuple[np.ndarray, np.ndarray]:
-        """The channel plan: read-only (n_in, K) arrays idx and v.
-
-        Row i holds the i-th input composition a and column t the t-th
-        added composition k_t, as the table does: the index of a + k_t in
-        the output basis (sum_ranks of the input and the added
-        compositions) and the amplitude alpha(a, k_t).
-
-        The targets within one column are distinct, so a reader that takes
-        the columns in t order adds each output entry's terms in t order,
-        whatever the order of the rows.  Only the dense view and the Gram
-        matrix read the plan; reduce_one reads reduced_map.
-        """
+        """Read-only (n_in, K) arrays: idx, int64, the output rank of
+        a + k_t, distinct within a column, and v, float64, alpha(a, k_t)."""
         d, m, l = self.d, self.m, self.l
         v = np.sqrt(self._squared())
         added = enumerate_basis(d, l - m).counts
@@ -105,57 +67,14 @@ class CloneAmplitudes:
 
     @cached_property
     def reduced_map(self) -> tuple[np.ndarray, np.ndarray]:
-        """reduce_one after the channel, as read-only weights on the input's
-        diagonal and one-hop entries, l >= 1: W_diag and W_hop, complex128
-        with every imaginary part +0.0.  reduce_one weighs complex entries
-        by them, and numpy has no float-by-complex loop: float weights would
-        be cast to complex on every call.  Cast once here, they give every
-        product and matmul the same operands, and so the same bits.
-
+        """reduce_one after the channel, l >= 1, as read-only complex128
+        weights (imaginary parts +0.0) on the input's diagonal and hops,
         W_diag[i, a] = sum_t alpha(a, k_t)^2 (a_i + k_t,i) / l, (d, dim(d, m)),
-        weighs the input's diagonal entry a into output level i.
-        W_hop[j, r] = sum_t alpha(u + e_p, k_t) alpha(u + e_q, k_t)
+        and W_hop[j, r] = sum_t alpha(u + e_p, k_t) alpha(u + e_q, k_t)
         sqrt((u_p + k_t,p + 1)(u_q + k_t,q + 1)) / l, (d(d-1), dim(d, m-1)),
-        weighs the input's hop (u + e_p, u + e_q), u the r-th composition of
-        weight m - 1, into output entry (p, q) of move j, in moves order.
-        The channel and the reduction are linear, and a dyad two or more
-        hops apart reduces to 0 before and after the channel (R. F. Werner,
-        PRA 58, 1827 (1998); M. Keyl and R. F. Werner, J. Math. Phys. 40,
-        3283 (1999)), so these and the source's own diagonal and hops give
-        the output's reduction, and nothing at weight l is built.  At l = m
-        the channel is the identity, K = 1 and every amplitude 1, so the map
-        is the plain reduction, W_diag[i, a] = a_i/m and W_hop =
-        sqrt(u_p + 1) sqrt(u_q + 1)/m: reduce_one weighs a plain operator
-        by it (SymOperator._source_and_table).
-
-        Built from the float squared amplitudes and the input basis's
-        hop_ranks, BLOCK_TERMS terms at a time along K: each term
-        alpha(a, k_t)^2 (a + k_t)_i serves W_diag, and its square root
-        alpha(a, k_t) sqrt((a + k_t)_i), taken at a = u + e_i, the one
-        product per unordered pair (p, q) that W_hop's moves (p, q) and
-        (q, p) share.  Elementwise products and numpy sums, no BLAS call,
-        so the bits do not depend on its thread count.
-
-        Three float buffers, of w = min(BLOCK_TERMS // n_in, K) columns,
-        are allocated once per call and reused by every block: one level's
-        terms (n_in, w), every level's roots at its hop rows (d, n_u, w),
-        n_u = dim(d, m-1), and one level's pair products (d-1, n_u, w).  A
-        block writes into them in place.  It reads its squared amplitudes
-        once; then, one level i at a time, it writes (a_i + k_t,i) alpha^2
-        into the terms, sums their rows into row i of the block's diagonal
-        sums and gathers their hop rows (np.take) into the roots' row i.
-        It adds the diagonal sums to W_diag and roots the gathers, then for
-        each level a takes the products of its pairs (a, a+1), ..., (a, d-1),
-        one slice, summed into that slice of the block's pair sums.  So the
-        block's transient is a fixed few times BLOCK_TERMS doubles, with no
-        all-levels-, gather- or pair-sized temporary.  Every element, and
-        every contiguous sum over w, is the one a (d, n_in, w) block of all
-        levels' terms holds.  Each block, the last and narrower one too,
-        works on C-contiguous prefixes of the buffers, the shapes a block of
-        fresh arrays has: every product is the same one, and every sum along
-        K runs over a contiguous axis of the block's width, which numpy sums
-        pairwise, not one term at a time, so the map keeps its bits.  The
-        sums are divided by l as doubles and only then cast to complex.
+        u the r-th composition of weight m - 1 and (p, q) the j-th move.
+        Dyads two or more hops apart reduce to 0 (M. Keyl and R. F. Werner,
+        J. Math. Phys. 40, 3283 (1999)).  The bits do not depend on BLAS.
         """
         d, m, l = self.d, self.m, self.l
         inputs = enumerate_basis(d, m)
@@ -171,6 +90,7 @@ class CloneAmplitudes:
         pairs = np.zeros((firsts[-1], n_u))
         sums = np.empty_like(pairs)
         width = min(max(1, BLOCK_TERMS // n_in), k)
+        # reused: a block's C-contiguous prefixes sum as a fresh block's arrays
         terms_buffer, g_buffer, products_buffer = (
             np.empty(rows * width) for rows in (n_in, d * n_u, (d - 1) * n_u)
         )
@@ -196,6 +116,7 @@ class CloneAmplitudes:
         # both moves of an unordered pair read its one sum
         lo, hi = np.sort(inputs.moves, axis=0)
         w_hop = pairs[np.array(firsts)[lo] + hi - lo - 1]
+        # numpy has no float-by-complex loop: reduce_one would cast on every call
         w_diag, w_hop = ((a / l).astype(np.complex128) for a in (w_diag, w_hop))
         for a in (w_diag, w_hop):
             a.setflags(write=False)
@@ -204,20 +125,10 @@ class CloneAmplitudes:
 
 @lru_cache(maxsize=None)
 def clone_amplitudes(d: int, m: int, l: int) -> CloneAmplitudes:
-    """Amplitude table for fixed (d, m, l).
-
-    Refuses, before enumerating anything, a table of more than
-    AMPLITUDE_GUARD entries, or of more than 8 * AMPLITUDE_GUARD entries
-    times levels: the table's product and the plan's ranks run over every
-    level of every entry.  A vast request is refused on a cheap bound
-    before any exact binomial is taken (see guarded_dims).
-
-    The table is built one level at a time, in place: each input's row of
-    the Pascal grid, then the added compositions' columns of it, taken into
-    one reused (n_in, K) factor and multiplied into the table.  So the
-    build holds the table, one factor and the small row gathers, about 2.2
-    times the table.
-    """
+    """The CloneAmplitudes of (d, m, l), cached.  Raises
+    InvalidParameterError if l < m or (d, m) has no basis, and, before
+    anything is enumerated, ResourceLimitError for a table of more than
+    AMPLITUDE_GUARD entries or 8 * AMPLITUDE_GUARD entries times levels."""
     if l < m:
         raise InvalidParameterError(f"need l >= m, got l={l}, m={m}")
     n_table = guarded_dims(d, m, l - m)
@@ -248,18 +159,9 @@ def clone_amplitudes(d: int, m: int, l: int) -> CloneAmplitudes:
 
 
 class CloneOutput(SymOperator):
-    """clone_channel's output: its input operator (source) and table (cell).
-
-    A stack of sources gives a stack of outputs.  reduce_one weighs the
-    source's own diagonal and one-hop entries by cell.reduced_map, as it
-    weighs a plain operator's by its identity table's (_source_and_table),
-    so a reduce-only output builds no plan and nothing at weight l, not
-    even its basis, which is built on first read.  entries is a dense view,
-    built on first read through cell.plan and refused beyond DENSE_GUARD
-    entries.
-    The source is never itself a clone output: clone_channel composes a
-    chain into one table (see there).
-    """
+    """clone_channel's output of weight l: its source, never a clone
+    output, and its table, cell.  basis and entries are built on first
+    read; reduce_one reads cell.reduced_map and builds nothing at weight l."""
 
     def __init__(self, source: SymOperator, cell: CloneAmplitudes):
         object.__setattr__(self, "source", source)
@@ -282,17 +184,9 @@ class CloneOutput(SymOperator):
 
     @cached_property
     def entries(self) -> np.ndarray:
-        """The dense output, (dim(d, l), dim(d, l)), or one per operator of
-        the source's stack.
-
-        Refused, before anything is allocated, beyond DENSE_GUARD entries in
-        all.  Row a of column t's block, (v_t v_t^T * x)[a], goes to the
-        output row idx[a, t] and the columns idx[:, t], which are distinct
-        within a column.  The rows are taken t-major, BLOCK_TERMS terms at a
-        time for the whole stack, and each block is one 1-D np.add.at onto
-        a zeroed output, so every entry adds its terms in t order onto
-        +0.0, and each output keeps the bits it has alone.
-        """
+        """The dense read-only complex128 (dim(d, l), dim(d, l)) output, or
+        (B, ., .), each entry's terms added in t order onto +0.0.  Raises
+        ResourceLimitError, before any allocation, past DENSE_GUARD in all."""
         lead, n_out = self.source.entries.shape[:-2], self.basis.size
         batch = math.prod(lead)
         if batch * n_out * n_out > DENSE_GUARD:
@@ -304,6 +198,7 @@ class CloneOutput(SymOperator):
         y = np.zeros(batch * n_out * n_out, dtype=np.complex128)
         x = self.source.entries.reshape(batch, n_in, n_in)
         rows = max(1, BLOCK_TERMS // max(batch * n_in, 1))
+        # rows taken t-major, so one 1-D np.add.at adds an entry's terms in t order
         for start in range(0, k * n_in, rows):
             t, a = np.divmod(np.arange(start, min(start + rows, k * n_in)), n_in)
             # (v_t v_t^T * x)[a], one buffer per factor
@@ -325,21 +220,10 @@ class CloneOutput(SymOperator):
 
 
 def clone_channel(op: SymOperator, l: int) -> CloneOutput:
-    """Extend a weight-m symmetric operator to weight l, ancilla traced out.
-
-    Y[a+k, b+k] += X[a, b] alpha(a, k) alpha(b, k), summed over all added
-    compositions k in canonical order.  Linear in X, trace-preserving, and
-    the identity channel at l = m; a stack of inputs gives a stack of
-    outputs.  The amplitude table's guard applies before anything is
-    enumerated.  The output holds the input and the table: the channel
-    plan is built when the dense view reads it, and reduce_one builds the
-    table's reduced map instead.
-
-    A clone of a clone output is one clone of its source: S_l (S_m' (x) 1)
-    = S_l, so T_{m'->l} T_{m->m'} = T_{m->l} (R. F. Werner, PRA 58, 1827
-    (1998)).  A chain m -> m' -> l costs one clone and holds the table of
-    (d, m, l), whose guard alone admits or refuses it.
-    """
+    """The CloneOutput of op, or of a stack, at weight l: Y[a+k, b+k] +=
+    X[a, b] alpha(a, k) alpha(b, k) over every added k.  A clone of a clone
+    output clones its source, as T_{m'->l} T_{m->m'} = T_{m->l}.  Raises
+    InvalidParameterError if l < m, and clone_amplitudes' ResourceLimitError."""
     if isinstance(op, CloneOutput):
         if l < op.m:
             raise InvalidParameterError(f"need l >= m, got l={l}, m={op.m}")
@@ -348,11 +232,8 @@ def clone_channel(op: SymOperator, l: int) -> CloneOutput:
 
 
 def uqcm_pure_output(d: int, n: int, m: int) -> SymOperator:
-    """Output of cloning n identical level-0 particles into m copies.
-
-    Diagonal over the weight-m basis, with weight alpha(seed, k)^2 on each
-    reachable output composition.
-    """
+    """The diagonal CloneOutput of n particles in level 0 cloned to m.
+    Raises InvalidParameterError unless 1 <= n <= m."""
     if n < 1:
         raise InvalidParameterError(f"need at least one input copy, got {n}")
     if m < n:
@@ -361,14 +242,9 @@ def uqcm_pure_output(d: int, n: int, m: int) -> SymOperator:
 
 
 def isometry_gram(d: int, m: int, l: int) -> np.ndarray:
-    """Gram matrix of the cloning isometry columns over the input basis.
-
-    Entry (a, b) is sum_k alpha(a, k) alpha(b, k) [a+k == b+k], with a+k
-    located by its rank in the output basis, as the channel locates it.  The
-    identity on the diagonal is the amplitude normalization; off it, the
-    rank's injectivity on each {a + k}.  The transformation is an isometry
-    iff this is the identity.
-    """
+    """The (n_in, n_in) float64 Gram matrix sum_k alpha(a, k) alpha(b, k)
+    [rank(a+k) == rank(b+k)], summed in k order, the identity iff the channel
+    is an isometry.  Refusals are clone_amplitudes'."""
     idx, v = clone_amplitudes(d, m, l).plan
     n, k = idx.shape
     # the plan's columns in t order, a block of whole columns at a time,
@@ -386,12 +262,10 @@ def isometry_gram(d: int, m: int, l: int) -> np.ndarray:
 
 
 def concatenate(d: int, n: int, m: int, l: int) -> tuple[SymOperator, SymOperator]:
-    """Two-stage n -> m -> l cloning next to direct n -> l cloning.
-
-    Returns (two-stage output, direct output); the two are equal.  The
-    second stage clones the first's dense view as a plain operator, so the
-    composition law that clone_channel assumes for a chain is tested here.
-    """
+    """(n -> m -> l output, direct n -> l output), equal; the second stage
+    clones the first's dense view, so the chain law is tested, not used.
+    Raises InvalidParameterError unless 1 <= n <= m <= l, and
+    ResourceLimitError past DENSE_GUARD."""
     if not 1 <= n <= m <= l:
         raise InvalidParameterError(f"need 1 <= n <= m <= l, got n={n}, m={m}, l={l}")
     mid = uqcm_pure_output(d, n, m)

@@ -1,16 +1,6 @@
-"""Closed-form shrinking factor and fidelity, plus generalized Bloch vectors.
-
-A single-site operator is a SymOperator of weight 1, as reduce_one returns it.
-
-The single-site reduced output of the cloning channel is the reduced input
-contracted toward the maximally mixed state:
-
-    rho_out_red = eta * rho_in_red + (1 - eta)/d * I,   eta = m(l+d) / (l(m+d))
-
-and the matching single-copy fidelity for n -> m cloning of a pure state is
-F = (n(m+d) + m - n) / (m(n+d)).  Both are exact rationals here; floating
-point appears only at comparison boundaries.
-"""
+"""Exact closed forms, eta = m(l+d) / (l(m+d)) of the contraction law
+rho_out_red = eta rho_in_red + (1 - eta)/d I and the fidelity, and Bloch
+vectors of single-site (weight-1) operators."""
 
 from __future__ import annotations
 
@@ -19,13 +9,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .symspace import InvalidParameterError, SymOperator
-
-HERMITIAN_TOL = 1e-9  # max entry deviation bloch_vector allows from Hermiticity
+from .symspace import InvalidParameterError, SymOperator, require_hermitian
 
 
 def shrink(d: int, m: int, l: int) -> Fraction:
-    """Bloch-vector contraction factor when m symmetric copies become l."""
+    """eta.  Raises InvalidParameterError unless d >= 2 and l >= m >= 1."""
     if d < 2:
         raise InvalidParameterError(f"d must be >= 2, got {d}")
     if m < 1 or l < m:
@@ -34,10 +22,8 @@ def shrink(d: int, m: int, l: int) -> Fraction:
 
 
 def fidelity(d: int, n: int, m: int) -> Fraction:
-    """Single-copy overlap with the input pure state after n -> m cloning.
-
-    Equals (1 + (d-1) * shrink(d, n, m)) / d.
-    """
+    """Single-copy fidelity (n(m+d) + m - n) / (m(n+d)) of n -> m cloning of
+    a pure state.  Raises InvalidParameterError unless d >= 2, m >= n >= 1."""
     if d < 2:
         raise InvalidParameterError(f"d must be >= 2, got {d}")
     if n < 1 or m < n:
@@ -47,14 +33,10 @@ def fidelity(d: int, n: int, m: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def generators(d: int) -> np.ndarray:
-    """Traceless Hermitian generator set with Tr(t_i t_j) = 2 delta_ij, as
-    one read-only (d*d - 1, d, d) array.
-
-    The order is frozen and shared by all file formats: symmetric pair
-    matrices (p < q, row-major), then antisymmetric pairs in the same order,
-    then diagonal matrices by increasing rank.  For d = 2 this is exactly
-    (pauli_x, pauli_y, pauli_z).
-    """
+    """Traceless Hermitian t_i, Tr(t_i t_j) = 2 delta_ij, as a cached read-only
+    (d*d - 1, d, d) complex128 array in a frozen order: symmetric pairs
+    (p < q), antisymmetric pairs, then diagonals; Paulis x, y, z at d = 2.
+    Raises InvalidParameterError for d < 2."""
     if d < 2:
         raise InvalidParameterError(f"d must be >= 2, got {d}")
     p, q = np.triu_indices(d, 1)
@@ -71,21 +53,12 @@ def generators(d: int) -> np.ndarray:
 
 
 def bloch_vector(rho: SymOperator) -> np.ndarray:
-    """Components s_i = Tr(rho t_i) of a single-site operator in
-    generators(d): a (d*d - 1,) array, or (B, d*d - 1) for a stack.
-
-    rho must have weight 1 and be Hermitian within HERMITIAN_TOL; the
-    first operator of a stack that is not is reported.
-    """
+    """float64 s_i = Tr(rho t_i), (d*d - 1,) or (B, d*d - 1).  Raises
+    InvalidParameterError unless rho has weight 1 and is Hermitian."""
     d = rho.d
     _require_one_site(rho, d)
     stack = rho.entries.reshape(-1, d, d)
-    defects = np.max(np.abs(stack - stack.conj().swapaxes(1, 2)), axis=(1, 2))
-    bad = defects > HERMITIAN_TOL
-    if bad.any():
-        raise InvalidParameterError(
-            f"not Hermitian within {HERMITIAN_TOL:g} (max deviation {defects[bad][0]:.3e})"
-        )
+    require_hermitian(stack)
     # one stacked product; each slice is the same gemm as rho @ t_i alone
     product = stack[:, None] @ generators(d)
     s = np.trace(product, axis1=2, axis2=3).real
@@ -100,12 +73,9 @@ def scaling_residual(
     l: int,
     eta_factor: float = 1.0,
 ) -> float | np.ndarray:
-    """Max entrywise deviation of rho_out_red from the contraction law; two
-    stacks of reductions give one deviation per pair.
-
-    eta_factor multiplies the closed-form factor; values other than 1.0 are a
-    negative-control hook for the verification suites.
-    """
+    """Max entry deviation of rho_out_red from the law, or one per pair of
+    stacks; eta_factor scales eta as a negative control.  Raises
+    InvalidParameterError unless both are (d, d) operators of weight 1."""
     eta = _eta(rho_in_red, rho_out_red, d, m, l, eta_factor)
     target = eta * rho_in_red.entries + (1.0 - eta) / d * np.eye(d)
     return np.max(np.abs(rho_out_red.entries - target), axis=(-2, -1))
@@ -119,7 +89,7 @@ def scaling_residual_bloch(
     l: int,
     eta_factor: float = 1.0,
 ) -> float | np.ndarray:
-    """Same contraction law in Bloch components: max_i |s_out_i - eta s_in_i|."""
+    """max_i |s_out_i - eta s_in_i|, with bloch_vector's refusals too."""
     eta = _eta(rho_in_red, rho_out_red, d, m, l, eta_factor)
     s_in = bloch_vector(rho_in_red)
     return np.max(np.abs(bloch_vector(rho_out_red) - eta * s_in), axis=-1)

@@ -1,10 +1,6 @@
-"""Brute-force reference computations in the full d**n tensor-product space.
-
-Ground truth for the symmetric-basis fast path: symmetrized state vectors,
-Werner's cloner built from the symmetrizer with an explicit ancilla, and
-literal partial traces.  It reads no cloning amplitude.  Deliberately
-unoptimized; instances whose dense objects would exceed the memory guard are
-refused rather than swapped.
+"""Brute-force ground truth in the full d**n tensor-product space: Werner's
+cloner built from the symmetrizer with an explicit ancilla, and literal
+partial traces.  It reads no cloning amplitude and no rank of the fast path.
 """
 
 from __future__ import annotations
@@ -27,15 +23,9 @@ MEMORY_GUARD = 1 << 20  # complex entries per dense array
 
 
 def sym_embedding(d: int, m: int) -> np.ndarray:
-    """Matrix whose columns are the symmetrized basis vectors of (d, m).
-
-    Row w is the m-site word w, site 0 most significant.  A word's letters
-    in ascending order name its multiset, and read as a base-d number they
-    sort the multisets as the basis orders their counts (lexicographically
-    decreasing), so sorting the distinct keys places every word in its
-    column without the fast path's rank formula.  Its amplitude is 1/sqrt
-    of that column's word count.  At m = 0 the empty word spans the space.
-    """
+    """E_m, complex128 (d**m, dim(d, m)): column c is basis vector c on the
+    m-site words, site 0 most significant.  Raises ResourceLimitError past
+    MEMORY_GUARD entries."""
     n = dim(d, m)
     if d**m * n > MEMORY_GUARD:
         raise ResourceLimitError(
@@ -44,6 +34,8 @@ def sym_embedding(d: int, m: int) -> np.ndarray:
     words = np.arange(d**m)
     place = d ** np.arange(m - 1, -1, -1)
     digits = words[:, None] // place % d
+    # a word's sorted letters name its multiset, and read in base d they sort
+    # the multisets as the basis orders their counts
     _, col = np.unique(np.sort(digits, axis=1) @ place, return_inverse=True)
     out = np.zeros((d**m, n), dtype=np.complex128)
     out[words, col] = 1 / np.sqrt(np.bincount(col))[col]
@@ -51,8 +43,9 @@ def sym_embedding(d: int, m: int) -> np.ndarray:
 
 
 def reduce_full_to_site(full: np.ndarray, d: int, n_sites: int, site: int = 0) -> SymOperator:
-    """Trace a dense d**n x d**n operator, or a (B, d**n, d**n) stack, down
-    to a single site, an operator of weight 1."""
+    """The weight-1 operator of one site of a dense (d**n_sites, d**n_sites)
+    operator, or a (B, d, d) stack of a stack.  Raises InvalidParameterError
+    for another shape or a site outside [0, n_sites)."""
     size = d**n_sites
     if full.ndim not in (2, 3) or full.shape[-2:] != (size, size):
         raise InvalidParameterError(
@@ -68,17 +61,10 @@ def reduce_full_to_site(full: np.ndarray, d: int, n_sites: int, site: int = 0) -
 
 @lru_cache(maxsize=1)
 def clone_isometry_full(d: int, m: int, l: int) -> np.ndarray:
-    """Stinespring isometry of Werner's cloner, (l sites) tensor (ancilla).
-
-    V = sqrt(d[m]/d[l]) (S_l tensor 1)(E_m tensor |Omega>), where S_l is the
-    symmetrizer on l sites, E_m = sym_embedding(d, m) and |Omega> = sum_j
-    |j>|j> over the l - m extra sites.  Row w * d**(l-m) + j is l-site word w
-    and ancilla word j.  No cloning amplitude is read: the fast path's table
-    is checked against this, not built into it.
-
-    The isometry of the last cell asked for is kept, read-only, so a walk
-    over a grid builds each cell once; one entry stays within the guard.
-    """
+    """V = sqrt(d[m]/d[l]) (S_l (x) 1)(E_m (x) sum_j |j>|j>), read-only
+    (d**(2l-m), dim(d, m)), row w d**(l-m) + j the l-site word w and ancilla
+    word j; the last cell's is kept.  Raises InvalidParameterError if l < m
+    and ResourceLimitError when d**(2l) exceeds MEMORY_GUARD."""
     if l < m:
         raise InvalidParameterError(f"need l >= m, got l={l}, m={m}")
     # bounds S_l, V (d**(2l-m) * dim(d, m) <= d**(2l) entries) and the oracle's
@@ -97,14 +83,9 @@ def clone_isometry_full(d: int, m: int, l: int) -> np.ndarray:
 
 
 def oracle_clone(op: SymOperator, l: int) -> tuple[np.ndarray, SymOperator]:
-    """Clone op through the explicit isometry; trace out ancilla, then sites.
-
-    Returns the dense operator on all l sites and its single-site
-    reduction, taken at site 0, which every other site's equals; a stack
-    of B gives (B, d**l, d**l) operators and B reductions, from one
-    batched contraction each.  Refused, before anything is allocated, if
-    the outputs exceed MEMORY_GUARD entries in all.
-    """
+    """(dense (d**l, d**l) output, its site-0 reduction) of op, or a stack,
+    cloned through clone_isometry_full.  Raises ResourceLimitError, before
+    any allocation, past MEMORY_GUARD entries in all."""
     d, n = op.d, op.basis.size
     entries = op.entries.reshape(-1, n, n)
     batch, size = len(entries), d**l
@@ -125,8 +106,7 @@ def _dagger(a: np.ndarray) -> np.ndarray:
 
 
 def _kron_power(u: np.ndarray, n: int) -> np.ndarray:
-    """u tensored with itself n times, each of a stack apart.  An entry is
-    one product, as in np.kron."""
+    """u tensored with itself n times, each of a stack apart, as np.kron."""
     lead, d = u.shape[:-2], u.shape[-1]
     out = np.ones((*lead, 1, 1), dtype=np.complex128)
     for _ in range(n):
@@ -136,15 +116,9 @@ def _kron_power(u: np.ndarray, n: int) -> np.ndarray:
 
 
 def covariance_check(u: SymOperator, op: SymOperator, l: int) -> float | np.ndarray:
-    """Deviation from single-site covariance under a local unitary u, an
-    operator of weight 1.
-
-    Compares reduce(clone(U op U*)) against u reduce(clone(op)) u*, where U
-    is u applied to every site, restricted to the symmetric subspace; both
-    sides are computed through the full-space construction.  A stack of B
-    unitaries and a stack of B operators give B deviations, with the
-    embedding built once and the oracle run once per side.
-    """
+    """max |reduce(clone(U op U*)) - u reduce(clone(op)) u*|, U = u on every
+    site, by oracle_clone; stacks of B give B.  Raises InvalidParameterError
+    for a u not (d, d) of weight 1 or off unitarity by more than 1e-10."""
     d, m = op.d, op.m
     if u.m != 1 or u.d != d:
         raise InvalidParameterError(
@@ -169,13 +143,8 @@ def covariance_check(u: SymOperator, op: SymOperator, l: int) -> float | np.ndar
 def ginibre_sym_operator(
     d: int, m: int, rng: np.random.Generator, count: int | None = None
 ) -> SymOperator:
-    """Random PSD trace-1 operator over the basis of (d, m), G G* normalized,
-    G complex Gaussian; or a stack of count of them.
-
-    One standard_normal call fills every draw's real block, then its
-    imaginary block, so a stack holds the bits of count draws of one,
-    taken in turn from the same generator.
-    """
+    """G G* / tr, G complex Gaussian over the basis of (d, m), or a stack of
+    count with the bits of count draws of one."""
     basis = enumerate_basis(d, m)
     g = _gaussian_stack(basis.size, 1 if count is None else count, rng)
     x = g @ _dagger(g)
@@ -186,15 +155,8 @@ def ginibre_sym_operator(
 def hermitian_sym_operator(
     d: int, m: int, rng: np.random.Generator, count: int | None = None
 ) -> SymOperator:
-    """Random trace-1 Hermitian operator over the basis of (d, m),
-    generically with negative eigenvalues; or a stack of count of them.
-
-    Each is H / tr(H) from a Gaussian Hermitian H; candidates with
-    |tr(H)| < 0.5 are discarded to keep the normalization well-scaled.
-    Each round draws only as many candidates as draws are still missing,
-    so no candidate past the last kept one is drawn, and a stack and the
-    generator's final state are those of count draws of one.
-    """
+    """H / tr(H), H Gaussian Hermitian with |tr(H)| >= 0.5, or a stack of
+    count with the bits, and final rng state, of count draws of one."""
     basis = enumerate_basis(d, m)
     n, total = basis.size, 1 if count is None else count
     out = np.empty((total, n, n), dtype=np.complex128)
@@ -217,8 +179,8 @@ def _gaussian_stack(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_unitary(d: int, rng: np.random.Generator) -> SymOperator:
-    """Haar-ish random unitary on one site (an operator of weight 1): QR of
-    a complex Ginibre matrix, phases fixed."""
+    """A Haar random (d, d) unitary of weight 1: QR of a complex Ginibre
+    matrix, phases fixed."""
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(g)
     phases = np.diagonal(r) / np.abs(np.diagonal(r))

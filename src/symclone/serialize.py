@@ -1,16 +1,6 @@
-"""File formats shared by the CLI and the verification suites.
-
-Symmetric operators travel as JSON documents:
-
-    { "d": int, "m": int, "basis": "lex_decreasing",
-      "entries": [[re, im], ...] }          # row-major dense, dim^2 pairs
-
-Readers reject documents whose basis tag or entry count disagree with (d, m)
-or whose entries are not finite; unknown keys are ignored, which lets writers
-attach extras such as a reduced operator.  Writers refuse non-finite values,
-which JSON cannot carry.  CSV floats carry 17 significant digits, rationals
-print as "p/q".
-"""
+"""One operator per JSON document, {"d", "m", "basis": "lex_decreasing",
+"entries": row-major [re, im] pairs}, unknown keys ignored; CSV tables with
+17-digit floats and "p/q" rationals."""
 
 from __future__ import annotations
 
@@ -45,6 +35,7 @@ def fmt_composition(counts) -> str:
 
 
 def sym_operator_to_dict(op: SymOperator) -> dict:
+    """op's document.  Raises FormatError for a stack."""
     if op.entries.ndim != 2:
         raise FormatError(f"a document holds one operator, got a stack of {len(op.entries)}")
     return {
@@ -57,6 +48,9 @@ def sym_operator_to_dict(op: SymOperator) -> dict:
 
 
 def sym_operator_from_dict(doc) -> SymOperator:
+    """The document's operator.  Raises FormatError for a missing key or a
+    bad d, m, tag or entry count, before the basis is enumerated, and for an
+    entry that is not a finite pair; enumerate_basis's refusals too."""
     if not isinstance(doc, dict):
         raise FormatError("operator document must be a JSON object")
     for key in ("d", "m", "basis", "entries"):
@@ -101,15 +95,20 @@ def sym_operator_from_dict(doc) -> SymOperator:
 
 
 def read_sym_operator(path) -> SymOperator:
+    """The file's operator.  Raises FormatError for text that is not UTF-8
+    JSON or nests too deep, and sym_operator_from_dict's refusals."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as e:
+        # bad UTF-8, bad JSON and an over-long integer are ValueErrors
+        except (ValueError, RecursionError) as e:
             raise FormatError(f"invalid JSON in {path}: {e}") from e
     return sym_operator_from_dict(doc)
 
 
 def write_sym_operator(path, op: SymOperator, extra: dict | None = None) -> None:
+    """Write op's document with extra's keys.  Raises FormatError, before
+    the file is opened, for a stack or a non-finite value."""
     doc = sym_operator_to_dict(op)
     if extra:
         doc.update(extra)
@@ -123,14 +122,8 @@ def write_sym_operator(path, op: SymOperator, extra: dict | None = None) -> None
 
 def _document_text(doc: dict) -> str:
     """json.dumps(doc, indent=2, sort_keys=True, allow_nan=False), byte for
-    byte, for a document with string keys.
-
-    An indent turns json's C encoder off, and the pure-Python one takes
-    most of a clone's write in its pair lists.  So a value that is a list
-    of [re, im] float pairs is written by the C encoder with no spaces and
-    laid out by two string replaces: no float's text holds a comma or a
-    bracket, and both encoders write a float as float.__repr__.
-    """
+    byte, for a document with string keys."""
+    # an indent turns json's C encoder off: float-pair lists skip the indent
     items = []
     for key in sorted(doc):
         value = doc[key]
@@ -156,13 +149,13 @@ def _pairs_text(pairs: list) -> str:
         # the C encoder's message leaves out the value; the indenting one names it
         json.dumps(pairs, indent=2, allow_nan=False)
         raise
-    # "[[a,b],[c,d]]": every comma starts a line, then the pair boundaries
+    # a float's text holds no comma or bracket: every comma starts a line
     body = flat[2:-2].replace(",", ",\n      ").replace("],\n      [", "\n    ],\n    [\n      ")
     return "[\n    [\n      " + body + "\n    ]\n  ]"
 
 
 def write_amplitudes_csv(path, amps: CloneAmplitudes) -> None:
-    """One row per (input, added) composition pair, in canonical order."""
+    """The table as CSV, a row per (input, added) pair, alpha^2 exact."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -190,7 +183,7 @@ def write_amplitudes_csv(path, amps: CloneAmplitudes) -> None:
 
 
 def write_tables_csv(path, triples) -> None:
-    """Fidelity and shrinking-factor table over (d, n, m) triples."""
+    """fidelity and shrink of each (d, n, m) triple as CSV."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(

@@ -1,10 +1,5 @@
-"""Symmetric-subspace combinatorics for collections of d-level systems.
-
-The permutation-invariant subspace of M qudits is spanned by occupation-number
-states: each basis vector is labelled by a composition, a length-d vector of
-nonnegative counts summing to M.  Everything downstream (cloning channels,
-closed forms, the brute-force oracle, file formats) works in this basis.
-"""
+"""The symmetric subspace of m d-level systems: its basis of compositions
+(count vectors summing to m), operators over it, and their reduction."""
 
 from __future__ import annotations
 
@@ -16,8 +11,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-# exact entries of an amplitude table: 8 B each as int64, 8-50 B as Python ints
-# (measured); 8 times it bounds entries times levels, of a table or a basis
+# exact entries of an amplitude table; 8x bounds a table's or basis's entries times levels
 AMPLITUDE_GUARD = 1 << 20
 DENSITY_TOL = 1e-9  # Hermiticity and unit trace of a density operator, max entry deviation
 
@@ -31,8 +25,8 @@ class ResourceLimitError(RuntimeError):
 
 
 def composition(counts) -> tuple[int, ...]:
-    """Occupation numbers of d >= 2 levels as a tuple of ints; the weight is
-    their sum.  Rejects non-integers, fewer than 2 levels and negative counts."""
+    """counts as a tuple of ints.  Raises InvalidParameterError for a
+    non-integer, fewer than 2 levels or a negative count."""
     try:
         counts = tuple(operator.index(c) for c in counts)
     except TypeError:
@@ -68,24 +62,11 @@ def _compositions(d: int, m: int) -> np.ndarray:
 
 
 def sum_ranks(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
-    """Canonical basis index [i, j] of each weight-m row sum a[i] + b[j], int64.
-
-    Closed form (hockey-stick identity): the compositions before c are those
-    that first exceed it at some position i < d - 1, which number
-    C(rest_i + p_i - 1, p_i) with rest_i = m - (c_0 + ... + c_i) the weight
-    left after position i and p_i = d - i - 1 the positions after it.
-    Prefix sums add, so rest_i = m - A_i - B_i from the prefix sums A of a
-    and B of b, and no sum is built.  The positions are looked up and added
-    a block of rows at a time: one row per block once the output has 2**16
-    entries, so the transient is one index block and its lookup, not d - 1
-    of each; a wide basis with a small output takes many rows per block.
-    composition_rank is the case of one zero row b.
-
-    table[q, r] = C(r + q - 1, q) for r <= m: column 0 is zero and the
-    columns after it are pascal(d, m), so no entry exceeds dim(d, m) and
-    none overflows int64 before the basis does.
-    """
+    """Basis index of each weight-m row sum a[i] + b[j], an int64
+    (len(a), len(b)) array, computed without building the sums."""
     d = a.shape[-1]
+    # rank(c) = sum_i C(rest_i + p_i - 1, p_i), rest_i = m - A_i - B_i (prefix
+    # sums), p_i = d - i - 1; no C(r + p - 1, p) in the table exceeds dim(d, m)
     table = np.zeros((d, m + 1), dtype=np.int64)
     table[:, 1:] = pascal(d, max(m, 0), np.int64)
     # row p_i of the flat table starts at p_i (m + 1)
@@ -107,20 +88,16 @@ def sum_ranks(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
 
 
 def composition_rank(counts: np.ndarray, m: int) -> np.ndarray:
-    """Canonical basis index of each weight-m composition along the last axis."""
+    """Basis index of each weight-m composition along the last axis, int64."""
     d = counts.shape[-1]
     zero = np.zeros((1, d), dtype=np.int64)
     return sum_ranks(counts.reshape(-1, d), zero, m).reshape(counts.shape[:-1])
 
 
 def pascal(rows: int, cols: int, dtype) -> np.ndarray:
-    """grid[a, b] = C(a + b, b) for a < rows and b < cols, in dtype.
-
-    Row a is the running sum of row a - 1 (hockey stick).  The grid is
-    symmetric, so it is built along its longer axis, one cumsum per step of
-    the shorter one, and transposed if that axis is the rows.
-    """
+    """grid[a, b] = C(a + b, b) for a < rows and b < cols, in dtype."""
     short, long = sorted((rows, cols))
+    # the grid is symmetric: one running sum per step of its shorter axis
     grid = np.ones((short, long), dtype=dtype)
     for a in range(1, short):
         np.cumsum(grid[a - 1], out=grid[a])
@@ -129,12 +106,8 @@ def pascal(rows: int, cols: int, dtype) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SymBasis:
-    """Canonical ordering of all compositions of weight m into d parts.
-
-    counts holds the compositions as the rows of a read-only (N, d) integer
-    array, lexicographically decreasing, so for d = 2 the basis index equals
-    the number of particles in level 1.
-    """
+    """The compositions of m into d parts as the rows of counts, a read-only
+    (N, d) int64 array, lexicographically decreasing."""
 
     d: int
     m: int
@@ -146,10 +119,8 @@ class SymBasis:
 
     @cached_property
     def moves(self) -> tuple[np.ndarray, np.ndarray]:
-        """The move levels p and q of every off-diagonal pair (p, q), p != q,
-        as read-only vectors in (p, q) order: the row order of every
-        operator's one-hop array and of a reduced map's W_hop, and where
-        reduce_one adds each row's total."""
+        """Read-only level vectors p and q of every move (p, q), p != q, in
+        (p, q) order, the row order of every hop array and of W_hop."""
         moves = np.nonzero(~np.eye(self.d, dtype=bool))
         for levels in moves:
             levels.setflags(write=False)
@@ -157,19 +128,9 @@ class SymBasis:
 
     @cached_property
     def hop_ranks(self) -> np.ndarray:
-        """The read-only (d, dim(d, m - 1)) table of ranks: entry [i, j] is
-        the rank of u + e_i, u the j-th composition of weight m - 1; (d, 0)
-        at m = 0.
-
-        The compositions of weight m with c_i >= 1 are exactly the u + e_i,
-        and adding e_i keeps the lex order, so row i lists the ranks of the
-        compositions with c_i >= 1, ascending: the nonzero entries of
-        counts' column i, and no basis of weight m - 1 is built.  It is
-        read to build a table's reduced map at its input weight and, as
-        hop_entries, to gather an operator's own hops
-        (SymOperator._diagonal_and_hops); every reduction weighs a source's
-        hops by that map, so nothing reads it at a clone's output weight.
-        """
+        """Read-only (d, dim(d, m - 1)) int64 ranks: [i, j] is the rank of
+        u + e_i, u the j-th composition of weight m - 1; (d, 0) at m = 0."""
+        # the u + e_i are the compositions with c_i >= 1, in u's order;
         # nonzero's column indices are a strided view of its (nnz, 2) result
         ranks = np.nonzero(self.counts.T)[1].reshape(self.d, -1).copy()
         ranks.setflags(write=False)
@@ -177,10 +138,8 @@ class SymBasis:
 
     @cached_property
     def hop_entries(self) -> np.ndarray:
-        """The read-only (d(d-1), dim(d, m - 1)) flat indices of every hop
-        in an N x N matrix raveled: row j, of move (p, q) in moves order,
-        holds hop_ranks[p] N + hop_ranks[q], m >= 1.  One take along the
-        raveled entries gathers every hop of an operator or a stack."""
+        """Read-only (d(d-1), dim(d, m - 1)) int64 indices hop_ranks[p] N +
+        hop_ranks[q] of every hop in a raveled N x N matrix, m >= 1."""
         p, q = self.moves
         entries = self.hop_ranks[p] * self.size + self.hop_ranks[q]
         entries.setflags(write=False)
@@ -189,9 +148,9 @@ class SymBasis:
 
 @lru_cache(maxsize=None)
 def enumerate_basis(d: int, m: int) -> SymBasis:
-    """All compositions of m into d parts, in canonical (lex-decreasing) order;
-    refused, before anything is allocated, beyond clone_amplitudes' bound of
-    8 * AMPLITUDE_GUARD entries times levels (see guarded_dims)."""
+    """The SymBasis of (d, m), cached.  Raises InvalidParameterError for
+    d < 2 or m < 0, and ResourceLimitError, before anything is allocated,
+    when dim(d, m) * d exceeds 8 * AMPLITUDE_GUARD."""
     size = guarded_dims(d, m)
     if size is None or size * d > 8 * AMPLITUDE_GUARD:
         raise ResourceLimitError(
@@ -203,11 +162,9 @@ def enumerate_basis(d: int, m: int) -> SymBasis:
 
 
 def guarded_dims(d: int, *weights: int) -> int | None:
-    """The exact product of dim(d, n) over weights, or None where the cheap
-    bound dim(d, n) = C(n + d - 1, k) >= 2**k, k = min(n, d - 1), puts it
-    times d past 8 * AMPLITUDE_GUARD before any exact binomial is taken.
-    Refusals should print no size from the request, which may have more
-    digits than Python formats."""
+    """The exact product of dim(d, n) over weights, or None, before any
+    exact binomial, when dim(d, n) >= 2**min(n, d - 1) puts it times d past
+    8 * AMPLITUDE_GUARD.  A refusal prints no size: it may pass str's limit."""
     if d >= 2 and min(weights) >= 0:
         bits = sum(min(n, d - 1) for n in weights)
         if d > 8 * AMPLITUDE_GUARD or bits >= (8 * AMPLITUDE_GUARD).bit_length():
@@ -226,18 +183,10 @@ def dim(d: int, m: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class SymOperator:
-    """Complex square matrix over the symmetric basis of (d, m), or a stack.
-    An operator on one site is one of weight 1 (see reduce_one).
-
-    entries is one N x N matrix, N = basis.size, or a (B, N, N) stack of B
-    of them; any other shape is rejected.  The channel is linear, so every
-    function that takes an operator takes a stack too and returns the stack
-    of what it returns for each: reduce_one, clone_channel and its
-    output's entries, oracle_clone, and the random draws with a count.
-    Each operator of a stack keeps the bits it has alone.  trace and
-    validate_density read one operator and refuse a stack, and a document
-    holds one.
-    """
+    """An operator over the basis of (d, m): entries, read-only complex128,
+    is (N, N), N = basis.size, or a (B, N, N) stack; another shape raises
+    InvalidParameterError.  What takes an operator takes a stack and gives
+    each operator's bits alone; trace and validate_density refuse one."""
 
     basis: SymBasis
     entries: np.ndarray
@@ -266,15 +215,8 @@ class SymOperator:
         return complex(np.trace(self.entries))
 
     def _diagonal_and_hops(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """The diagonal, a view, and the one-hop entries as a (d(d-1),
-        dim(d, m-1)) array in the layout of a reduced map's W_hop: one
-        row per move (p, q), the entries at rows hop_ranks[p] and columns
-        hop_ranks[q].  They are gathered by one take of basis.hop_entries
-        along the (..., N N) view of the entries, which builds no index
-        array per call; a gather copies, so each hop has its entry's bits.
-        At m = 0 there are no hops, and None stands for them.  A stack
-        gives a (B, N) and a (B, d(d-1), dim(d, m-1)) array.
-        """
+        """The (N,) diagonal view and a (d(d-1), dim(d, m-1)) copy of the
+        hops in W_hop's layout, None at m = 0, each with a leading B axis."""
         diagonal = np.diagonal(self.entries, axis1=-2, axis2=-1)
         if not self.m:
             return diagonal, None
@@ -283,28 +225,21 @@ class SymOperator:
         return diagonal, flat.take(self.basis.hop_entries, axis=-1)
 
     def _source_and_table(self):
-        """What reduce_one weighs: a plain operator is the identity clone's
-        output, T_{m->m} = id, so its own entries and the table of (d, m, m)."""
+        """What reduce_one weighs: a plain operator is its own identity
+        clone's source, with the table of (d, m, m)."""
         # cloner imports this module, so the table is reached at call time
         from .cloner import clone_amplitudes
 
         return self, clone_amplitudes(self.d, self.m, self.m)
 
     def validate_density(self, check_psd: bool = False) -> None:
-        """Check Hermiticity and unit trace (max entry deviation <= DENSITY_TOL).
-
-        Positivity is advisory: only the trace condition is required of
-        inputs, so with check_psd a negative eigenvalue below -DENSITY_TOL
-        warns rather than rejects.
-        """
+        """Raise InvalidParameterError for a stack, a non-finite entry, or a
+        deviation from Hermiticity or unit trace over DENSITY_TOL; check_psd
+        warns, never refuses, on an eigenvalue below -DENSITY_TOL."""
         _refuse_a_stack(self.entries, "validate_density")
         if not np.isfinite(self.entries).all():
             raise InvalidParameterError("entries must be finite")
-        dev = float(np.max(np.abs(self.entries - self.entries.conj().T)))
-        if dev > DENSITY_TOL:
-            raise InvalidParameterError(
-                f"not Hermitian within {DENSITY_TOL:g} (max deviation {dev:.3e})"
-            )
+        require_hermitian(self.entries)
         tr = self.trace()
         if abs(tr - 1.0) > DENSITY_TOL:
             raise InvalidParameterError(
@@ -316,18 +251,30 @@ class SymOperator:
                 warnings.warn(f"operator has negative eigenvalue {lowest:.3e}")
 
 
+def require_hermitian(entries: np.ndarray) -> None:
+    """Raise InvalidParameterError, with the first offender's deviation, if
+    a matrix of (..., N, N) entries is not Hermitian within DENSITY_TOL."""
+    defects = np.max(np.abs(entries - entries.conj().swapaxes(-1, -2)), axis=(-2, -1))
+    bad = defects > DENSITY_TOL
+    if bad.any():
+        raise InvalidParameterError(
+            f"not Hermitian within {DENSITY_TOL:g} (max deviation {defects[bad][0]:.3e})"
+        )
+
+
 def _refuse_a_stack(entries: np.ndarray, name: str) -> None:
     if entries.ndim != 2:
         raise InvalidParameterError(f"{name} reads one operator, got a stack of {len(entries)}")
 
 
 def sym_operator(d: int, m: int, entries) -> SymOperator:
-    """Wrap a dense matrix as an operator over the canonical basis of (d, m)."""
+    """SymOperator(enumerate_basis(d, m), entries), with their refusals."""
     return SymOperator(enumerate_basis(d, m), entries)
 
 
 def basis_dyad(a, b) -> SymOperator:
-    """|a><b| over the canonical basis; a and b are counts of one d and weight."""
+    """|a><b|.  Raises InvalidParameterError unless a and b are counts of
+    one d and weight."""
     a, b = composition(a), composition(b)
     if len(a) != len(b) or sum(a) != sum(b):
         raise InvalidParameterError("dyad endpoints must live in the same basis")
@@ -339,39 +286,14 @@ def basis_dyad(a, b) -> SymOperator:
 
 
 def basis_projector(c) -> SymOperator:
-    """|c><c| over the canonical basis."""
+    """|c><c|, with basis_dyad's refusals."""
     return basis_dyad(c, c)
 
 
 def reduce_one(op: SymOperator) -> SymOperator:
-    """Single-site reduced operator of a symmetric-subspace operator, m >= 1.
-
-    One site is the weight-1 symmetric subspace, whose basis index is the
-    level (row i of enumerate_basis(d, 1).counts is e_i), so the reduction
-    is a d x d operator of weight 1.  Reducing one gives back its finite
-    entries bit for bit, but for a -0.0 part, which becomes +0.0.
-    Linear and trace-preserving for arbitrary (not necessarily Hermitian or
-    positive) inputs.  For permutation-invariant operators every site gives
-    the same reduction, which is what this computes from diagonal and
-    one-hop entries; a stack gives a stack.  Every operator reduces as a
-    clone output (op._source_and_table): its source's diagonal and hops,
-    weighed by its table's reduced_map.  A plain operator of weight m is
-    the identity clone's output, its own source with the table of
-    (d, m, m); a clone output gives its source and cell.
-
-    The map's weights are complex128 with +0.0 imaginary parts, the dtype
-    they are applied in: numpy has no float-by-complex loop, so float
-    weights would be cast on every call, to the same operands.  Each
-    diagonal entry is one vector dot per operator, the whole stack in one
-    matmul of (1, N) rows by (N, 1) columns: OpenBLAS sums a (d, N)
-    matrix-vector product in another order than a dot.  Each off-diagonal
-    entry (p, q) sums its move's terms strictly in basis order, by a
-    running sum along the move's row, and only the row totals are added to
-    the zeroed output.  That is the order and the +0.0 start of np.add.at
-    over every term, so a row of -0.0 terms still gives +0.0.  The terms
-    are a new array: a source may hand out hops it holds.  Each operator
-    of a stack keeps the bits it has alone.
-    """
+    """The (d, d) single-site reduction, of weight 1, of any operator or
+    stack, linear and trace-preserving; at weight 1 it gives the finite
+    entries' bits, +0.0 for -0.0.  Raises InvalidParameterError at m = 0."""
     if op.m < 1:
         raise InvalidParameterError("single-site reduction needs at least one particle")
     d = op.d
@@ -381,11 +303,12 @@ def reduce_one(op: SymOperator) -> SymOperator:
     p, q = source.basis.moves
     lead = diagonal.shape[:-1]
     out = np.zeros((*lead, d, d), dtype=np.complex128)
-    # a stack of (1, N) @ (N, 1) products, each the dot w_diag[i] @ x
+    # a stack of dots w_diag[i] @ x; a (d, N) matrix-vector product sums otherwise
     out.reshape(*lead, d * d)[..., :: d + 1] = np.matmul(
         w_diag[:, None, :], diagonal[..., None, :, None]
     )[..., 0, 0]
     if hops is not None:  # a clone of a single input state has no hops to weigh
-        terms = w_hop * hops
+        terms = w_hop * hops  # a new array: a source may hand out hops it holds
+        # a running sum along each move's row: np.add.at's order and +0.0 start
         np.add.at(out, (..., p, q), np.add.accumulate(terms, axis=-1, out=terms)[..., -1])
     return sym_operator(d, 1, out)

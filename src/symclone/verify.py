@@ -1,15 +1,12 @@
-"""Verification suites with deterministic, machine-readable reports.
-
-Each suite walks a parameter grid in sorted order, draws its random inputs
-from per-cell seeded generators, and records one residual per case.  A report
-passes iff every case residual is at or below its tolerance.  Reports carry
-no timestamps, so identical arguments produce identical content.
+"""Verification suites.  Each walks a grid in sorted order, draws its inputs
+from per-cell seeded generators and records one residual per case, so the
+same arguments give the same report.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -94,8 +91,8 @@ class RunReport:
         return "pass" if self.passed else "fail"
 
     def to_dict(self) -> dict:
-        """JSON-ready form; a non-finite residual or extra is written as the
-        string "nan", "inf" or "-inf", since JSON has no such numbers."""
+        """JSON-ready form; a non-finite number is the string "nan", "inf"
+        or "-inf"."""
         cases = []
         for c in self.cases:
             entry = {
@@ -130,22 +127,20 @@ def _worst(residuals) -> float:
 
 
 def _case(params: dict, residuals, tol: float, extra: dict | None = None) -> CaseResult:
-    """One case, decided by its worst residual; a non-finite one fails."""
+    """One case, passed iff its worst residual is finite and within tol."""
     worst = _worst(residuals)
     return CaseResult(params, worst, tol, math.isfinite(worst) and worst <= tol, extra or {})
 
 
 def _check_draws(count: int) -> None:
-    """Refuse a negative count of draws per cell; zero draws give cases
-    that pass at zero."""
+    """Raise InvalidParameterError for a negative count of draws per cell."""
     if count < 0:
         raise InvalidParameterError(f"draws per cell must be >= 0, got {count}")
 
 
 def _cell_draws(seed: int, d: int, m: int, l: int, count: int) -> SymOperator:
-    """The cell's draws of every kind as one stack, in _DRAWS order: each
-    kind drawn from its own generator, as that kind's case would draw it
-    alone."""
+    """The cell's draws of every kind, each from its own generator, as one
+    stack in _DRAWS order."""
     stacks = [
         draw(d, m, _cell_rng(seed, d, m, l, code), count=count).entries
         for code, draw in enumerate(_DRAWS.values())
@@ -167,11 +162,9 @@ def scaling_suite(
     max_l: int = 6,
     inputs_per_kind: int = 10,
 ) -> RunReport:
-    """Reduced outputs must contract by the closed-form factor, for PSD and
-    non-PSD trace-1 Hermitian inputs alike.
-
-    A cell's draws of both kinds pass through the channel as one stack, and
-    each kind's case reads its part of the residuals."""
+    """Reduced outputs contract by eta, for Ginibre and indefinite Hermitian
+    inputs; one case per cell and kind.  Raises InvalidParameterError for a
+    negative inputs_per_kind."""
     tol = TOLERANCES["scaling"] if tol is None else tol
     _check_draws(inputs_per_kind)
     cases = []
@@ -208,12 +201,9 @@ def isometry_suite(
     max_m: int = 4,
     max_l: int = 8,
 ) -> RunReport:
-    """Exact algebraic identities: amplitude normalization, isometry Gram,
-    ancilla count, and fidelity-shrink consistency.
-
-    Normalization and fidelity-shrink are checked in integers: each
-    residual is one integer numerator over one integer denominator, and
-    Python's int / int is correctly rounded, as float(Fraction) is."""
+    """Exact identities: amplitude normalization, the isometry Gram, the
+    ancilla count and fidelity against shrink, each rational residual one
+    correctly rounded int / int."""
     tol = TOLERANCES["isometry"] if tol is None else tol
     cases = []
     for d in range(2, max_d + 1):
@@ -259,12 +249,8 @@ def concat_suite(
     dims: tuple[int, ...] = (2, 3),
     max_l: int = 6,
 ) -> RunReport:
-    """Two-stage n -> m -> l cloning must equal direct n -> l cloning.
-
-    The pure seed's output is cloned once per (d, n, j), for every j up to
-    max_l: a case clones the n -> m output's dense view, as a plain
-    operator, to l and compares it with the n -> l output, the law that
-    cloner.concatenate tests."""
+    """Two-stage n -> m -> l cloning of the pure seed, through the dense view
+    of its n -> m output, against direct n -> l cloning."""
     tol = TOLERANCES["concat"] if tol is None else tol
     cases = []
     for d in dims:
@@ -289,12 +275,9 @@ def oracle_suite(
     tol: float | None = None,
     inputs_per_kind: int = 10,
 ) -> RunReport:
-    """Symmetric-basis fast path against the full tensor-product construction:
-    the whole l-site output, restricted to the symmetric subspace, and its
-    single-site reduction.
-
-    A cell's draws of both kinds pass through both sides as one stack, and
-    each kind's case reads its part of the deviations."""
+    """The fast path against oracle_clone at ORACLE_GRID: the dense output,
+    restricted to the symmetric subspace, and its single-site reduction.
+    Raises InvalidParameterError for a negative inputs_per_kind."""
     tol = TOLERANCES["oracle"] if tol is None else tol
     _check_draws(inputs_per_kind)
     cases = []
@@ -319,7 +302,8 @@ def covariance_suite(
     tol: float | None = None,
     unitaries_per_cell: int = 5,
 ) -> RunReport:
-    """Single-site covariance under random local unitaries, full space both sides."""
+    """covariance_check under random local unitaries at ORACLE_GRID.  Raises
+    InvalidParameterError for a negative unitaries_per_cell."""
     tol = TOLERANCES["covariance"] if tol is None else tol
     _check_draws(unitaries_per_cell)
     cases = []
@@ -348,25 +332,14 @@ def run_suite(
     eta_factor: float = 1.0,
     quick: bool = False,
 ) -> RunReport:
-    """Dispatch a named suite; "all" concatenates every suite's cases.
-
-    quick shrinks the grids for smoke runs; the defaults are the full
-    verification grids.
-    """
+    """The RunReport of a named suite, or of "all", every suite's cases with
+    a "suite" param; quick takes QUICK_GRIDS.  Raises InvalidParameterError
+    for an unknown name."""
     if name == "all":
         merged = []
         for sub in SUITES:
             report = run_suite(sub, seed=seed, tol=tol, eta_factor=eta_factor, quick=quick)
-            for c in report.cases:
-                merged.append(
-                    CaseResult(
-                        params={"suite": sub, **c.params},
-                        residual=c.residual,
-                        tol=c.tol,
-                        passed=c.passed,
-                        extra=c.extra,
-                    )
-                )
+            merged += [replace(c, params={"suite": sub, **c.params}) for c in report.cases]
         return RunReport("all", seed, {"suites": list(SUITES)}, tuple(merged))
     if name not in QUICK_GRIDS:
         raise InvalidParameterError(f"unknown suite {name!r}")

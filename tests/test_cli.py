@@ -137,12 +137,18 @@ class TestClone:
         assert main(["clone", str(src), "--l", "1", "--out", str(dst)]) == 0
         assert json.loads(src.read_text())["entries"] == json.loads(dst.read_text())["entries"]
 
-    def test_malformed_document(self, tmp_path, capsys):
-        src = tmp_path / "in.json"
-        src.write_text("{broken")
-        code = main(["clone", str(src), "--l", "2", "--out", str(tmp_path / "o.json")])
+    @pytest.mark.parametrize(
+        "payload",
+        [b"{broken", b"\xff\xfe{}", b"[" * 100000, b'{"d": ' + b"1" * 5000 + b"}"],
+        ids=["broken", "not-utf-8", "deep", "long-integer"],
+    )
+    def test_malformed_document(self, payload, tmp_path, capsys):
+        src, dst = tmp_path / "in.json", tmp_path / "o.json"
+        src.write_bytes(payload)
+        code = main(["clone", str(src), "--l", "2", "--out", str(dst)])
         assert code == 2
         assert json.loads(capsys.readouterr().err)["code"] == 2
+        assert not dst.exists()
 
     def test_basis_tag_mismatch(self, tmp_path, capsys):
         src = tmp_path / "in.json"

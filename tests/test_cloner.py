@@ -304,8 +304,12 @@ class TestStructuredOutput:
                     assert_bitwise_equal(dense[b], clone_channel(draw, l).entries)
 
     def test_dense_view_matches_the_column_loop_bit_for_bit(self):
-        # (3, 20, 24) and (3, 10, 30) split a column's rows over blocks, and
-        # blocks straddle columns
+        # row a of column t's block, (v_t v_t^T * x)[a], goes to output row
+        # idx[a, t] and columns idx[:, t], distinct within a column.  The rows
+        # are taken t-major, BLOCK_TERMS terms per 1-D np.add.at onto a zeroed
+        # output, so every entry adds its terms in t order onto +0.0, as a
+        # walk over the columns does.  (3, 20, 24) and (3, 10, 30) split a
+        # column's rows over blocks, and blocks straddle columns
         def check(x, l):
             for out in (clone_channel(x, l), clone_channel(clone_channel(x, l), l + 1)):
                 if out.basis.size ** 2 <= 1 << 16:
@@ -320,6 +324,8 @@ class TestStructuredOutput:
                     assert_bitwise_equal(out.entries, loop_dense(out))
 
     def test_dense_stack_matches_the_column_loop_bit_for_bit(self):
+        # the scatter offsets each operator's targets by its place in the
+        # stack, so one 1-D np.add.at per block still adds in t order
         for l, draws in self.cell_draws():
             d, m = draws[0].d, draws[0].m
             if 3 * dim(d, l) ** 2 > 1 << 16:
@@ -342,6 +348,9 @@ class TestStructuredOutput:
         assert peak <= y.nbytes + (1 << 20)
 
     def test_reduced_diagonal_matches_a_dot_per_level_bit_for_bit(self):
+        # reduce_one forms each diagonal entry as one vector dot per operator,
+        # the whole stack in one matmul of (1, N) rows by (N, 1) columns:
+        # OpenBLAS sums a (d, N) matrix-vector product in another order
         def check(x, l):
             for op in (x, clone_channel(x, l), clone_channel(clone_channel(x, l), l + 1)):
                 if op.m:
@@ -939,8 +948,18 @@ class TestReducedMap:
             assert np.max(np.abs(w_hop - want)) <= 2e-15, (d, m, l)
 
     def test_map_has_the_bits_of_fresh_block_arrays(self):
-        # the four large cells run 16 to 64 blocks of 1092 to 5461 columns
-        # and (4, 1, 30) two of 4096, each last block narrower than the rest
+        # reduced_map takes w = min(BLOCK_TERMS // n_in, K) columns per block
+        # into three buffers reused by every block: one level's terms
+        # (n_in, w), every level's roots at its hop rows (d, n_u, w) and one
+        # level's pair products (d - 1, n_u, w), n_u = dim(d, m - 1).  One
+        # level i at a time, a block writes (a_i + k_t,i) alpha^2 into the
+        # terms, sums their rows into W_diag[i] and gathers their hop rows;
+        # then the roots' products of each level a's pairs (a, a+1), ...,
+        # (a, d-1), one slice, are summed along K.  Every block, the last
+        # and narrower one too, works on C-contiguous prefixes, the shapes of
+        # fresh arrays, so each product and each pairwise sum along K is the
+        # reference's.  The four large cells run 16 to 64 blocks of 1092 to
+        # 5461 columns and (4, 1, 30) two of 4096
         for d, m, l in self.CELLS + self.EMPTY_INPUT_CELLS:
             table = clone_amplitudes(d, m, l)
             for got, want in zip(table.reduced_map, reference_reduced_map(table), strict=True):
@@ -959,9 +978,11 @@ class TestReducedMap:
 
     @pytest.mark.parametrize("d, m, l", [(4, 1, 114), (5, 2, 35), (3, 1, 830)])
     def test_table_build_peak_is_about_twice_the_table(self, d, m, l):
-        # the table and one level's factor, built in place: 2.25, 2.07 and
-        # 2.34 times the table; a fresh index, gather and product per level
-        # peaked at 3.0 times
+        # clone_amplitudes builds the table one level at a time, in place:
+        # each input's Pascal row, then the added compositions' columns of
+        # it, taken into one reused (n_in, K) factor and multiplied in.  The
+        # table and one level's factor: 2.25, 2.07 and 2.34 times the table;
+        # a fresh index, gather and product per level peaked at 3.0 times
         enumerate_basis(d, m)
         enumerate_basis(d, l - m)
         table, peak = traced_peak(lambda: cloner.clone_amplitudes.__wrapped__(d, m, l))

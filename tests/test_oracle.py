@@ -78,6 +78,8 @@ class TestIsometry:
             v[0, 0] = 1.0
 
     def test_cached_cells_match_fresh_builds(self):
+        # the last cell's isometry is kept, so a walk over a grid builds each
+        # cell once, and a kept isometry has a fresh build's bits
         cells = ((2, 1, 3), (3, 2, 3), (2, 1, 3))
         assert clone_isometry_full(*cells[0]) is clone_isometry_full(*cells[0])
         walked = [clone_isometry_full(*cell).tobytes() for cell in cells]
@@ -342,6 +344,9 @@ def draws_of_one(d, m, kind, count, rng):
 @pytest.mark.parametrize("count", [1, 10])
 @pytest.mark.parametrize("kind", ["ginibre", "hermitian"])
 def test_a_stacked_draw_gives_the_bits_of_draws_of_one(kind, count):
+    # one standard_normal call fills every draw's real block, then its
+    # imaginary block, and each Hermitian round draws only as many
+    # candidates as draws are still missing
     make = {"ginibre": ginibre_sym_operator, "hermitian": hermitian_sym_operator}[kind]
     rejected = 0
     # m = 1 cells reject about 38% of Hermitian candidates

@@ -108,6 +108,9 @@ class TestOperatorDocument:
     @pytest.mark.parametrize("d, m", [(2, 0), (2, 1), (3, 2), (2, 69)])
     @pytest.mark.parametrize("extras", [(), ("reduced",), ("reduced", "oracle_residual")])
     def test_writer_has_the_bytes_of_the_indenting_encoder(self, d, m, extras, tmp_path):
+        # an indent turns json's C encoder off, so the writer sends each list
+        # of [re, im] float pairs through it without spaces and lays the text
+        # out by string replaces: both encoders write float.__repr__
         e = np.array(random_operator(d, m, seed=d + m).entries)
         e[0, -1] = complex(-0.0, 1e-300)
         op = sym_operator(d, m, e)

@@ -96,7 +96,10 @@ class TestEnumerateBasis:
 
     def test_sum_ranks_peak_near_its_output(self):
         # the plan's idx at (4, 1, 114); holding every position's index array
-        # and its lookup at once peaked at 7x the output here
+        # and its lookup at once peaked at 7x the output here.  sum_ranks
+        # looks positions up a block at a time, one per block once the output
+        # has 2**16 entries, so the transient is one index block and its
+        # lookup; a wide basis with a small output takes many per block
         a = enumerate_basis(4, 1).counts[::-1]
         b = enumerate_basis(4, 113).counts
         ranks, peak = traced_peak(lambda: sum_ranks(a, b, 114))
@@ -287,8 +290,11 @@ class TestReduceOne:
         np.testing.assert_allclose(out.entries, full_space_reduction(a, b), atol=1e-12)
 
     def test_ordered_sums_match_add_at_bit_for_bit(self):
-        # off-diagonal entries of -0.0: each move's sum still starts from
-        # +0.0; a NaN real and an infinite imaginary part propagate the same
+        # reduce_one sums each move's terms strictly in basis order, by a
+        # running sum along its row, and adds only the totals to the zeroed
+        # output: np.add.at's order and +0.0 start.  So off-diagonal entries
+        # of -0.0 still give +0.0; a NaN real and an infinite imaginary part
+        # propagate the same
         rng = np.random.default_rng(10)
         for d in (2, 3, 4):
             for m in (1, 2, 3, 5):
@@ -330,7 +336,10 @@ class TestReduceOne:
         "d, m", [(d, m) for d in range(2, 7) for m in range(1, 11)] + [(3, 830), (2, 60)]
     )
     def test_hop_ranks_have_the_bits_of_ranked_sums(self, d, m):
-        # the former build: every u + e_i ranked from the weight-(m-1) basis
+        # the compositions with c_i >= 1 are exactly the u + e_i, and adding
+        # e_i keeps the lex order, so row i is the nonzero rows of counts'
+        # column i; the reference ranks every u + e_i from the weight-(m-1)
+        # basis
         want = sum_ranks(np.eye(d, dtype=np.int64), enumerate_basis(d, m - 1).counts, m)
         got = enumerate_basis(d, m).hop_ranks
         assert got.dtype == want.dtype and got.shape == want.shape
@@ -338,7 +347,9 @@ class TestReduceOne:
 
     @pytest.mark.parametrize("d", range(2, 7))
     def test_one_flat_gather_has_the_bits_of_a_fancy_gather(self, d):
-        # every hop is a copy of one entry, so the layout alone can differ
+        # one take of basis.hop_entries along the (..., N N) view gathers every
+        # hop, with no index array built per call; every hop is a copy of one
+        # entry, so the layout alone can differ
         rng = np.random.default_rng(d)
         for m in range(1, 6):
             basis = enumerate_basis(d, m)

@@ -121,6 +121,8 @@ def isometry_in_fractions():
 
 @pytest.mark.parametrize("seed", [0, 42])
 def test_stacked_suites_keep_every_case_of_the_one_kind_loops(seed):
+    # a cell's draws of both kinds pass through both sides as one stack, and
+    # each kind's case reads its part of the residuals
     assert list(scaling_suite(seed=seed).cases) == scaling_one_kind_at_a_time(seed)
     assert list(oracle_suite(seed=seed).cases) == oracle_one_kind_at_a_time(seed)
 
@@ -130,6 +132,8 @@ def test_concat_suite_keeps_every_case_of_one_concatenate_per_case():
 
 
 def test_integer_identities_keep_every_fraction_residual():
+    # the suite takes each residual as one integer numerator over one integer
+    # denominator; int / int is correctly rounded, as float(Fraction) is
     assert list(isometry_suite().cases) == isometry_in_fractions()
 
 
