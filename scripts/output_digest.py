@@ -7,10 +7,10 @@ Each draw is cloned to l, and that output once more to l + 1, a chain
 that composes to one clone of the draw.  The digest covers, per output, the
 reduce_one bytes (through the table's reduced map and the source's own
 entries) and the dense entries where the output has at most 2**16 of them;
-where the amplitude table's guard refuses a chain's composed cell, it
-covers the error's class name instead.  Two trees that print the same
-digest give the same bits on this grid.  BLAS kernels sum in
-machine-dependent orders, so compare digests from one machine, with
+where a chain's composed table passes ENTRY_GUARD, the one resource guard,
+it covers the ResourceLimitError's class name instead.  Two trees that
+print the same digest give the same bits on this grid.  BLAS kernels sum
+in machine-dependent orders, so compare digests from one machine, with
 OPENBLAS_NUM_THREADS=1.
 """
 

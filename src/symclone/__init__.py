@@ -18,7 +18,6 @@ from .cloner import (
     uqcm_pure_output,
 )
 from .oracle import (
-    MEMORY_GUARD,
     covariance_check,
     ginibre_sym_operator,
     hermitian_sym_operator,
@@ -36,6 +35,7 @@ from .serialize import (
     write_sym_operator,
 )
 from .symspace import (
+    ENTRY_GUARD,
     InvalidParameterError,
     ResourceLimitError,
     SymBasis,

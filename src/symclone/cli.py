@@ -22,11 +22,8 @@ from .serialize import (
     write_sym_operator,
     write_tables_csv,
 )
-from .symspace import InvalidParameterError, ResourceLimitError, reduce_one
+from .symspace import InvalidParameterError, ResourceLimitError, reduce_one, require_room
 from .verify import SUITES, run_suite
-
-
-TABLE_GUARD = 1 << 20  # (d, n, m) points of a tables grid, counted before filtering
 
 
 def _emit_error(message: str, code: int) -> None:
@@ -90,9 +87,8 @@ def _cmd_clone(args) -> int:
 
 def _cmd_tables(args) -> int:
     ds, ns, ms = _parse_range(args.d), _parse_range(args.n), _parse_range(args.m)
-    # len() overflows past sys.maxsize, and the count may be too long to print
-    if math.prod(max(0, r.stop - r.start) for r in (ds, ns, ms)) > TABLE_GUARD:
-        raise ResourceLimitError(f"table grid exceeds the guard of {TABLE_GUARD} (d, n, m) points")
+    # (d, n, m) points before filtering; len() overflows past sys.maxsize
+    require_room(math.prod(max(0, r.stop - r.start) for r in (ds, ns, ms)), "table grid")
     triples = [(d, n, m) for d in ds for n in ns for m in ms if d >= 2 and 1 <= n <= m]
     if not triples:
         raise InvalidParameterError(

@@ -11,19 +11,17 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .symspace import (
-    AMPLITUDE_GUARD,
     InvalidParameterError,
-    ResourceLimitError,
     SymBasis,
     SymOperator,
     basis_projector,
     enumerate_basis,
     guarded_dims,
     pascal,
+    require_room,
     sum_ranks,
 )
 
-DENSE_GUARD = 1 << 22  # complex entries of a dense channel output (64 MiB)
 BLOCK_TERMS = 1 << 14  # terms per block of the dense view, the Gram matrix and the reduced map
 
 
@@ -127,16 +125,13 @@ class CloneAmplitudes:
 def clone_amplitudes(d: int, m: int, l: int) -> CloneAmplitudes:
     """The CloneAmplitudes of (d, m, l), cached.  Raises
     InvalidParameterError if l < m or (d, m) has no basis, and, before
-    anything is enumerated, ResourceLimitError for a table of more than
-    AMPLITUDE_GUARD entries or 8 * AMPLITUDE_GUARD entries times levels."""
+    anything is enumerated, ResourceLimitError for a table past ENTRY_GUARD
+    entries or a basis of (d, m) or (d, l - m) past 8 times it."""
     if l < m:
         raise InvalidParameterError(f"need l >= m, got l={l}, m={m}")
-    n_table = guarded_dims(d, m, l - m)
-    if n_table is None or n_table > AMPLITUDE_GUARD or n_table * d > 8 * AMPLITUDE_GUARD:
-        raise ResourceLimitError(
-            f"amplitude table exceeds the guard of {AMPLITUDE_GUARD} exact entries "
-            f"or {8 * AMPLITUDE_GUARD} entries times levels"
-        )
+    require_room(guarded_dims(d, m, l - m), "amplitude table")
+    for n in (m, l - m):
+        require_room(guarded_dims(d, n, 1), "amplitude table's basis", times=8)
     prefactor = _prefactor(d, m, l)
     # no entry exceeds the row total, so int64 is exact below 2**53
     dtype = np.int64 if prefactor.denominator < 2**53 else object
@@ -186,13 +181,10 @@ class CloneOutput(SymOperator):
     def entries(self) -> np.ndarray:
         """The dense read-only complex128 (dim(d, l), dim(d, l)) output, or
         (B, ., .), each entry's terms added in t order onto +0.0.  Raises
-        ResourceLimitError, before any allocation, past DENSE_GUARD in all."""
+        ResourceLimitError, before any allocation, past 4 * ENTRY_GUARD in all."""
         lead, n_out = self.source.entries.shape[:-2], self.basis.size
         batch = math.prod(lead)
-        if batch * n_out * n_out > DENSE_GUARD:
-            raise ResourceLimitError(
-                f"dense {batch} x {n_out}x{n_out} output exceeds the guard of {DENSE_GUARD} entries"
-            )
+        require_room(batch * n_out * n_out, "dense output", times=4)
         idx, v = self.cell.plan
         n_in, k = idx.shape
         y = np.zeros(batch * n_out * n_out, dtype=np.complex128)
@@ -233,7 +225,8 @@ def clone_channel(op: SymOperator, l: int) -> CloneOutput:
 
 def uqcm_pure_output(d: int, n: int, m: int) -> SymOperator:
     """The diagonal CloneOutput of n particles in level 0 cloned to m.
-    Raises InvalidParameterError unless 1 <= n <= m."""
+    Raises InvalidParameterError unless 1 <= n <= m, and basis_projector's
+    and clone_channel's ResourceLimitError."""
     if n < 1:
         raise InvalidParameterError(f"need at least one input copy, got {n}")
     if m < n:
@@ -244,7 +237,9 @@ def uqcm_pure_output(d: int, n: int, m: int) -> SymOperator:
 def isometry_gram(d: int, m: int, l: int) -> np.ndarray:
     """The (n_in, n_in) float64 Gram matrix sum_k alpha(a, k) alpha(b, k)
     [rank(a+k) == rank(b+k)], summed in k order, the identity iff the channel
-    is an isometry.  Refusals are clone_amplitudes'."""
+    is an isometry.  Raises ResourceLimitError, before anything is built,
+    past 4 * ENTRY_GUARD entries, and clone_amplitudes' refusals."""
+    require_room(guarded_dims(d, m, m), "Gram matrix", times=4)
     idx, v = clone_amplitudes(d, m, l).plan
     n, k = idx.shape
     # the plan's columns in t order, a block of whole columns at a time,
@@ -265,7 +260,7 @@ def concatenate(d: int, n: int, m: int, l: int) -> tuple[SymOperator, SymOperato
     """(n -> m -> l output, direct n -> l output), equal; the second stage
     clones the first's dense view, so the chain law is tested, not used.
     Raises InvalidParameterError unless 1 <= n <= m <= l, and
-    ResourceLimitError past DENSE_GUARD."""
+    ResourceLimitError past 4 * ENTRY_GUARD dense entries."""
     if not 1 <= n <= m <= l:
         raise InvalidParameterError(f"need 1 <= n <= m <= l, got n={n}, m={m}, l={l}")
     mid = uqcm_pure_output(d, n, m)

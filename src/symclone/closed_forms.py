@@ -9,7 +9,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .symspace import InvalidParameterError, SymOperator, require_hermitian
+from .symspace import InvalidParameterError, SymOperator, require_hermitian, require_room
 
 
 def shrink(d: int, m: int, l: int) -> Fraction:
@@ -36,9 +36,11 @@ def generators(d: int) -> np.ndarray:
     """Traceless Hermitian t_i, Tr(t_i t_j) = 2 delta_ij, as a cached read-only
     (d*d - 1, d, d) complex128 array in a frozen order: symmetric pairs
     (p < q), antisymmetric pairs, then diagonals; Paulis x, y, z at d = 2.
-    Raises InvalidParameterError for d < 2."""
+    Raises InvalidParameterError for d < 2, and ResourceLimitError, before
+    any allocation, past 4 * ENTRY_GUARD entries."""
     if d < 2:
         raise InvalidParameterError(f"d must be >= 2, got {d}")
+    require_room((d * d - 1) * d * d, "generator stack", times=4)
     p, q = np.triu_indices(d, 1)
     pairs, half = np.arange(len(p)), len(p)
     out = np.zeros((d * d - 1, d, d), dtype=np.complex128)
@@ -54,10 +56,12 @@ def generators(d: int) -> np.ndarray:
 
 def bloch_vector(rho: SymOperator) -> np.ndarray:
     """float64 s_i = Tr(rho t_i), (d*d - 1,) or (B, d*d - 1).  Raises
-    InvalidParameterError unless rho has weight 1 and is Hermitian."""
+    InvalidParameterError unless rho has weight 1 and is Hermitian, and
+    ResourceLimitError, first, past 4 * ENTRY_GUARD product entries."""
     d = rho.d
     _require_one_site(rho, d)
     stack = rho.entries.reshape(-1, d, d)
+    require_room(len(stack) * (d * d - 1) * d * d, "Bloch product", times=4)
     require_hermitian(stack)
     # one stacked product; each slice is the same gemm as rho @ t_i alone
     product = stack[:, None] @ generators(d)

@@ -12,25 +12,22 @@ import numpy as np
 
 from .symspace import (
     InvalidParameterError,
-    ResourceLimitError,
+    SymBasis,
     SymOperator,
     dim,
     enumerate_basis,
+    guarded_dims,
+    require_room,
     sym_operator,
 )
-
-MEMORY_GUARD = 1 << 20  # complex entries per dense array
 
 
 def sym_embedding(d: int, m: int) -> np.ndarray:
     """E_m, complex128 (d**m, dim(d, m)): column c is basis vector c on the
     m-site words, site 0 most significant.  Raises ResourceLimitError past
-    MEMORY_GUARD entries."""
+    ENTRY_GUARD entries."""
     n = dim(d, m)
-    if d**m * n > MEMORY_GUARD:
-        raise ResourceLimitError(
-            f"dense {d}**{m} x {n} embedding exceeds the guard of {MEMORY_GUARD} entries"
-        )
+    require_room(d**m * n, "oracle array")
     words = np.arange(d**m)
     place = d ** np.arange(m - 1, -1, -1)
     digits = words[:, None] // place % d
@@ -64,15 +61,11 @@ def clone_isometry_full(d: int, m: int, l: int) -> np.ndarray:
     """V = sqrt(d[m]/d[l]) (S_l (x) 1)(E_m (x) sum_j |j>|j>), read-only
     (d**(2l-m), dim(d, m)), row w d**(l-m) + j the l-site word w and ancilla
     word j; the last cell's is kept.  Raises InvalidParameterError if l < m
-    and ResourceLimitError when d**(2l) exceeds MEMORY_GUARD."""
+    and ResourceLimitError when d**(2l) exceeds ENTRY_GUARD."""
     if l < m:
         raise InvalidParameterError(f"need l >= m, got l={l}, m={m}")
-    # bounds S_l, V (d**(2l-m) * dim(d, m) <= d**(2l) entries) and the oracle's
-    # full output alike
-    if d ** (2 * l) > MEMORY_GUARD:
-        raise ResourceLimitError(
-            f"dense {d}**{l} x {d}**{l} operators exceed the guard of {MEMORY_GUARD} entries"
-        )
+    # bounds S_l, V (d**(2l-m) dim(d, m) <= d**(2l) entries) and oracle_clone's output
+    require_room(d ** (2 * l), "oracle array")
     e_l = sym_embedding(d, l)
     e_m = sym_embedding(d, m)
     s = (e_l @ e_l.conj().T).reshape(d**l, d**m, d ** (l - m))
@@ -85,15 +78,11 @@ def clone_isometry_full(d: int, m: int, l: int) -> np.ndarray:
 def oracle_clone(op: SymOperator, l: int) -> tuple[np.ndarray, SymOperator]:
     """(dense (d**l, d**l) output, its site-0 reduction) of op, or a stack,
     cloned through clone_isometry_full.  Raises ResourceLimitError, before
-    any allocation, past MEMORY_GUARD entries in all."""
+    any allocation, past ENTRY_GUARD entries in all."""
     d, n = op.d, op.basis.size
     entries = op.entries.reshape(-1, n, n)
     batch, size = len(entries), d**l
-    if batch * size * size > MEMORY_GUARD:
-        raise ResourceLimitError(
-            f"dense {batch} x {d}**{l} x {d}**{l} output exceeds the guard of "
-            f"{MEMORY_GUARD} entries"
-        )
+    require_room(batch * size * size, "oracle array")
     v = clone_isometry_full(d, op.m, l).reshape(size, -1, n)
     # tr_ancilla(V X V*) by contraction, never forming V X V*
     full = (v[None] @ entries[:, None]).reshape(batch, size, v[0].size)
@@ -144,9 +133,10 @@ def ginibre_sym_operator(
     d: int, m: int, rng: np.random.Generator, count: int | None = None
 ) -> SymOperator:
     """G G* / tr, G complex Gaussian over the basis of (d, m), or a stack of
-    count with the bits of count draws of one."""
-    basis = enumerate_basis(d, m)
-    g = _gaussian_stack(basis.size, 1 if count is None else count, rng)
+    count with the bits of count draws of one.  Raises ResourceLimitError,
+    before the basis is enumerated, past 4 * ENTRY_GUARD entries in all."""
+    basis, total = _draw_basis(d, m, count)
+    g = _gaussian_stack(basis.size, total, rng)
     x = g @ _dagger(g)
     x = x / np.trace(x, axis1=1, axis2=2).real[:, None, None]
     return SymOperator(basis, x[0] if count is None else x)
@@ -156,9 +146,10 @@ def hermitian_sym_operator(
     d: int, m: int, rng: np.random.Generator, count: int | None = None
 ) -> SymOperator:
     """H / tr(H), H Gaussian Hermitian with |tr(H)| >= 0.5, or a stack of
-    count with the bits, and final rng state, of count draws of one."""
-    basis = enumerate_basis(d, m)
-    n, total = basis.size, 1 if count is None else count
+    count with the bits, and final rng state, of count draws of one.
+    Refusals are ginibre_sym_operator's."""
+    basis, total = _draw_basis(d, m, count)
+    n = basis.size
     out = np.empty((total, n, n), dtype=np.complex128)
     done = 0
     while done < total:
@@ -170,6 +161,14 @@ def hermitian_sym_operator(
         np.divide(h, tr[:, None, None], out=out[done : done + len(tr)])
         done += len(tr)
     return SymOperator(basis, out[0] if count is None else out)
+
+
+def _draw_basis(d: int, m: int, count: int | None) -> tuple[SymBasis, int]:
+    """enumerate_basis(d, m) and the number of draws, once they fit."""
+    total = 1 if count is None else count
+    entries = guarded_dims(d, m, m)
+    require_room(None if entries is None else entries * total, "random draws", times=4)
+    return enumerate_basis(d, m), total
 
 
 def _gaussian_stack(n: int, count: int, rng: np.random.Generator) -> np.ndarray:

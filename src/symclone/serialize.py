@@ -68,11 +68,11 @@ def sym_operator_from_dict(doc) -> SymOperator:
     entries = doc["entries"]
     if not isinstance(entries, list):
         raise FormatError(f"entries must be a list of pairs, got {type(entries).__name__}")
-    # dim(d, m) >= max(d, m + 1) for m >= 1: a list shorter than that squared
-    # is refused before any binomial is taken or the basis enumerated
-    count, least = len(entries), max(d, m + 1) ** 2 if m else 1
-    if count < least:
-        raise FormatError(f"expected at least {least} entry pairs for (d={d}, m={m}), got {count}")
+    # dim(d, m) >= max(d, m + 1) for m >= 1: a shorter list is refused before
+    # any binomial, and the message prints no size, which may pass str's limit
+    count = len(entries)
+    if count < (max(d, m + 1) ** 2 if m else 1):
+        raise FormatError(f"too few entry pairs for the document's d and m, got {count}")
     n = dim(d, m)
     if count != n * n:
         raise FormatError(f"expected {n * n} entry pairs for (d={d}, m={m}), got {count}")

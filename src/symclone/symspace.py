@@ -11,8 +11,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-# exact entries of an amplitude table; 8x bounds a table's or basis's entries times levels
-AMPLITUDE_GUARD = 1 << 20
+ENTRY_GUARD = 1 << 20  # entries of an exact table, oracle array or grid; dense 4x, basis counts 8x
 DENSITY_TOL = 1e-9  # Hermiticity and unit trace of a density operator, max entry deviation
 
 
@@ -21,7 +20,15 @@ class InvalidParameterError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A dense object would exceed a memory guard."""
+    """An array would exceed its multiple of ENTRY_GUARD."""
+
+
+def require_room(count: int | None, what: str, times: int = 1) -> None:
+    """Raise ResourceLimitError, with no size from the request (it may pass str's
+    digit limit), if count entries, None when vast, exceed times * ENTRY_GUARD."""
+    limit = times * ENTRY_GUARD
+    if count is None or count > limit:
+        raise ResourceLimitError(f"{what} exceeds the guard of {limit} entries")
 
 
 def composition(counts) -> tuple[int, ...]:
@@ -150,24 +157,20 @@ class SymBasis:
 def enumerate_basis(d: int, m: int) -> SymBasis:
     """The SymBasis of (d, m), cached.  Raises InvalidParameterError for
     d < 2 or m < 0, and ResourceLimitError, before anything is allocated,
-    when dim(d, m) * d exceeds 8 * AMPLITUDE_GUARD."""
-    size = guarded_dims(d, m)
-    if size is None or size * d > 8 * AMPLITUDE_GUARD:
-        raise ResourceLimitError(
-            f"basis exceeds the guard of {8 * AMPLITUDE_GUARD} entries times levels"
-        )
+    when its dim(d, m) * d counts exceed 8 * ENTRY_GUARD."""
+    require_room(guarded_dims(d, m, 1), "basis", times=8)
     counts = _compositions(d, m)
     counts.setflags(write=False)
     return SymBasis(d=d, m=m, counts=counts)
 
 
 def guarded_dims(d: int, *weights: int) -> int | None:
-    """The exact product of dim(d, n) over weights, or None, before any
-    exact binomial, when dim(d, n) >= 2**min(n, d - 1) puts it times d past
-    8 * AMPLITUDE_GUARD.  A refusal prints no size: it may pass str's limit."""
+    """The exact product of dim(d, n) over weights, (m, 1) for a basis's
+    counts and (m, m) for an operator's entries, or None, before any exact
+    binomial, when d or dim(d, n) >= 2**min(n, d - 1) passes 8 * ENTRY_GUARD."""
     if d >= 2 and min(weights) >= 0:
         bits = sum(min(n, d - 1) for n in weights)
-        if d > 8 * AMPLITUDE_GUARD or bits >= (8 * AMPLITUDE_GUARD).bit_length():
+        if d > 8 * ENTRY_GUARD or bits >= (8 * ENTRY_GUARD).bit_length():
             return None
     return math.prod(dim(d, n) for n in weights)
 
@@ -274,10 +277,12 @@ def sym_operator(d: int, m: int, entries) -> SymOperator:
 
 def basis_dyad(a, b) -> SymOperator:
     """|a><b|.  Raises InvalidParameterError unless a and b are counts of
-    one d and weight."""
+    one d and weight, and ResourceLimitError, before the basis is
+    enumerated, past 4 * ENTRY_GUARD entries."""
     a, b = composition(a), composition(b)
     if len(a) != len(b) or sum(a) != sum(b):
         raise InvalidParameterError("dyad endpoints must live in the same basis")
+    require_room(guarded_dims(len(a), sum(a), sum(a)), "dense operator", times=4)
     basis = enumerate_basis(len(a), sum(a))
     i, j = composition_rank(np.array([a, b]), basis.m)
     entries = np.zeros((basis.size, basis.size), dtype=np.complex128)

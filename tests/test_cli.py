@@ -139,8 +139,16 @@ class TestClone:
 
     @pytest.mark.parametrize(
         "payload",
-        [b"{broken", b"\xff\xfe{}", b"[" * 100000, b'{"d": ' + b"1" * 5000 + b"}"],
-        ids=["broken", "not-utf-8", "deep", "long-integer"],
+        [
+            b"{broken",
+            b"\xff\xfe{}",
+            b"[" * 100000,
+            b'{"d": ' + b"1" * 5000 + b"}",
+            # parseable, but the square of d or m has more digits than str prints
+            b'{"d": ' + b"9" * 4000 + b', "m": 1, "basis": "lex_decreasing", "entries": [[1, 0]]}',
+            b'{"d": 2, "m": ' + b"9" * 4000 + b', "basis": "lex_decreasing", "entries": [[1, 0]]}',
+        ],
+        ids=["broken", "not-utf-8", "deep", "long-integer", "huge-d", "huge-m"],
     )
     def test_malformed_document(self, payload, tmp_path, capsys):
         src, dst = tmp_path / "in.json", tmp_path / "o.json"
@@ -265,7 +273,7 @@ class TestClone:
         seconds = time.perf_counter() - start
         assert code == 2 and seconds < 1.0 and peak < 1 << 20
         err = json.loads(capsys.readouterr().err)
-        assert err["code"] == 2 and "entries times levels" in err["error"]
+        assert err["code"] == 2 and "basis exceeds the guard" in err["error"]
         assert not (tmp_path / "o.json").exists()
 
     def test_reduces_the_output_once(self, tmp_path, monkeypatch):

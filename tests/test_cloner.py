@@ -2,6 +2,7 @@ import ast
 import functools
 import json
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,6 +16,8 @@ from paper_formulas import alpha_d_sq, alpha_qubit_sq
 from symclone import cloner, symspace
 from symclone.cli import main
 from symclone.closed_forms import (
+    bloch_vector,
+    generators,
     scaling_residual,
     scaling_residual_bloch,
     shrink,
@@ -393,7 +396,7 @@ class TestStructuredOutput:
 
     def test_dense_stack_guard_counts_the_whole_stack(self):
         # one 1001 x 1001 output fits the guard; five do not
-        assert dim(2, 1000) ** 2 <= cloner.DENSE_GUARD < 5 * dim(2, 1000) ** 2
+        assert dim(2, 1000) ** 2 <= 4 * symspace.ENTRY_GUARD < 5 * dim(2, 1000) ** 2
         out = clone_channel(SymOperator(enumerate_basis(2, 1), np.zeros((5, 2, 2))), 1000)
 
         def refused():
@@ -460,8 +463,8 @@ class TestStructuredOutput:
 TABLE_READERS = ["clone_amplitudes", "isometry_gram", "coeffs"]
 
 
-# (3, 1, 2000) has too many entries; (300000, 0, 1) has 300000, each over
-# 300000 levels
+# (3, 1, 2000) has too many entries; (300000, 0, 1) has 300000, but its
+# added basis has 300000 states over 300000 levels
 @pytest.mark.parametrize(
     "caller, cell",
     [(caller, (3, 1, 2000)) for caller in TABLE_READERS]
@@ -483,6 +486,38 @@ def test_every_amplitude_table_reader_shares_the_guard(caller, cell, monkeypatch
     else:
         with pytest.raises(ResourceLimitError, match="amplitude table"):
             getattr(cloner, caller)(*cell)
+
+
+# a weight of 2**19 has a basis of 2**19 + 1 states, which fits, and a
+# dense square over it of 2**38 entries; d = 1000 has 999999 generators.
+# Each call below once asked the allocator for 2 to 15 TiB
+DENSE_READERS = {
+    "isometry_gram": lambda: (isometry_gram, 2, 2**19, 2**19),
+    "bloch_vector": lambda: (bloch_vector, sym_operator(1000, 1, np.eye(1000) / 1000)),
+    "generators": lambda: (generators, 1000),
+    "basis_projector": lambda: (basis_projector, (2**19, 0)),
+    "uqcm_pure_output": lambda: (uqcm_pure_output, 2, 2**19, 2**19),
+    "ginibre_sym_operator": lambda: (ginibre_sym_operator, 2, 2**19, np.random.default_rng(0)),
+    "hermitian_sym_operator": lambda: (hermitian_sym_operator, 2, 2**19, np.random.default_rng(0)),
+}
+GUARD_MESSAGE = re.compile(r"[A-Za-z' ]+ exceeds the guard of (\d+) entries")
+
+
+@pytest.mark.parametrize("reader", list(DENSE_READERS))
+def test_every_dense_reader_is_refused_by_the_one_guard(reader):
+    fn, *args = DENSE_READERS[reader]()
+
+    def refused():
+        with pytest.raises(ResourceLimitError) as error:
+            fn(*args)
+        return str(error.value)
+
+    message, peak = traced_peak(refused)
+    # the one message, whose only digits are the limit's
+    limit = GUARD_MESSAGE.fullmatch(message)
+    assert limit and int(limit[1]) in (symspace.ENTRY_GUARD, 4 * symspace.ENTRY_GUARD)
+    assert not any(str(n) in message for n in (2**19, 2**19 + 1, 1000, 999999))
+    assert peak < 1 << 20
 
 
 class TestPureOutput:
@@ -615,7 +650,7 @@ class TestChain:
     def test_a_chain_past_its_second_stage_guard_reduces(self, d, m, mid, l):
         # the (d, mid, l) table would be past the guard; the chain reads
         # the (d, m, l) table alone, and builds no plan
-        assert dim(d, mid) * dim(d, l - mid) > symspace.AMPLITUDE_GUARD
+        assert dim(d, mid) * dim(d, l - mid) > symspace.ENTRY_GUARD
         clear_plan_caches()
         x = hermitian_sym_operator(d, m, np.random.default_rng([d, m, l]))
         chain = clone_channel(clone_channel(x, mid), l)

@@ -11,9 +11,9 @@ from hypothesis import assume, example, given, settings
 from paper_formulas import alpha_d_sq
 
 from symclone.cloner import clone_amplitudes
-from symclone.oracle import MEMORY_GUARD, reduce_full_to_site, sym_embedding
+from symclone.oracle import reduce_full_to_site, sym_embedding
 from symclone.symspace import (
-    AMPLITUDE_GUARD,
+    ENTRY_GUARD,
     InvalidParameterError,
     ResourceLimitError,
     basis_dyad,
@@ -133,13 +133,13 @@ class TestEnumerateBasis:
         assert time.perf_counter() - start < 0.5
         assert np.array_equal(ranks, np.arange(len(counts)))
 
-    @pytest.mark.parametrize("d, m", [(8 * AMPLITUDE_GUARD + 1, 0), (2, 4 * AMPLITUDE_GUARD), (10**12, 0)])
+    @pytest.mark.parametrize("d, m", [(8 * ENTRY_GUARD + 1, 0), (2, 4 * ENTRY_GUARD), (10**12, 0)])
     def test_a_basis_beyond_the_guard_is_refused_before_allocation(self, d, m):
-        # the bound clone_amplitudes applies: basis size times levels
-        assert dim(d, m) * d > 8 * AMPLITUDE_GUARD
+        # a basis holds dim(d, m) * d counts, against 8 * ENTRY_GUARD
+        assert dim(d, m) * d > 8 * ENTRY_GUARD
 
         def refused():
-            with pytest.raises(ResourceLimitError, match="entries times levels"):
+            with pytest.raises(ResourceLimitError, match="basis exceeds the guard"):
                 enumerate_basis.__wrapped__(d, m)
 
         _, peak = traced_peak(refused)
@@ -150,7 +150,7 @@ class TestEnumerateBasis:
         # dim(3e5, 3e5) is one binomial of over 180000 digits, which took
         # 2.08 s before the guard refused it
         start = time.perf_counter()
-        with pytest.raises(ResourceLimitError, match="entries times levels") as refused:
+        with pytest.raises(ResourceLimitError, match="basis exceeds the guard") as refused:
             enumerate_basis.__wrapped__(d, m)
         assert time.perf_counter() - start < 0.1
         assert str(d) not in str(refused.value) and str(m) not in str(refused.value)
@@ -216,7 +216,7 @@ class TestMultinomial:
     def test_counts_distinct_permutations(self, counts):
         d, m = len(counts), sum(counts)
         # (4, 7), 16384 words by 120 columns, is beyond the embedding's guard
-        assume(m <= 7 and d**m * dim(d, m) <= MEMORY_GUARD)
+        assume(m <= 7 and d**m * dim(d, m) <= ENTRY_GUARD)
         word = tuple(i for i, n in enumerate(counts) for _ in range(n))
         assert multinomial(counts) == len(set(itertools.permutations(word)))
 
