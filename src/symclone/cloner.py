@@ -22,7 +22,7 @@ from .symspace import (
     sum_ranks,
 )
 
-BLOCK_TERMS = 1 << 14  # terms per block of the dense view, the Gram matrix and the reduced map
+BLOCK_TERMS = 1 << 14  # terms per block of the dense view and the Gram matrix
 
 
 def _prefactor(d: int, m: int, l: int) -> Fraction:
@@ -44,11 +44,10 @@ class CloneAmplitudes:
     occupancy: np.ndarray
     prefactor: Fraction
 
-    def _squared(self, columns: slice = slice(None)) -> np.ndarray:
-        """float64 alpha^2 of the given columns, with float(prefactor *
-        occupancy)'s bits."""
+    def _squared(self) -> np.ndarray:
+        """float64 alpha^2, with float(prefactor * occupancy)'s bits."""
         # int / int and a division of exact doubles are both correctly rounded
-        squared = self.occupancy[:, columns] / self.prefactor.denominator
+        squared = self.occupancy / self.prefactor.denominator
         return squared.astype(np.float64, copy=False)
 
     @cached_property
@@ -66,58 +65,43 @@ class CloneAmplitudes:
     @cached_property
     def reduced_map(self) -> tuple[np.ndarray, np.ndarray]:
         """reduce_one after the channel, l >= 1, as read-only complex128
-        weights (imaginary parts +0.0) on the input's diagonal and hops,
-        W_diag[i, a] = sum_t alpha(a, k_t)^2 (a_i + k_t,i) / l, (d, dim(d, m)),
-        and W_hop[j, r] = sum_t alpha(u + e_p, k_t) alpha(u + e_q, k_t)
-        sqrt((u_p + k_t,p + 1)(u_q + k_t,q + 1)) / l, (d(d-1), dim(d, m-1)),
-        u the r-th composition of weight m - 1 and (p, q) the j-th move.
+        weights (imaginary parts +0.0) on the input's diagonal and hops, read
+        off the integers sums[a, i] = sum_t occupancy[a, t] (a_i + k_t,i):
+        W_diag[i, a] = sums[a, i] / (Q l), (d, dim(d, m)), and W_hop[j, r] =
+        sqrt(u_p + 1) sqrt(u_q + 1) rho / l, (d(d-1), dim(d, m-1)), rho =
+        (sums[rank(u + e_lo), hi] + Q) / ((u_hi + 1) Q), lo < hi the levels
+        p, q of the j-th move and u the r-th composition of weight m - 1;
+        Q is prefactor's denominator and each ratio correctly rounded.
         Dyads two or more hops apart reduce to 0 (M. Keyl and R. F. Werner,
-        J. Math. Phys. 40, 3283 (1999)).  The bits do not depend on BLAS.
+        J. Math. Phys. 40, 3283 (1999)).
         """
         d, m, l = self.d, self.m, self.l
         inputs = enumerate_basis(d, m)
         added = enumerate_basis(d, l - m).counts
-        n_in, k = self.occupancy.shape
-        ranks = inputs.hop_ranks
-        n_u = ranks.shape[1]
-        # the unordered pairs (a, b), a < b, run by a, then b: pair (a, b)
-        # is firsts[a] + b - a - 1, and level a's pairs are one slice
-        firsts = [a * (2 * d - a - 1) // 2 for a in range(d)]
-        w_diag = np.zeros((d, n_in))
-        diagonal_sums = np.empty_like(w_diag)
-        pairs = np.zeros((firsts[-1], n_u))
-        sums = np.empty_like(pairs)
-        width = min(max(1, BLOCK_TERMS // n_in), k)
-        # reused: a block's C-contiguous prefixes sum as a fresh block's arrays
-        terms_buffer, g_buffer, products_buffer = (
-            np.empty(rows * width) for rows in (n_in, d * n_u, (d - 1) * n_u)
-        )
-        for start in range(0, k, width):
-            block = slice(start, start + width)
-            w = min(width, k - start)
-            terms = terms_buffer[: n_in * w].reshape(n_in, w)
-            g = g_buffer[: d * n_u * w].reshape(d, n_u, w)
-            products = products_buffer[: (d - 1) * n_u * w].reshape(d - 1, n_u, w)
-            squared = self._squared(block)
-            for i in range(d):
-                np.add(inputs.counts[:, i, None], added[block, i], out=terms)
-                np.multiply(terms, squared, out=terms)
-                terms.sum(axis=-1, out=diagonal_sums[i])
-                # mode "raise" would copy out; every row is in range
-                np.take(terms, ranks[i], axis=0, out=g[i], mode="clip")
-            w_diag += diagonal_sums
-            np.sqrt(g, out=g)
-            for a in range(d - 1):
-                product = np.multiply(g[a], g[a + 1 :], out=products[: d - 1 - a])
-                product.sum(axis=-1, out=sums[firsts[a] : firsts[a + 1]])
-            pairs += sums
-        # both moves of an unordered pair read its one sum
-        lo, hi = np.sort(inputs.moves, axis=0)
-        w_hop = pairs[np.array(firsts)[lo] + hi - lo - 1]
+        total = self.prefactor.denominator
+        # no integer formed here passes total (l + 1): below 2**53 an int64
+        # ratio divides exact doubles, else Python ints divide
+        exact = np.int64 if total * (l + 1) < 2**53 else object
+        total = np.array(total, dtype=exact)
+        # each row sums to total, so sums[a, i] gains a_i total
+        sums = self.occupancy.astype(exact, copy=False) @ added.astype(exact, copy=False)
+        sums += inputs.counts * total
+        # rows A of u + e_p and B of u + e_q hold A (u_p + 1)(u_q + k_q + 1) =
+        # B (u_q + 1)(u_p + k_p + 1), so a hop's terms sum to sqrt(u_p + 1)
+        # sqrt(u_q + 1) sum_t A (u_q + k_q + 1) / ((u_q + 1) Q l), and
+        # both moves of a pair read the rows of u + e_lo
+        lo, hi = (level[:, None] for level in np.sort(inputs.moves, axis=0))
+        rows = inputs.hop_ranks[lo[:, 0]]
+        # u_lo + 1 and u_hi + 1, read off the row of u + e_lo
+        lo_count, hi_count = inputs.counts[rows, lo], inputs.counts[rows, hi] + 1
+        rho = (sums[rows, hi] + total) / (hi_count * total)
+        w_hop = np.sqrt(lo_count) * np.sqrt(hi_count) * rho.astype(np.float64) / l
         # numpy has no float-by-complex loop: reduce_one would cast on every call
-        w_diag, w_hop = ((a / l).astype(np.complex128) for a in (w_diag, w_hop))
-        for a in (w_diag, w_hop):
-            a.setflags(write=False)
+        w_diag, w_hop = (
+            w.astype(np.complex128, order="C") for w in (sums.T / (total * l), w_hop)
+        )
+        for w in (w_diag, w_hop):
+            w.setflags(write=False)
         return w_diag, w_hop
 
 

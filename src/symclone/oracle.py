@@ -11,6 +11,7 @@ from functools import lru_cache
 import numpy as np
 
 from .symspace import (
+    ENTRY_GUARD,
     InvalidParameterError,
     SymBasis,
     SymOperator,
@@ -22,19 +23,28 @@ from .symspace import (
 )
 
 
+def _words(d: int, n: int) -> int | None:
+    """d**n, the n-site words, or None, before any power, when n and d's
+    bit length alone show that it passes ENTRY_GUARD."""
+    # |d| >= 2**(bits - 1), so |d**n| >= 2**(n (bits - 1))
+    return None if n * (d.bit_length() - 1) >= ENTRY_GUARD.bit_length() else d**n
+
+
 def sym_embedding(d: int, m: int) -> np.ndarray:
     """E_m, complex128 (d**m, dim(d, m)): column c is basis vector c on the
     m-site words, site 0 most significant.  Raises ResourceLimitError past
     ENTRY_GUARD entries."""
+    size = _words(d, m)
+    require_room(size, "oracle array")  # before dim's binomial
     n = dim(d, m)
-    require_room(d**m * n, "oracle array")
-    words = np.arange(d**m)
+    require_room(size * n, "oracle array")
+    words = np.arange(size)
     place = d ** np.arange(m - 1, -1, -1)
     digits = words[:, None] // place % d
     # a word's sorted letters name its multiset, and read in base d they sort
     # the multisets as the basis orders their counts
     _, col = np.unique(np.sort(digits, axis=1) @ place, return_inverse=True)
-    out = np.zeros((d**m, n), dtype=np.complex128)
+    out = np.zeros((size, n), dtype=np.complex128)
     out[words, col] = 1 / np.sqrt(np.bincount(col))[col]
     return out
 
@@ -43,10 +53,11 @@ def reduce_full_to_site(full: np.ndarray, d: int, n_sites: int, site: int = 0) -
     """The weight-1 operator of one site of a dense (d**n_sites, d**n_sites)
     operator, or a (B, d, d) stack of a stack.  Raises InvalidParameterError
     for another shape or a site outside [0, n_sites)."""
-    size = d**n_sites
+    size = _words(d, n_sites)
     if full.ndim not in (2, 3) or full.shape[-2:] != (size, size):
         raise InvalidParameterError(
-            f"expected a {size}x{size} operator or a stack of them, got shape {full.shape}"
+            "expected a square operator of side d**n_sites or a stack of them, "
+            f"got shape {full.shape}"
         )
     if not 0 <= site < n_sites:
         raise InvalidParameterError(f"site must be in [0, {n_sites}), got {site}")
@@ -65,7 +76,7 @@ def clone_isometry_full(d: int, m: int, l: int) -> np.ndarray:
     if l < m:
         raise InvalidParameterError(f"need l >= m, got l={l}, m={m}")
     # bounds S_l, V (d**(2l-m) dim(d, m) <= d**(2l) entries) and oracle_clone's output
-    require_room(d ** (2 * l), "oracle array")
+    require_room(_words(d, 2 * l), "oracle array")
     e_l = sym_embedding(d, l)
     e_m = sym_embedding(d, m)
     s = (e_l @ e_l.conj().T).reshape(d**l, d**m, d ** (l - m))
@@ -81,8 +92,8 @@ def oracle_clone(op: SymOperator, l: int) -> tuple[np.ndarray, SymOperator]:
     any allocation, past ENTRY_GUARD entries in all."""
     d, n = op.d, op.basis.size
     entries = op.entries.reshape(-1, n, n)
-    batch, size = len(entries), d**l
-    require_room(batch * size * size, "oracle array")
+    batch, size = len(entries), _words(d, l)
+    require_room(None if size is None else batch * size * size, "oracle array")
     v = clone_isometry_full(d, op.m, l).reshape(size, -1, n)
     # tr_ancilla(V X V*) by contraction, never forming V X V*
     full = (v[None] @ entries[:, None]).reshape(batch, size, v[0].size)
@@ -133,8 +144,9 @@ def ginibre_sym_operator(
     d: int, m: int, rng: np.random.Generator, count: int | None = None
 ) -> SymOperator:
     """G G* / tr, G complex Gaussian over the basis of (d, m), or a stack of
-    count with the bits of count draws of one.  Raises ResourceLimitError,
-    before the basis is enumerated, past 4 * ENTRY_GUARD entries in all."""
+    count with the bits of count draws of one.  Raises, before the basis is
+    enumerated, InvalidParameterError for a negative count and
+    ResourceLimitError past 4 * ENTRY_GUARD entries in all."""
     basis, total = _draw_basis(d, m, count)
     g = _gaussian_stack(basis.size, total, rng)
     x = g @ _dagger(g)
@@ -166,6 +178,8 @@ def hermitian_sym_operator(
 def _draw_basis(d: int, m: int, count: int | None) -> tuple[SymBasis, int]:
     """enumerate_basis(d, m) and the number of draws, once they fit."""
     total = 1 if count is None else count
+    if total < 0:
+        raise InvalidParameterError("count of draws must be >= 0")
     entries = guarded_dims(d, m, m)
     require_room(None if entries is None else entries * total, "random draws", times=4)
     return enumerate_basis(d, m), total

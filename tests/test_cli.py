@@ -360,9 +360,9 @@ class TestVerify:
 
     @pytest.mark.parametrize("suite", ["scaling", "oracle", "concat"])
     def test_nan_injecting_channel_fails_every_case(self, suite, tmp_path, capsys, monkeypatch):
-        # concat reaches the channel inside cloner.concatenate and uqcm_pure_output;
-        # the scaling and oracle suites clone each case's draws as one stack,
-        # so every draw of the stack is poisoned
+        # concat reaches the channel through verify's own name and inside
+        # uqcm_pure_output, which looks it up in cloner; the scaling and oracle
+        # suites clone each case's draws as one stack, so every draw is poisoned
         exact = cloner.clone_channel
 
         def nan_channel(op, l):

@@ -901,33 +901,6 @@ class TestPlansMatchReference:
         assert np.max(np.abs(gram - np.eye(3))) > 0.1
 
 
-def reference_reduced_map(table):
-    """The reduced map's block loop with fresh arrays in every block: an
-    int64 level array, the terms, a fancy-index gather and its roots, and
-    the products of every unordered pair at once, summed along K over the
-    same block partition."""
-    d, m, l = table.d, table.m, table.l
-    inputs = enumerate_basis(d, m)
-    added = enumerate_basis(d, l - m).counts
-    n_in, k = table.occupancy.shape
-    p, q = inputs.moves
-    upper = np.triu_indices(d, 1)
-    ranks = inputs.hop_ranks if m else np.zeros((d, 0), dtype=np.int64)
-    w_diag = np.zeros((d, n_in))
-    pairs = np.zeros((len(upper[0]), ranks.shape[1]))
-    columns = max(1, cloner.BLOCK_TERMS // n_in)
-    for start in range(0, k, columns):
-        block = slice(start, start + columns)
-        level = inputs.counts.T[:, :, None] + added[block].T[:, None, :]
-        terms = np.multiply(table._squared(block), level, order="C")
-        w_diag += terms.sum(axis=-1)
-        g = np.sqrt(terms[np.arange(d)[:, None], ranks])
-        pairs += (g[upper[0]] * g[upper[1]]).sum(axis=-1)
-    pair = np.zeros((d, d), dtype=np.int64)
-    pair[upper] = np.arange(len(upper[0]))
-    return w_diag / l, pairs[(pair + pair.T)[p, q]] / l
-
-
 def flat_index_occupancy(d, m, l):
     """The table's former build: each level's binomials gathered by one flat
     index into the raveled Pascal grid and multiplied into a fresh array."""
@@ -967,8 +940,7 @@ class TestReducedMap:
         # rho_out = eta rho_in + (1 - eta)/d 1 on a diagonal dyad |a><a| and
         # on a one-hop dyad |u + e_p><u + e_q|, whose reductions are
         # sum_i (a_i/m) |i><i| and sqrt((u_p + 1)(u_q + 1))/m |p><q|.  The
-        # worst deviations were 3.3e-16 and 2.2e-16; summing K one term at a
-        # time, along a strided axis, read 9.8e-15 at (3, 1, 100)
+        # worst deviations from these float evaluations are 1.1e-16 and 2.2e-16
         for d, m, l in self.CELLS:
             w_diag, w_hop = clone_amplitudes(d, m, l).reduced_map
             eta = float(shrink(d, m, l))
@@ -982,23 +954,31 @@ class TestReducedMap:
             assert w_hop.shape == want.shape and not w_hop.flags.writeable
             assert np.max(np.abs(w_hop - want)) <= 2e-15, (d, m, l)
 
-    def test_map_has_the_bits_of_fresh_block_arrays(self):
-        # reduced_map takes w = min(BLOCK_TERMS // n_in, K) columns per block
-        # into three buffers reused by every block: one level's terms
-        # (n_in, w), every level's roots at its hop rows (d, n_u, w) and one
-        # level's pair products (d - 1, n_u, w), n_u = dim(d, m - 1).  One
-        # level i at a time, a block writes (a_i + k_t,i) alpha^2 into the
-        # terms, sums their rows into W_diag[i] and gathers their hop rows;
-        # then the roots' products of each level a's pairs (a, a+1), ...,
-        # (a, d-1), one slice, are summed along K.  Every block, the last
-        # and narrower one too, works on C-contiguous prefixes, the shapes of
-        # fresh arrays, so each product and each pairwise sum along K is the
-        # reference's.  The four large cells run 16 to 64 blocks of 1092 to
-        # 5461 columns and (4, 1, 30) two of 4096
-        for d, m, l in self.CELLS + self.EMPTY_INPUT_CELLS:
+    def test_map_is_the_correctly_rounded_closed_form(self):
+        # W_diag = eta a_i/m + (1 - eta)/d and W_hop = sqrt(u_p + 1)
+        # sqrt(u_q + 1) (l + d)/(m + d) / l, each ratio rounded once, with
+        # eta/m = (l + d)/(l (m + d)) so that m = 0 needs no division by m.
+        # (2, 9, 181) forms integers past 2**53 from an int64 table, and
+        # (2, 12, 150) and (2, 20, 400) have object tables
+        wide = [(2, 9, 181), (2, 12, 150)]
+        for d, m, l in self.CELLS + self.EMPTY_INPUT_CELLS + wide:
             table = clone_amplitudes(d, m, l)
-            for got, want in zip(table.reduced_map, reference_reduced_map(table), strict=True):
-                assert_real_bits(got, want)
+            w_diag, w_hop = table.reduced_map
+            basis = enumerate_basis(d, m)
+            eta_over_m = Fraction(l + d, l * (m + d))
+            rest = (1 - eta_over_m * m) / d
+            want = [[float(eta_over_m * int(a) + rest) for a in level] for level in basis.counts.T]
+            assert_real_bits(w_diag, np.array(want).reshape(d, basis.size))
+            p, q = basis.moves
+            u = enumerate_basis(d, m - 1).counts.T if m else np.zeros((d, 0), dtype=np.int64)
+            rho = float(Fraction(l + d, m + d))
+            assert_real_bits(w_hop, np.sqrt(u[p] + 1) * np.sqrt(u[q] + 1) * rho / l)
+            # the rows of (p, q) and (q, p) are one value
+            reverse = {move: j for j, move in enumerate(zip(p.tolist(), q.tolist()))}
+            assert_bitwise_equal(w_hop, w_hop[[reverse[b, a] for a, b in reverse]])
+        assert clone_amplitudes(2, 9, 181).occupancy.dtype == np.int64
+        assert cloner._prefactor(2, 9, 181).denominator * 182 > 2**53
+        assert clone_amplitudes(2, 12, 150).occupancy.dtype == object
 
     def test_table_has_the_bits_of_the_flat_index_build(self):
         # every map cell, the identity tables of other widths and the object
@@ -1023,17 +1003,16 @@ class TestReducedMap:
         table, peak = traced_peak(lambda: cloner.clone_amplitudes.__wrapped__(d, m, l))
         assert peak < 2.5 * table.occupancy.nbytes
 
-    @pytest.mark.parametrize("d, m, l", [(4, 1, 114), (5, 2, 35), (6, 1, 20)])
-    def test_map_transient_is_a_few_blocks(self, d, m, l):
+    @pytest.mark.parametrize("d, m, l", [(4, 1, 114), (5, 2, 35), (6, 1, 20), (3, 1, 830)])
+    def test_map_transient_is_a_few_kib(self, d, m, l):
         # the map alone, on a fresh table whose bases and hop ranks exist:
-        # 0.66, 0.81 and 0.67 MiB with one level's terms at a time; all
-        # levels' terms at once peaked at 0.91, 1.19 and 1.17 MiB, and fresh
-        # arrays in every block at 1.82, 2.30 and 2.56 MiB
+        # 4.8, 9.1, 5.8 and 4.4 KiB, one (n_in, d) integer contraction and
+        # the small arrays read off it; nothing of length K is allocated
         table = cloner.clone_amplitudes.__wrapped__(d, m, l)
         enumerate_basis(d, m).hop_ranks
         enumerate_basis(d, l - m)
         _, peak = traced_peak(lambda: table.reduced_map)
-        assert peak < 1.0 * 2**20
+        assert peak < 64 << 10
 
     def test_a_single_input_state_maps_to_the_maximally_mixed_state(self):
         for d, l in ((2, 1), (3, 4), (5, 2)):

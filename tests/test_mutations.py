@@ -22,7 +22,9 @@ from symclone.verify import SUITES, run_suite
 # clone, so a hop factor independent of l cancels there, and so do hops
 # gathered transposed: only the oracle suite sees them.  Exchanged plan
 # outputs keep each column injective and the reduced maps whole, so only
-# the dense view's readers, concat and oracle, see them
+# the dense view's readers, concat and oracle, see them.  The reduced maps
+# read the table's integers, not its float squares, so the scaling suite
+# cannot see squared amplitudes off by a factor
 FAILING_CASES = {
     "row 0 swapped": (84, 0, 40, 18, 0),
     "last row swapped": (84, 0, 0, 18, 0),
@@ -30,7 +32,7 @@ FAILING_CASES = {
     "W_hop x (1 + 1e-6)": (0, 0, 0, 28, 0),
     "hops gathered at (q, p)": (0, 0, 0, 28, 0),
     "plan outputs of ranks 0 and 1 exchanged in column 0": (0, 0, 112, 28, 0),
-    "squared amplitudes x (1 + 1e-9)": (48, 78, 112, 28, 0),
+    "squared amplitudes x (1 + 1e-9)": (0, 78, 112, 28, 0),
 }
 
 
@@ -78,8 +80,8 @@ def exchange_plan_outputs(monkeypatch):
 def scale_squared(monkeypatch):
     exact = cloner.CloneAmplitudes._squared
 
-    def scaled(self, columns=slice(None)):
-        return exact(self, columns) * (1 + 1e-9)
+    def scaled(self):
+        return exact(self) * (1 + 1e-9)
 
     monkeypatch.setattr(cloner.CloneAmplitudes, "_squared", scaled)
 

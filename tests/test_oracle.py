@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from conftest import traced_peak
@@ -199,6 +201,41 @@ class TestOracleStack:
         assert clone_isometry_full.cache_info().currsize == 0
 
 
+VAST = 10**7
+# each call against what it raises: d**VAST has about 4.8 million digits
+VAST_REQUESTS = {
+    "sym_embedding": (lambda: sym_embedding(3, VAST), ResourceLimitError),
+    "clone_isometry_full": (lambda: clone_isometry_full(3, 1, VAST), ResourceLimitError),
+    "oracle_clone": (lambda: oracle_clone(basis_projector((1, 0, 0)), VAST), ResourceLimitError),
+    "covariance_check": (
+        lambda: covariance_check(
+            random_unitary(3, np.random.default_rng(0)), basis_projector((1, 0, 0)), VAST
+        ),
+        ResourceLimitError,
+    ),
+    "reduce_full_to_site": (
+        lambda: reduce_full_to_site(np.zeros((2, 2)), 2, VAST),
+        InvalidParameterError,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", VAST_REQUESTS)
+def test_a_vast_oracle_request_is_refused_before_any_power(name):
+    call, error = VAST_REQUESTS[name]
+    clone_isometry_full.cache_clear()
+
+    def refused():
+        with pytest.raises(error) as caught:
+            call()
+        return str(caught.value)
+
+    message, peak = traced_peak(refused)
+    # taking d**VAST alone traces about 2 MiB
+    assert peak < 1 << 20
+    assert str(VAST) not in message and not re.search(r"\d{8}", message), message
+
+
 DRAW_COUNTS = {
     oracle_suite: "inputs_per_kind",
     scaling_suite: "inputs_per_kind",
@@ -374,4 +411,7 @@ def test_a_stack_of_none_draws_nothing():
     state = rng.bit_generator.state
     for make in (ginibre_sym_operator, hermitian_sym_operator):
         assert make(3, 2, rng, count=0).entries.shape == (0, 6, 6)
+        # refused before a basis, here one past the guard, is enumerated
+        with pytest.raises(InvalidParameterError, match="count of draws must be >= 0"):
+            make(2, 10**9, rng, count=-1)
     assert rng.bit_generator.state == state
