@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -25,37 +24,27 @@ from .symspace import (
 BLOCK_TERMS = 1 << 14  # terms per block of the dense view and the Gram matrix
 
 
-def _prefactor(d: int, m: int, l: int) -> Fraction:
-    # (l-m)! (m+d-1)! / (l+d-1)! is 1 / C(l+d-1, l-m), as (l-m) + (m+d-1) = l+d-1
-    return Fraction(1, math.comb(l + d - 1, l - m))
-
-
 @dataclass(frozen=True, eq=False)
 class CloneAmplitudes:
     """Exact amplitudes of (d, m, l): alpha^2 of the i-th input and t-th
-    added composition is prefactor * occupancy[i, t], prefactor =
-    1 / C(l+d-1, l-m).  occupancy, read-only (n_in, K), holds the integers
-    prod_p C(j_p + k_p, k_p); its rows sum to prefactor's denominator, and
-    it is int64 while that is below 2**53, else Python ints."""
+    added composition is occupancy[i, t] / total, total = C(l+d-1, l-m).
+    occupancy, read-only (n_in, K), holds the integers
+    prod_p C(j_p + k_p, k_p); its rows sum to total, and it is int64 while
+    total (l + 1) is below 2**53, else Python ints."""
 
     d: int
     m: int
     l: int
     occupancy: np.ndarray
-    prefactor: Fraction
-
-    def _squared(self) -> np.ndarray:
-        """float64 alpha^2, with float(prefactor * occupancy)'s bits."""
-        # int / int and a division of exact doubles are both correctly rounded
-        squared = self.occupancy / self.prefactor.denominator
-        return squared.astype(np.float64, copy=False)
+    total: int
 
     @cached_property
     def plan(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (n_in, K) arrays: idx, int64, the output rank of
         a + k_t, distinct within a column, and v, float64, alpha(a, k_t)."""
         d, m, l = self.d, self.m, self.l
-        v = np.sqrt(self._squared())
+        # int / int and a division of exact doubles are both correctly rounded
+        v = np.sqrt((self.occupancy / self.total).astype(np.float64, copy=False))
         added = enumerate_basis(d, l - m).counts
         idx = sum_ranks(enumerate_basis(d, m).counts, added, l)
         idx.setflags(write=False)
@@ -71,21 +60,17 @@ class CloneAmplitudes:
         sqrt(u_p + 1) sqrt(u_q + 1) rho / l, (d(d-1), dim(d, m-1)), rho =
         (sums[rank(u + e_lo), hi] + Q) / ((u_hi + 1) Q), lo < hi the levels
         p, q of the j-th move and u the r-th composition of weight m - 1;
-        Q is prefactor's denominator and each ratio correctly rounded.
+        Q is total and each ratio correctly rounded.
         Dyads two or more hops apart reduce to 0 (M. Keyl and R. F. Werner,
         J. Math. Phys. 40, 3283 (1999)).
         """
         d, m, l = self.d, self.m, self.l
         inputs = enumerate_basis(d, m)
         added = enumerate_basis(d, l - m).counts
-        total = self.prefactor.denominator
-        # no integer formed here passes total (l + 1): below 2**53 an int64
-        # ratio divides exact doubles, else Python ints divide
-        exact = np.int64 if total * (l + 1) < 2**53 else object
-        total = np.array(total, dtype=exact)
+        # in the table's dtype: no integer formed here passes total (l + 1)
+        total = np.array(self.total, dtype=self.occupancy.dtype)
         # each row sums to total, so sums[a, i] gains a_i total
-        sums = self.occupancy.astype(exact, copy=False) @ added.astype(exact, copy=False)
-        sums += inputs.counts * total
+        sums = self.occupancy @ added + inputs.counts * total
         # rows A of u + e_p and B of u + e_q hold A (u_p + 1)(u_q + k_q + 1) =
         # B (u_q + 1)(u_p + k_p + 1), so a hop's terms sum to sqrt(u_p + 1)
         # sqrt(u_q + 1) sum_t A (u_q + k_q + 1) / ((u_q + 1) Q l), and
@@ -116,9 +101,11 @@ def clone_amplitudes(d: int, m: int, l: int) -> CloneAmplitudes:
     require_room(guarded_dims(d, m, l - m), "amplitude table")
     for n in (m, l - m):
         require_room(guarded_dims(d, n, 1), "amplitude table's basis", times=8)
-    prefactor = _prefactor(d, m, l)
-    # no entry exceeds the row total, so int64 is exact below 2**53
-    dtype = np.int64 if prefactor.denominator < 2**53 else object
+    # (l-m)! (m+d-1)! / (l+d-1)! is 1 / C(l+d-1, l-m), as (l-m) + (m+d-1) = l+d-1
+    total = math.comb(l + d - 1, l - m)
+    # no reader forms an integer past total (l + 1), so int64 is exact, and
+    # its ratios divide exact doubles, below 2**53
+    dtype = np.int64 if total * (l + 1) < 2**53 else object
     # C(j_p + k_p, k_p) sits at [j_p, k_p]: an input's row, then the added columns
     binom = pascal(m + 1, l - m + 1, dtype)
     inputs = enumerate_basis(d, m).counts
@@ -134,7 +121,7 @@ def clone_amplitudes(d: int, m: int, l: int) -> CloneAmplitudes:
         binom[inputs[:, p]].take(added[:, p], axis=1, out=factor, mode="clip")
         occupancy *= factor
     occupancy.setflags(write=False)
-    return CloneAmplitudes(d=d, m=m, l=l, occupancy=occupancy, prefactor=prefactor)
+    return CloneAmplitudes(d=d, m=m, l=l, occupancy=occupancy, total=total)
 
 
 class CloneOutput(SymOperator):

@@ -193,8 +193,9 @@ def _gaussian_stack(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_unitary(d: int, rng: np.random.Generator) -> SymOperator:
     """A Haar random (d, d) unitary of weight 1: QR of a complex Ginibre
-    matrix, phases fixed."""
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(g)
+    matrix, phases fixed.  Raises ResourceLimitError, before drawing, past
+    4 * ENTRY_GUARD entries."""
+    require_room(d * d, "random unitary", times=4)
+    q, r = np.linalg.qr(_gaussian_stack(d, 1, rng)[0])
     phases = np.diagonal(r) / np.abs(np.diagonal(r))
     return sym_operator(d, 1, q * phases)

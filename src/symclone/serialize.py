@@ -174,10 +174,10 @@ def write_amplitudes_csv(path, amps: CloneAmplitudes) -> None:
         # alpha^2 = n / q, reduced as Fraction reduces it; int / int is
         # correctly rounded, so the float has the bits of float(Fraction).
         # int() keeps every step on Python ints, whatever the table's dtype
-        p, q = amps.prefactor.numerator, amps.prefactor.denominator
+        q = amps.total
         for j, row in zip(inputs, amps.occupancy):
             for k, occupancy in zip(added, row):
-                n = int(occupancy) * p
+                n = int(occupancy)
                 g = math.gcd(n, q)
                 writer.writerow([j, k, n // g, q // g, fmt_float(math.sqrt(n / q))])
 

@@ -35,6 +35,7 @@ from .symspace import (
     SymOperator,
     dim,
     reduce_one,
+    require_room,
     sym_operator,
 )
 
@@ -201,9 +202,9 @@ def isometry_suite(
     max_m: int = 4,
     max_l: int = 8,
 ) -> RunReport:
-    """Exact identities: amplitude normalization, the isometry Gram, the
-    ancilla count and fidelity against shrink, each rational residual one
-    correctly rounded int / int."""
+    """Amplitude normalization, the ancilla count and fidelity against
+    shrink, exact, each residual one correctly rounded int / int, and the
+    float64 isometry Gram against the identity."""
     tol = TOLERANCES["isometry"] if tol is None else tol
     cases = []
     for d in range(2, max_d + 1):
@@ -211,8 +212,8 @@ def isometry_suite(
             for l in range(m, max_l + 1):
                 cell = {"d": d, "m": m, "l": l}
                 amps = clone_amplitudes(d, m, l)
-                # each row's alpha^2 sum is its occupancy sum over the prefactor's denominator
-                q = amps.prefactor.denominator
+                # each row's alpha^2 sum is its occupancy sum over total
+                q = amps.total
                 cases.append(
                     _case(
                         {"check": "normalization", **cell},
@@ -303,9 +304,13 @@ def covariance_suite(
     unitaries_per_cell: int = 5,
 ) -> RunReport:
     """covariance_check under random local unitaries at ORACLE_GRID.  Raises
-    InvalidParameterError for a negative unitaries_per_cell."""
+    InvalidParameterError for a negative unitaries_per_cell and, before any
+    draw, ResourceLimitError for a cell's draws past 4 * ENTRY_GUARD entries."""
     tol = TOLERANCES["covariance"] if tol is None else tol
     _check_draws(unitaries_per_cell)
+    # each cell's draws become one stack, refused before any cell draws
+    largest = max(dim(d, m) ** 2 for d, m, _ in ORACLE_GRID)
+    require_room(unitaries_per_cell * largest, "random draws", times=4)
     cases = []
     for d, m, l in ORACLE_GRID:
         rng = _cell_rng(seed, d, m, l, 7)

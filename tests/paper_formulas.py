@@ -2,7 +2,7 @@
 library's table to.
 
 The library keeps every squared amplitude of a cell as one integer
-occupancy table times one Fraction prefactor (cloner.clone_amplitudes);
+occupancy table over one integer total (cloner.clone_amplitudes);
 these give one (input, added) pair at a time, exactly, as the paper states
 them.
 """

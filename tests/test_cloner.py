@@ -29,7 +29,7 @@ from symclone.cloner import (
     isometry_gram,
     uqcm_pure_output,
 )
-from symclone.oracle import ginibre_sym_operator, hermitian_sym_operator
+from symclone.oracle import ginibre_sym_operator, hermitian_sym_operator, random_unitary
 from symclone.symspace import (
     InvalidParameterError,
     ResourceLimitError,
@@ -96,12 +96,12 @@ class TestAlphaD:
             alpha_d_sq((1, 0), (1, 0, 0), 1, 2)
 
     def test_prefactor_is_one_over_a_binomial(self):
-        # 1 / C(l+d-1, l-m) is the same reduced Fraction as the factorial form
+        # 1 / total is the same reduced Fraction as the factorial form
         f = math.factorial
-        for d in range(2, 9):
-            for m in range(0, 9):
-                for l in range(m, m + 12):
-                    got = cloner._prefactor(d, m, l)
+        for d in range(2, 6):
+            for m in range(0, 6):
+                for l in range(m, m + 8):
+                    got = Fraction(1, clone_amplitudes(d, m, l).total)
                     want = Fraction(f(l - m) * f(m + d - 1), f(l + d - 1))
                     assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
 
@@ -490,7 +490,8 @@ def test_every_amplitude_table_reader_shares_the_guard(caller, cell, monkeypatch
 
 # a weight of 2**19 has a basis of 2**19 + 1 states, which fits, and a
 # dense square over it of 2**38 entries; d = 1000 has 999999 generators.
-# Each call below once asked the allocator for 2 to 15 TiB
+# Each call below once asked the allocator for 2 to 15 TiB, and the
+# unitary of d = 10**5 for 74.5 GiB
 DENSE_READERS = {
     "isometry_gram": lambda: (isometry_gram, 2, 2**19, 2**19),
     "bloch_vector": lambda: (bloch_vector, sym_operator(1000, 1, np.eye(1000) / 1000)),
@@ -499,6 +500,7 @@ DENSE_READERS = {
     "uqcm_pure_output": lambda: (uqcm_pure_output, 2, 2**19, 2**19),
     "ginibre_sym_operator": lambda: (ginibre_sym_operator, 2, 2**19, np.random.default_rng(0)),
     "hermitian_sym_operator": lambda: (hermitian_sym_operator, 2, 2**19, np.random.default_rng(0)),
+    "random_unitary": lambda: (random_unitary, 10**5, np.random.default_rng(0)),
 }
 GUARD_MESSAGE = re.compile(r"[A-Za-z' ]+ exceeds the guard of (\d+) entries")
 
@@ -516,7 +518,7 @@ def test_every_dense_reader_is_refused_by_the_one_guard(reader):
     # the one message, whose only digits are the limit's
     limit = GUARD_MESSAGE.fullmatch(message)
     assert limit and int(limit[1]) in (symspace.ENTRY_GUARD, 4 * symspace.ENTRY_GUARD)
-    assert not any(str(n) in message for n in (2**19, 2**19 + 1, 1000, 999999))
+    assert not any(str(n) in message for n in (2**19, 2**19 + 1, 1000, 999999, 10**5))
     assert peak < 1 << 20
 
 
@@ -801,10 +803,10 @@ class Gathered(SymOperator):
 class TestPlansMatchReference:
     # the seven clone_cold benchmark cells, then two more; at (2, 20, 400)
     # the occupancy products pass 2**63, up to C(400, 20) ~ 2.8e33.  The
-    # table is int64 only while its row total C(l+d-1, l-m) is below 2**53:
-    # (2, 9, 181) sits just under the bound (8.5e15), (2, 12, 150) above it
-    # (2.0e18) yet inside int64, where a float64 division rounds some
-    # entries off the exact quotient
+    # table is int64 only while total (l + 1) is below 2**53, total =
+    # C(l+d-1, l-m): (2, 9, 181) has total 8.5e15 below 2**53 yet past it
+    # times 182, and (2, 12, 150) total 2.0e18 inside int64, where a
+    # float64 division would round some entries off the exact quotient
     BIG_CELLS = {
         (2, 20, 400): object,
         (3, 6, 30): np.int64,
@@ -813,7 +815,7 @@ class TestPlansMatchReference:
         (3, 20, 24): np.int64,
         (3, 1, 100): np.int64,
         (4, 1, 30): np.int64,
-        (2, 9, 181): np.int64,
+        (2, 9, 181): object,
         (2, 12, 150): object,
     }
 
@@ -839,7 +841,7 @@ class TestPlansMatchReference:
                     assert amps.occupancy.shape == (len(inputs), len(added))
                     for i, j in enumerate(inputs):
                         for t, k in enumerate(added):
-                            sq = amps.prefactor * amps.occupancy[i, t]
+                            sq = Fraction(int(amps.occupancy[i, t]), amps.total)
                             want = alpha_d_sq(j, k, m, l)
                             assert (sq.numerator, sq.denominator) == (
                                 want.numerator,
@@ -857,7 +859,7 @@ class TestPlansMatchReference:
         assert amps.occupancy.dtype == np.int64
         for i, j in enumerate(inputs):
             for t, k in enumerate(added):
-                assert amps.prefactor * int(amps.occupancy[i, t]) == alpha_d_sq(j, k, m, l)
+                assert Fraction(int(amps.occupancy[i, t]), amps.total) == alpha_d_sq(j, k, m, l)
 
     def test_reduction_plan(self):
         # a plain operator reduces through the identity clone's map: its
@@ -904,8 +906,8 @@ class TestPlansMatchReference:
 def flat_index_occupancy(d, m, l):
     """The table's former build: each level's binomials gathered by one flat
     index into the raveled Pascal grid and multiplied into a fresh array."""
-    prefactor = cloner._prefactor(d, m, l)
-    dtype = np.int64 if prefactor.denominator < 2**53 else object
+    total = math.comb(l + d - 1, l - m)
+    dtype = np.int64 if total * (l + 1) < 2**53 else object
     binom = pascal(m + 1, l - m + 1, dtype).ravel()
     # C(j_p + k_p, k_p) sits at j_p (l - m + 1) + k_p of the flat grid
     inputs = enumerate_basis(d, m).counts * (l - m + 1)
@@ -958,11 +960,15 @@ class TestReducedMap:
         # W_diag = eta a_i/m + (1 - eta)/d and W_hop = sqrt(u_p + 1)
         # sqrt(u_q + 1) (l + d)/(m + d) / l, each ratio rounded once, with
         # eta/m = (l + d)/(l (m + d)) so that m = 0 needs no division by m.
-        # (2, 9, 181) forms integers past 2**53 from an int64 table, and
-        # (2, 12, 150) and (2, 20, 400) have object tables
-        wide = [(2, 9, 181), (2, 12, 150)]
+        # (2, 6, 288) has the widest int64 table, (2, 9, 181) an object
+        # table whose total is below 2**53, and (2, 12, 150) and
+        # (2, 20, 400) object tables whose totals pass it
+        wide = [(2, 6, 288), (2, 9, 181), (2, 12, 150)]
         for d, m, l in self.CELLS + self.EMPTY_INPUT_CELLS + wide:
             table = clone_amplitudes(d, m, l)
+            # the map's integers reach total (l + 1): one rule serves the table and its map
+            int64 = table.total * (l + 1) < 2**53
+            assert table.occupancy.dtype == (np.int64 if int64 else object), (d, m, l)
             w_diag, w_hop = table.reduced_map
             basis = enumerate_basis(d, m)
             eta_over_m = Fraction(l + d, l * (m + d))
@@ -976,8 +982,10 @@ class TestReducedMap:
             # the rows of (p, q) and (q, p) are one value
             reverse = {move: j for j, move in enumerate(zip(p.tolist(), q.tolist()))}
             assert_bitwise_equal(w_hop, w_hop[[reverse[b, a] for a, b in reverse]])
-        assert clone_amplitudes(2, 9, 181).occupancy.dtype == np.int64
-        assert cloner._prefactor(2, 9, 181).denominator * 182 > 2**53
+        assert clone_amplitudes(2, 6, 288).occupancy.dtype == np.int64
+        assert clone_amplitudes(2, 6, 288).total * 289 > 2**52
+        assert clone_amplitudes(2, 9, 181).occupancy.dtype == object
+        assert clone_amplitudes(2, 9, 181).total < 2**53
         assert clone_amplitudes(2, 12, 150).occupancy.dtype == object
 
     def test_table_has_the_bits_of_the_flat_index_build(self):
@@ -1162,7 +1170,7 @@ def test_gathering_hops_reduces_no_input(d, m, l):
 
 
 @pytest.mark.parametrize("d, m, l", COLD_CELLS)
-def test_cold_clone_builds_one_fraction(d, m, l, monkeypatch):
+def test_cold_clone_builds_no_fraction(d, m, l, monkeypatch):
     clear_plan_caches()
     made = []
     original = Fraction.__new__
@@ -1174,8 +1182,7 @@ def test_cold_clone_builds_one_fraction(d, m, l, monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", counting)
     n = dim(d, m)
     reduce_one(clone_channel(sym_operator(d, m, np.eye(n) / n), l))
-    assert len(made) == 1
-    assert made[0] is clone_amplitudes(d, m, l).prefactor
+    assert made == []
 
 
 def run_on_swapped_tables(suite, monkeypatch):

@@ -4,7 +4,7 @@ A mutant is a fault a real bug could make in the fast path: a permuted
 amplitude table, reached through every module that looks clone_amplitudes
 up; reduced maps whose hop weights are off by a factor independent of l;
 a source's hops gathered transposed; two outputs of a channel plan
-exchanged; or float squared amplitudes off by a relative 1e-9.  The table
+exchanged; or the plan's squared amplitudes off by a relative 1e-9.  The table
 pins each suite's count of failing cases per mutant, so a change
 that blinds a suite to a fault, or lets it see one it did not, shows here.
 """
@@ -23,7 +23,7 @@ from symclone.verify import SUITES, run_suite
 # gathered transposed: only the oracle suite sees them.  Exchanged plan
 # outputs keep each column injective and the reduced maps whole, so only
 # the dense view's readers, concat and oracle, see them.  The reduced maps
-# read the table's integers, not its float squares, so the scaling suite
+# read the table's integers, not the plan's amplitudes, so the scaling suite
 # cannot see squared amplitudes off by a factor
 FAILING_CASES = {
     "row 0 swapped": (84, 0, 40, 18, 0),
@@ -78,12 +78,13 @@ def exchange_plan_outputs(monkeypatch):
 
 
 def scale_squared(monkeypatch):
-    exact = cloner.CloneAmplitudes._squared
+    exact = cloner.CloneAmplitudes.__dict__["plan"].func
 
     def scaled(self):
-        return exact(self) * (1 + 1e-9)
+        idx, v = exact(self)
+        return idx, v * np.sqrt(1 + 1e-9)
 
-    monkeypatch.setattr(cloner.CloneAmplitudes, "_squared", scaled)
+    monkeypatch.setattr(cloner.CloneAmplitudes, "plan", property(scaled))
 
 
 MUTANTS = {

@@ -255,6 +255,22 @@ def test_a_negative_draw_count_is_refused(suite):
         suite(**{DRAW_COUNTS[suite]: -1})
 
 
+@pytest.mark.parametrize("suite", DRAW_COUNTS)
+def test_a_vast_draw_count_is_refused_before_any_draw(suite):
+    # 2**22 draws of one unitary each once ran the covariance suite for
+    # longer than 15 s before oracle_clone's guard could refuse the stack
+    count = 3 * 2**21
+
+    def refused():
+        with pytest.raises(ResourceLimitError, match="random draws") as caught:
+            suite(**{DRAW_COUNTS[suite]: count})
+        return str(caught.value)
+
+    message, peak = traced_peak(refused)
+    assert peak < 1 << 20
+    assert str(count) not in message and str(4 * ENTRY_GUARD) in message
+
+
 class TestReduceFullToSite:
     def test_product_state(self):
         a = np.diag([0.25, 0.75])
@@ -355,6 +371,16 @@ class TestRandomInputs:
         )
         again = random_unitary(3, np.random.default_rng(19))
         assert np.array_equal(u.entries, again.entries)
+
+    def test_random_unitary_draws_the_real_block_then_the_imaginary(self):
+        # the bits, and the generator's final state, of two (d, d) draws
+        rng, want_rng = np.random.default_rng(23), np.random.default_rng(23)
+        u = random_unitary(4, rng)
+        g = want_rng.standard_normal((4, 4)) + 1j * want_rng.standard_normal((4, 4))
+        q, r = np.linalg.qr(g)
+        phases = np.diagonal(r) / np.abs(np.diagonal(r))
+        assert u.entries.tobytes() == (q * phases).tobytes()
+        assert rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def draws_of_one(d, m, kind, count, rng):

@@ -10,6 +10,7 @@ report keeps its bytes.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -102,7 +103,7 @@ def isometry_in_fractions():
             for l in range(m, 9):
                 cell = {"d": d, "m": m, "l": l}
                 amps = clone_amplitudes(d, m, l)
-                totals = amps.prefactor * amps.occupancy.sum(axis=1)
+                totals = [Fraction(int(s), amps.total) for s in amps.occupancy.sum(axis=1)]
                 devs = [abs(float(total - 1)) for total in totals]
                 cases.append(case({"check": "normalization", **cell}, devs, tol))
                 gram = isometry_gram(d, m, l)
