@@ -305,12 +305,12 @@ def covariance_suite(
 ) -> RunReport:
     """covariance_check under random local unitaries at ORACLE_GRID.  Raises
     InvalidParameterError for a negative unitaries_per_cell and, before any
-    draw, ResourceLimitError for a cell's draws past 4 * ENTRY_GUARD entries."""
+    draw, oracle_clone's ResourceLimitError for a stack of them at any cell."""
     tol = TOLERANCES["covariance"] if tol is None else tol
     _check_draws(unitaries_per_cell)
-    # each cell's draws become one stack, refused before any cell draws
-    largest = max(dim(d, m) ** 2 for d, m, _ in ORACLE_GRID)
-    require_room(unitaries_per_cell * largest, "random draws", times=4)
+    # oracle_clone's bound on each cell's stack, which also bounds its draws
+    largest = max(d ** (2 * l) for d, _, l in ORACLE_GRID)
+    require_room(unitaries_per_cell * largest, "oracle array")
     cases = []
     for d, m, l in ORACLE_GRID:
         rng = _cell_rng(seed, d, m, l, 7)

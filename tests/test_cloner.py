@@ -37,6 +37,7 @@ from symclone.symspace import (
     basis_projector,
     dim,
     enumerate_basis,
+    guarded_dims,
     pascal,
     reduce_one,
     sym_operator,
@@ -96,12 +97,15 @@ class TestAlphaD:
             alpha_d_sq((1, 0), (1, 0, 0), 1, 2)
 
     def test_prefactor_is_one_over_a_binomial(self):
-        # 1 / total is the same reduced Fraction as the factorial form
+        # 1 / total is the same reduced Fraction as the factorial form, at
+        # every cell the guard admits; the uncached builds hold no table
         f = math.factorial
-        for d in range(2, 6):
-            for m in range(0, 6):
-                for l in range(m, m + 8):
-                    got = Fraction(1, clone_amplitudes(d, m, l).total)
+        for d in range(2, 9):
+            for m in range(0, 9):
+                for l in range(m, m + 12):
+                    if guarded_dims(d, m, l - m) > symspace.ENTRY_GUARD:
+                        continue
+                    got = Fraction(1, clone_amplitudes.__wrapped__(d, m, l).total)
                     want = Fraction(f(l - m) * f(m + d - 1), f(l + d - 1))
                     assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
 

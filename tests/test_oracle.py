@@ -26,6 +26,7 @@ from symclone.symspace import (
     reduce_one,
     sym_operator,
 )
+from symclone import verify
 from symclone.verify import ORACLE_GRID, covariance_suite, oracle_suite, scaling_suite
 
 
@@ -255,6 +256,15 @@ def test_a_negative_draw_count_is_refused(suite):
         suite(**{DRAW_COUNTS[suite]: -1})
 
 
+# the refusal of a vast count: the oracle and scaling suites draw each cell
+# as one stack, and the covariance suite bounds its stacks before it draws
+VAST_DRAW_REFUSALS = {
+    oracle_suite: f"random draws exceeds the guard of {4 * ENTRY_GUARD} entries",
+    scaling_suite: f"random draws exceeds the guard of {4 * ENTRY_GUARD} entries",
+    covariance_suite: f"oracle array exceeds the guard of {ENTRY_GUARD} entries",
+}
+
+
 @pytest.mark.parametrize("suite", DRAW_COUNTS)
 def test_a_vast_draw_count_is_refused_before_any_draw(suite):
     # 2**22 draws of one unitary each once ran the covariance suite for
@@ -262,13 +272,48 @@ def test_a_vast_draw_count_is_refused_before_any_draw(suite):
     count = 3 * 2**21
 
     def refused():
-        with pytest.raises(ResourceLimitError, match="random draws") as caught:
+        with pytest.raises(ResourceLimitError) as caught:
             suite(**{DRAW_COUNTS[suite]: count})
         return str(caught.value)
 
     message, peak = traced_peak(refused)
     assert peak < 1 << 20
-    assert str(count) not in message and str(4 * ENTRY_GUARD) in message
+    assert message == VAST_DRAW_REFUSALS[suite]
+
+
+class DrawTaken(Exception):
+    pass
+
+
+def take_no_unitary(d, rng):
+    raise DrawTaken
+
+
+# oracle_clone's largest array per draw over ORACLE_GRID, 3**6 at (3, 1, 3)
+# and (3, 2, 3): past 2**20 // 729 = 1438 draws some cell's stack is refused
+ADMITTED_DRAWS = ENTRY_GUARD // max(d ** (2 * l) for d, _, l in ORACLE_GRID)
+
+
+@pytest.mark.parametrize("count", [ADMITTED_DRAWS + 1, 4097, 65537, 116_000])
+def test_a_covariance_count_oracle_clone_refuses_is_refused_before_any_draw(
+    count, monkeypatch
+):
+    # the cells before the first refusing one would take every draw first
+    monkeypatch.setattr(verify, "random_unitary", take_no_unitary)
+    with pytest.raises(ResourceLimitError, match="oracle array"):
+        covariance_suite(unitaries_per_cell=count)
+    # and oracle_clone itself refuses such a stack, at (3, 2, 3)
+    d, m, l = ORACLE_GRID[-1]
+    stack = sym_operator(d, m, np.zeros((count, dim(d, m), dim(d, m))))
+    with pytest.raises(ResourceLimitError, match="oracle array"):
+        oracle_clone(stack, l)
+
+
+def test_the_largest_covariance_count_oracle_clone_admits_draws(monkeypatch):
+    assert ADMITTED_DRAWS == 1438
+    monkeypatch.setattr(verify, "random_unitary", take_no_unitary)
+    with pytest.raises(DrawTaken):
+        covariance_suite(unitaries_per_cell=ADMITTED_DRAWS)
 
 
 class TestReduceFullToSite:
