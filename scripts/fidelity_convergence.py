@@ -10,8 +10,8 @@ import argparse
 from fractions import Fraction
 
 from symclone.closed_forms import fidelity
-from symclone.cloner import uqcm_pure_output
-from symclone.symspace import reduce_one
+from symclone.cloner import clone_amplitudes, uqcm_pure_output
+from symclone.symspace import enumerate_basis, reduce_one
 
 
 def main():
@@ -29,6 +29,9 @@ def main():
         red = reduce_one(uqcm_pure_output(args.d, args.n, m))
         simulated = f"{red.entries[0, 0].real:.10f}"
         print(f"{m:<4} {str(f):<12} {float(f):<12.10f} {simulated:<12}")
+        # the caches would keep every m's tables and bases
+        clone_amplitudes.cache_clear()
+        enumerate_basis.cache_clear()
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ from .serialize import (
     read_sym_operator,
     sym_operator_to_dict,
     write_amplitudes_csv,
+    write_document,
     write_sym_operator,
     write_tables_csv,
 )
@@ -30,13 +31,14 @@ def _emit_error(message: str, code: int) -> None:
     print(json.dumps({"error": message, "code": code}), file=sys.stderr)
 
 
-def _finite_float(text: str) -> float:
+def _finite_float(text: str, least: float = -math.inf) -> float:
     try:
         value = float(text)
     except ValueError:
         value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    if not (math.isfinite(value) and value >= least):
+        bound = f" >= {least:g}" if math.isfinite(least) else ""
+        raise argparse.ArgumentTypeError(f"expected a finite number{bound}, got {text!r}")
     return value
 
 
@@ -108,9 +110,7 @@ def _cmd_verify(args) -> int:
         quick=args.quick,
     )
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
-            fh.write("\n")
+        write_document(args.out, report.to_dict())
     for case in report.cases:
         status = "PASS" if case.passed else "FAIL"
         desc = " ".join(f"{key}={value}" for key, value in case.params.items())
@@ -171,7 +171,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=SUITES + ("all",), help="suite to run")
     p.add_argument("--seed", type=_seed, default=0, help="seed for random inputs")
     p.add_argument(
-        "--tol", type=_finite_float, default=None, help="override the suite tolerance"
+        "--tol",
+        type=lambda text: _finite_float(text, least=0.0),
+        default=None,
+        help="override the suite tolerance (>= 0)",
     )
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.add_argument(

@@ -74,9 +74,9 @@ class CloneAmplitudes:
         # rows A of u + e_p and B of u + e_q hold A (u_p + 1)(u_q + k_q + 1) =
         # B (u_q + 1)(u_p + k_p + 1), so a hop's terms sum to sqrt(u_p + 1)
         # sqrt(u_q + 1) sum_t A (u_q + k_q + 1) / ((u_q + 1) Q l), and
-        # both moves of a pair read the rows of u + e_lo
+        # both moves of a pair read the row of u + e_lo, a hop's smaller rank
         lo, hi = (level[:, None] for level in np.sort(inputs.moves, axis=0))
-        rows = inputs.hop_ranks[lo[:, 0]]
+        rows = np.minimum(*np.divmod(inputs.hop_entries, inputs.size))
         # u_lo + 1 and u_hi + 1, read off the row of u + e_lo
         lo_count, hi_count = inputs.counts[rows, lo], inputs.counts[rows, hi] + 1
         rho = (sums[rows, hi] + total) / (hi_count * total)

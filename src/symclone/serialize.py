@@ -109,9 +109,12 @@ def read_sym_operator(path) -> SymOperator:
 def write_sym_operator(path, op: SymOperator, extra: dict | None = None) -> None:
     """Write op's document with extra's keys.  Raises FormatError, before
     the file is opened, for a stack or a non-finite value."""
-    doc = sym_operator_to_dict(op)
-    if extra:
-        doc.update(extra)
+    write_document(path, {**sym_operator_to_dict(op), **(extra or {})})
+
+
+def write_document(path, doc: dict) -> None:
+    """Write json.dumps(doc, indent=2, sort_keys=True) and a newline.  Raises
+    FormatError, before the file is opened, for a non-finite value."""
     try:
         text = _document_text(doc)
     except ValueError as e:

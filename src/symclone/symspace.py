@@ -134,21 +134,14 @@ class SymBasis:
         return moves
 
     @cached_property
-    def hop_ranks(self) -> np.ndarray:
-        """Read-only (d, dim(d, m - 1)) int64 ranks: [i, j] is the rank of
-        u + e_i, u the j-th composition of weight m - 1; (d, 0) at m = 0."""
-        # the u + e_i are the compositions with c_i >= 1, in u's order;
-        # nonzero's column indices are a strided view of its (nnz, 2) result
-        ranks = np.nonzero(self.counts.T)[1].reshape(self.d, -1).copy()
-        ranks.setflags(write=False)
-        return ranks
-
-    @cached_property
     def hop_entries(self) -> np.ndarray:
-        """Read-only (d(d-1), dim(d, m - 1)) int64 indices hop_ranks[p] N +
-        hop_ranks[q] of every hop in a raveled N x N matrix, m >= 1."""
+        """Read-only (d(d-1), dim(d, m - 1)) int64 indices r_p N + r_q of
+        every hop in a raveled N x N matrix, r_i the rank of u + e_i and u
+        the composition of weight m - 1 in its column, m >= 1."""
+        # the u + e_i are the compositions with c_i >= 1, in u's order
+        ranks = np.nonzero(self.counts.T)[1].reshape(self.d, -1)
         p, q = self.moves
-        entries = self.hop_ranks[p] * self.size + self.hop_ranks[q]
+        entries = ranks[p] * self.size + ranks[q]
         entries.setflags(write=False)
         return entries
 

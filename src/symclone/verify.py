@@ -72,8 +72,11 @@ class CaseResult:
     params: dict
     residual: float
     tol: float
-    passed: bool
     extra: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return math.isfinite(self.residual) and self.residual <= self.tol
 
 
 @dataclass(frozen=True)
@@ -128,9 +131,8 @@ def _worst(residuals) -> float:
 
 
 def _case(params: dict, residuals, tol: float, extra: dict | None = None) -> CaseResult:
-    """One case, passed iff its worst residual is finite and within tol."""
-    worst = _worst(residuals)
-    return CaseResult(params, worst, tol, math.isfinite(worst) and worst <= tol, extra or {})
+    """One case, its residual the worst of residuals."""
+    return CaseResult(params, _worst(residuals), tol, extra or {})
 
 
 def _check_draws(count: int) -> None:
@@ -156,7 +158,7 @@ def _by_kind(per_draw: np.ndarray) -> list[np.ndarray]:
 
 def scaling_suite(
     seed: int = 0,
-    tol: float | None = None,
+    tol: float = TOLERANCES["scaling"],
     eta_factor: float = 1.0,
     dims: tuple[int, ...] = (2, 3, 4),
     max_m: int = 4,
@@ -166,7 +168,6 @@ def scaling_suite(
     """Reduced outputs contract by eta, for Ginibre and indefinite Hermitian
     inputs; one case per cell and kind.  Raises InvalidParameterError for a
     negative inputs_per_kind."""
-    tol = TOLERANCES["scaling"] if tol is None else tol
     _check_draws(inputs_per_kind)
     cases = []
     for d in dims:
@@ -197,7 +198,7 @@ def scaling_suite(
 
 def isometry_suite(
     seed: int = 0,
-    tol: float | None = None,
+    tol: float = TOLERANCES["isometry"],
     max_d: int = 4,
     max_m: int = 4,
     max_l: int = 8,
@@ -205,7 +206,6 @@ def isometry_suite(
     """Amplitude normalization, the ancilla count and fidelity against
     shrink, exact, each residual one correctly rounded int / int, and the
     float64 isometry Gram against the identity."""
-    tol = TOLERANCES["isometry"] if tol is None else tol
     cases = []
     for d in range(2, max_d + 1):
         for m in range(1, max_m + 1):
@@ -246,13 +246,12 @@ def _fidelity_shrink_dev(d: int, n: int, m: int) -> float:
 
 def concat_suite(
     seed: int = 0,
-    tol: float | None = None,
+    tol: float = TOLERANCES["concat"],
     dims: tuple[int, ...] = (2, 3),
     max_l: int = 6,
 ) -> RunReport:
     """Two-stage n -> m -> l cloning of the pure seed, through the dense view
     of its n -> m output, against direct n -> l cloning."""
-    tol = TOLERANCES["concat"] if tol is None else tol
     cases = []
     for d in dims:
         for n in range(1, max_l + 1):
@@ -273,13 +272,12 @@ def concat_suite(
 
 def oracle_suite(
     seed: int = 0,
-    tol: float | None = None,
+    tol: float = TOLERANCES["oracle"],
     inputs_per_kind: int = 10,
 ) -> RunReport:
     """The fast path against oracle_clone at ORACLE_GRID: the dense output,
     restricted to the symmetric subspace, and its single-site reduction.
     Raises InvalidParameterError for a negative inputs_per_kind."""
-    tol = TOLERANCES["oracle"] if tol is None else tol
     _check_draws(inputs_per_kind)
     cases = []
     for d, m, l in ORACLE_GRID:
@@ -300,13 +298,12 @@ def oracle_suite(
 
 def covariance_suite(
     seed: int = 0,
-    tol: float | None = None,
+    tol: float = TOLERANCES["covariance"],
     unitaries_per_cell: int = 5,
 ) -> RunReport:
     """covariance_check under random local unitaries at ORACLE_GRID.  Raises
     InvalidParameterError for a negative unitaries_per_cell and, before any
     draw, oracle_clone's ResourceLimitError for a stack of them at any cell."""
-    tol = TOLERANCES["covariance"] if tol is None else tol
     _check_draws(unitaries_per_cell)
     # oracle_clone's bound on each cell's stack, which also bounds its draws
     largest = max(d ** (2 * l) for d, _, l in ORACLE_GRID)
@@ -338,8 +335,8 @@ def run_suite(
     quick: bool = False,
 ) -> RunReport:
     """The RunReport of a named suite, or of "all", every suite's cases with
-    a "suite" param; quick takes QUICK_GRIDS.  Raises InvalidParameterError
-    for an unknown name."""
+    a "suite" param; quick takes QUICK_GRIDS, and a tol of None each suite's
+    TOLERANCES entry.  Raises InvalidParameterError for an unknown name."""
     if name == "all":
         merged = []
         for sub in SUITES:
@@ -349,8 +346,10 @@ def run_suite(
     if name not in QUICK_GRIDS:
         raise InvalidParameterError(f"unknown suite {name!r}")
     kwargs = dict(QUICK_GRIDS[name]) if quick else {}
+    if tol is not None:
+        kwargs["tol"] = tol
     if name == "scaling":
         kwargs["eta_factor"] = eta_factor
     # looked up by name at call time, so a rebound module attribute (such as
     # a profiler's timing wrapper) is the one that runs
-    return globals()[f"{name}_suite"](seed=seed, tol=tol, **kwargs)
+    return globals()[f"{name}_suite"](seed=seed, **kwargs)

@@ -1,6 +1,7 @@
 import csv
 import json
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from conftest import traced_peak
 from symclone import cli, cloner, verify
 from symclone.cli import main
 from symclone.cloner import CloneOutput
+from symclone.oracle import ginibre_sym_operator
 from symclone.serialize import sym_operator_to_dict, write_sym_operator
 from symclone.symspace import SymOperator, basis_projector, reduce_one, sym_operator
 
@@ -177,6 +179,26 @@ class TestClone:
         assert main(["clone", str(src), "--l", "2", "--out", str(dst)]) == 2
         assert json.loads(capsys.readouterr().err)["code"] == 2
         assert main(["clone", str(src), "--l", "2", "--out", str(dst), "--no-validate"]) == 0
+
+    def test_check_psd_warns_once_on_a_negative_eigenvalue(self, tmp_path, capsys):
+        # Hermitian with unit trace, so it validates; its eigenvalues are 1.5 and -0.5
+        indefinite, positive = tmp_path / "indefinite.json", tmp_path / "positive.json"
+        entries = [[1.5, 0], [0, 0], [0, 0], [-0.5, 0]]
+        indefinite.write_text(
+            json.dumps({"d": 2, "m": 1, "basis": "lex_decreasing", "entries": entries})
+        )
+        write_sym_operator(positive, ginibre_sym_operator(3, 2, np.random.default_rng(5)))
+        runs = [(indefinite, ["--check-psd"]), (indefinite, []), (positive, ["--check-psd"])]
+        for src, flags in runs:
+            dst = tmp_path / "out.json"
+            dst.unlink(missing_ok=True)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main(["clone", str(src), "--l", "2", "--out", str(dst)] + flags) == 0
+            assert json.loads(dst.read_text())["m"] == 2
+            warned = src is indefinite and flags
+            want = ["operator has negative eigenvalue -5.000e-01"] if warned else []
+            assert [str(w.message) for w in caught] == want
 
     def test_non_finite_input_rejected(self, tmp_path, capsys):
         src = tmp_path / "in.json"
@@ -386,6 +408,16 @@ class TestVerify:
     def test_non_finite_float_options_rejected(self, flag, value, capsys):
         assert main(["verify", "scaling", "--quick", f"{flag}={value}"]) == 2
         assert "expected a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-1", "-1e-300"])
+    def test_negative_tolerance_rejected(self, value, capsys):
+        # a negative tolerance would report every correct case as failed
+        assert main(["verify", "isometry", "--quick", f"--tol={value}"]) == 2
+        assert "expected a finite number >= 0" in capsys.readouterr().err
+
+    def test_zero_tolerance_runs(self, capsys):
+        assert main(["verify", "isometry", "--quick", "--tol=0"]) != 2
+        assert "tol=0\n" in capsys.readouterr().out
 
     @pytest.mark.parametrize("value", ["-1", "x", "1.5"])
     def test_bad_seed_rejected(self, value, capsys):

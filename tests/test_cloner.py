@@ -877,11 +877,9 @@ class TestPlansMatchReference:
                 basis = enumerate_basis(d, m)
                 w_diag, w_hop = clone_amplitudes(d, m, m).reduced_map
                 p, q = basis.moves
-                ranks = basis.hop_ranks
                 want_diag, want_hops = reference_reduction_plan(d, m)
                 assert_real_bits(w_diag, want_diag)
-                assert ranks.shape == (d, dim(d, m - 1))
-                rows, cols = ranks[p], ranks[q]
+                rows, cols = np.divmod(basis.hop_entries, basis.size)
                 assert rows.shape == (d * (d - 1), dim(d, m - 1))
                 moves = (np.broadcast_to(level[:, None], w_hop.shape) for level in (p, q))
                 # flattened in move order, the layout is the per-hop list
@@ -1017,11 +1015,11 @@ class TestReducedMap:
 
     @pytest.mark.parametrize("d, m, l", [(4, 1, 114), (5, 2, 35), (6, 1, 20), (3, 1, 830)])
     def test_map_transient_is_a_few_kib(self, d, m, l):
-        # the map alone, on a fresh table whose bases and hop ranks exist:
+        # the map alone, on a fresh table whose bases and hop entries exist:
         # 4.8, 9.1, 5.8 and 4.4 KiB, one (n_in, d) integer contraction and
         # the small arrays read off it; nothing of length K is allocated
         table = cloner.clone_amplitudes.__wrapped__(d, m, l)
-        enumerate_basis(d, m).hop_ranks
+        enumerate_basis(d, m).hop_entries
         enumerate_basis(d, l - m)
         _, peak = traced_peak(lambda: table.reduced_map)
         assert peak < 64 << 10
@@ -1103,14 +1101,14 @@ def test_no_third_cache_serves_a_plan(d, m, l, monkeypatch):
     reduce_one(used)
     clear_plan_caches()
     x = sym_operator(d, m, np.eye(n) / n)
-    assert x.basis is not used.basis and "hop_ranks" not in x.basis.__dict__
+    assert x.basis is not used.basis and "hop_entries" not in x.basis.__dict__
     out = clone_channel(x, l)  # the output reads no plan until asked
-    assert "hop_ranks" not in x.basis.__dict__
+    assert "hop_entries" not in x.basis.__dict__
     assert cloner.clone_amplitudes.cache_info().misses == 1
     reduce_one(out)
-    assert "hop_ranks" in x.basis.__dict__  # rebuilt on the reduce
-    assert x.basis.hop_ranks is not used.basis.hop_ranks
-    assert np.array_equal(x.basis.hop_ranks, used.basis.hop_ranks)
+    assert "hop_entries" in x.basis.__dict__  # rebuilt on the reduce
+    assert x.basis.hop_entries is not used.basis.hop_entries
+    assert np.array_equal(x.basis.hop_entries, used.basis.hop_entries)
     reduce_one(x)  # through the identity table of (d, m, m), built anew
     assert cloner.clone_amplitudes.cache_info().misses == 2
     refuse_ranks(monkeypatch)

@@ -56,9 +56,8 @@ def transpose_hops(monkeypatch):
         diagonal = np.diagonal(self.entries, axis1=-2, axis2=-1)
         if not self.m:
             return diagonal, None
-        ranks = self.basis.hop_ranks
-        p, q = self.basis.moves
-        return diagonal, self.entries[..., ranks[q], ranks[p]]
+        rows, cols = np.divmod(self.basis.hop_entries, self.basis.size)
+        return diagonal, self.entries[..., cols, rows]
 
     monkeypatch.setattr(symspace.SymOperator, "_diagonal_and_hops", transposed)
 

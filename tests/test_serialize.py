@@ -19,10 +19,12 @@ from symclone.serialize import (
     sym_operator_from_dict,
     sym_operator_to_dict,
     write_amplitudes_csv,
+    write_document,
     write_sym_operator,
     write_tables_csv,
 )
 from symclone.symspace import enumerate_basis, reduce_one, sym_operator
+from symclone.verify import run_suite
 
 
 def random_operator(d=2, m=2, seed=0):
@@ -122,6 +124,15 @@ class TestOperatorDocument:
         path = tmp_path / "op.json"
         write_sym_operator(path, op, extra=extra or None)
         doc = {**sym_operator_to_dict(op), **extra}
+        want = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        assert path.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("seed", [0, 42])
+    def test_report_has_the_bytes_of_the_indenting_encoder(self, seed, tmp_path):
+        # a verify report goes through the operator documents' writer
+        path = tmp_path / "report.json"
+        doc = run_suite("all", seed=seed).to_dict()
+        write_document(path, doc)
         want = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
         assert path.read_bytes() == want.encode()
 

@@ -266,6 +266,12 @@ def add_at_reduce_one(op):
     return out
 
 
+def hop_ranks(d, m):
+    """(d, dim(d, m - 1)) ranks: [i, j] is the rank of u + e_i, u the j-th
+    composition of weight m - 1, each ranked from its sum."""
+    return sum_ranks(np.eye(d, dtype=np.int64), enumerate_basis(d, m - 1).counts, m)
+
+
 class TestReduceOne:
     def test_all_particles_level_zero(self):
         out = reduce_one(basis_projector((2, 0)))
@@ -316,15 +322,14 @@ class TestReduceOne:
                 assert got.tobytes() == want.tobytes()
 
     def test_hop_entries_are_read_only_and_cached(self):
-        # all three live on the shared, cached basis: a write to one would
-        # move every later reduction at its weight
+        # both live on the shared, cached basis: a write to one would move
+        # every later reduction at its weight
         basis = enumerate_basis(3, 4)
-        for name in ("hop_entries", "hop_ranks"):
-            array = getattr(basis, name)
-            assert getattr(basis, name) is array and not array.flags.writeable
-            assert array.flags.c_contiguous and array.base is None
-            with pytest.raises(ValueError):
-                array[0, [0, 1]] = array[0, [1, 0]]
+        array = basis.hop_entries
+        assert basis.hop_entries is array and not array.flags.writeable
+        assert array.flags.c_contiguous and array.base is None
+        with pytest.raises(ValueError):
+            array[0, [0, 1]] = array[0, [1, 0]]
         moves = basis.moves
         assert basis.moves is moves
         for levels in moves:
@@ -337,13 +342,17 @@ class TestReduceOne:
     )
     def test_hop_ranks_have_the_bits_of_ranked_sums(self, d, m):
         # the compositions with c_i >= 1 are exactly the u + e_i, and adding
-        # e_i keeps the lex order, so row i is the nonzero rows of counts'
-        # column i; the reference ranks every u + e_i from the weight-(m-1)
-        # basis
-        want = sum_ranks(np.eye(d, dtype=np.int64), enumerate_basis(d, m - 1).counts, m)
-        got = enumerate_basis(d, m).hop_ranks
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+        # e_i keeps the lex order, so the ranks of the u + e_i are the nonzero
+        # rows of counts' column i; the reference ranks every u + e_i from the
+        # weight-(m-1) basis, and each hop entry is r_p N + r_q
+        basis = enumerate_basis(d, m)
+        want = hop_ranks(d, m)
+        p, q = basis.moves
+        assert basis.hop_entries.dtype == want.dtype and basis.hop_entries.shape == want[p].shape
+        rows, cols = np.divmod(basis.hop_entries, basis.size)
+        assert rows.tobytes() == want[p].tobytes() and cols.tobytes() == want[q].tobytes()
+        # the reduced map reads u + e_lo, lo < hi, as the smaller rank of a hop
+        assert np.all(want[np.minimum(p, q)] < want[np.maximum(p, q)])
 
     @pytest.mark.parametrize("d", range(2, 7))
     def test_one_flat_gather_has_the_bits_of_a_fancy_gather(self, d):
@@ -353,7 +362,7 @@ class TestReduceOne:
         rng = np.random.default_rng(d)
         for m in range(1, 6):
             basis = enumerate_basis(d, m)
-            n, ranks = basis.size, basis.hop_ranks
+            n, ranks = basis.size, hop_ranks(d, m)
             p, q = basis.moves
             for shape in ((n, n), (3, n, n)):
                 x = rng.standard_normal((*shape, 2)).view(np.complex128)[..., 0]

@@ -9,6 +9,8 @@ Every case must come out equal, residual and extras compared with ==, so a
 report keeps its bytes.
 """
 
+import dataclasses
+import inspect
 import math
 from fractions import Fraction
 
@@ -27,6 +29,7 @@ from symclone.oracle import (
 from symclone.symspace import dim, enumerate_basis, reduce_one
 from symclone.verify import (
     ORACLE_GRID,
+    SUITES,
     TOLERANCES,
     CaseResult,
     concat_suite,
@@ -40,7 +43,7 @@ KINDS = (("ginibre", ginibre_sym_operator), ("hermitian", hermitian_sym_operator
 
 def case(params, residuals, tol, extra=None):
     worst = float(np.max(residuals, initial=0.0))
-    return CaseResult(params, worst, tol, math.isfinite(worst) and worst <= tol, extra or {})
+    return CaseResult(params, worst, tol, extra or {})
 
 
 def draws(seed, d, m, l, code, draw, count=10):
@@ -152,3 +155,21 @@ def test_concat_suite_clones_each_pure_seed_once_per_j(monkeypatch):
     # one per 1 <= n <= j <= 6 and d in (2, 3); one clone per stage of every
     # case would make 224
     assert len(calls) == len(set(calls)) == 42
+
+
+def test_a_case_passes_iff_its_residual_is_finite_and_within_tol():
+    # the verdict is read off the residual and tol, never stored beside them
+    fields = [f.name for f in dataclasses.fields(CaseResult)]
+    assert fields == ["params", "residual", "tol", "extra"]
+    residuals = (0.0, 1e-10, 2e-10, math.inf, math.nan)
+    assert [CaseResult({}, r, 1e-10).passed for r in residuals] == [True, True, False, False, False]
+    # an infinite tolerance still fails an infinite residual
+    assert not CaseResult({}, math.inf, math.inf).passed
+
+
+@pytest.mark.parametrize("name", SUITES)
+def test_each_suite_defaults_to_its_tolerance(name):
+    signature = inspect.signature(getattr(verify, f"{name}_suite"))
+    assert signature.parameters["tol"].default == TOLERANCES[name]
+    report = verify.run_suite(name, quick=True)
+    assert {case.tol for case in report.cases} == {TOLERANCES[name]}
