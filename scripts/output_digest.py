@@ -5,10 +5,10 @@ Each cell (d, m, l) gets a Ginibre draw, a Hermitian draw, and the Ginibre
 draw with a row and a column of -0.0, a NaN and an infinite imaginary part.
 Each draw is cloned to l, and that output once more to l + 1, a chain
 that composes to one clone of the draw.  The digest covers, per output, the
-reduce_one bytes (through the table's reduced map and the source's own
-entries) and the dense entries where the output has at most 2**16 of them;
-where a chain's composed table passes ENTRY_GUARD, the one resource guard,
-it covers the ResourceLimitError's class name instead.  Two trees that
+reduce_one bytes (through the reduced map and the source's own entries)
+and the dense entries where the output has at most 2**16 of them; where a
+chain's composed table passes ENTRY_GUARD, the one resource guard, it
+covers the ResourceLimitError's class name instead.  Two trees that
 print the same digest give the same bits on this grid.  BLAS kernels sum
 in machine-dependent orders, so compare digests from one machine, with
 OPENBLAS_NUM_THREADS=1.
@@ -19,7 +19,7 @@ import hashlib
 
 import numpy as np
 
-from symclone.cloner import clone_amplitudes, clone_channel
+from symclone.cloner import clone_amplitudes, clone_channel, reduced_map
 from symclone.oracle import ginibre_sym_operator, hermitian_sym_operator
 from symclone.symspace import ResourceLimitError, SymOperator, enumerate_basis, reduce_one
 
@@ -63,8 +63,9 @@ def main():
                     if out.basis.size ** 2 <= DENSE_ENTRIES:
                         digest.update(out.entries.tobytes())
                     outputs += 1
-            # the caches would keep every cell's tables and plans
+            # the caches would keep every cell's tables, plans and maps
             clone_amplitudes.cache_clear()
+            reduced_map.cache_clear()
             enumerate_basis.cache_clear()
     print(f"{outputs} outputs over {len(CELLS)} cells: sha256 {digest.hexdigest()}")
 

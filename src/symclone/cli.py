@@ -172,7 +172,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, default=0, help="seed for random inputs")
     p.add_argument(
         "--tol",
-        type=lambda text: _finite_float(text, least=0.0),
+        type=lambda text: _finite_float(text, least=0.0) + 0.0,  # -0 reports as +0.0
         default=None,
         help="override the suite tolerance (>= 0)",
     )

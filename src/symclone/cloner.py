@@ -51,44 +51,6 @@ class CloneAmplitudes:
         v.setflags(write=False)
         return idx, v
 
-    @cached_property
-    def reduced_map(self) -> tuple[np.ndarray, np.ndarray]:
-        """reduce_one after the channel, l >= 1, as read-only complex128
-        weights (imaginary parts +0.0) on the input's diagonal and hops, read
-        off the integers sums[a, i] = sum_t occupancy[a, t] (a_i + k_t,i):
-        W_diag[i, a] = sums[a, i] / (Q l), (d, dim(d, m)), and W_hop[j, r] =
-        sqrt(u_p + 1) sqrt(u_q + 1) rho / l, (d(d-1), dim(d, m-1)), rho =
-        (sums[rank(u + e_lo), hi] + Q) / ((u_hi + 1) Q), lo < hi the levels
-        p, q of the j-th move and u the r-th composition of weight m - 1;
-        Q is total and each ratio correctly rounded.
-        Dyads two or more hops apart reduce to 0 (M. Keyl and R. F. Werner,
-        J. Math. Phys. 40, 3283 (1999)).
-        """
-        d, m, l = self.d, self.m, self.l
-        inputs = enumerate_basis(d, m)
-        added = enumerate_basis(d, l - m).counts
-        # in the table's dtype: no integer formed here passes total (l + 1)
-        total = np.array(self.total, dtype=self.occupancy.dtype)
-        # each row sums to total, so sums[a, i] gains a_i total
-        sums = self.occupancy @ added + inputs.counts * total
-        # rows A of u + e_p and B of u + e_q hold A (u_p + 1)(u_q + k_q + 1) =
-        # B (u_q + 1)(u_p + k_p + 1), so a hop's terms sum to sqrt(u_p + 1)
-        # sqrt(u_q + 1) sum_t A (u_q + k_q + 1) / ((u_q + 1) Q l), and
-        # both moves of a pair read the row of u + e_lo, a hop's smaller rank
-        lo, hi = (level[:, None] for level in np.sort(inputs.moves, axis=0))
-        rows = np.minimum(*np.divmod(inputs.hop_entries, inputs.size))
-        # u_lo + 1 and u_hi + 1, read off the row of u + e_lo
-        lo_count, hi_count = inputs.counts[rows, lo], inputs.counts[rows, hi] + 1
-        rho = (sums[rows, hi] + total) / (hi_count * total)
-        w_hop = np.sqrt(lo_count) * np.sqrt(hi_count) * rho.astype(np.float64) / l
-        # numpy has no float-by-complex loop: reduce_one would cast on every call
-        w_diag, w_hop = (
-            w.astype(np.complex128, order="C") for w in (sums.T / (total * l), w_hop)
-        )
-        for w in (w_diag, w_hop):
-            w.setflags(write=False)
-        return w_diag, w_hop
-
 
 @lru_cache(maxsize=None)
 def clone_amplitudes(d: int, m: int, l: int) -> CloneAmplitudes:
@@ -124,26 +86,64 @@ def clone_amplitudes(d: int, m: int, l: int) -> CloneAmplitudes:
     return CloneAmplitudes(d=d, m=m, l=l, occupancy=occupancy, total=total)
 
 
-class CloneOutput(SymOperator):
-    """clone_channel's output of weight l: its source, never a clone
-    output, and its table, cell.  basis and entries are built on first
-    read; reduce_one reads cell.reduced_map and builds nothing at weight l."""
+@lru_cache(maxsize=None)
+def reduced_map(d: int, m: int, l: int) -> tuple[np.ndarray, np.ndarray]:
+    """reduce_one after the channel of (d, m, l), l >= 1, cached apart from
+    its table: read-only complex128 weights (imaginary parts +0.0) on the
+    input's diagonal and hops, read off the table's integers sums[a, i] =
+    sum_t occupancy[a, t] (a_i + k_t,i): W_diag[i, a] = sums[a, i] / (Q l),
+    (d, dim(d, m)), and W_hop[j, r] = sqrt(u_p + 1) sqrt(u_q + 1) rho / l,
+    (d(d-1), dim(d, m-1)), rho = (sums[rank(u + e_lo), hi] + Q) /
+    ((u_hi + 1) Q), lo < hi the levels p, q of the j-th move and u the r-th
+    composition of weight m - 1; Q is total and each ratio correctly
+    rounded.  Dyads two or more hops apart reduce to 0 (M. Keyl and
+    R. F. Werner, J. Math. Phys. 40, 3283 (1999)).
+    """
+    table = clone_amplitudes(d, m, l)
+    inputs = enumerate_basis(d, m)
+    added = enumerate_basis(d, l - m).counts
+    # in the table's dtype: no integer formed here passes total (l + 1)
+    total = np.array(table.total, dtype=table.occupancy.dtype)
+    # each row sums to total, so sums[a, i] gains a_i total
+    sums = table.occupancy @ added + inputs.counts * total
+    # rows A of u + e_p and B of u + e_q hold A (u_p + 1)(u_q + k_q + 1) =
+    # B (u_q + 1)(u_p + k_p + 1), so a hop's terms sum to sqrt(u_p + 1)
+    # sqrt(u_q + 1) sum_t A (u_q + k_q + 1) / ((u_q + 1) Q l), and
+    # both moves of a pair read the row of u + e_lo, a hop's smaller rank
+    lo, hi = (level[:, None] for level in np.sort(inputs.moves, axis=0))
+    rows = np.minimum(*np.divmod(inputs.hop_entries, inputs.size))
+    # u_lo + 1 and u_hi + 1, read off the row of u + e_lo
+    lo_count, hi_count = inputs.counts[rows, lo], inputs.counts[rows, hi] + 1
+    rho = (sums[rows, hi] + total) / (hi_count * total)
+    w_hop = np.sqrt(lo_count) * np.sqrt(hi_count) * rho.astype(np.float64) / l
+    # numpy has no float-by-complex loop: reduce_one would cast on every call
+    w_diag, w_hop = (
+        w.astype(np.complex128, order="C") for w in (sums.T / (total * l), w_hop)
+    )
+    for w in (w_diag, w_hop):
+        w.setflags(write=False)
+    return w_diag, w_hop
 
-    def __init__(self, source: SymOperator, cell: CloneAmplitudes):
+
+class CloneOutput(SymOperator):
+    """clone_channel's output of weight l from source, never a clone output:
+    basis and entries are built on first read, and reduce_one reads its map."""
+
+    def __init__(self, source: SymOperator, l: int):
         object.__setattr__(self, "source", source)
-        object.__setattr__(self, "cell", cell)
+        object.__setattr__(self, "l", l)
 
     @cached_property
     def basis(self) -> SymBasis:
-        return enumerate_basis(self.cell.d, self.cell.l)
+        return enumerate_basis(self.d, self.l)
 
     @property
     def d(self) -> int:
-        return self.cell.d
+        return self.source.d
 
     @property
     def m(self) -> int:
-        return self.cell.l
+        return self.l
 
     def __repr__(self) -> str:
         return f"CloneOutput(d={self.d}, m={self.source.m}, l={self.m})"
@@ -156,7 +156,7 @@ class CloneOutput(SymOperator):
         lead, n_out = self.source.entries.shape[:-2], self.basis.size
         batch = math.prod(lead)
         require_room(batch * n_out * n_out, "dense output", times=4)
-        idx, v = self.cell.plan
+        idx, v = clone_amplitudes(self.d, self.source.m, self.l).plan
         n_in, k = idx.shape
         y = np.zeros(batch * n_out * n_out, dtype=np.complex128)
         x = self.source.entries.reshape(batch, n_in, n_in)
@@ -178,8 +178,8 @@ class CloneOutput(SymOperator):
         y.setflags(write=False)
         return y
 
-    def _source_and_table(self):
-        return self.source, self.cell
+    def _source_and_map(self):
+        return self.source, reduced_map(self.d, self.source.m, self.l)
 
 
 def clone_channel(op: SymOperator, l: int) -> CloneOutput:
@@ -191,7 +191,8 @@ def clone_channel(op: SymOperator, l: int) -> CloneOutput:
         if l < op.m:
             raise InvalidParameterError(f"need l >= m, got l={l}, m={op.m}")
         op = op.source
-    return CloneOutput(op, clone_amplitudes(op.d, op.m, l))
+    clone_amplitudes(op.d, op.m, l)  # its refusals, and the table the output reads
+    return CloneOutput(op, l)
 
 
 def uqcm_pure_output(d: int, n: int, m: int) -> SymOperator:

@@ -220,13 +220,13 @@ class SymOperator:
         flat = self.entries.reshape(*lead, n * n)
         return diagonal, flat.take(self.basis.hop_entries, axis=-1)
 
-    def _source_and_table(self):
+    def _source_and_map(self):
         """What reduce_one weighs: a plain operator is its own identity
-        clone's source, with the table of (d, m, m)."""
-        # cloner imports this module, so the table is reached at call time
-        from .cloner import clone_amplitudes
+        clone's source, with the reduced map of (d, m, m)."""
+        # cloner imports this module, so the map is reached at call time
+        from .cloner import reduced_map
 
-        return self, clone_amplitudes(self.d, self.m, self.m)
+        return self, reduced_map(self.d, self.m, self.m)
 
     def validate_density(self, check_psd: bool = False) -> None:
         """Raise InvalidParameterError for a stack, a non-finite entry, or a
@@ -295,8 +295,7 @@ def reduce_one(op: SymOperator) -> SymOperator:
     if op.m < 1:
         raise InvalidParameterError("single-site reduction needs at least one particle")
     d = op.d
-    source, table = op._source_and_table()
-    w_diag, w_hop = table.reduced_map
+    source, (w_diag, w_hop) = op._source_and_map()
     diagonal, hops = source._diagonal_and_hops()
     p, q = source.basis.moves
     lead = diagonal.shape[:-1]

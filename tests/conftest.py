@@ -27,10 +27,11 @@ def traced_peak(fn):
 
 
 def clear_plan_caches():
-    """Forget every basis and table: the hop ranks live on their basis, the
-    channel plan and the reduced map on their table."""
+    """Forget every basis, table and reduced map: the hop ranks live on
+    their basis and the channel plan on its table."""
     symspace.enumerate_basis.cache_clear()
     cloner.clone_amplitudes.cache_clear()
+    cloner.reduced_map.cache_clear()
 
 
 def swap_in_row(i):

@@ -21,22 +21,22 @@ def write_pure_input(path):
 
 
 def nan_channel_output(monkeypatch, name):
-    """What CloneOutput's reduction reads, its source and its table, or its
+    """What CloneOutput's reduction reads, its source and its map, or its
     dense view, with the first entry of each draw's diagonal NaN."""
     exact = getattr(CloneOutput, name)
 
     def nan_source(self):
-        source, table = exact(self)
+        source, weights = exact(self)
         entries = source.entries.copy()
         entries[..., 0, 0] = np.nan
-        return SymOperator(source.basis, entries), table
+        return SymOperator(source.basis, entries), weights
 
     def nan_entries(self):
         entries = exact.func(self).copy()
         entries[..., 0, 0] = np.nan
         return entries
 
-    poisoned = nan_source if name == "_source_and_table" else property(nan_entries)
+    poisoned = nan_source if name == "_source_and_map" else property(nan_entries)
     monkeypatch.setattr(CloneOutput, name, poisoned)
 
 
@@ -397,7 +397,7 @@ class TestVerify:
         monkeypatch.setattr(verify, "clone_channel", nan_channel)
         assert_every_case_reads_nan(suite, tmp_path)
 
-    @pytest.mark.parametrize("part", ["_source_and_table", "entries"])
+    @pytest.mark.parametrize("part", ["_source_and_map", "entries"])
     def test_nan_in_either_oracle_check_fails_every_case(self, part, tmp_path, monkeypatch):
         # each case folds a reduction and a dense check; a NaN in either fails it
         nan_channel_output(monkeypatch, part)
@@ -415,9 +415,15 @@ class TestVerify:
         assert main(["verify", "isometry", "--quick", f"--tol={value}"]) == 2
         assert "expected a finite number >= 0" in capsys.readouterr().err
 
-    def test_zero_tolerance_runs(self, capsys):
-        assert main(["verify", "isometry", "--quick", "--tol=0"]) != 2
-        assert "tol=0\n" in capsys.readouterr().out
+    @pytest.mark.parametrize("value", ["0", "-0"])
+    def test_zero_tolerance_runs(self, value, tmp_path, capsys):
+        # a zero tolerance is +0.0, however it is signed
+        out = tmp_path / "report.json"
+        assert main(["verify", "isometry", "--quick", f"--tol={value}", "--out", str(out)]) != 2
+        lines = [line for line in capsys.readouterr().out.splitlines() if " tol=" in line]
+        assert lines and all(line.endswith(" tol=0") for line in lines)
+        report = out.read_text()
+        assert report.count('"tol": 0.0') == len(json.loads(report)["cases"]) > 0
 
     @pytest.mark.parametrize("value", ["-1", "x", "1.5"])
     def test_bad_seed_rejected(self, value, capsys):

@@ -27,6 +27,7 @@ from symclone.cloner import (
     clone_channel,
     concatenate,
     isometry_gram,
+    reduced_map,
     uqcm_pure_output,
 )
 from symclone.oracle import ginibre_sym_operator, hermitian_sym_operator, random_unitary
@@ -204,7 +205,7 @@ def loop_dense(out):
     lead, n_out = out.source.entries.shape[:-2], out.basis.size
     y = np.zeros((*lead, n_out, n_out), dtype=np.complex128)
     x = out.source.entries
-    idx, v = out.cell.plan
+    idx, v = clone_amplitudes(out.d, out.source.m, out.m).plan
     for idx_t, v_t in zip(idx.T, v.T):
         y[..., idx_t[:, None], idx_t[None, :]] += (v_t[:, None] * v_t[None, :]) * x
     return y
@@ -221,13 +222,12 @@ def loop_gram(d, m, l):
 
 def loop_reduced_diagonal(op):
     """The reduction's diagonal, one dot per operator and level: a clone
-    output's source diagonal weighed by its table's reduced map, and a plain
+    output's source diagonal weighed by its reduced map, and a plain
     operator's own by the identity clone's."""
+    l = op.m
     if isinstance(op, cloner.CloneOutput):
-        op, table = op.source, op.cell
-    else:
-        table = clone_amplitudes(op.d, op.m, op.m)
-    w_diag, _ = table.reduced_map
+        op = op.source
+    w_diag, _ = reduced_map(op.d, op.m, l)
     diagonal, _ = op._diagonal_and_hops()
     out = np.zeros((*diagonal.shape[:-1], op.d), dtype=np.complex128)
     for x, y in zip(diagonal.reshape(-1, diagonal.shape[-1]), out.reshape(-1, op.d)):
@@ -348,7 +348,7 @@ class TestStructuredOutput:
         out = clone_channel(hermitian_sym_operator(d, m, np.random.default_rng(3)), l)
         # the plan and the output basis are built first, so the bound reads
         # the scatter alone, whichever test built them before
-        out.cell.plan, out.basis
+        clone_amplitudes(d, m, l).plan, out.basis
         y, peak = traced_peak(lambda: out.entries)
         # one block is at most cloner.BLOCK_TERMS terms; a loop over whole
         # columns peaked about 3 MiB above the output at (3, 20, 24)
@@ -625,7 +625,7 @@ class TestConcatenate:
         chain = clone_channel(first, 101)
         assert scaling_residual(reduce_one(x), reduce_one(chain), d, m, 101) <= 1e-10
         assert_bitwise_equal(reduce_one(chain).entries, reduce_one(clone_channel(x, 101)).entries)
-        assert "plan" not in first.cell.__dict__ and "plan" not in chain.cell.__dict__
+        assert all("plan" not in clone_amplitudes(d, m, n).__dict__ for n in (100, 101))
 
     def test_the_law_is_tested_not_assumed(self):
         # a clone of the first output itself would compose to the direct clone
@@ -648,7 +648,7 @@ class TestChain:
             for y in (x, stack):
                 chain = clone_channel(clone_channel(clone_channel(y, l), l + 1), l + 3)
                 direct = clone_channel(y, l + 3)
-                assert chain.source is y and chain.cell is clone_amplitudes(d, m, l + 3)
+                assert chain.source is y and chain.m == l + 3
                 assert_bitwise_equal(reduce_one(chain).entries, reduce_one(direct).entries)
                 assert_bitwise_equal(chain.entries, direct.entries)
 
@@ -661,7 +661,7 @@ class TestChain:
         x = hermitian_sym_operator(d, m, np.random.default_rng([d, m, l]))
         chain = clone_channel(clone_channel(x, mid), l)
         assert scaling_residual(reduce_one(x), reduce_one(chain), d, m, l) <= 1e-10
-        assert "plan" not in chain.cell.__dict__
+        assert "plan" not in clone_amplitudes(d, m, l).__dict__
 
     def test_a_chain_past_its_composed_guard_is_refused(self, monkeypatch):
         # (5, 2, 36) has 15 x 73815 = 1107225 entries, just past the guard
@@ -670,8 +670,16 @@ class TestChain:
         refuse_ranks(monkeypatch)
         with pytest.raises(ResourceLimitError, match="amplitude table"):
             clone_channel(first, 36)
-        assert "plan" not in first.cell.__dict__
+        assert "plan" not in clone_amplitudes(5, 2, 35).__dict__
         clear_plan_caches()
+
+    def test_a_clone_to_its_own_weight_keeps_the_output(self):
+        # T_{l->l} is the identity, so a clone output cloned to its own
+        # weight is admitted, with the same source, weight and bits
+        out = clone_channel(hermitian_sym_operator(3, 2, np.random.default_rng(7)), 5)
+        same = clone_channel(out, out.m)
+        assert same.source is out.source and same.m == out.m
+        assert_bitwise_equal(same.entries, out.entries)
 
     def test_a_chain_may_not_shrink(self):
         first = clone_channel(basis_projector((1, 0)), 5)
@@ -684,6 +692,20 @@ class TestCloneAmplitudesTable:
         amps = clone_amplitudes(3, 1, 2)
         assert amps.occupancy.shape == (dim(3, 1), dim(3, 1))
         assert amps.d == 3 and amps.m == 1 and amps.l == 2
+
+    def test_each_basis_is_refused_by_the_table_guard(self, monkeypatch):
+        # the counts of a basis of (d, m) or (d, l - m) past 8 * ENTRY_GUARD
+        # are refused by the table's guard, not later by enumerate_basis's
+        def refused(guard):
+            return f"^amplitude table's basis exceeds the guard of {guard} entries$"
+
+        with pytest.raises(ResourceLimitError, match=refused(8 * symspace.ENTRY_GUARD)):
+            cloner.clone_amplitudes.__wrapped__(2897, 1, 1)
+        monkeypatch.setattr(symspace, "ENTRY_GUARD", 2**10)
+        # 90**2 counts fit in 8 * 2**10, and 91**2 do not
+        assert cloner.clone_amplitudes.__wrapped__(90, 1, 1).occupancy.shape == (90, 1)
+        with pytest.raises(ResourceLimitError, match=refused(2**13)):
+            cloner.clone_amplitudes.__wrapped__(91, 1, 1)
 
 
 def reference_index(d, m):
@@ -875,7 +897,7 @@ class TestPlansMatchReference:
         for d in (2, 3, 4):
             for m in range(1, 8):
                 basis = enumerate_basis(d, m)
-                w_diag, w_hop = clone_amplitudes(d, m, m).reduced_map
+                w_diag, w_hop = reduced_map(d, m, m)
                 p, q = basis.moves
                 want_diag, want_hops = reference_reduction_plan(d, m)
                 assert_real_bits(w_diag, want_diag)
@@ -946,7 +968,7 @@ class TestReducedMap:
         # sum_i (a_i/m) |i><i| and sqrt((u_p + 1)(u_q + 1))/m |p><q|.  The
         # worst deviations from these float evaluations are 1.1e-16 and 2.2e-16
         for d, m, l in self.CELLS:
-            w_diag, w_hop = clone_amplitudes(d, m, l).reduced_map
+            w_diag, w_hop = reduced_map(d, m, l)
             eta = float(shrink(d, m, l))
             basis = enumerate_basis(d, m)
             assert w_diag.shape == (d, basis.size) and not w_diag.flags.writeable
@@ -962,16 +984,17 @@ class TestReducedMap:
         # W_diag = eta a_i/m + (1 - eta)/d and W_hop = sqrt(u_p + 1)
         # sqrt(u_q + 1) (l + d)/(m + d) / l, each ratio rounded once, with
         # eta/m = (l + d)/(l (m + d)) so that m = 0 needs no division by m.
-        # (2, 6, 288) has the widest int64 table, (2, 9, 181) an object
-        # table whose total is below 2**53, and (2, 12, 150) and
-        # (2, 20, 400) object tables whose totals pass it
-        wide = [(2, 6, 288), (2, 9, 181), (2, 12, 150)]
+        # (2, 6, 288) has the widest int64 table, (2, 6, 295) an object
+        # table whose total (l + 1) is below 2**54, (2, 9, 181) one whose
+        # total is below 2**53, and (2, 12, 150) and (2, 20, 400) object
+        # tables whose totals pass it
+        wide = [(2, 6, 288), (2, 6, 295), (2, 9, 181), (2, 12, 150)]
         for d, m, l in self.CELLS + self.EMPTY_INPUT_CELLS + wide:
             table = clone_amplitudes(d, m, l)
             # the map's integers reach total (l + 1): one rule serves the table and its map
             int64 = table.total * (l + 1) < 2**53
             assert table.occupancy.dtype == (np.int64 if int64 else object), (d, m, l)
-            w_diag, w_hop = table.reduced_map
+            w_diag, w_hop = reduced_map(d, m, l)
             basis = enumerate_basis(d, m)
             eta_over_m = Fraction(l + d, l * (m + d))
             rest = (1 - eta_over_m * m) / d
@@ -986,9 +1009,24 @@ class TestReducedMap:
             assert_bitwise_equal(w_hop, w_hop[[reverse[b, a] for a, b in reverse]])
         assert clone_amplitudes(2, 6, 288).occupancy.dtype == np.int64
         assert clone_amplitudes(2, 6, 288).total * 289 > 2**52
+        assert clone_amplitudes(2, 6, 295).occupancy.dtype == object
+        assert clone_amplitudes(2, 6, 295).total * 296 < 2**54
         assert clone_amplitudes(2, 9, 181).occupancy.dtype == object
         assert clone_amplitudes(2, 9, 181).total < 2**53
         assert clone_amplitudes(2, 12, 150).occupancy.dtype == object
+
+    def test_the_map_outlives_its_table(self):
+        # the map is cached apart from the table it reads: forgetting the
+        # tables keeps it, and a live output reduces through it, building none
+        d, m, l = 4, 1, 114
+        out = clone_channel(hermitian_sym_operator(d, m, np.random.default_rng(5)), l)
+        w = reduced_map(d, m, l)
+        bits = [part.tobytes() for part in w]
+        cloner.clone_amplitudes.cache_clear()
+        assert reduced_map(d, m, l) is w
+        assert [part.tobytes() for part in reduced_map(d, m, l)] == bits
+        reduce_one(out)
+        assert cloner.clone_amplitudes.cache_info().misses == 0
 
     def test_table_has_the_bits_of_the_flat_index_build(self):
         # every map cell, the identity tables of other widths and the object
@@ -1015,18 +1053,18 @@ class TestReducedMap:
 
     @pytest.mark.parametrize("d, m, l", [(4, 1, 114), (5, 2, 35), (6, 1, 20), (3, 1, 830)])
     def test_map_transient_is_a_few_kib(self, d, m, l):
-        # the map alone, on a fresh table whose bases and hop entries exist:
-        # 4.8, 9.1, 5.8 and 4.4 KiB, one (n_in, d) integer contraction and
-        # the small arrays read off it; nothing of length K is allocated
-        table = cloner.clone_amplitudes.__wrapped__(d, m, l)
+        # the map alone, over its cached table whose bases and hop entries
+        # exist: 4.8, 9.1, 5.8 and 4.4 KiB, one (n_in, d) integer contraction
+        # and the small arrays read off it; nothing of length K is allocated
+        clone_amplitudes(d, m, l)
         enumerate_basis(d, m).hop_entries
         enumerate_basis(d, l - m)
-        _, peak = traced_peak(lambda: table.reduced_map)
+        _, peak = traced_peak(lambda: cloner.reduced_map.__wrapped__(d, m, l))
         assert peak < 64 << 10
 
     def test_a_single_input_state_maps_to_the_maximally_mixed_state(self):
         for d, l in ((2, 1), (3, 4), (5, 2)):
-            w_diag, w_hop = clone_amplitudes(d, 0, l).reduced_map
+            w_diag, w_hop = reduced_map(d, 0, l)
             assert w_hop.shape == (d * (d - 1), 0)
             assert np.max(np.abs(w_diag - 1 / d)) <= 1e-15
 
@@ -1074,7 +1112,7 @@ class TestReducedMap:
         (out, rout), peak = traced_peak(clone_and_reduce)
         assert peak < 40 << 20
         assert scaling_residual(rin, rout, d, m, l) <= 1e-10
-        assert "plan" not in out.cell.__dict__ and "basis" not in out.__dict__
+        assert "plan" not in clone_amplitudes(d, m, l).__dict__ and "basis" not in out.__dict__
         # two tables: the input's identity clone, which reduces it, and the clone's
         assert cloner.clone_amplitudes.cache_info().misses == 2
 
@@ -1118,15 +1156,20 @@ def test_no_third_cache_serves_a_plan(d, m, l, monkeypatch):
 
 @pytest.mark.parametrize("d, m, l", COLD_CELLS)
 def test_a_live_output_keeps_its_plans(d, m, l, monkeypatch):
-    # an output holds its table and its bases, and so every plan it reads
+    # an output holds its source, whose basis holds the hop ranks, and the
+    # map cache serves its weights: with every table and basis forgotten,
+    # its reduction rebuilds no table and no map
     x = hermitian_sym_operator(d, m, np.random.default_rng([d, m, l]))
     outs = [clone_channel(x, l), clone_channel(clone_channel(x, l), l + 1)]
     want = [reduce_one(out).entries.tobytes() for out in outs]
-    clear_plan_caches()
+    symspace.enumerate_basis.cache_clear()
+    cloner.clone_amplitudes.cache_clear()
+    maps = cloner.reduced_map.cache_info().misses
     refuse_ranks(monkeypatch)
     assert [reduce_one(out).entries.tobytes() for out in outs] == want
-    # no table is rebuilt, and no basis but the reductions' own of weight 1
+    # no table or map is rebuilt, and no basis but the reductions' own of weight 1
     assert cloner.clone_amplitudes.cache_info().misses == 0
+    assert cloner.reduced_map.cache_info().misses == maps
     assert symspace.enumerate_basis.cache_info().misses == 1
 
 
@@ -1155,7 +1198,7 @@ def test_cold_reduction_ranks_no_output_composition(d, m, l, monkeypatch):
     reduce_one(out)
     assert weights[symspace] == []
     assert weights[cloner] == []
-    assert "plan" not in out.cell.__dict__ and "basis" not in out.__dict__
+    assert "plan" not in clone_amplitudes(d, m, l).__dict__ and "basis" not in out.__dict__
 
 
 @pytest.mark.parametrize("d, m, l", COLD_CELLS)
@@ -1188,11 +1231,12 @@ def test_cold_clone_builds_no_fraction(d, m, l, monkeypatch):
 
 
 def run_on_swapped_tables(suite, monkeypatch):
-    """suite's report and tables, with row 0 of every table swapped."""
+    """suite's report, tables and count of reduced maps, with row 0 of
+    every table swapped."""
     clear_plan_caches()
     tables = mutate_tables(swap_in_row(0))(monkeypatch)
     try:
-        return suite(), tables
+        return suite(), tables, cloner.reduced_map.cache_info().currsize
     finally:
         # no plan or map built from the mutated table may outlive this test
         monkeypatch.undo()
@@ -1200,16 +1244,16 @@ def run_on_swapped_tables(suite, monkeypatch):
 
 
 def test_oracle_suite_catches_a_permuted_amplitude_table(monkeypatch):
-    report, _ = run_on_swapped_tables(oracle_suite, monkeypatch)
+    report, _, _ = run_on_swapped_tables(oracle_suite, monkeypatch)
     assert not report.passed
 
 
 def test_scaling_suite_catches_a_permuted_amplitude_table_through_the_map(monkeypatch):
-    report, tables = run_on_swapped_tables(scaling_suite, monkeypatch)
+    report, tables, maps = run_on_swapped_tables(scaling_suite, monkeypatch)
     assert not report.passed
-    # the suite reads each table's reduced map, and no plan
+    # the suite reads the reduced maps of the mutated tables, and no plan
     assert tables and all("plan" not in amps.__dict__ for amps in tables)
-    assert all("reduced_map" in amps.__dict__ for amps in tables)
+    assert maps
 
 
 def test_oracle_imports_nothing_from_the_cloner():
@@ -1232,6 +1276,6 @@ def test_oracle_imports_nothing_from_the_cloner():
 def test_concat_suite_catches_a_permuted_amplitude_table(monkeypatch):
     # the pure seed's outputs and the second stage all read swapped tables,
     # yet a swap breaks the composition law wherever row 0 has two entries
-    report, tables = run_on_swapped_tables(concat_suite, monkeypatch)
+    report, tables, _ = run_on_swapped_tables(concat_suite, monkeypatch)
     assert tables and not report.passed
     assert sum(not case.passed for case in report.cases) == 40

@@ -42,13 +42,13 @@ def swap_columns(occupancy):
 
 
 def scale_hops(monkeypatch):
-    exact = cloner.CloneAmplitudes.__dict__["reduced_map"].func
+    exact = cloner.reduced_map
 
-    def scaled(self):
-        w_diag, w_hop = exact(self)
+    def scaled(d, m, l):
+        w_diag, w_hop = exact(d, m, l)
         return w_diag, w_hop * (1 + 1e-6)
 
-    monkeypatch.setattr(cloner.CloneAmplitudes, "reduced_map", property(scaled))
+    monkeypatch.setattr(cloner, "reduced_map", scaled)
 
 
 def transpose_hops(monkeypatch):
@@ -123,7 +123,7 @@ def test_each_suite_fails_its_count_of_cases_under_each_mutant(monkeypatch):
         tables = built[name]["scaling"]
         if tables is None:  # a mutant of a method, not of the tables
             continue
-        # the scaling suite reads each table's reduced map, and no plan
+        # the scaling suite plans no table: it sees a mutant through the
+        # reduced maps, which read the mutated tables
         assert tables and all("plan" not in amps.__dict__ for amps in tables)
-        assert all("reduced_map" in amps.__dict__ for amps in tables)
         assert built[name]["concat"]

@@ -10,7 +10,7 @@ from conftest import traced_peak
 from hypothesis import assume, example, given, settings
 from paper_formulas import alpha_d_sq
 
-from symclone.cloner import clone_amplitudes
+from symclone.cloner import reduced_map
 from symclone.oracle import reduce_full_to_site, sym_embedding
 from symclone.symspace import (
     ENTRY_GUARD,
@@ -256,7 +256,7 @@ def add_at_reduce_one(op):
     """reduce_one with the one-hop terms scattered by np.add.at, weighed by
     the identity clone's reduced map."""
     d = op.d
-    w_diag, w_hop = clone_amplitudes(d, op.m, op.m).reduced_map
+    w_diag, w_hop = reduced_map(d, op.m, op.m)
     xdiag, xhops = op._diagonal_and_hops()
     out = np.zeros((d, d), dtype=np.complex128)
     for i in range(d):
