@@ -29,8 +29,7 @@ class CloneAmplitudes:
     """Exact amplitudes of (d, m, l): alpha^2 of the i-th input and t-th
     added composition is occupancy[i, t] / total, total = C(l+d-1, l-m).
     occupancy, read-only (n_in, K), holds the integers
-    prod_p C(j_p + k_p, k_p); its rows sum to total, and it is int64 while
-    total (l + 1) is below 2**53, else Python ints."""
+    prod_p C(j_p + k_p, k_p) in exact_total's dtype; its rows sum to total."""
 
     d: int
     m: int
@@ -53,21 +52,35 @@ class CloneAmplitudes:
 
 
 @lru_cache(maxsize=None)
-def clone_amplitudes(d: int, m: int, l: int) -> CloneAmplitudes:
-    """The CloneAmplitudes of (d, m, l), cached.  Raises
-    InvalidParameterError if l < m or (d, m) has no basis, and, before
-    anything is enumerated, ResourceLimitError for a table past ENTRY_GUARD
-    entries or a basis of (d, m) or (d, l - m) past 8 times it."""
+def require_table_room(d: int, m: int, l: int) -> None:
+    """Raise InvalidParameterError if l < m or (d, m) has no basis, and,
+    before anything is enumerated, ResourceLimitError for a table of
+    (d, m, l) past ENTRY_GUARD entries or a basis of (d, m) or (d, l - m)
+    past 8 times it.  Cached, so an admitted cell costs one cache hit."""
     if l < m:
         raise InvalidParameterError(f"need l >= m, got l={l}, m={m}")
     require_room(guarded_dims(d, m, l - m), "amplitude table")
     for n in (m, l - m):
         require_room(guarded_dims(d, n, 1), "amplitude table's basis", times=8)
+
+
+def exact_total(d: int, m: int, l: int) -> tuple[int, type]:
+    """total = C(l+d-1, l-m), every table row's sum, and the dtype of the
+    table and of every integer a reader forms from it: int64 while
+    total (l + 1) is below 2**53, else object (Python ints)."""
     # (l-m)! (m+d-1)! / (l+d-1)! is 1 / C(l+d-1, l-m), as (l-m) + (m+d-1) = l+d-1
     total = math.comb(l + d - 1, l - m)
     # no reader forms an integer past total (l + 1), so int64 is exact, and
     # its ratios divide exact doubles, below 2**53
-    dtype = np.int64 if total * (l + 1) < 2**53 else object
+    return total, np.int64 if total * (l + 1) < 2**53 else object
+
+
+@lru_cache(maxsize=None)
+def clone_amplitudes(d: int, m: int, l: int) -> CloneAmplitudes:
+    """The CloneAmplitudes of (d, m, l), cached, with
+    require_table_room's refusals."""
+    require_table_room(d, m, l)
+    total, dtype = exact_total(d, m, l)
     # C(j_p + k_p, k_p) sits at [j_p, k_p]: an input's row, then the added columns
     binom = pascal(m + 1, l - m + 1, dtype)
     inputs = enumerate_basis(d, m).counts
@@ -86,26 +99,48 @@ def clone_amplitudes(d: int, m: int, l: int) -> CloneAmplitudes:
     return CloneAmplitudes(d=d, m=m, l=l, occupancy=occupancy, total=total)
 
 
+def level_sums(d: int, m: int, l: int) -> np.ndarray:
+    """S, read-only (m + 1,) in exact_total's dtype, built without the
+    table: S[v] = sum_t occupancy[a, t] (a_i + k_t,i) for every input a
+    with a_i = v, that is sum_k C(v + k, k) (v + k) C(r + L - k, L - k),
+    k = 0..L = l - m, r = m - v + d - 2.  Every term lies in [0, total l]."""
+    _, dtype = exact_total(d, m, l)
+    L = l - m
+    # fixing k_i = k, the other levels' compositions of L - k weigh
+    # [x^(L-k)] (1 - x)^-(r + 1) = C(r + L - k, L - k) in all; C(v + k, k)
+    # sits at own[v, k] and C(r + L - k, L - k) at rest[v, k]
+    binom = pascal(m + d - 1, L + 1, dtype)
+    own, rest = binom[: m + 1], binom[d - 2 :][::-1, ::-1]
+    v, k = np.arange(m + 1), np.arange(L + 1)
+    # the shorter axis is the loop, so no (m + 1, L + 1) product is held
+    if m <= L:
+        sums = [np.dot(own[j] * (j + k), rest[j]) for j in v]
+    else:
+        sums = sum(own[:, j] * (v + j) * rest[:, j] for j in k)
+    sums = np.array(sums, dtype=dtype)
+    sums.setflags(write=False)
+    return sums
+
+
 @lru_cache(maxsize=None)
 def reduced_map(d: int, m: int, l: int) -> tuple[np.ndarray, np.ndarray]:
-    """reduce_one after the channel of (d, m, l), l >= 1, cached apart from
-    its table: read-only complex128 weights (imaginary parts +0.0) on the
-    input's diagonal and hops, read off the table's integers sums[a, i] =
-    sum_t occupancy[a, t] (a_i + k_t,i): W_diag[i, a] = sums[a, i] / (Q l),
-    (d, dim(d, m)), and W_hop[j, r] = sqrt(u_p + 1) sqrt(u_q + 1) rho / l,
-    (d(d-1), dim(d, m-1)), rho = (sums[rank(u + e_lo), hi] + Q) /
-    ((u_hi + 1) Q), lo < hi the levels p, q of the j-th move and u the r-th
-    composition of weight m - 1; Q is total and each ratio correctly
-    rounded.  Dyads two or more hops apart reduce to 0 (M. Keyl and
-    R. F. Werner, J. Math. Phys. 40, 3283 (1999)).
+    """reduce_one after the channel of (d, m, l), l >= 1, cached, with
+    require_table_room's refusals: read-only complex128 weights (imaginary
+    parts +0.0) on the input's diagonal and hops, read off the integers
+    sums[a, i] = S[a_i] of level_sums, no table built: W_diag[i, a] =
+    sums[a, i] / (Q l), (d, dim(d, m)), and W_hop[j, r] = sqrt(u_p + 1)
+    sqrt(u_q + 1) rho / l, (d(d-1), dim(d, m-1)), rho = (sums[rank(u +
+    e_lo), hi] + Q) / ((u_hi + 1) Q), lo < hi the levels p, q of the j-th
+    move and u the r-th composition of weight m - 1; Q is total and each
+    ratio correctly rounded.  Dyads two or more hops apart reduce to 0
+    (M. Keyl and R. F. Werner, J. Math. Phys. 40, 3283 (1999)).
     """
-    table = clone_amplitudes(d, m, l)
+    require_table_room(d, m, l)
     inputs = enumerate_basis(d, m)
-    added = enumerate_basis(d, l - m).counts
+    total, dtype = exact_total(d, m, l)
     # in the table's dtype: no integer formed here passes total (l + 1)
-    total = np.array(table.total, dtype=table.occupancy.dtype)
-    # each row sums to total, so sums[a, i] gains a_i total
-    sums = table.occupancy @ added + inputs.counts * total
+    total = np.array(total, dtype=dtype)
+    sums = level_sums(d, m, l)[inputs.counts]
     # rows A of u + e_p and B of u + e_q hold A (u_p + 1)(u_q + k_q + 1) =
     # B (u_q + 1)(u_p + k_p + 1), so a hop's terms sum to sqrt(u_p + 1)
     # sqrt(u_q + 1) sum_t A (u_q + k_q + 1) / ((u_q + 1) Q l), and
@@ -186,12 +221,12 @@ def clone_channel(op: SymOperator, l: int) -> CloneOutput:
     """The CloneOutput of op, or of a stack, at weight l: Y[a+k, b+k] +=
     X[a, b] alpha(a, k) alpha(b, k) over every added k.  A clone of a clone
     output clones its source, as T_{m'->l} T_{m->m'} = T_{m->l}.  Raises
-    InvalidParameterError if l < m, and clone_amplitudes' ResourceLimitError."""
+    require_table_room's refusals."""
     if isinstance(op, CloneOutput):
         if l < op.m:
             raise InvalidParameterError(f"need l >= m, got l={l}, m={op.m}")
         op = op.source
-    clone_amplitudes(op.d, op.m, l)  # its refusals, and the table the output reads
+    require_table_room(op.d, op.m, l)
     return CloneOutput(op, l)
 
 

@@ -47,6 +47,18 @@ def swap_in_row(i):
     return swap
 
 
+def swap_columns(occupancy):
+    """Columns 0 and 1 swapped, where the table has two."""
+    if occupancy.shape[1] > 1:
+        occupancy[:, [0, 1]] = occupancy[:, [1, 0]]
+
+
+def raise_level_sums(monkeypatch):
+    """A mutant whose level sums are each one too large."""
+    exact = cloner.level_sums
+    monkeypatch.setattr(cloner, "level_sums", lambda d, m, l: exact(d, m, l) + 1)
+
+
 def mutate_tables(swap):
     """A mutant that applies swap to a copy of every table's occupancy and
     returns the list of the mutated tables, which grows as they are built."""

@@ -9,7 +9,14 @@ from pathlib import Path
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from conftest import clear_plan_caches, mutate_tables, swap_in_row, traced_peak
+from conftest import (
+    clear_plan_caches,
+    mutate_tables,
+    raise_level_sums,
+    swap_columns,
+    swap_in_row,
+    traced_peak,
+)
 from hypothesis import given, settings
 from paper_formulas import alpha_d_sq, alpha_qubit_sq
 
@@ -456,12 +463,61 @@ class TestStructuredOutput:
             out.entries
 
     def test_amplitude_table_guard_precedes_enumeration(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("enumerated before the guard")
-
-        monkeypatch.setattr(cloner, "enumerate_basis", refuse)
+        refuse_to_enumerate(monkeypatch)
         with pytest.raises(ResourceLimitError, match="amplitude table"):
             clone_channel(sym_operator(3, 1, np.eye(3) / 3), 2000)
+
+
+# the input, the weight, and what clone_channel raises, as it did when it
+# built the table: (5, 2, 36) has 15 x 73815 = 1107225 entries, past the
+# guard, and a weight-0 input of 2897 levels adds a basis of 2897**2 counts,
+# past 8 times it
+REFUSED_CLONES = {
+    "shrinking": ((0, 2, 0), 1, InvalidParameterError, "need l >= m, got l=1, m=2"),
+    "table": ((2, 0, 0, 0, 0), 36, ResourceLimitError,
+              "amplitude table exceeds the guard of 1048576 entries"),
+    "basis": ((0,) * 2897, 1, ResourceLimitError,
+              "amplitude table's basis exceeds the guard of 8388608 entries"),
+}
+
+
+def refuse_to_enumerate(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("enumerated before the guard")
+
+    monkeypatch.setattr(cloner, "enumerate_basis", refuse)
+
+
+@pytest.mark.parametrize("case", list(REFUSED_CLONES))
+def test_clone_channel_refuses_before_enumerating(case, monkeypatch):
+    counts, l, error, message = REFUSED_CLONES[case]
+    x = basis_projector(counts)
+    refuse_to_enumerate(monkeypatch)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        clone_channel(x, l)
+
+
+def test_a_warm_clone_checks_no_guard(monkeypatch):
+    # (4, 1, 115) has 4 x 260130 = 1040520 entries, within the guard: the
+    # cold clone checks the table and its two bases, and enumerates nothing;
+    # the warm clone is one cache hit of the guard, which checks nothing
+    x = basis_projector((1, 0, 0, 0))
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return guarded_dims(*args)
+
+    monkeypatch.setattr(cloner, "guarded_dims", counting)
+    refuse_to_enumerate(monkeypatch)
+    cloner.require_table_room.cache_clear()
+    clone_channel(x, 115)
+    assert len(calls) == 3
+    calls.clear()
+    hits = cloner.require_table_room.cache_info().hits
+    out = clone_channel(x, 115)
+    assert calls == [] and out.source is x and out.m == 115
+    assert cloner.require_table_room.cache_info().hits == hits + 1
 
 
 TABLE_READERS = ["clone_amplitudes", "isometry_gram", "coeffs"]
@@ -476,10 +532,7 @@ TABLE_READERS = ["clone_amplitudes", "isometry_gram", "coeffs"]
     ids=TABLE_READERS + [f"{caller}-wide" for caller in TABLE_READERS],
 )
 def test_every_amplitude_table_reader_shares_the_guard(caller, cell, monkeypatch, tmp_path, capsys):
-    def refuse(*args):
-        raise AssertionError("enumerated before the guard")
-
-    monkeypatch.setattr(cloner, "enumerate_basis", refuse)
+    refuse_to_enumerate(monkeypatch)
     if caller == "coeffs":
         out = tmp_path / "amps.csv"
         d, m, l = map(str, cell)
@@ -661,7 +714,7 @@ class TestChain:
         x = hermitian_sym_operator(d, m, np.random.default_rng([d, m, l]))
         chain = clone_channel(clone_channel(x, mid), l)
         assert scaling_residual(reduce_one(x), reduce_one(chain), d, m, l) <= 1e-10
-        assert "plan" not in clone_amplitudes(d, m, l).__dict__
+        assert cloner.clone_amplitudes.cache_info().misses == 0
 
     def test_a_chain_past_its_composed_guard_is_refused(self, monkeypatch):
         # (5, 2, 36) has 15 x 73815 = 1107225 entries, just past the guard
@@ -670,8 +723,7 @@ class TestChain:
         refuse_ranks(monkeypatch)
         with pytest.raises(ResourceLimitError, match="amplitude table"):
             clone_channel(first, 36)
-        assert "plan" not in clone_amplitudes(5, 2, 35).__dict__
-        clear_plan_caches()
+        assert cloner.clone_amplitudes.cache_info().misses == 0
 
     def test_a_clone_to_its_own_weight_keeps_the_output(self):
         # T_{l->l} is the identity, so a clone output cloned to its own
@@ -702,6 +754,7 @@ class TestCloneAmplitudesTable:
         with pytest.raises(ResourceLimitError, match=refused(8 * symspace.ENTRY_GUARD)):
             cloner.clone_amplitudes.__wrapped__(2897, 1, 1)
         monkeypatch.setattr(symspace, "ENTRY_GUARD", 2**10)
+        cloner.require_table_room.cache_clear()  # admissions under the real guard
         # 90**2 counts fit in 8 * 2**10, and 91**2 do not
         assert cloner.clone_amplitudes.__wrapped__(90, 1, 1).occupancy.shape == (90, 1)
         with pytest.raises(ResourceLimitError, match=refused(2**13)):
@@ -945,16 +998,30 @@ def flat_index_occupancy(d, m, l):
     return occupancy
 
 
+def table_sums(occupancy, d, m, l):
+    """occupancy @ added + counts total, each input's weighted row sums per
+    level, in the table's dtype."""
+    total = np.array(clone_amplitudes(d, m, l).total, dtype=occupancy.dtype)
+    return occupancy @ enumerate_basis(d, l - m).counts + enumerate_basis(d, m).counts * total
+
+
 class TestReducedMap:
-    # the isometry suite's grid, the clone benchmark cells and the large cells
+    # the isometry suite's grid, which holds the scaling suite's
+    GRID = [(d, m, l) for d in range(2, 5) for m in range(1, 5) for l in range(m, 9)]
+    # the grid, the clone benchmark cells and the large cells
     CELLS = (
-        [(d, m, l) for d in range(2, 5) for m in range(1, 5) for l in range(m, 9)]
+        GRID
         + [(2, 20, 400), (3, 6, 30), (4, 4, 16), (5, 2, 10), (3, 20, 24), (2, 1, 200),
            (3, 2, 20), (3, 1, 100), (4, 1, 30)]
         + [(4, 1, 114), (5, 2, 35), (3, 1, 830), (6, 1, 20)]
     )
     # a single input state, K = dim(d, l)
     EMPTY_INPUT_CELLS = [(d, 0, l) for d in (2, 3, 5, 6) for l in (1, 2, 4, 9)]
+    # (2, 6, 288) has the widest int64 table, (2, 6, 295) an object table
+    # whose total (l + 1) is below 2**54, (2, 9, 181) one whose total is
+    # below 2**53, and (2, 12, 150) and (2, 150, 162), whose weight passes
+    # its added weight, object tables whose totals pass it
+    WIDE_CELLS = [(2, 6, 288), (2, 6, 295), (2, 9, 181), (2, 12, 150), (2, 150, 162)]
 
     @pytest.fixture(autouse=True)
     def forget_tables(self):
@@ -983,13 +1050,8 @@ class TestReducedMap:
     def test_map_is_the_correctly_rounded_closed_form(self):
         # W_diag = eta a_i/m + (1 - eta)/d and W_hop = sqrt(u_p + 1)
         # sqrt(u_q + 1) (l + d)/(m + d) / l, each ratio rounded once, with
-        # eta/m = (l + d)/(l (m + d)) so that m = 0 needs no division by m.
-        # (2, 6, 288) has the widest int64 table, (2, 6, 295) an object
-        # table whose total (l + 1) is below 2**54, (2, 9, 181) one whose
-        # total is below 2**53, and (2, 12, 150) and (2, 20, 400) object
-        # tables whose totals pass it
-        wide = [(2, 6, 288), (2, 6, 295), (2, 9, 181), (2, 12, 150)]
-        for d, m, l in self.CELLS + self.EMPTY_INPUT_CELLS + wide:
+        # eta/m = (l + d)/(l (m + d)) so that m = 0 needs no division by m
+        for d, m, l in self.CELLS + self.EMPTY_INPUT_CELLS + self.WIDE_CELLS:
             table = clone_amplitudes(d, m, l)
             # the map's integers reach total (l + 1): one rule serves the table and its map
             int64 = table.total * (l + 1) < 2**53
@@ -1014,10 +1076,11 @@ class TestReducedMap:
         assert clone_amplitudes(2, 9, 181).occupancy.dtype == object
         assert clone_amplitudes(2, 9, 181).total < 2**53
         assert clone_amplitudes(2, 12, 150).occupancy.dtype == object
+        assert clone_amplitudes(2, 150, 162).occupancy.dtype == object
 
     def test_the_map_outlives_its_table(self):
-        # the map is cached apart from the table it reads: forgetting the
-        # tables keeps it, and a live output reduces through it, building none
+        # the map is cached apart from the table and reads none: forgetting
+        # the tables keeps it, and a live output reduces through it, building none
         d, m, l = 4, 1, 114
         out = clone_channel(hermitian_sym_operator(d, m, np.random.default_rng(5)), l)
         w = reduced_map(d, m, l)
@@ -1039,6 +1102,40 @@ class TestReducedMap:
             assert np.array_equal(got, want), (d, m, l)
         assert clone_amplitudes(2, 20, 400).occupancy.dtype == object
 
+    def test_table_contracts_to_the_level_sums(self):
+        # the map reads no table, so this exact check and the oracle suite
+        # are what see a fault in it: at every scaling and isometry grid
+        # cell, the wide cells and the large cells, each table's weighted
+        # row sums, occupancy @ added + counts total, are S[counts], exactly
+        # and in one dtype
+        for d, m, l in self.CELLS + self.EMPTY_INPUT_CELLS + self.WIDE_CELLS:
+            sums = cloner.level_sums(d, m, l)
+            assert sums.shape == (m + 1,) and not sums.flags.writeable
+            counts = enumerate_basis(d, m).counts
+            got = table_sums(clone_amplitudes(d, m, l).occupancy, d, m, l)
+            assert got.dtype == sums.dtype, (d, m, l)
+            assert np.array_equal(got, sums[counts]), (d, m, l)
+
+    @pytest.mark.parametrize(
+        "mutant", [swap_in_row(0), swap_in_row(-1), swap_columns],
+        ids=["row 0 swapped", "last row swapped", "columns 0 and 1 swapped"],
+    )
+    def test_a_permuted_table_breaks_the_level_sums(self, mutant):
+        # a swap moves weight between two added compositions, which differ
+        # at some level, so it moves that level's sum wherever it changes the
+        # table: at each of the 66 grid cells with l > m
+        changed = 0
+        for d, m, l in self.GRID:
+            exact = clone_amplitudes(d, m, l).occupancy
+            occupancy = exact.copy()
+            mutant(occupancy)
+            if np.array_equal(occupancy, exact):
+                continue
+            changed += 1
+            want = cloner.level_sums(d, m, l)[enumerate_basis(d, m).counts]
+            assert not np.array_equal(table_sums(occupancy, d, m, l), want), (d, m, l)
+        assert changed == 66
+
     @pytest.mark.parametrize("d, m, l", [(4, 1, 114), (5, 2, 35), (3, 1, 830)])
     def test_table_build_peak_is_about_twice_the_table(self, d, m, l):
         # clone_amplitudes builds the table one level at a time, in place:
@@ -1053,12 +1150,10 @@ class TestReducedMap:
 
     @pytest.mark.parametrize("d, m, l", [(4, 1, 114), (5, 2, 35), (6, 1, 20), (3, 1, 830)])
     def test_map_transient_is_a_few_kib(self, d, m, l):
-        # the map alone, over its cached table whose bases and hop entries
-        # exist: 4.8, 9.1, 5.8 and 4.4 KiB, one (n_in, d) integer contraction
-        # and the small arrays read off it; nothing of length K is allocated
-        clone_amplitudes(d, m, l)
+        # the map alone, from its input basis and hop entries: a (m + d - 1,
+        # l - m + 1) Pascal grid, the level sums and the small arrays read off
+        # them; no table, no added basis, nothing of length K
         enumerate_basis(d, m).hop_entries
-        enumerate_basis(d, l - m)
         _, peak = traced_peak(lambda: cloner.reduced_map.__wrapped__(d, m, l))
         assert peak < 64 << 10
 
@@ -1096,11 +1191,16 @@ class TestReducedMap:
         for case in cases:
             assert case.residual == 0.0 and case.extra["bloch_residual"] == 0.0, case.params
 
-    def test_reduce_only_peak_at_a_large_cell(self):
-        # building the plan and scattering the output's diagonal and hops at
-        # weight 114 peaked at 172.8 MiB; the reduction through the map
-        # peaked at 25.1 MiB, most of it the table and its added basis
-        d, m, l = 4, 1, 114
+    # CI's four large cells, where the op built a table and its added basis
+    # and peaked at 25.1 MiB at (4, 1, 114), and (2, 20, 400), whose object
+    # integers peaked at 778 KiB through the table
+    @pytest.mark.parametrize(
+        "d, m, l, bound",
+        [(4, 1, 114, 256), (5, 2, 35, 256), (3, 1, 830, 256), (6, 1, 20, 256), (2, 20, 400, 778)],
+    )
+    def test_reduce_only_peak_at_a_large_cell(self, d, m, l, bound):
+        # the op reads the map alone: a Pascal grid of (m + d - 1) x (l - m + 1)
+        # integers, the level sums and the map; no table is built
         clear_plan_caches()
         x = hermitian_sym_operator(d, m, np.random.default_rng(5))
         rin = reduce_one(x)
@@ -1110,11 +1210,11 @@ class TestReducedMap:
             return out, reduce_one(out)
 
         (out, rout), peak = traced_peak(clone_and_reduce)
-        assert peak < 40 << 20
+        assert peak < bound << 10
         assert scaling_residual(rin, rout, d, m, l) <= 1e-10
-        assert "plan" not in clone_amplitudes(d, m, l).__dict__ and "basis" not in out.__dict__
-        # two tables: the input's identity clone, which reduces it, and the clone's
-        assert cloner.clone_amplitudes.cache_info().misses == 2
+        assert cloner.clone_amplitudes.cache_info().misses == 0 and "basis" not in out.__dict__
+        # two maps: the input's identity clone, which reduces it, and the clone's
+        assert cloner.reduced_map.cache_info().misses == 2
 
 
 COLD_CELLS = [(3, 1, 30), (2, 20, 60)]
@@ -1130,9 +1230,9 @@ def refuse_ranks(monkeypatch):
 
 @pytest.mark.parametrize("d, m, l", COLD_CELLS)
 def test_no_third_cache_serves_a_plan(d, m, l, monkeypatch):
-    # once the basis and table caches forget a used cell, its hop ranks,
-    # both tables and the output's channel plan are rebuilt: no other cache
-    # serves them
+    # once the basis, table and map caches forget a used cell, its hop
+    # ranks, both maps and the output's channel plan are rebuilt: no other
+    # cache serves them, and a reduction builds no table
     n = dim(d, m)
     used = sym_operator(d, m, np.eye(n) / n)
     reduce_one(clone_channel(used, l))
@@ -1142,13 +1242,15 @@ def test_no_third_cache_serves_a_plan(d, m, l, monkeypatch):
     assert x.basis is not used.basis and "hop_entries" not in x.basis.__dict__
     out = clone_channel(x, l)  # the output reads no plan until asked
     assert "hop_entries" not in x.basis.__dict__
-    assert cloner.clone_amplitudes.cache_info().misses == 1
+    assert cloner.reduced_map.cache_info().misses == 0
     reduce_one(out)
     assert "hop_entries" in x.basis.__dict__  # rebuilt on the reduce
     assert x.basis.hop_entries is not used.basis.hop_entries
     assert np.array_equal(x.basis.hop_entries, used.basis.hop_entries)
-    reduce_one(x)  # through the identity table of (d, m, m), built anew
-    assert cloner.clone_amplitudes.cache_info().misses == 2
+    assert cloner.reduced_map.cache_info().misses == 1
+    reduce_one(x)  # through the identity map of (d, m, m), built anew
+    assert cloner.reduced_map.cache_info().misses == 2
+    assert cloner.clone_amplitudes.cache_info().misses == 0
     refuse_ranks(monkeypatch)
     with pytest.raises(AssertionError, match="plan was built"):
         out._diagonal_and_hops()
@@ -1198,20 +1300,23 @@ def test_cold_reduction_ranks_no_output_composition(d, m, l, monkeypatch):
     reduce_one(out)
     assert weights[symspace] == []
     assert weights[cloner] == []
-    assert "plan" not in clone_amplitudes(d, m, l).__dict__ and "basis" not in out.__dict__
+    assert cloner.clone_amplitudes.cache_info().misses == 0 and "basis" not in out.__dict__
 
 
 @pytest.mark.parametrize("d, m, l", COLD_CELLS)
 def test_gathering_hops_reduces_no_input(d, m, l):
     # a clone output gathers its source's hops by the move levels alone and
-    # weighs them by its own table, so no identity table of the source's
-    # weight is built that nobody reads
+    # weighs them by its own map, so no identity map of the source's weight
+    # is built that nobody reads, and no table at all
     clear_plan_caches()
     x = hermitian_sym_operator(d, m, np.random.default_rng([d, m, l]))
     reduce_one(clone_channel(x, l))
     assert "moves" in x.basis.__dict__
-    # the one table built is the clone's own, (d, m, l)
-    assert cloner.clone_amplitudes.cache_info().misses == 1
+    # the one map built is the clone's own, (d, m, l)
+    assert cloner.reduced_map.cache_info().misses == 1
+    assert cloner.reduced_map(d, m, l) is cloner.reduced_map(d, m, l)
+    assert cloner.reduced_map.cache_info().misses == 1
+    assert cloner.clone_amplitudes.cache_info().misses == 0
 
 
 @pytest.mark.parametrize("d, m, l", COLD_CELLS)
@@ -1248,12 +1353,20 @@ def test_oracle_suite_catches_a_permuted_amplitude_table(monkeypatch):
     assert not report.passed
 
 
-def test_scaling_suite_catches_a_permuted_amplitude_table_through_the_map(monkeypatch):
+def test_scaling_suite_reads_no_table_and_catches_wrong_level_sums(monkeypatch):
+    # the suite weighs both sides by reduced maps, which read no table: it
+    # passes on swapped tables, which it never builds, and fails on level
+    # sums one too large, which break the trace of every reduction
     report, tables, maps = run_on_swapped_tables(scaling_suite, monkeypatch)
-    assert not report.passed
-    # the suite reads the reduced maps of the mutated tables, and no plan
-    assert tables and all("plan" not in amps.__dict__ for amps in tables)
-    assert maps
+    assert report.passed and tables == [] and maps
+    raise_level_sums(monkeypatch)
+    clear_plan_caches()
+    try:
+        report = scaling_suite()
+    finally:
+        monkeypatch.undo()
+        clear_plan_caches()
+    assert sum(not case.passed for case in report.cases) == 84
 
 
 def test_oracle_imports_nothing_from_the_cloner():

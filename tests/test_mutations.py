@@ -2,7 +2,8 @@
 
 A mutant is a fault a real bug could make in the fast path: a permuted
 amplitude table, reached through every module that looks clone_amplitudes
-up; reduced maps whose hop weights are off by a factor independent of l;
+up; level sums one too large; reduced maps whose hop weights are off by a
+factor independent of l;
 a source's hops gathered transposed; two outputs of a channel plan
 exchanged; or the plan's squared amplitudes off by a relative 1e-9.  The table
 pins each suite's count of failing cases per mutant, so a change
@@ -10,7 +11,13 @@ that blinds a suite to a fault, or lets it see one it did not, shows here.
 """
 
 import numpy as np
-from conftest import clear_plan_caches, mutate_tables, swap_in_row
+from conftest import (
+    clear_plan_caches,
+    mutate_tables,
+    raise_level_sums,
+    swap_columns,
+    swap_in_row,
+)
 
 from symclone import cloner, symspace
 from symclone.verify import SUITES, run_suite
@@ -18,27 +25,23 @@ from symclone.verify import SUITES, run_suite
 # failing cases per mutant, in SUITES order: scaling, isometry, concat,
 # oracle, covariance.  Every table keeps its rows' sums, so the isometry
 # suite passes, and the covariance suite reads no table.  The scaling suite
-# weighs both of its sides by reduced maps, the input's through its identity
-# clone, so a hop factor independent of l cancels there, and so do hops
-# gathered transposed: only the oracle suite sees them.  Exchanged plan
-# outputs keep each column injective and the reduced maps whole, so only
-# the dense view's readers, concat and oracle, see them.  The reduced maps
-# read the table's integers, not the plan's amplitudes, so the scaling suite
-# cannot see squared amplitudes off by a factor
+# weighs both of its sides by reduced maps, which read no table, so it sees
+# no table fault; wrong level sums it sees wherever l > m.  The input's map
+# is its identity clone's, so a hop factor independent of l cancels there,
+# and so do hops gathered transposed: only the oracle suite sees them.
+# Exchanged plan outputs keep each column injective and the reduced maps
+# whole, so only the dense view's readers, concat and oracle, see them, and
+# they alone see squared amplitudes off by a factor
 FAILING_CASES = {
-    "row 0 swapped": (84, 0, 40, 18, 0),
-    "last row swapped": (84, 0, 0, 18, 0),
-    "columns 0 and 1 swapped": (84, 0, 40, 18, 0),
+    "row 0 swapped": (0, 0, 40, 18, 0),
+    "last row swapped": (0, 0, 0, 18, 0),
+    "columns 0 and 1 swapped": (0, 0, 40, 18, 0),
+    "level sums + 1": (84, 0, 0, 28, 0),
     "W_hop x (1 + 1e-6)": (0, 0, 0, 28, 0),
     "hops gathered at (q, p)": (0, 0, 0, 28, 0),
     "plan outputs of ranks 0 and 1 exchanged in column 0": (0, 0, 112, 28, 0),
     "squared amplitudes x (1 + 1e-9)": (0, 78, 112, 28, 0),
 }
-
-
-def swap_columns(occupancy):
-    if occupancy.shape[1] > 1:
-        occupancy[:, [0, 1]] = occupancy[:, [1, 0]]
 
 
 def scale_hops(monkeypatch):
@@ -90,6 +93,7 @@ MUTANTS = {
     "row 0 swapped": mutate_tables(swap_in_row(0)),
     "last row swapped": mutate_tables(swap_in_row(-1)),
     "columns 0 and 1 swapped": mutate_tables(swap_columns),
+    "level sums + 1": raise_level_sums,
     "W_hop x (1 + 1e-6)": scale_hops,
     "hops gathered at (q, p)": transpose_hops,
     "plan outputs of ranks 0 and 1 exchanged in column 0": exchange_plan_outputs,
@@ -123,7 +127,6 @@ def test_each_suite_fails_its_count_of_cases_under_each_mutant(monkeypatch):
         tables = built[name]["scaling"]
         if tables is None:  # a mutant of a method, not of the tables
             continue
-        # the scaling suite plans no table: it sees a mutant through the
-        # reduced maps, which read the mutated tables
-        assert tables and all("plan" not in amps.__dict__ for amps in tables)
+        # the scaling suite builds no table, and the concat suite reads them
+        assert tables == []
         assert built[name]["concat"]
