@@ -51,19 +51,6 @@ class CloneAmplitudes:
         return idx, v
 
 
-@lru_cache(maxsize=None)
-def require_table_room(d: int, m: int, l: int) -> None:
-    """Raise InvalidParameterError if l < m or (d, m) has no basis, and,
-    before anything is enumerated, ResourceLimitError for a table of
-    (d, m, l) past ENTRY_GUARD entries or a basis of (d, m) or (d, l - m)
-    past 8 times it.  Cached, so an admitted cell costs one cache hit."""
-    if l < m:
-        raise InvalidParameterError(f"need l >= m, got l={l}, m={m}")
-    require_room(guarded_dims(d, m, l - m), "amplitude table")
-    for n in (m, l - m):
-        require_room(guarded_dims(d, n, 1), "amplitude table's basis", times=8)
-
-
 def exact_total(d: int, m: int, l: int) -> tuple[int, type]:
     """total = C(l+d-1, l-m), every table row's sum, and the dtype of the
     table and of every integer a reader forms from it: int64 while
@@ -77,9 +64,15 @@ def exact_total(d: int, m: int, l: int) -> tuple[int, type]:
 
 @lru_cache(maxsize=None)
 def clone_amplitudes(d: int, m: int, l: int) -> CloneAmplitudes:
-    """The CloneAmplitudes of (d, m, l), cached, with
-    require_table_room's refusals."""
-    require_table_room(d, m, l)
+    """The CloneAmplitudes of (d, m, l), cached.  Raises InvalidParameterError
+    if l < m or (d, m) has no basis, and, before anything is enumerated,
+    ResourceLimitError for a table past ENTRY_GUARD entries or a basis of
+    (d, m) or (d, l - m) past 8 times it."""
+    if l < m:
+        raise InvalidParameterError(f"need l >= m, got l={l}, m={m}")
+    require_room(guarded_dims(d, m, l - m), "amplitude table")
+    for n in (m, l - m):
+        require_room(guarded_dims(d, n, 1), "amplitude table's basis", times=8)
     total, dtype = exact_total(d, m, l)
     # C(j_p + k_p, k_p) sits at [j_p, k_p]: an input's row, then the added columns
     binom = pascal(m + 1, l - m + 1, dtype)
@@ -124,18 +117,21 @@ def level_sums(d: int, m: int, l: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def reduced_map(d: int, m: int, l: int) -> tuple[np.ndarray, np.ndarray]:
-    """reduce_one after the channel of (d, m, l), l >= 1, cached, with
-    require_table_room's refusals: read-only complex128 weights (imaginary
-    parts +0.0) on the input's diagonal and hops, read off the integers
-    sums[a, i] = S[a_i] of level_sums, no table built: W_diag[i, a] =
-    sums[a, i] / (Q l), (d, dim(d, m)), and W_hop[j, r] = sqrt(u_p + 1)
-    sqrt(u_q + 1) rho / l, (d(d-1), dim(d, m-1)), rho = (sums[rank(u +
-    e_lo), hi] + Q) / ((u_hi + 1) Q), lo < hi the levels p, q of the j-th
-    move and u the r-th composition of weight m - 1; Q is total and each
-    ratio correctly rounded.  Dyads two or more hops apart reduce to 0
-    (M. Keyl and R. F. Werner, J. Math. Phys. 40, 3283 (1999)).
-    """
-    require_table_room(d, m, l)
+    """reduce_one after the channel of (d, m, l), 1 <= l and m <= l, cached:
+    read-only complex128 weights (imaginary parts +0.0) on the input's
+    diagonal and hops, read off the integers sums[a, i] = S[a_i] of
+    level_sums, no table built: W_diag[i, a] = sums[a, i] / (Q l), (d,
+    dim(d, m)), and W_hop[j, r] = sqrt(u_p + 1) sqrt(u_q + 1) rho / l,
+    (d(d-1), dim(d, m-1)), rho = (sums[rank(u + e_lo), hi] + Q) / ((u_hi +
+    1) Q), lo < hi the levels p, q of the j-th move and u the r-th
+    composition of weight m - 1; Q is total and each ratio correctly
+    rounded.  Dyads two or more hops apart reduce to 0 (M. Keyl and R. F.
+    Werner, J. Math. Phys. 40, 3283 (1999)).  Raises ResourceLimitError,
+    before any exact binomial, for a Pascal grid past ENTRY_GUARD entries
+    or d x d moves past 8 times it, and enumerate_basis's refusals."""
+    require_room((m + d - 1) * (l - m + 1), "reduced map's Pascal grid")
+    # np.eye(d) for the moves, and the hop entries at m <= 1
+    require_room(d * d, "reduced map's move array", times=8)
     inputs = enumerate_basis(d, m)
     total, dtype = exact_total(d, m, l)
     # in the table's dtype: no integer formed here passes total (l + 1)
@@ -187,10 +183,12 @@ class CloneOutput(SymOperator):
     def entries(self) -> np.ndarray:
         """The dense read-only complex128 (dim(d, l), dim(d, l)) output, or
         (B, ., .), each entry's terms added in t order onto +0.0.  Raises
-        ResourceLimitError, before any allocation, past 4 * ENTRY_GUARD in all."""
-        lead, n_out = self.source.entries.shape[:-2], self.basis.size
-        batch = math.prod(lead)
-        require_room(batch * n_out * n_out, "dense output", times=4)
+        ResourceLimitError, before the output basis is enumerated, past
+        4 * ENTRY_GUARD in all, and clone_amplitudes' refusals."""
+        lead = self.source.entries.shape[:-2]
+        batch, square = math.prod(lead), guarded_dims(self.d, self.l, self.l)
+        require_room(None if square is None else batch * square, "dense output", times=4)
+        n_out = self.basis.size
         idx, v = clone_amplitudes(self.d, self.source.m, self.l).plan
         n_in, k = idx.shape
         y = np.zeros(batch * n_out * n_out, dtype=np.complex128)
@@ -221,19 +219,19 @@ def clone_channel(op: SymOperator, l: int) -> CloneOutput:
     """The CloneOutput of op, or of a stack, at weight l: Y[a+k, b+k] +=
     X[a, b] alpha(a, k) alpha(b, k) over every added k.  A clone of a clone
     output clones its source, as T_{m'->l} T_{m->m'} = T_{m->l}.  Raises
-    require_table_room's refusals."""
+    InvalidParameterError if l < op.m, and builds nothing: each reader
+    refuses what it would build."""
+    if l < op.m:
+        raise InvalidParameterError(f"need l >= m, got l={l}, m={op.m}")
     if isinstance(op, CloneOutput):
-        if l < op.m:
-            raise InvalidParameterError(f"need l >= m, got l={l}, m={op.m}")
         op = op.source
-    require_table_room(op.d, op.m, l)
     return CloneOutput(op, l)
 
 
 def uqcm_pure_output(d: int, n: int, m: int) -> SymOperator:
     """The diagonal CloneOutput of n particles in level 0 cloned to m.
     Raises InvalidParameterError unless 1 <= n <= m, and basis_projector's
-    and clone_channel's ResourceLimitError."""
+    ResourceLimitError; its readers refuse what they would build."""
     if n < 1:
         raise InvalidParameterError(f"need at least one input copy, got {n}")
     if m < n:

@@ -27,8 +27,8 @@ def traced_peak(fn):
 
 
 def clear_plan_caches():
-    """Forget every basis, table and reduced map: the hop ranks live on
-    their basis and the channel plan on its table."""
+    """Forget every basis, table and reduced map: the moves and hop
+    entries live on their basis and the channel plan on its table."""
     symspace.enumerate_basis.cache_clear()
     cloner.clone_amplitudes.cache_clear()
     cloner.reduced_map.cache_clear()

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import time
 import warnings
 from fractions import Fraction
@@ -266,22 +267,44 @@ class TestClone:
         err = json.loads(capsys.readouterr().err)
         assert err["code"] == 2 and "entry pairs" in err["error"]
 
-    @pytest.mark.parametrize("d, l", [(300000, 1), (1000, 2)])
-    def test_wide_table_rejected_before_enumeration(self, d, l, tmp_path, capsys):
-        # the table has at most 500500 entries, but its product and the
-        # plan's ranks run over all d levels of each: (300, 0, 2) alone took
-        # 1.2 s and 447 MiB, and (300000, 0, 1) ran past 120 s
+    @pytest.mark.parametrize(
+        "d, l, flags, refusal",
+        [(300000, "1", [], "dense output"), (1000, "2", [], "dense output"),
+         (300000, "1", ["--reduced"], "reduced map's move array"),
+         (3, "9" * 4000, ["--reduced"], "reduced map's Pascal grid")],
+        ids=["wide", "wide-weight-2", "wide-reduced", "vast-l-reduced"],
+    )
+    def test_wide_table_rejected_before_enumeration(
+        self, d, l, flags, refusal, tmp_path, capsys, monkeypatch
+    ):
+        # a clone builds nothing: the dense view refuses its output's square
+        # and the reduced map its d x d moves before either enumerates.  The
+        # table's product and ranks over all d levels once took 1.2 s and
+        # 447 MiB at (300, 0, 2) and ran past 120 s at (300000, 0, 1), and
+        # with only the map's Pascal grid guarded np.eye(300000) asked for
+        # 83.8 GiB.  That grid refuses an l of 4000 digits, before any
+        # exact binomial of it
+        comb = math.comb
+
+        def small_comb(n, k):
+            assert n.bit_length() <= 64, "an exact binomial of a vast weight"
+            return comb(n, k)
+
+        monkeypatch.setattr(math, "comb", small_comb)
         src = tmp_path / "in.json"
         doc = {"d": d, "m": 0, "basis": "lex_decreasing", "entries": [[1, 0]]}
         src.write_text(json.dumps(doc))
-        argv = ["clone", str(src), "--l", str(l), "--out", str(tmp_path / "o.json")]
+        argv = ["clone", str(src), "--l", l, *flags, "--out", str(tmp_path / "o.json")]
         start = time.perf_counter()
         code, peak = traced_peak(lambda: main(argv))
         seconds = time.perf_counter() - start
         # beyond the input's own (1, d) basis row, which the reader enumerates
         assert code == 2 and seconds < 1.0 and peak < (1 << 20) + 8 * d
-        err = json.loads(capsys.readouterr().err)
-        assert err["code"] == 2 and "amplitude table" in err["error"]
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["code"] == 2 and err["error"].startswith(f"{refusal} exceeds the guard")
+        assert not (tmp_path / "o.json").exists()
 
     def test_absurd_level_count_rejected_before_enumeration(self, tmp_path, capsys):
         # the reader enumerates the input's basis; a (1, 10**12) basis row

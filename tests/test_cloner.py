@@ -463,21 +463,28 @@ class TestStructuredOutput:
             out.entries
 
     def test_amplitude_table_guard_precedes_enumeration(self, monkeypatch):
+        # (2, 1023, 2047) has a dense view of 2048**2 = 4 * ENTRY_GUARD entries,
+        # which fits, and a table of 1024 x 1025 entries, which does not: the
+        # dense view reaches the table's guard before the table's bases
+        out = clone_channel(basis_projector((1023, 0)), 2047)
+        assert out.basis.size**2 == 4 * symspace.ENTRY_GUARD
         refuse_to_enumerate(monkeypatch)
-        with pytest.raises(ResourceLimitError, match="amplitude table"):
-            clone_channel(sym_operator(3, 1, np.eye(3) / 3), 2000)
+        with pytest.raises(ResourceLimitError, match="^amplitude table exceeds"):
+            out.entries
 
 
-# the input, the weight, and what clone_channel raises, as it did when it
-# built the table: (5, 2, 36) has 15 x 73815 = 1107225 entries, past the
-# guard, and a weight-0 input of 2897 levels adds a basis of 2897**2 counts,
-# past 8 times it
+# the input, the weight, where the refusal comes and what it raises: a
+# clone builds nothing, so it refuses only a shrinking weight.  (5, 2, 36),
+# whose table of 15 x 73815 = 1107225 entries is past the guard, and a
+# weight-0 input of 2897 levels, which adds a basis of 2897**2 counts, past
+# 8 times it, are refused by their dense view's own guard
 REFUSED_CLONES = {
-    "shrinking": ((0, 2, 0), 1, InvalidParameterError, "need l >= m, got l=1, m=2"),
-    "table": ((2, 0, 0, 0, 0), 36, ResourceLimitError,
-              "amplitude table exceeds the guard of 1048576 entries"),
-    "basis": ((0,) * 2897, 1, ResourceLimitError,
-              "amplitude table's basis exceeds the guard of 8388608 entries"),
+    "shrinking": ((0, 2, 0), 1, "clone_channel", InvalidParameterError,
+                  "need l >= m, got l=1, m=2"),
+    "table": ((2, 0, 0, 0, 0), 36, "entries", ResourceLimitError,
+              "dense output exceeds the guard of 4194304 entries"),
+    "basis": ((0,) * 2897, 1, "entries", ResourceLimitError,
+              "dense output exceeds the guard of 4194304 entries"),
 }
 
 
@@ -490,34 +497,76 @@ def refuse_to_enumerate(monkeypatch):
 
 @pytest.mark.parametrize("case", list(REFUSED_CLONES))
 def test_clone_channel_refuses_before_enumerating(case, monkeypatch):
-    counts, l, error, message = REFUSED_CLONES[case]
+    counts, l, at, error, message = REFUSED_CLONES[case]
     x = basis_projector(counts)
     refuse_to_enumerate(monkeypatch)
-    with pytest.raises(error, match=f"^{re.escape(message)}$"):
-        clone_channel(x, l)
+    refused = pytest.raises(error, match=f"^{re.escape(message)}$")
+    if at == "clone_channel":
+        with refused:
+            clone_channel(x, l)
+    else:
+        out = clone_channel(x, l)
+        with refused:
+            out.entries
 
 
 def test_a_warm_clone_checks_no_guard(monkeypatch):
-    # (4, 1, 115) has 4 x 260130 = 1040520 entries, within the guard: the
-    # cold clone checks the table and its two bases, and enumerates nothing;
-    # the warm clone is one cache hit of the guard, which checks nothing
+    # a clone builds nothing, so neither the cold nor the warm clone of
+    # (4, 1, 115) sizes anything or calls a guard
     x = basis_projector((1, 0, 0, 0))
     calls = []
 
-    def counting(*args):
-        calls.append(args)
-        return guarded_dims(*args)
+    def counting(guard):
+        def call(*args, **kwargs):
+            calls.append(args)
+            return guard(*args, **kwargs)
 
-    monkeypatch.setattr(cloner, "guarded_dims", counting)
+        return call
+
+    for guard in ("guarded_dims", "require_room"):
+        monkeypatch.setattr(cloner, guard, counting(getattr(cloner, guard)))
     refuse_to_enumerate(monkeypatch)
-    cloner.require_table_room.cache_clear()
-    clone_channel(x, 115)
-    assert len(calls) == 3
-    calls.clear()
-    hits = cloner.require_table_room.cache_info().hits
-    out = clone_channel(x, 115)
-    assert calls == [] and out.source is x and out.m == 115
-    assert cloner.require_table_room.cache_info().hits == hits + 1
+    cloner.reduced_map.cache_clear()
+    for _ in range(2):
+        out = clone_channel(x, 115)
+        assert calls == [] and out.source is x and out.m == 115
+    assert cloner.reduced_map.cache_info().misses == 0
+
+
+def test_no_admitted_cell_is_refused_by_the_reduced_map(monkeypatch):
+    # every cell, l >= 1, whose table the table's three checks admit also
+    # admits its reduce-only op, which builds no table; the grid reaches
+    # past the table's guard and its bases' guard
+    monkeypatch.setattr(symspace, "ENTRY_GUARD", guard := 2**10)
+    cloner.reduced_map.cache_clear()
+
+    def table_refusal(d, m, l):
+        if (guarded_dims(d, m, l - m) or math.inf) > guard:
+            return "table"
+        if any((guarded_dims(d, n, 1) or math.inf) > 8 * guard for n in (m, l - m)):
+            return "basis"
+        return None
+
+    admitted, refusals = 0, set()
+    for d in range(2, 101):
+        for m in range(4):
+            x = None
+            for l in range(max(m, 1), m + 13):
+                if refusal := table_refusal(d, m, l):
+                    refusals.add(refusal)
+                    continue
+                if x is None:
+                    n = dim(d, m)
+                    x = SymOperator(enumerate_basis(d, m), np.eye(n) / n)
+                assert reduce_one(clone_channel(x, l)).entries.shape == (d, d), (d, m, l)
+                admitted += 1
+        cloner.reduced_map.cache_clear()
+        symspace.enumerate_basis.cache_clear()
+    assert admitted == 448 and refusals == {"table", "basis"}
+    # past the bases' guard, the map's move array is refused too
+    assert table_refusal(91, 0, 1) == "basis"
+    with pytest.raises(ResourceLimitError, match="^reduced map's move array exceeds"):
+        reduced_map(91, 0, 1)
 
 
 TABLE_READERS = ["clone_amplitudes", "isometry_gram", "coeffs"]
@@ -717,12 +766,17 @@ class TestChain:
         assert cloner.clone_amplitudes.cache_info().misses == 0
 
     def test_a_chain_past_its_composed_guard_is_refused(self, monkeypatch):
-        # (5, 2, 36) has 15 x 73815 = 1107225 entries, just past the guard
+        # (5, 2, 36) has a table of 15 x 73815 = 1107225 entries, just past
+        # its guard: the chain reduces to the direct clone's bits with no
+        # table built, and only its dense view is refused
         clear_plan_caches()
-        first = clone_channel(hermitian_sym_operator(5, 2, np.random.default_rng(5)), 35)
+        x = hermitian_sym_operator(5, 2, np.random.default_rng(5))
         refuse_ranks(monkeypatch)
-        with pytest.raises(ResourceLimitError, match="amplitude table"):
-            clone_channel(first, 36)
+        chain = clone_channel(clone_channel(x, 35), 36)
+        assert chain.source is x and chain.m == 36
+        assert_bitwise_equal(reduce_one(chain).entries, reduce_one(clone_channel(x, 36)).entries)
+        with pytest.raises(ResourceLimitError, match="^dense output exceeds"):
+            chain.entries
         assert cloner.clone_amplitudes.cache_info().misses == 0
 
     def test_a_clone_to_its_own_weight_keeps_the_output(self):
@@ -754,7 +808,6 @@ class TestCloneAmplitudesTable:
         with pytest.raises(ResourceLimitError, match=refused(8 * symspace.ENTRY_GUARD)):
             cloner.clone_amplitudes.__wrapped__(2897, 1, 1)
         monkeypatch.setattr(symspace, "ENTRY_GUARD", 2**10)
-        cloner.require_table_room.cache_clear()  # admissions under the real guard
         # 90**2 counts fit in 8 * 2**10, and 91**2 do not
         assert cloner.clone_amplitudes.__wrapped__(90, 1, 1).occupancy.shape == (90, 1)
         with pytest.raises(ResourceLimitError, match=refused(2**13)):
@@ -1192,11 +1245,13 @@ class TestReducedMap:
             assert case.residual == 0.0 and case.extra["bloch_residual"] == 0.0, case.params
 
     # CI's four large cells, where the op built a table and its added basis
-    # and peaked at 25.1 MiB at (4, 1, 114), and (2, 20, 400), whose object
-    # integers peaked at 778 KiB through the table
+    # and peaked at 25.1 MiB at (4, 1, 114), (2, 20, 400), whose object
+    # integers peaked at 778 KiB through the table, and three cells whose
+    # tables are past the guard, which the op once refused
     @pytest.mark.parametrize(
         "d, m, l, bound",
-        [(4, 1, 114, 256), (5, 2, 35, 256), (3, 1, 830, 256), (6, 1, 20, 256), (2, 20, 400, 778)],
+        [(4, 1, 114, 256), (5, 2, 35, 256), (3, 1, 830, 256), (6, 1, 20, 256), (2, 20, 400, 778),
+         (4, 1, 300, 256), (5, 2, 60, 256), (3, 1, 2000, 256)],
     )
     def test_reduce_only_peak_at_a_large_cell(self, d, m, l, bound):
         # the op reads the map alone: a Pascal grid of (m + d - 1) x (l - m + 1)
@@ -1215,6 +1270,9 @@ class TestReducedMap:
         assert cloner.clone_amplitudes.cache_info().misses == 0 and "basis" not in out.__dict__
         # two maps: the input's identity clone, which reduces it, and the clone's
         assert cloner.reduced_map.cache_info().misses == 2
+        if dim(d, m) * dim(d, l - m) > symspace.ENTRY_GUARD:
+            with pytest.raises(ResourceLimitError):
+                out.entries
 
 
 COLD_CELLS = [(3, 1, 30), (2, 20, 60)]
