@@ -119,38 +119,36 @@ def level_sums(d: int, m: int, l: int) -> np.ndarray:
 def reduced_map(d: int, m: int, l: int) -> tuple[np.ndarray, np.ndarray]:
     """reduce_one after the channel of (d, m, l), 1 <= l and m <= l, cached:
     read-only complex128 weights (imaginary parts +0.0) on the input's
-    diagonal and hops, read off the integers sums[a, i] = S[a_i] of
-    level_sums, no table built: W_diag[i, a] = sums[a, i] / (Q l), (d,
-    dim(d, m)), and W_hop[j, r] = sqrt(u_p + 1) sqrt(u_q + 1) rho / l,
-    (d(d-1), dim(d, m-1)), rho = (sums[rank(u + e_lo), hi] + Q) / ((u_hi +
-    1) Q), lo < hi the levels p, q of the j-th move and u the r-th
-    composition of weight m - 1; Q is total and each ratio correctly
-    rounded.  Dyads two or more hops apart reduce to 0 (M. Keyl and R. F.
-    Werner, J. Math. Phys. 40, 3283 (1999)).  Raises ResourceLimitError,
-    before any exact binomial, for a Pascal grid past ENTRY_GUARD entries
-    or d x d moves past 8 times it, and enumerate_basis's refusals."""
+    diagonal and hops, read off the integers S of level_sums, one ratio
+    per level value v, no table built: W_diag[i, a] = S[a_i] / (Q l), (d,
+    dim(d, m)), and W_hop[j, r] = sqrt(u_p + 1) sqrt(u_q + 1) rho[u_q] / l,
+    (d(d-1), dim(d, m-1)), rho[v] = (S[v] + Q) / ((v + 1) Q), p < q the
+    levels of the j-th move and u the r-th composition of weight m - 1; Q
+    is total and each ratio correctly rounded.  Dyads two or more hops
+    apart reduce to 0 (M. Keyl and R. F. Werner, J. Math. Phys. 40, 3283
+    (1999)).  Raises ResourceLimitError, before any exact binomial, for a
+    Pascal grid past ENTRY_GUARD entries or d x d moves past 8 times it,
+    and enumerate_basis's refusals."""
     require_room((m + d - 1) * (l - m + 1), "reduced map's Pascal grid")
-    # np.eye(d) for the moves, and the hop entries at m <= 1
+    # np.eye(d) for the moves, and W_hop at m <= 1
     require_room(d * d, "reduced map's move array", times=8)
     inputs = enumerate_basis(d, m)
     total, dtype = exact_total(d, m, l)
     # in the table's dtype: no integer formed here passes total (l + 1)
     total = np.array(total, dtype=dtype)
-    sums = level_sums(d, m, l)[inputs.counts]
+    sums, count = level_sums(d, m, l), np.arange(1, m + 2)
     # rows A of u + e_p and B of u + e_q hold A (u_p + 1)(u_q + k_q + 1) =
     # B (u_q + 1)(u_p + k_p + 1), so a hop's terms sum to sqrt(u_p + 1)
-    # sqrt(u_q + 1) sum_t A (u_q + k_q + 1) / ((u_q + 1) Q l), and
-    # both moves of a pair read the row of u + e_lo, a hop's smaller rank
-    lo, hi = (level[:, None] for level in np.sort(inputs.moves, axis=0))
-    rows = np.minimum(*np.divmod(inputs.hop_entries, inputs.size))
-    # u_lo + 1 and u_hi + 1, read off the row of u + e_lo
-    lo_count, hi_count = inputs.counts[rows, lo], inputs.counts[rows, hi] + 1
-    rho = (sums[rows, hi] + total) / (hi_count * total)
-    w_hop = np.sqrt(lo_count) * np.sqrt(hi_count) * rho.astype(np.float64) / l
+    # sqrt(u_q + 1) (S[u_q] + Q) / ((u_q + 1) Q l), as row u + e_p sums to
+    # Q and weighs level q by S[u_q]; both moves of a pair take q > p
+    rho = ((sums + total) / (count * total)).astype(np.float64)
+    root, (p, q) = np.sqrt(count), inputs.moves
+    # no composition has weight -1: at m = 0 there is no hop
+    u = (enumerate_basis(d, m - 1).counts if m else inputs.counts[:0]).T
+    w_hop = root[u[p]] * root[u[q]] * rho[u[np.maximum(p, q)]] / l
     # numpy has no float-by-complex loop: reduce_one would cast on every call
-    w_diag, w_hop = (
-        w.astype(np.complex128, order="C") for w in (sums.T / (total * l), w_hop)
-    )
+    w_hop = w_hop.astype(np.complex128, order="C")
+    w_diag = (sums / (total * l)).astype(np.complex128).take(inputs.counts.T)
     for w in (w_diag, w_hop):
         w.setflags(write=False)
     return w_diag, w_hop

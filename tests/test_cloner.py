@@ -1201,14 +1201,21 @@ class TestReducedMap:
         table, peak = traced_peak(lambda: cloner.clone_amplitudes.__wrapped__(d, m, l))
         assert peak < 2.5 * table.occupancy.nbytes
 
-    @pytest.mark.parametrize("d, m, l", [(4, 1, 114), (5, 2, 35), (6, 1, 20), (3, 1, 830)])
+    @pytest.mark.parametrize(
+        "d, m, l", [(4, 1, 114), (5, 2, 35), (6, 1, 20), (3, 1, 830), (8, 6, 40), (6, 8, 20)]
+    )
     def test_map_transient_is_a_few_kib(self, d, m, l):
-        # the map alone, from its input basis and hop entries: a (m + d - 1,
-        # l - m + 1) Pascal grid, the level sums and the small arrays read off
-        # them; no table, no added basis, nothing of length K
-        enumerate_basis(d, m).hop_entries
-        _, peak = traced_peak(lambda: cloner.reduced_map.__wrapped__(d, m, l))
-        assert peak < 64 << 10
+        # the map alone, from its input basis: a (m + d - 1, l - m + 1)
+        # Pascal grid, the level sums, one ratio per level value, the basis
+        # of weight m - 1 and the map; no table, no added basis, nothing of
+        # length K and no hop entries.  Where the map passes 32 KiB, at
+        # (8, 6, 40) and (6, 8, 20), the peak was 1.2 times the map's bytes,
+        # and 3.1 times while the map divided a (dim(d, m), d) integer array
+        clear_plan_caches()
+        basis = enumerate_basis(d, m)
+        w, peak = traced_peak(lambda: cloner.reduced_map.__wrapped__(d, m, l))
+        assert peak < max(64 << 10, 2 * sum(part.nbytes for part in w))
+        assert "hop_entries" not in basis.__dict__
 
     def test_a_single_input_state_maps_to_the_maximally_mixed_state(self):
         for d, l in ((2, 1), (3, 4), (5, 2)):
@@ -1216,7 +1223,7 @@ class TestReducedMap:
             assert w_hop.shape == (d * (d - 1), 0)
             assert np.max(np.abs(w_diag - 1 / d)) <= 1e-15
 
-    # small cells, then the inputs of CI's four large cells
+    # small cells, then the inputs of the four large cells
     @pytest.mark.parametrize(
         "d, m", [(2, 1), (2, 5), (2, 60), (3, 2), (3, 9), (4, 3), (4, 1), (5, 2), (3, 1), (6, 1)]
     )
@@ -1244,7 +1251,7 @@ class TestReducedMap:
         for case in cases:
             assert case.residual == 0.0 and case.extra["bloch_residual"] == 0.0, case.params
 
-    # CI's four large cells, where the op built a table and its added basis
+    # the four large cells, where the op built a table and its added basis
     # and peaked at 25.1 MiB at (4, 1, 114), (2, 20, 400), whose object
     # integers peaked at 778 KiB through the table, and three cells whose
     # tables are past the guard, which the op once refused
@@ -1268,6 +1275,10 @@ class TestReducedMap:
         assert peak < bound << 10
         assert scaling_residual(rin, rout, d, m, l) <= 1e-10
         assert cloner.clone_amplitudes.cache_info().misses == 0 and "basis" not in out.__dict__
+        # a chain to l clones its source once: the direct reduction's bytes
+        chain = clone_channel(clone_channel(x, l - 1), l)
+        assert reduce_one(chain).entries.tobytes() == rout.entries.tobytes()
+        assert cloner.clone_amplitudes.cache_info().misses == 0
         # two maps: the input's identity clone, which reduces it, and the clone's
         assert cloner.reduced_map.cache_info().misses == 2
         if dim(d, m) * dim(d, l - m) > symspace.ENTRY_GUARD:
